@@ -146,6 +146,15 @@ def _build_preset(values, errors):
         return None
 
 
+def _load_case(path) -> tuple:
+    """(values, errors, grid, params, preset) of a config file."""
+    values, errors = load_config(path)
+    grid = _build_grid(values, errors)
+    params = _build_params(values, errors)
+    preset = _build_preset(values, errors)
+    return values, errors, grid, params, preset
+
+
 def _build_solver(values, errors):
     kw = values.get("solver", {})
     missing = [k for k in ("dt", "t_end") if k not in kw]
@@ -190,11 +199,17 @@ def _effective_data(state, params):
     return e.q, e.v
 
 
+def _lifespan_inputs(values, q0, v0, params):
+    """The data norms and constants of the [lifespan] section."""
+    lkw = values.get("lifespan", {})
+    return norms_for_data(
+        q0, v0, p=lkw.get("p"), eps_prime=lkw.get("eps_prime", 0.25),
+        C=lkw.get("C", 1.0), C1=lkw.get("C1", 1.0), c=lkw.get("c", 1.0),
+        mu=params.mu, eps=lkw.get("eps"))
+
+
 def cmd_run(args, stream) -> int:
-    values, errors = load_config(args.config)
-    grid = _build_grid(values, errors)
-    params = _build_params(values, errors)
-    preset = _build_preset(values, errors)
+    values, errors, grid, params, preset = _load_case(args.config)
     solver_cfg = _build_solver(values, errors)
     if not errors and solver_cfg is not None:
         try:
@@ -282,19 +297,13 @@ def cmd_verify(args, stream) -> int:
 
 
 def cmd_lifespan(args, stream) -> int:
-    values, errors = load_config(args.config)
-    grid = _build_grid(values, errors)
-    params = _build_params(values, errors)
-    preset = _build_preset(values, errors)
+    values, errors, grid, params, preset = _load_case(args.config)
     if errors:
         return _fail_config(errors, args.json, stream)
     lkw = values.get("lifespan", {})
     q0, v0 = _effective_data(build(preset, grid, params), params)
     try:
-        inp = norms_for_data(
-            q0, v0, p=lkw.get("p"), eps_prime=lkw.get("eps_prime", 0.25),
-            C=lkw.get("C", 1.0), C1=lkw.get("C1", 1.0), c=lkw.get("c", 1.0),
-            mu=params.mu, eps=lkw.get("eps"))
+        inp = _lifespan_inputs(values, q0, v0, params)
     except ConfigurationError as ex:
         return _fail_config([f"lifespan: {ex}"], args.json, stream)
     report = lifespan_report(inp)
@@ -318,10 +327,7 @@ def cmd_lifespan(args, stream) -> int:
 
 
 def cmd_picard(args, stream) -> int:
-    values, errors = load_config(args.config)
-    grid = _build_grid(values, errors)
-    params = _build_params(values, errors)
-    preset = _build_preset(values, errors)
+    values, errors, grid, params, preset = _load_case(args.config)
     if errors:
         return _fail_config(errors, args.json, stream)
     pkw = values.get("picard", {})
@@ -329,12 +335,8 @@ def cmd_picard(args, stream) -> int:
 
     raw_horizon = pkw.get("horizon", "auto")
     if raw_horizon == "auto":
-        lkw = values.get("lifespan", {})
         try:
-            inp = norms_for_data(
-                q0, v0, p=lkw.get("p"), eps_prime=lkw.get("eps_prime", 0.25),
-                C=lkw.get("C", 1.0), C1=lkw.get("C1", 1.0), c=lkw.get("c", 1.0),
-                mu=params.mu, eps=lkw.get("eps"))
+            inp = _lifespan_inputs(values, q0, v0, params)
         except ConfigurationError as ex:
             return _fail_config([f"lifespan: {ex}"], args.json, stream)
         horizon = lifespan_report(inp)["lower_bound"]
@@ -386,10 +388,7 @@ def cmd_besov(args, stream) -> int:
         except (OSError, KeyError, ConfigurationError) as ex:
             return _fail_config([f"besov.state: {ex}"], args.json, stream)
     else:
-        values, errors = load_config(args.config)
-        grid = _build_grid(values, errors)
-        params = _build_params(values, errors)
-        preset = _build_preset(values, errors)
+        values, errors, grid, params, preset = _load_case(args.config)
         if errors:
             return _fail_config(errors, args.json, stream)
         state, t = build(preset, grid, params), 0.0

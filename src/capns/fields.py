@@ -1,10 +1,16 @@
 """Spectral fields and exact derivatives on uniform periodic grids.
 
-Conventions: forward transforms are plain unnormalized ``numpy.fft.fftn``,
-the inverse carries the 1/n^dim factor. Wavenumbers are integer mode
+This is the only module that calls ``numpy.fft``. Conventions: forward
+transforms are plain unnormalized ``numpy.fft.fftn``, the inverse carries
+the 1/n^dim factor and keeps the real part. Wavenumbers are integer mode
 indices scaled by 2*pi/length. Odd-order derivative multipliers zero the
 unpaired Nyquist mode of even-length transforms; the Laplacian keeps it.
 All functions are pure and never mutate their inputs.
+
+The solver, model and dyadic code work on raw arrays through the
+array-level helpers ``fft_array``, ``ifft_array``, ``grad_arrays``,
+``div_array``, ``lap_array`` and ``dealias_values``; the ``RealField``
+functions below wrap the same helpers and validate their results.
 """
 
 from __future__ import annotations
@@ -138,46 +144,75 @@ def same_grid(*fields) -> Grid:
     return grid
 
 
+def fft_array(values: np.ndarray) -> np.ndarray:
+    """Unnormalized forward FFT of grid samples."""
+    return np.fft.fftn(values)
+
+
+def ifft_array(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse FFT with the 1/n^dim factor; drops the imaginary residue."""
+    return np.fft.ifftn(coeffs).real
+
+
+def grad_arrays(grid: Grid, fhat: np.ndarray) -> list:
+    """Gradient samples, one per axis, from the coefficients ``fhat``."""
+    return [ifft_array(1j * kd * fhat) for kd in grid.k_deriv]
+
+
+def div_array(grid: Grid, comps) -> np.ndarray:
+    """Divergence samples of a vector given as one array per axis."""
+    out = np.zeros(grid.shape)
+    for kd, comp in zip(grid.k_deriv, comps):
+        out += ifft_array(1j * kd * fft_array(comp))
+    return out
+
+
+def lap_array(grid: Grid, fhat: np.ndarray) -> np.ndarray:
+    """Laplacian samples from the coefficients ``fhat``."""
+    return ifft_array(-grid.k2 * fhat)
+
+
+def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Array-level 2/3 truncation used in nonlinear term assembly."""
+    return ifft_array(np.where(grid.dealias_mask, fft_array(values), 0.0))
+
+
 def transform(f: RealField) -> SpectralField:
     """Unnormalized forward FFT."""
-    return SpectralField(f.grid, np.fft.fftn(f.values))
+    return SpectralField(f.grid, fft_array(f.values))
 
 
 def inverse_transform(F: SpectralField) -> RealField:
     """Inverse FFT with the 1/n^dim factor; drops the imaginary residue."""
-    return RealField(F.grid, np.fft.ifftn(F.coeffs).real)
+    return RealField(F.grid, ifft_array(F.coeffs))
 
 
 def grad(f: RealField) -> tuple:
     """Exact spectral gradient, one component per axis."""
     g = f.grid
-    fhat = np.fft.fftn(f.values)
-    return tuple(RealField(g, np.fft.ifftn(1j * kd * fhat).real) for kd in g.k_deriv)
+    return tuple(RealField(g, c) for c in grad_arrays(g, fft_array(f.values)))
 
 
 def div(vec: Sequence[RealField]) -> RealField:
     g = same_grid(*vec)
     if len(vec) != g.dim:
         raise ConfigurationError(f"vector has {len(vec)} components on a dim-{g.dim} grid")
-    out = np.zeros(g.shape)
-    for kd, comp in zip(g.k_deriv, vec):
-        out += np.fft.ifftn(1j * kd * np.fft.fftn(comp.values)).real
-    return RealField(g, out)
+    return RealField(g, div_array(g, [comp.values for comp in vec]))
 
 
 def laplacian(f: RealField) -> RealField:
     g = f.grid
-    return RealField(g, np.fft.ifftn(-g.k2 * np.fft.fftn(f.values)).real)
+    return RealField(g, lap_array(g, fft_array(f.values)))
 
 
 def hessian(f: RealField) -> tuple:
     """Symmetric matrix of second derivatives as nested tuples H[i][j]."""
     g = f.grid
-    fhat = np.fft.fftn(f.values)
+    fhat = fft_array(f.values)
     rows = []
     for ki in g.k_deriv:
         rows.append(tuple(
-            RealField(g, np.fft.ifftn(-(ki * kj) * fhat).real) for kj in g.k_deriv
+            RealField(g, ifft_array(-(ki * kj) * fhat)) for kj in g.k_deriv
         ))
     return tuple(rows)
 
@@ -186,14 +221,7 @@ def dealias(obj):
     """Zero all modes with any |k_i| above the 2/3 cutoff. Idempotent."""
     if isinstance(obj, SpectralField):
         return SpectralField(obj.grid, np.where(obj.grid.dealias_mask, obj.coeffs, 0.0))
-    g = obj.grid
-    coeffs = np.where(g.dealias_mask, np.fft.fftn(obj.values), 0.0)
-    return RealField(g, np.fft.ifftn(coeffs).real)
-
-
-def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array-level 2/3 truncation used in nonlinear term assembly."""
-    return np.fft.ifftn(np.where(grid.dealias_mask, np.fft.fftn(values), 0.0)).real
+    return RealField(obj.grid, dealias_values(obj.grid, obj.values))
 
 
 def integrate(f: RealField) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import Grid, RealField, lp_norm
+from .fields import Grid, RealField, fft_array, ifft_array, lp_norm
 
 PLATEAU = 0.75       # chi = 1 on [0, 3/4]
 SUPPORT = 4.0 / 3.0  # chi = 0 beyond 4/3
@@ -91,6 +91,13 @@ def block_range(grid: Grid) -> tuple:
     return l_min, l_max
 
 
+def is_boundary_block(grid: Grid, l: int) -> bool:
+    """True when the annulus of block l extends past the resolved band."""
+    kmin = 2.0 * math.pi / grid.length
+    kmax = float(np.max(grid.kmag))
+    return PLATEAU * 2.0 ** l < kmin or ANNULUS_OUTER * 2.0 ** l > kmax
+
+
 class DyadicDecomposition:
     """Blocks of one field, the mean mode, and boundary bookkeeping."""
 
@@ -107,10 +114,8 @@ class DyadicDecomposition:
         return list(range(self.l_min, self.l_max + 1))
 
     def is_boundary(self, l: int) -> bool:
-        """True when the annulus of block l extends past the resolved band."""
-        kmin = 2.0 * math.pi / self.grid.length
-        kmax = float(np.max(self.grid.kmag))
-        return PLATEAU * 2.0 ** l < kmin or ANNULUS_OUTER * 2.0 ** l > kmax
+        """See :func:`is_boundary_block`."""
+        return is_boundary_block(self.grid, l)
 
     def reconstruct(self) -> RealField:
         total = np.full(self.grid.shape, self.mean)
@@ -123,15 +128,22 @@ def _block_multiplier(grid, bumps, l):
     return bumps.phi(grid.kmag / 2.0 ** l)
 
 
+def _parseval_block_norms(grid, bumps, ls, fhat):
+    """Block L^2 norms from the coefficients, without inverse transforms."""
+    scale = math.sqrt(grid.cell_volume / grid.n ** grid.dim)
+    return [scale * float(np.linalg.norm(_block_multiplier(grid, bumps, l) * fhat))
+            for l in ls]
+
+
 def decompose(f: RealField, bumps: BumpPair) -> DyadicDecomposition:
     g = f.grid
     l_min, l_max = block_range(g)
-    fhat = np.fft.fftn(f.values)
+    fhat = fft_array(f.values)
     mean = float(fhat.flat[0].real) / g.n ** g.dim
     blocks = {}
     for l in range(l_min, l_max + 1):
         mult = _block_multiplier(g, bumps, l)
-        blocks[l] = RealField(g, np.fft.ifftn(mult * fhat).real)
+        blocks[l] = RealField(g, ifft_array(mult * fhat))
     return DyadicDecomposition(g, bumps, l_min, l_max, blocks, mean)
 
 
@@ -157,19 +169,16 @@ def block_norms(f: RealField, bumps: BumpPair, p: float):
     """
     g = f.grid
     l_min, l_max = block_range(g)
-    fhat = np.fft.fftn(f.values)
+    fhat = fft_array(f.values)
     mean = float(fhat.flat[0].real) / g.n ** g.dim
     ls = list(range(l_min, l_max + 1))
-    norms = []
     if p == 2:
-        scale = math.sqrt(g.cell_volume / g.n ** g.dim)
-        for l in ls:
-            mult = _block_multiplier(g, bumps, l)
-            norms.append(scale * float(np.linalg.norm(mult * fhat)))
+        norms = _parseval_block_norms(g, bumps, ls, fhat)
     else:
+        norms = []
         for l in ls:
             mult = _block_multiplier(g, bumps, l)
-            norms.append(lp_norm(RealField(g, np.fft.ifftn(mult * fhat).real), p))
+            norms.append(lp_norm(RealField(g, ifft_array(mult * fhat)), p))
     return ls, np.array(norms), mean
 
 
@@ -231,21 +240,21 @@ def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
     g = u.grid
     du = decompose(u, bumps)
     dv = decompose(v, bumps)
-    uhat = np.fft.fftn(u.values)
+    uhat = fft_array(u.values)
 
     def low_pass(m):
         mult = bumps.chi(g.kmag / 2.0 ** m)
-        return np.fft.ifftn(mult * uhat).real
+        return ifft_array(mult * uhat)
 
     t_uv = np.zeros(g.shape)
     for l in du.ls:
         t_uv += low_pass(l - 1) * dv.blocks[l].values
 
-    vhat = np.fft.fftn(v.values)
+    vhat = fft_array(v.values)
     t_vu = np.zeros(g.shape)
     for l in du.ls:
         mult = bumps.chi(g.kmag / 2.0 ** (l - 1))
-        t_vu += np.fft.ifftn(mult * vhat).real * du.blocks[l].values
+        t_vu += ifft_array(mult * vhat) * du.blocks[l].values
 
     remainder = np.zeros(g.shape)
     for l in du.ls:
@@ -268,18 +277,16 @@ def heat_block_decay_check(u0: RealField, mu: float, times, bumps: BumpPair,
         raise ConfigurationError(f"diffusion coefficient must be positive, got {mu}")
     g = u0.grid
     ls, norms0, _ = block_norms(u0, bumps, p)
-    uhat0 = np.fft.fftn(u0.values)
+    uhat0 = fft_array(u0.values)
     table = [np.asarray(norms0)]
     for t in times[1:]:
         dhat = np.exp(-mu * g.k2 * t) * uhat0
         if p == 2:
             # spectral evaluation: per-mode decay is exact, so the annulus
             # bounds hold even for blocks holding only roundoff content
-            scale = math.sqrt(g.cell_volume / g.n ** g.dim)
-            row = [scale * float(np.linalg.norm(_block_multiplier(g, bumps, l) * dhat))
-                   for l in ls]
+            row = _parseval_block_norms(g, bumps, ls, dhat)
         else:
-            decayed = RealField(g, np.fft.ifftn(dhat).real)
+            decayed = RealField(g, ifft_array(dhat))
             row = block_norms(decayed, bumps, p)[1]
         table.append(np.asarray(row))
     table = np.stack(table)  # [time, block]
@@ -317,7 +324,6 @@ def heat_block_decay_check(u0: RealField, mu: float, times, bumps: BumpPair,
 
 def block_report(f: RealField, spec: BesovSpec, bumps: BumpPair) -> dict:
     """JSON-ready per-block norm report."""
-    decomp = decompose(f, bumps)
     ls, norms, mean = block_norms(f, bumps, spec.p)
     records = []
     for l, v in zip(ls, norms):
@@ -325,7 +331,7 @@ def block_report(f: RealField, spec: BesovSpec, bumps: BumpPair) -> dict:
             "l": int(l),
             "block_norm": float(v),
             "weighted": float(2.0 ** (l * spec.s) * v),
-            "boundary": decomp.is_boundary(l),
+            "boundary": is_boundary_block(f.grid, l),
         })
     return {
         "s": spec.s,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericBlowup
-from .fields import Grid, RealField, dealias_values
+from .fields import (Grid, RealField, dealias_values, div_array, fft_array, grad_arrays,
+                     ifft_array, lap_array)
 
 QUANTUM_TOL = 1e-12
 
@@ -108,35 +109,6 @@ class EffectiveState:
         return self.q.grid
 
 
-# -- spectral helpers on raw arrays ----------------------------------------
-
-def _fft(vals):
-    return np.fft.fftn(vals)
-
-
-def _ifft(coeffs):
-    return np.fft.ifftn(coeffs).real
-
-
-def _grad_arrays(grid, vals, fhat=None):
-    if fhat is None:
-        fhat = _fft(vals)
-    return [_ifft(1j * kd * fhat) for kd in grid.k_deriv]
-
-
-def _div_arrays(grid, comps):
-    out = np.zeros(grid.shape)
-    for kd, comp in zip(grid.k_deriv, comps):
-        out += _ifft(1j * kd * _fft(comp))
-    return out
-
-
-def _lap_array(grid, vals, fhat=None):
-    if fhat is None:
-        fhat = _fft(vals)
-    return _ifft(-grid.k2 * fhat)
-
-
 def _maybe_dealias(grid, vals, flag):
     return dealias_values(grid, vals) if flag else vals
 
@@ -158,6 +130,13 @@ def _finite_or_blowup(arrays, where):
 
 # -- capillarity divergence -------------------------------------------------
 
+def _div_rho_hess(g, r, lhat, dealias):
+    """Components of div(r * hess(l)) from the coefficients of l."""
+    return [div_array(g, [_maybe_dealias(g, r * ifft_array(-(ki * kj) * lhat), dealias)
+                          for kj in g.k_deriv])
+            for ki in g.k_deriv]
+
+
 def div_k_form_a(rho: RealField, kappa1: float, dealias: bool = True,
                  vacuum_floor: float = 0.0) -> tuple:
     """Capillarity divergence from the general gradient/tensor form.
@@ -170,21 +149,19 @@ def div_k_form_a(rho: RealField, kappa1: float, dealias: bool = True,
     """
     g = rho.grid
     r = _check_density(rho, vacuum_floor)
-    rhat = _fft(r)
-    gr = _grad_arrays(g, r, rhat)
-    lap_r = _lap_array(g, r, rhat)
+    rhat = fft_array(r)
+    gr = grad_arrays(g, rhat)
+    lap_r = lap_array(g, rhat)
     kap = kappa1 / r
     dkap = -kappa1 / r ** 2
     grad_sq = sum(c ** 2 for c in gr)
     scalar = r * kap * lap_r + 0.5 * (kap + r * dkap) * grad_sq
-    scalar_hat = _fft(_maybe_dealias(g, scalar, dealias))
+    scalar_hat = fft_array(_maybe_dealias(g, scalar, dealias))
     out = []
     for i, ki in enumerate(g.k_deriv):
-        term1 = _ifft(1j * ki * scalar_hat)
-        term2 = np.zeros(g.shape)
-        for j, kj in enumerate(g.k_deriv):
-            t_ij = _maybe_dealias(g, kap * gr[i] * gr[j], dealias)
-            term2 += _ifft(1j * kj * _fft(t_ij))
+        term1 = ifft_array(1j * ki * scalar_hat)
+        term2 = div_array(g, [_maybe_dealias(g, kap * gr[i] * gr[j], dealias)
+                              for j in range(g.dim)])
         out.append(RealField(g, term1 - term2))
     return tuple(out)
 
@@ -194,15 +171,8 @@ def div_k_form_b(rho: RealField, kappa1: float, dealias: bool = True,
     """Capillarity divergence as kappa1 * div(rho * hess(ln rho))."""
     g = rho.grid
     r = _check_density(rho, vacuum_floor)
-    ln_hat = _fft(np.log(r))
-    out = []
-    for ki in g.k_deriv:
-        comp = np.zeros(g.shape)
-        for kj in g.k_deriv:
-            h_ij = _ifft(-(ki * kj) * ln_hat)
-            comp += _ifft(1j * kj * _fft(_maybe_dealias(g, r * h_ij, dealias)))
-        out.append(RealField(g, kappa1 * comp))
-    return tuple(out)
+    comps = _div_rho_hess(g, r, fft_array(np.log(r)), dealias)
+    return tuple(RealField(g, kappa1 * comp) for comp in comps)
 
 
 def div_k_gradient_form(rho: RealField, kappa1: float, dealias: bool = True,
@@ -211,13 +181,13 @@ def div_k_gradient_form(rho: RealField, kappa1: float, dealias: bool = True,
     + (rho/2)*grad(|grad ln rho|^2)), kept for cross-checks."""
     g = rho.grid
     r = _check_density(rho, vacuum_floor)
-    ln_hat = _fft(np.log(r))
+    ln_hat = fft_array(np.log(r))
     lap_ln_hat = -g.k2 * ln_hat
-    grad_ln = [_ifft(1j * kd * ln_hat) for kd in g.k_deriv]
-    sq_hat = _fft(_maybe_dealias(g, sum(c ** 2 for c in grad_ln), dealias))
+    grad_ln = grad_arrays(g, ln_hat)
+    sq_hat = fft_array(_maybe_dealias(g, sum(c ** 2 for c in grad_ln), dealias))
     out = []
     for ki in g.k_deriv:
-        comp = r * _ifft(1j * ki * lap_ln_hat) + 0.5 * r * _ifft(1j * ki * sq_hat)
+        comp = r * ifft_array(1j * ki * lap_ln_hat) + 0.5 * r * ifft_array(1j * ki * sq_hat)
         out.append(RealField(g, kappa1 * _maybe_dealias(g, comp, dealias)))
     return tuple(out)
 
@@ -233,7 +203,7 @@ def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
     """(rho, u) -> (q, v) with q = ln(rho/rho_bar), v = u + mu*grad(q)."""
     g = s.grid
     q_vals = np.log(_check_density(s.rho) / p.rho_bar)
-    gq = _grad_arrays(g, q_vals)
+    gq = grad_arrays(g, fft_array(q_vals))
     v = tuple(RealField(g, s.u[i].values + p.mu * gq[i]) for i in range(g.dim))
     return EffectiveState(RealField(g, q_vals), v)
 
@@ -242,7 +212,7 @@ def from_effective(e: EffectiveState, p: PhysParams) -> PrimitiveState:
     """(q, v) -> (rho, u); exact inverse of :func:`to_effective`."""
     g = e.grid
     rho_vals = p.rho_bar * np.exp(e.q.values)
-    gq = _grad_arrays(g, e.q.values)
+    gq = grad_arrays(g, fft_array(e.q.values))
     u = tuple(RealField(g, e.v[i].values - p.mu * gq[i]) for i in range(g.dim))
     return PrimitiveState(RealField(g, rho_vals), u)
 
@@ -260,23 +230,22 @@ def rhs_primitive(s: PrimitiveState, p: PhysParams, dealias: bool = True,
     g = s.grid
     r = _check_density(s.rho, vacuum_floor)
     u = [c.values for c in s.u]
-    uhats = [_fft(c) for c in u]
+    uhats = [fft_array(c) for c in u]
 
     flux = [_maybe_dealias(g, r * u[i], dealias) for i in range(g.dim)]
-    drho = RealField(g, -_div_arrays(g, flux))
+    drho = RealField(g, -div_array(g, flux))
 
     # symmetric gradient Du_ij = (d_j u_i + d_i u_j)/2
-    du = [[_ifft(1j * kj * uhats[i]) for kj in g.k_deriv] for i in range(g.dim)]
+    du = [grad_arrays(g, uhats[i]) for i in range(g.dim)]
     divk = div_k_form_b(s.rho, p.kappa, dealias, vacuum_floor)
-    p_hat = _fft(_maybe_dealias(g, p.a * r ** p.gamma, dealias))
+    p_hat = fft_array(_maybe_dealias(g, p.a * r ** p.gamma, dealias))
 
     out = []
     for i, ki in enumerate(g.k_deriv):
-        visc = np.zeros(g.shape)
-        for j, kj in enumerate(g.k_deriv):
-            d_sym = 0.5 * (du[i][j] + du[j][i])
-            visc += _ifft(1j * kj * _fft(_maybe_dealias(g, 2.0 * p.mu * r * d_sym, dealias)))
-        grad_p = _ifft(1j * ki * p_hat)
+        d_sym = [0.5 * (du[i][j] + du[j][i]) for j in range(g.dim)]
+        visc = div_array(g, [_maybe_dealias(g, 2.0 * p.mu * r * d_sym[j], dealias)
+                             for j in range(g.dim)])
+        grad_p = ifft_array(1j * ki * p_hat)
         adv = _maybe_dealias(g, sum(u[j] * du[i][j] for j in range(g.dim)), dealias)
         force = _maybe_dealias(g, (visc - grad_p + divk[i].values) / r, dealias)
         out.append(-adv + force)
@@ -304,14 +273,14 @@ def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True,
             f"effective formulation requires kappa >= mu^2, got kappa = {p.kappa}, mu^2 = {p.mu**2}"
         )
     qv = e.q.values
-    qhat = _fft(qv)
-    gq = [_ifft(1j * kd * qhat) for kd in g.k_deriv]
-    lap_q = _ifft(-g.k2 * qhat)
-    vhats = [_fft(c.values) for c in e.v]
+    qhat = fft_array(qv)
+    gq = grad_arrays(g, qhat)
+    lap_q = lap_array(g, qhat)
+    vhats = [fft_array(c.values) for c in e.v]
     v = [c.values for c in e.v]
-    dv_mat = [[_ifft(1j * kj * vhats[i]) for kj in g.k_deriv] for i in range(g.dim)]
+    dv_mat = [grad_arrays(g, vhats[i]) for i in range(g.dim)]
     div_v = sum(dv_mat[i][i] for i in range(g.dim))
-    lap_v = [_ifft(-g.k2 * vhats[i]) for i in range(g.dim)]
+    lap_v = [lap_array(g, vhats[i]) for i in range(g.dim)]
 
     if freeze_advection:
         u = [np.zeros(g.shape) for _ in range(g.dim)]
@@ -330,13 +299,8 @@ def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True,
     extra = None
     if not p.is_quantum():
         rho = p.rho_bar * np.exp(qv)
-        extra = []
-        for ki in g.k_deriv:
-            comp = np.zeros(g.shape)
-            for kj in g.k_deriv:
-                h_ij = _ifft(-(ki * kj) * qhat)
-                comp += _ifft(1j * kj * _fft(_maybe_dealias(g, rho * h_ij, dealias)))
-            extra.append(excess * _maybe_dealias(g, comp / rho, dealias))
+        extra = [excess * _maybe_dealias(g, comp / rho, dealias)
+                 for comp in _div_rho_hess(g, rho, qhat, dealias)]
 
     out = []
     for i in range(g.dim):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import Grid, RealField, dealias_values
+from .fields import Grid, RealField, dealias_values, ifft_array
 from .model import PhysParams, PrimitiveState
 
 PRESET_NAMES = ("equilibrium", "smooth_bump", "near_vacuum",
@@ -56,6 +56,8 @@ def _velocity_profile(grid: Grid, amplitude: float):
 
 
 def _bandlimited_noise(grid: Grid, rng, band: int) -> np.ndarray:
+    """Mean-free random field with modes |k_i| <= band (in units of
+    2*pi/length), dealiased and scaled to a peak of 1."""
     coeffs = np.zeros(grid.shape, dtype=complex)
     coeffs[tuple([0] * grid.dim)] = 0.0
     spectrum = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
@@ -65,7 +67,7 @@ def _bandlimited_noise(grid: Grid, rng, band: int) -> np.ndarray:
         keep &= np.abs(grid.k[i]) <= band * scale
     coeffs[keep] = spectrum[keep]
     coeffs[tuple([0] * grid.dim)] = 0.0
-    vals = np.fft.ifftn(coeffs).real
+    vals = ifft_array(coeffs)
     vals = dealias_values(grid, vals)
     peak = np.max(np.abs(vals))
     return vals / peak if peak > 0 else vals

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     NumericBlowup,
     VacuumBreach,
 )
-from .fields import Grid, RealField, dealias_values
+from .fields import Grid, RealField, dealias_values, fft_array, grad_arrays, ifft_array
 from .lp_besov import BesovSpec, build_bumps, tilde_norm, besov_norm
 from .model import (
     EffectiveState,
@@ -82,14 +83,6 @@ class SolverConfig:
             )
 
 
-def _fft(v):
-    return np.fft.fftn(v)
-
-
-def _ifft(c):
-    return np.fft.ifftn(c).real
-
-
 def _guard_primitive(rho_vals, u_vals, floor, t):
     arrays = [rho_vals] + list(u_vals)
     if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -108,69 +101,76 @@ def _guard_effective(q_vals, v_vals, params, floor, t):
         raise VacuumBreach(t, m)
 
 
+def _identity(x):
+    return x
+
+
+class _Unknown(NamedTuple):
+    """How a step carries one unknown: transform pair, integrating factor
+    exp(-L dt) and linear part L."""
+
+    fwd: Callable
+    inv: Callable
+    fac: np.ndarray | float
+    lin: np.ndarray | float
+
+
 def step_imex(state, params: PhysParams, cfg: SolverConfig, t: float = 0.0):
-    """One integrating-factor Heun step; returns the state at t + dt."""
+    """One integrating-factor Heun step; returns the state at t + dt.
+
+    Each unknown w is carried by a transform W = fwd(w) with linear part L
+    and factor exp(-L dt). With N = fwd(rhs) + L W the step is
+    W* = exp(-L dt) (W + dt N), W_new = exp(-L dt) W + dt/2 (exp(-L dt) N + N*).
+    """
     g = state.grid
     cfg.validate_for(g, params)
     e_fac = np.exp(-params.mu * g.k2 * cfg.dt)
     dt = cfg.dt
+    diffusive = _Unknown(fft_array, ifft_array, e_fac, params.mu * g.k2)
+    velocity = [diffusive] * g.dim
 
     if cfg.formulation == "primitive":
         if not isinstance(state, PrimitiveState):
             raise ConfigurationError("primitive stepping needs a PrimitiveState")
-        rho0 = state.rho.values
-        u0 = [c.values for c in state.u]
-        uhat0 = [_fft(c) for c in u0]
-        drho0, du0 = rhs_primitive(state, params, dealias=cfg.dealias)
-        nhat0 = [_fft(du0[i].values) + params.mu * g.k2 * uhat0[i] for i in range(g.dim)]
+        # the mass equation has no Laplacian: the density stays on the grid
+        # with factor 1.0 and linear part 0.0, which the scheme keeps exact
+        parts = [_Unknown(_identity, _identity, 1.0, 0.0)] + velocity
+        unknowns = [state.rho, *state.u]
 
-        rho_star = rho0 + dt * drho0.values
-        uhat_star = [e_fac * (uhat0[i] + dt * nhat0[i]) for i in range(g.dim)]
-        u_star = [_ifft(c) for c in uhat_star]
-        _guard_primitive(rho_star, u_star, cfg.vacuum_floor, t + dt)
-        s_star = PrimitiveState(RealField(g, rho_star), tuple(RealField(g, c) for c in u_star))
+        def rhs(s):
+            return rhs_primitive(s, params, dealias=cfg.dealias)
 
-        drho1, du1 = rhs_primitive(s_star, params, dealias=cfg.dealias)
-        nhat1 = [_fft(du1[i].values) + params.mu * g.k2 * uhat_star[i] for i in range(g.dim)]
+        def guard(vals):
+            _guard_primitive(vals[0], vals[1:], cfg.vacuum_floor, t + dt)
+    else:
+        if not isinstance(state, EffectiveState):
+            raise ConfigurationError("effective stepping needs an EffectiveState")
+        parts = [diffusive] + velocity
+        unknowns = [state.q, *state.v]
 
-        rho_new = rho0 + 0.5 * dt * (drho0.values + drho1.values)
-        u_new = [
-            _ifft(e_fac * uhat0[i] + 0.5 * dt * (e_fac * nhat0[i] + nhat1[i]))
-            for i in range(g.dim)
-        ]
-        _guard_primitive(rho_new, u_new, cfg.vacuum_floor, t + dt)
-        return PrimitiveState(RealField(g, rho_new), tuple(RealField(g, c) for c in u_new))
+        def rhs(s):
+            return rhs_effective(s, params, dealias=cfg.dealias,
+                                 freeze_advection=cfg.freeze_advection)
 
-    if not isinstance(state, EffectiveState):
-        raise ConfigurationError("effective stepping needs an EffectiveState")
-    q0 = state.q.values
-    v0 = [c.values for c in state.v]
-    qhat0 = _fft(q0)
-    vhat0 = [_fft(c) for c in v0]
-    dq0, dv0 = rhs_effective(state, params, dealias=cfg.dealias,
-                             freeze_advection=cfg.freeze_advection)
-    nq0 = _fft(dq0.values) + params.mu * g.k2 * qhat0
-    nv0 = [_fft(dv0[i].values) + params.mu * g.k2 * vhat0[i] for i in range(g.dim)]
+        def guard(vals):
+            _guard_effective(vals[0], vals[1:], params, cfg.vacuum_floor, t + dt)
 
-    qhat_star = e_fac * (qhat0 + dt * nq0)
-    vhat_star = [e_fac * (vhat0[i] + dt * nv0[i]) for i in range(g.dim)]
-    q_star = _ifft(qhat_star)
-    v_star = [_ifft(c) for c in vhat_star]
-    _guard_effective(q_star, v_star, params, cfg.vacuum_floor, t + dt)
-    s_star = EffectiveState(RealField(g, q_star), tuple(RealField(g, c) for c in v_star))
+    def explicit(s, hats):
+        d_scalar, d_vector = rhs(s)
+        return [p.fwd(d.values) + p.lin * w
+                for p, d, w in zip(parts, [d_scalar, *d_vector], hats)]
 
-    dq1, dv1 = rhs_effective(s_star, params, dealias=cfg.dealias,
-                             freeze_advection=cfg.freeze_advection)
-    nq1 = _fft(dq1.values) + params.mu * g.k2 * qhat_star
-    nv1 = [_fft(dv1[i].values) + params.mu * g.k2 * vhat_star[i] for i in range(g.dim)]
+    def rebuild(vals):
+        guard(vals)
+        return type(state)(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
 
-    q_new = _ifft(e_fac * qhat0 + 0.5 * dt * (e_fac * nq0 + nq1))
-    v_new = [
-        _ifft(e_fac * vhat0[i] + 0.5 * dt * (e_fac * nv0[i] + nv1[i]))
-        for i in range(g.dim)
-    ]
-    _guard_effective(q_new, v_new, params, cfg.vacuum_floor, t + dt)
-    return EffectiveState(RealField(g, q_new), tuple(RealField(g, c) for c in v_new))
+    hat0 = [p.fwd(w.values) for p, w in zip(parts, unknowns)]
+    n0 = explicit(state, hat0)
+    hat_star = [p.fac * (w + dt * n) for p, w, n in zip(parts, hat0, n0)]
+    s_star = rebuild([p.inv(w) for p, w in zip(parts, hat_star)])
+    n1 = explicit(s_star, hat_star)
+    return rebuild([p.inv(p.fac * w + 0.5 * dt * (p.fac * a + b))
+                    for p, w, a, b in zip(parts, hat0, n0, n1)])
 
 
 @dataclass
@@ -291,6 +291,13 @@ def load_checkpoint(path):
 
 # -- exact linear solution ----------------------------------------------------
 
+def _linear_modes(g, mu, qhat0, vhat0, t):
+    """Fourier coefficients of the linearized solution at time t."""
+    decay = np.exp(-mu * g.k2 * t)
+    div_v0 = sum(1j * g.k_deriv[i] * vhat0[i] for i in range(g.dim))
+    return decay * (qhat0 - t * div_v0), [decay * c for c in vhat0]
+
+
 def solve_linear_system(q0: RealField, v0, mu: float, t: float):
     """Closed-form solution of the linearized system at time t.
 
@@ -300,14 +307,10 @@ def solve_linear_system(q0: RealField, v0, mu: float, t: float):
     if mu <= 0:
         raise ConfigurationError(f"diffusion coefficient must be positive, got {mu}")
     g = q0.grid
-    v0 = tuple(v0)
-    decay = np.exp(-mu * g.k2 * t)
-    vhat0 = [np.fft.fftn(c.values) for c in v0]
-    div_v0 = sum(1j * g.k_deriv[i] * vhat0[i] for i in range(g.dim))
-    qhat = decay * (np.fft.fftn(q0.values) - t * div_v0)
-    q_t = RealField(g, np.fft.ifftn(qhat).real)
-    v_t = tuple(RealField(g, np.fft.ifftn(decay * c).real) for c in vhat0)
-    return q_t, v_t
+    qhat, vhats = _linear_modes(g, mu, fft_array(q0.values),
+                                [fft_array(c.values) for c in v0], t)
+    return RealField(g, ifft_array(qhat)), tuple(RealField(g, ifft_array(c)) for c in vhats)
+
 
 
 # -- constructive fixed-point iteration ---------------------------------------
@@ -348,18 +351,18 @@ def _picard_sources(g, params, qhat, vhats, dealias):
     def trunc(vals):
         return dealias_values(g, vals) if dealias else vals
 
-    gq = [_ifft(1j * kd * qhat) for kd in g.k_deriv]
-    v = [_ifft(c) for c in vhats]
+    gq = grad_arrays(g, qhat)
+    v = [ifft_array(c) for c in vhats]
     u = [v[i] - params.mu * gq[i] for i in range(g.dim)]
     f_src = trunc(-sum(v[i] * gq[i] for i in range(g.dim))
                   + params.mu * sum(c ** 2 for c in gq))
     g_src = []
     for i in range(g.dim):
-        dv_i = [_ifft(1j * kd * vhats[i]) for kd in g.k_deriv]
+        dv_i = grad_arrays(g, vhats[i])
         adv = sum(u[j] * dv_i[j] for j in range(g.dim))
         qdv = sum(gq[j] * dv_i[j] for j in range(g.dim))
         g_src.append(trunc(-adv + params.mu * qdv) - params.a * gq[i])
-    return _fft(f_src), [_fft(c) for c in g_src]
+    return fft_array(f_src), [fft_array(c) for c in g_src]
 
 
 def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
@@ -392,16 +395,15 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
     times = np.arange(m_steps + 1) * dt
     e_fac = np.exp(-params.mu * g.k2 * dt)
 
-    qhat0 = _fft(q0.values)
-    vhat0 = [_fft(c.values) for c in v0]
-    div_v0 = sum(1j * g.k_deriv[i] * vhat0[i] for i in range(g.dim))
+    qhat0 = fft_array(q0.values)
+    vhat0 = [fft_array(c.values) for c in v0]
 
     # iterate 0: the exact linear solution, per mode
     q_lin, v_lin = [], []
     for t in times:
-        decay = np.exp(-params.mu * g.k2 * t)
-        q_lin.append(decay * (qhat0 - t * div_v0))
-        v_lin.append([decay * c for c in vhat0])
+        qhat, vhats = _linear_modes(g, params.mu, qhat0, vhat0, t)
+        q_lin.append(qhat)
+        v_lin.append(vhats)
 
     data_norms = {
         "q": besov_norm(q0, spec_q, bumps),
@@ -449,10 +451,10 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         if not finite:
             raise NonContraction(T, data_norms, diff_norms + [float("inf")])
 
-        dq_fields = [RealField(g, _ifft(q_new[m] - qs[m])) for m in range(m_steps + 1)]
+        dq_fields = [RealField(g, ifft_array(q_new[m] - qs[m])) for m in range(m_steps + 1)]
         delta = tilde_norm(dq_fields, times, math.inf, spec_q, bumps)
         for i in range(g.dim):
-            dv_fields = [RealField(g, _ifft(v_new[m][i] - vs[m][i])) for m in range(m_steps + 1)]
+            dv_fields = [RealField(g, ifft_array(v_new[m][i] - vs[m][i])) for m in range(m_steps + 1)]
             delta += tilde_norm(dv_fields, times, math.inf, spec_v, bumps)
 
         qs, vs = q_new, v_new
@@ -467,7 +469,7 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         else:
             growth_streak = 0
 
-    q_series = [RealField(g, _ifft(c)) for c in qs]
-    v_series = [tuple(RealField(g, _ifft(c)) for c in row) for row in vs]
+    q_series = [RealField(g, ifft_array(c)) for c in qs]
+    v_series = [tuple(RealField(g, ifft_array(c)) for c in row) for row in vs]
     return PicardResult(times, q_series, v_series, diff_norms, iterations,
                         converged, data_norms)

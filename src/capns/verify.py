@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import Grid, RealField, grad, lp_norm
+from .fields import Grid, RealField, grad, ifft_array, lp_norm
 from .lp_besov import (
     ANNULUS_OUTER,
     block_norms,
@@ -29,7 +29,7 @@ from .model import (
     div_k_gradient_form,
     to_effective,
 )
-from .presets import Preset, build
+from .presets import Preset, _bandlimited_noise, build
 from .solver import SolverConfig, run
 from .diagnostics import degiorgi_recursion
 
@@ -65,19 +65,6 @@ class SuiteReport:
         }
 
 
-def _band_field(grid: Grid, rng, amplitude: float, band: int) -> np.ndarray:
-    spectrum = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    keep = np.ones(grid.shape, dtype=bool)
-    scale = 2.0 * math.pi / grid.length
-    for i in range(grid.dim):
-        keep &= np.abs(grid.k[i]) <= band * scale
-    spectrum[~keep] = 0.0
-    spectrum.flat[0] = 0.0
-    vals = np.fft.ifftn(spectrum).real
-    peak = np.max(np.abs(vals))
-    return amplitude * vals / peak if peak > 0 else vals
-
-
 def _rel_l2(diff_fields, ref_fields) -> float:
     num = math.sqrt(sum(lp_norm(f, 2) ** 2 for f in diff_fields))
     den = math.sqrt(sum(lp_norm(f, 2) ** 2 for f in ref_fields))
@@ -92,7 +79,7 @@ def suite_divk() -> SuiteReport:
     specs = [("1d", Grid(dim=1, n=256)) for _ in range(10)] \
         + [("2d", Grid(dim=2, n=128)) for _ in range(10)]
     for idx, (tag, g) in enumerate(specs):
-        rho = RealField(g, 1.0 + _band_field(g, rng, 0.12, 4))
+        rho = RealField(g, 1.0 + 0.12 * _bandlimited_noise(g, rng, 4))
         a = div_k_form_a(rho, 0.125)
         b = div_k_form_b(rho, 0.125)
         c = div_k_gradient_form(rho, 0.125)
@@ -112,7 +99,7 @@ def _broadband(grid: Grid, rng) -> RealField:
     spectrum = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     spectrum /= 1.0 + grid.kmag
     spectrum.flat[0] = 0.0
-    return RealField(grid, np.fft.ifftn(spectrum).real)
+    return RealField(grid, ifft_array(spectrum))
 
 
 def suite_heat() -> SuiteReport:
@@ -145,8 +132,8 @@ def suite_bony() -> SuiteReport:
     cases = []
     for dim, n in ((1, 256), (2, 64)):
         g = Grid(dim=dim, n=n)
-        u = RealField(g, _band_field(g, rng, 1.0, n // 4) + 0.3)
-        v = RealField(g, _band_field(g, rng, 1.0, n // 4) - 0.2)
+        u = RealField(g, _bandlimited_noise(g, rng, n // 4) + 0.3)
+        v = RealField(g, _bandlimited_noise(g, rng, n // 4) - 0.2)
         t_uv, t_vu, rem = bony_decompose(u, v, bumps)
         mean_u = float(np.mean(u.values))
         mean_v = float(np.mean(v.values))
