@@ -10,8 +10,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .diagnostics import (
     DiagnosticsAccumulator,
     check_energy_inequality,
@@ -68,7 +66,7 @@ SCHEMA = {
                 "rho_bar": float},
     "solver": {"dt": float, "t_end": float, "formulation": str,
                "dealias": _to_bool, "vacuum_floor": float, "diag_stride": int,
-               "c_stab": float, "freeze_advection": _to_bool},
+               "c_stab": float},
     "initial": {"preset": str, "amplitude": float, "seed": int, "delta": float},
     "output": {"csv": str, "json": str},
     "lifespan": {"C": float, "C1": float, "c": float, "eps": float,
@@ -169,8 +167,7 @@ def _build_solver(values, errors):
             dealias=kw.get("dealias", True),
             vacuum_floor=kw.get("vacuum_floor", 1e-8),
             diag_stride=kw.get("diag_stride", 1),
-            c_stab=kw.get("c_stab", 1.0),
-            freeze_advection=kw.get("freeze_advection", False))
+            c_stab=kw.get("c_stab", 1.0))
     except ConfigurationError as ex:
         errors.append(f"solver: {ex}")
         return None

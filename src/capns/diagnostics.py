@@ -13,12 +13,13 @@ for this capillarity (see notes in check_energy_inequality).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import RealField, grad, integrate, laplacian
+from .fields import RealField, fft_array, grad_arrays, integrate, lap_array
 from .model import EffectiveState, PhysParams, PrimitiveState
 
 GAIN_EXPONENTS = (2, 4, 8, 16)
@@ -30,36 +31,92 @@ CSV_COLUMNS = (
 )
 
 
-def _density(state, params: PhysParams) -> np.ndarray:
-    if isinstance(state, PrimitiveState):
-        return state.rho.values
-    return params.rho_bar * np.exp(state.q.values)
+def _grad_sq(grid, fhat) -> np.ndarray:
+    """|grad f|^2 from the coefficients of f."""
+    return sum(c ** 2 for c in grad_arrays(grid, fhat))
 
 
-def _velocity(state, params: PhysParams):
-    """Fluid velocity u as arrays."""
-    g = state.grid
-    if isinstance(state, PrimitiveState):
-        return [c.values for c in state.u]
-    gq = grad(state.q)
-    return [state.v[i].values - params.mu * gq[i].values for i in range(g.dim)]
+class _Fields:
+    """Derived fields of one state, each computed on first use and kept.
+
+    The source is a primitive or effective state, or a bare density field
+    (params is then only read for rho_bar and the pressure law). Only what
+    two or more functionals read is kept; Du, grad v, grad rho and
+    lap sqrt(rho) stay local to the one functional that uses each.
+    """
+
+    def __init__(self, source, params: PhysParams = None):
+        self.source = source
+        self.params = params
+        self.grid = source.grid
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Density samples, checked to be strictly positive."""
+        s = self.source
+        if isinstance(s, RealField):
+            r = s.values
+        elif isinstance(s, PrimitiveState):
+            r = s.rho.values
+        else:
+            r = self.params.rho_bar * np.exp(s.q.values)
+        m = float(np.min(r))
+        if m <= 0:
+            raise DomainError(f"density must stay positive, min = {m}")
+        return r
+
+    @cached_property
+    def max_inv_rho(self) -> float:
+        return float(np.max(1.0 / self.rho))
+
+    @cached_property
+    def u(self) -> list:
+        """Fluid velocity; v - mu grad q in the effective form."""
+        s = self.source
+        if isinstance(s, PrimitiveState):
+            return [c.values for c in s.u]
+        gq = grad_arrays(self.grid, fft_array(s.q.values))
+        return [s.v[i].values - self.params.mu * gq[i] for i in range(self.grid.dim)]
+
+    @cached_property
+    def v(self) -> list:
+        """Drift-corrected velocity v = u + mu grad(ln rho)."""
+        s = self.source
+        if isinstance(s, EffectiveState):
+            return [c.values for c in s.v]
+        gl = grad_arrays(self.grid, fft_array(np.log(self.rho)))
+        return [s.u[i].values + self.params.mu * gl[i] for i in range(self.grid.dim)]
+
+    @cached_property
+    def v_speed2(self) -> np.ndarray:
+        return sum(c ** 2 for c in self.v)
+
+    @cached_property
+    def pi(self) -> np.ndarray:
+        """Pressure potential samples (see pi_potential)."""
+        r = self.rho
+        a, g, rb = self.params.a, self.params.gamma, self.params.rho_bar
+        if g == 1.0:
+            return a * (r * np.log(r / rb) + rb - r)
+        return (a / (g - 1.0)) * (r ** g - rb ** g - g * rb ** (g - 1.0) * (r - rb))
+
+    @cached_property
+    def sqrt_rho(self) -> np.ndarray:
+        return np.sqrt(self.rho)
+
+    @cached_property
+    def sqrt_rho_hat(self) -> np.ndarray:
+        return fft_array(self.sqrt_rho)
+
+    @cached_property
+    def grad_sqrt2(self) -> np.ndarray:
+        """|grad sqrt(rho)|^2."""
+        return _grad_sq(self.grid, self.sqrt_rho_hat)
 
 
-def _effective_velocity(state, params: PhysParams):
-    """Drift-corrected velocity v = u + mu * grad(ln rho) as arrays."""
-    g = state.grid
-    if isinstance(state, EffectiveState):
-        return [c.values for c in state.v]
-    logr = RealField(g, np.log(state.rho.values))
-    gl = grad(logr)
-    return [state.u[i].values + params.mu * gl[i].values for i in range(g.dim)]
-
-
-def _check_positive(rho_vals):
-    m = float(np.min(rho_vals))
-    if m <= 0:
-        raise DomainError(f"density must stay positive, min = {m}")
-    return m
+def _fields(source, params: PhysParams = None) -> _Fields:
+    """The derived-field set of ``source``; a set passes through unchanged."""
+    return source if isinstance(source, _Fields) else _Fields(source, params)
 
 
 def pi_potential(rho: RealField, params: PhysParams) -> RealField:
@@ -69,14 +126,7 @@ def pi_potential(rho: RealField, params: PhysParams) -> RealField:
     gamma > 1 the Lions construction gives
     a/(gamma-1) * (rho^g - rho_bar^g - g rho_bar^(g-1) (rho - rho_bar)).
     """
-    r = rho.values
-    _check_positive(r)
-    a, g, rb = params.a, params.gamma, params.rho_bar
-    if g == 1.0:
-        vals = a * (r * np.log(r / rb) + rb - r)
-    else:
-        vals = (a / (g - 1.0)) * (r ** g - rb ** g - g * rb ** (g - 1.0) * (r - rb))
-    return RealField(rho.grid, vals)
+    return RealField(rho.grid, _Fields(rho, params).pi)
 
 
 def energy(state, params: PhysParams) -> float:
@@ -87,72 +137,53 @@ def energy(state, params: PhysParams) -> float:
     2*kappa1*int |grad sqrt(rho)|^2, so this is the functional that obeys
     dE/dt = -int 2 mu rho |Du|^2.
     """
-    g = state.grid
-    r = _density(state, params)
-    _check_positive(r)
-    u = _velocity(state, params)
-    speed2 = sum(c ** 2 for c in u)
-    pi_vals = pi_potential(RealField(g, r), params).values
-    gs = grad(RealField(g, np.sqrt(r)))
-    cap = sum(c.values ** 2 for c in gs)
-    return integrate(RealField(g, 0.5 * r * speed2 + pi_vals + 2.0 * params.kappa * cap))
+    f = _fields(state, params)
+    speed2 = sum(c ** 2 for c in f.u)
+    return integrate(RealField(f.grid, 0.5 * f.rho * speed2 + f.pi
+                               + 2.0 * params.kappa * f.grad_sqrt2))
 
 
 def bd_entropy(state, params: PhysParams) -> float:
     """Auxiliary entropy built on the drift-corrected velocity."""
-    g = state.grid
-    r = _density(state, params)
-    _check_positive(r)
-    v = _effective_velocity(state, params)
-    speed2 = sum(c ** 2 for c in v)
-    pi_vals = pi_potential(RealField(g, r), params).values
-    return integrate(RealField(g, 0.5 * r * speed2 + pi_vals))
+    f = _fields(state, params)
+    return integrate(RealField(f.grid, 0.5 * f.rho * f.v_speed2 + f.pi))
 
 
 def dissip_u_rate(state, params: PhysParams) -> float:
     """int 2 mu rho |Du|^2 with Du the symmetric velocity gradient."""
-    g = state.grid
-    r = _density(state, params)
-    u = _velocity(state, params)
-    du = [grad(RealField(g, c)) for c in u]
+    f = _fields(state, params)
+    g = f.grid
+    du = [grad_arrays(g, fft_array(c)) for c in f.u]
     acc = np.zeros(g.shape)
     for i in range(g.dim):
         for j in range(g.dim):
-            sym = 0.5 * (du[i][j].values + du[j][i].values)
-            acc += sym ** 2
-    return integrate(RealField(g, 2.0 * params.mu * r * acc))
+            acc += (0.5 * (du[i][j] + du[j][i])) ** 2
+    return integrate(RealField(g, 2.0 * params.mu * f.rho * acc))
 
 
 def dissip_v_rate(state, params: PhysParams) -> float:
     """int mu rho |grad v|^2 over the full gradient."""
-    g = state.grid
-    r = _density(state, params)
-    v = _effective_velocity(state, params)
+    f = _fields(state, params)
+    g = f.grid
     acc = np.zeros(g.shape)
-    for c in v:
-        dv = grad(RealField(g, c))
-        acc += sum(d.values ** 2 for d in dv)
-    return integrate(RealField(g, params.mu * r * acc))
+    for c in f.v:
+        acc += _grad_sq(g, fft_array(c))
+    return integrate(RealField(g, params.mu * f.rho * acc))
 
 
 def dissip_density_rate(state, params: PhysParams) -> float:
     """int mu P'(rho)/rho |grad rho|^2; a*mu/rho |grad rho|^2 when gamma=1."""
-    g = state.grid
-    r = _density(state, params)
-    _check_positive(r)
-    gr = grad(RealField(g, r))
-    grad2 = sum(c.values ** 2 for c in gr)
+    f = _fields(state, params)
+    r = f.rho
+    grad2 = _grad_sq(f.grid, fft_array(r))
     weight = params.a * params.gamma * params.mu * r ** (params.gamma - 2.0)
-    return integrate(RealField(g, weight * grad2))
+    return integrate(RealField(f.grid, weight * grad2))
 
 
 def jungel_rate(state, params: PhysParams) -> float:
     """Squared L2 norm of the Laplacian of sqrt(rho)."""
-    g = state.grid
-    r = _density(state, params)
-    _check_positive(r)
-    lap = laplacian(RealField(g, np.sqrt(r)))
-    return integrate(RealField(g, lap.values ** 2))
+    f = _fields(state, params)
+    return integrate(RealField(f.grid, lap_array(f.grid, f.sqrt_rho_hat) ** 2))
 
 
 def jungel_accumulate(states, times, params: PhysParams) -> float:
@@ -167,24 +198,17 @@ def jungel_accumulate(states, times, params: PhysParams) -> float:
 
 def sqrt_h1_norm(rho: RealField, rho_bar: float) -> float:
     """L2 distance of sqrt(rho) from sqrt(rho_bar) plus the L2 gradient norm."""
-    _check_positive(rho.values)
-    g = rho.grid
-    s = np.sqrt(rho.values)
-    l2 = math.sqrt(integrate(RealField(g, (s - math.sqrt(rho_bar)) ** 2)))
-    gs = grad(RealField(g, s))
-    grad_l2 = math.sqrt(integrate(RealField(g, sum(c.values ** 2 for c in gs))))
-    return l2 + grad_l2
+    f = _fields(rho)
+    l2 = math.sqrt(integrate(RealField(f.grid, (f.sqrt_rho - math.sqrt(rho_bar)) ** 2)))
+    return l2 + math.sqrt(integrate(RealField(f.grid, f.grad_sqrt2)))
 
 
 def lp_gain_value(state, params: PhysParams, p: float) -> float:
     """Weighted velocity norm ||rho^(1/p) v||_{L^p} = (int rho |v|^p)^(1/p)."""
     if p < 1:
         raise DomainError(f"exponent must be >= 1, got {p}")
-    g = state.grid
-    r = _density(state, params)
-    v = _effective_velocity(state, params)
-    mag = np.sqrt(sum(c ** 2 for c in v))
-    return integrate(RealField(g, r * mag ** p)) ** (1.0 / p)
+    f = _fields(state, params)
+    return integrate(RealField(f.grid, f.rho * np.sqrt(f.v_speed2) ** p)) ** (1.0 / p)
 
 
 @dataclass
@@ -220,44 +244,29 @@ class DiagnosticsAccumulator:
 
     def __call__(self, state, t: float) -> DiagnosticsRecord:
         p = self.params
-        rates = np.array([
-            dissip_u_rate(state, p),
-            dissip_v_rate(state, p),
-            dissip_density_rate(state, p),
-            jungel_rate(state, p),
-        ])
+        f = _Fields(state, p)
+        rates = np.array([dissip_u_rate(f, p), dissip_v_rate(f, p),
+                          dissip_density_rate(f, p), jungel_rate(f, p)])
         if self._prev_t is not None:
             dt = t - self._prev_t
             if dt < -1e-12:
                 raise DomainError(f"diagnostic times must be nondecreasing, got {t} after {self._prev_t}")
             self._acc += 0.5 * dt * (rates + self._prev_rates)
-        self._prev_t = t
-        self._prev_rates = rates
+        self._prev_t, self._prev_rates = t, rates
 
-        r = _density(state, p)
-        min_rho = _check_positive(r)
-        rho_field = RealField(state.grid, r)
         return DiagnosticsRecord(
-            t=t,
-            mass=integrate(rho_field),
-            energy=energy(state, p),
-            bd_entropy=bd_entropy(state, p),
-            dissip_u=float(self._acc[0]),
-            dissip_v=float(self._acc[1]),
-            dissip_density=float(self._acc[2]),
-            jungel=float(self._acc[3]),
-            lp_gain={q: lp_gain_value(state, p, q) for q in self.gain_exponents},
-            min_rho=min_rho,
-            max_inv_rho=float(np.max(1.0 / r)),
-            h1_sqrt=sqrt_h1_norm(rho_field, p.rho_bar),
+            t=t, mass=integrate(RealField(f.grid, f.rho)),
+            energy=energy(f, p), bd_entropy=bd_entropy(f, p),
+            dissip_u=float(self._acc[0]), dissip_v=float(self._acc[1]),
+            dissip_density=float(self._acc[2]), jungel=float(self._acc[3]),
+            lp_gain={q: lp_gain_value(f, p, q) for q in self.gain_exponents},
+            min_rho=float(np.min(f.rho)), max_inv_rho=f.max_inv_rho,
+            h1_sqrt=sqrt_h1_norm(f, p.rho_bar),
         )
 
 
 def write_csv(records, path):
     """Fixed-order CSV series, one row per diagnostic time, %.17g floats."""
-    def fmt(x):
-        return "%.17g" % x
-
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
         row = [
@@ -268,7 +277,7 @@ def write_csv(records, path):
             rec.lp_gain.get(8, float("nan")),
             rec.lp_gain.get(16, float("nan")),
         ]
-        lines.append(",".join(fmt(x) for x in row))
+        lines.append(",".join("%.17g" % x for x in row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -330,6 +339,8 @@ def lp_gain_check(records, p: float, params: PhysParams, dim: int,
         raise ConfigurationError(f"the bound needs p >= 4, got {p}")
     if not records:
         raise DomainError("empty record series")
+    if any(p not in rec.lp_gain for rec in records):
+        raise DomainError(f"records lack the p={p:g} statistic")
     times = [rec.t for rec in records]
     lhs = [rec.lp_gain[p] for rec in records]
     if params.gamma != 1.0:
@@ -341,11 +352,10 @@ def lp_gain_check(records, p: float, params: PhysParams, dim: int,
     b_stat = max(rec.lp_gain[2] for rec in records)
     lp0 = records[0].lp_gain[p]
     a2 = params.a ** 2 / 2.0
-    n = dim
     bracket = lp0 + b_stat ** (4.0 / (p * (p - 2))) * a2 ** (1.0 / p) * (
-        n ** 2 * 2 * p ** 2 / (p - 2) + 2 * p ** 2 * (p - 4)
+        dim ** 2 * 2 * p ** 2 / (p - 2) + 2 * p ** 2 * (p - 4)
     ) ** (1.0 / p) * big_t ** (1.0 / p)
-    growth = b_stat ** (4.0 / (p - 2)) * a2 * (n ** 2 * (p - 4) / (p - 2) + 1.0)
+    growth = b_stat ** (4.0 / (p - 2)) * a2 * (dim ** 2 * (p - 4) / (p - 2) + 1.0)
     rhs = [2.0 ** (1.0 / p) * bracket * math.exp(growth * t / p) for t in times]
     verdict = all(l <= r * (1 + tol) for l, r in zip(lhs, rhs))
     return LpGainReport(p, times, lhs, rhs, verdict)
@@ -371,10 +381,6 @@ class LevelSetReport:
     mu_exponent_hypothesis: float
 
 
-def _truncation(r_vals, alpha, k):
-    return np.maximum(r_vals ** (-alpha) - k, 0.0)
-
-
 def level_set_report(states, times, params: PhysParams, alpha: float, k: float,
                      r: float, q: float) -> LevelSetReport:
     """Level-set statistics of rho^(-alpha) over a trajectory.
@@ -397,9 +403,8 @@ def level_set_report(states, times, params: PhysParams, alpha: float, k: float,
     n = g.dim
     kappa1 = 1.0 - 1.0 / r - n / (2.0 * q)
     if not (0.0 < kappa1 < 1.0):
-        raise ConfigurationError(
-            f"exponent relation 1/r + N/(2q) = 1 - kappa1 needs kappa1 in (0,1), got {kappa1:.4g}"
-        )
+        raise ConfigurationError(f"exponent relation 1/r + N/(2q) = 1 - kappa1 needs "
+                                 f"kappa1 in (0,1), got {kappa1:.4g}")
     kappa = 2.0 * kappa1 / n
     q1 = 2.0 * q / (q - 1.0)
     r1 = 2.0 * r / (r - 1.0)
@@ -408,13 +413,11 @@ def level_set_report(states, times, params: PhysParams, alpha: float, k: float,
     sup_l2 = 0.0
     grad_sq = np.empty(len(states))
     for i, s in enumerate(states):
-        rv = _density(s, params)
-        _check_positive(rv)
-        trunc = _truncation(rv, alpha, k)
-        measures[i] = g.cell_volume * int(np.count_nonzero(rv ** (-alpha) >= k))
+        inv = _Fields(s, params).rho ** (-alpha)
+        trunc = np.maximum(inv - k, 0.0)
+        measures[i] = g.cell_volume * int(np.count_nonzero(inv >= k))
         sup_l2 = max(sup_l2, math.sqrt(integrate(RealField(g, trunc ** 2))))
-        gt = grad(RealField(g, trunc))
-        grad_sq[i] = integrate(RealField(g, sum(c.values ** 2 for c in gt)))
+        grad_sq[i] = integrate(RealField(g, _grad_sq(g, fft_array(trunc))))
     mu_k = float(np.trapezoid(measures ** (r1 / q1), times)) if len(times) > 1 else 0.0
     q_norm = sup_l2 + math.sqrt(float(np.trapezoid(grad_sq, times))) if len(times) > 1 else sup_l2
     return LevelSetReport(
@@ -519,27 +522,22 @@ def vacuum_bound_estimate(states, times, params: PhysParams, q_exp: float,
         raise ConfigurationError(f"need q > N = {n} for the exponent relation, got {q_exp}")
     if not (0 < t1 <= times[-1] + 1e-12):
         raise DomainError(f"t1 = {t1} outside the recorded horizon {times[-1]}")
-    inv_r = 0.5 - n / (2.0 * q_exp)
-    r = 1.0 / inv_r
+    r = 1.0 / (0.5 - n / (2.0 * q_exp))
     q1 = 2.0 * q_exp / (q_exp - 1.0)
     r1 = 2.0 * r / (r - 1.0)
     kappa = 1.0 / n
 
     sel = [i for i, t in enumerate(times) if t <= t1 + 1e-12]
-    sup_inv = 0.0
-    b_2q = 0.0
-    sqrt_norm = 0.0
+    sup_inv = b_2q = sqrt_norm = 0.0
     g = states[0].grid
+    f0 = _Fields(states[0], params)
     for i in sel:
-        rv = _density(states[i], params)
-        _check_positive(rv)
-        sup_inv = max(sup_inv, float(np.max(1.0 / rv)))
-        b_2q = max(b_2q, lp_gain_value(states[i], params, 2.0 * q_exp))
-        s = np.sqrt(rv)
+        f = f0 if i == 0 else _Fields(states[i], params)
+        sup_inv = max(sup_inv, f.max_inv_rho)
+        b_2q = max(b_2q, lp_gain_value(f, params, 2.0 * q_exp))
         sqrt_norm = max(sqrt_norm, integrate(
-            RealField(g, np.abs(s - math.sqrt(params.rho_bar)) ** q3)) ** (1.0 / q3))
-    rho0 = _density(states[0], params)
-    khat0 = float(np.max(1.0 / rho0)) ** alpha
+            RealField(g, np.abs(f.sqrt_rho - math.sqrt(params.rho_bar)) ** q3)) ** (1.0 / q3))
+    khat0 = f0.max_inv_rho ** alpha
     measured = sup_inv ** alpha
     c_am = dissipation_constant(alpha, params.mu)
     gamma_dg = math.sqrt(c_am) * sup_inv ** (1.0 / (2.0 * q_exp)) * b_2q * t1 ** (1.0 / r)

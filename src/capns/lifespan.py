@@ -10,7 +10,7 @@ to 1 and calibrate_c1 offers an operational fit against the iteration solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

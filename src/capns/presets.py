@@ -59,7 +59,6 @@ def _bandlimited_noise(grid: Grid, rng, band: int) -> np.ndarray:
     """Mean-free random field with modes |k_i| <= band (in units of
     2*pi/length), dealiased and scaled to a peak of 1."""
     coeffs = np.zeros(grid.shape, dtype=complex)
-    coeffs[tuple([0] * grid.dim)] = 0.0
     spectrum = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     scale = 2.0 * np.pi / grid.length
     keep = np.ones(grid.shape, dtype=bool)

@@ -8,7 +8,7 @@ failure names the exact case and margin rather than a bare boolean.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import ConfigurationError
 from .fields import Grid, RealField, grad, ifft_array, lp_norm
 from .lp_besov import (
     ANNULUS_OUTER,
-    block_norms,
     bony_decompose,
     build_bumps,
     decompose,

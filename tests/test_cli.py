@@ -103,6 +103,13 @@ class TestRunCommand:
         for fragment in ("grid.n", "solver.t_end", "solver.mystery", "nonsense"):
             assert fragment in out
 
+    def test_freeze_advection_not_a_config_key(self, tmp_path, capsys):
+        # a testing hook of the library; frozen transport cannot conserve mass
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            solver={"formulation": "effective", "freeze_advection": "true"}))
+        assert main(["run", "--config", cfg]) == EXIT_BAD_CONFIG
+        assert "solver.freeze_advection: unknown key" in capsys.readouterr().out
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.ini")]) \
             == EXIT_BAD_CONFIG

@@ -31,6 +31,7 @@ from capns.diagnostics import (
 from capns.errors import ConfigurationError, DomainError
 from capns.fields import Grid, RealField, integrate
 from capns.model import EffectiveState, PhysParams, PrimitiveState, to_effective
+from capns.presets import Preset, build
 from capns.solver import SolverConfig, run
 
 TAU = 2.0 * math.pi
@@ -308,6 +309,35 @@ class TestAccumulator:
         with pytest.raises(DomainError):
             acc(s, 0.4)
 
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+    @pytest.mark.parametrize("gamma", [1.0, 1.4])
+    def test_record_equals_public_functionals(self, formulation, dim, n, gamma):
+        # The record shares one derived-field set; the public (state, params)
+        # functionals build their own. Both must give the same bits.
+        p = PhysParams(mu=0.15, kappa=0.0225, gamma=gamma, rho_bar=1.3)
+        s = build(Preset("random_bandlimited", amplitude=0.2, seed=7), Grid(dim, n), p)
+        if formulation == "effective":
+            s = to_effective(s, p)
+        rec = DiagnosticsAccumulator(p)(s, 0.0)
+        rho = s.rho if formulation == "primitive" else RealField(
+            s.grid, p.rho_bar * np.exp(s.q.values))
+        assert rec.mass == integrate(rho)
+        assert rec.energy == energy(s, p)
+        assert rec.bd_entropy == bd_entropy(s, p)
+        assert rec.lp_gain == {q: lp_gain_value(s, p, q) for q in (2, 4, 8, 16)}
+        assert rec.min_rho == float(np.min(rho.values))
+        assert rec.max_inv_rho == float(np.max(1.0 / rho.values))
+        assert rec.h1_sqrt == sqrt_h1_norm(rho, p.rho_bar)
+        # the accumulated rates are a trapezoid over the public rates
+        acc = DiagnosticsAccumulator(p)
+        acc(s, 0.0)
+        last = acc(s, 0.5)
+        assert last.dissip_u == 0.5 * dissip_u_rate(s, p)
+        assert last.dissip_v == 0.5 * dissip_v_rate(s, p)
+        assert last.dissip_density == 0.5 * dissip_density_rate(s, p)
+        assert last.jungel == 0.5 * jungel_rate(s, p)
+
 
 @pytest.fixture(scope="module")
 def quantum_run():
@@ -446,6 +476,13 @@ class TestLpGain:
         p = PhysParams(mu=0.2, kappa=0.04)
         with pytest.raises(DomainError):
             lp_gain_check([record(0.0, {4: 0.3})], 4, p, dim=1)
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4])
+    def test_missing_exponent(self, gamma):
+        p = PhysParams(mu=0.2, kappa=0.04, gamma=gamma)
+        recs = [record(0.0, {2: 0.5, 4: 0.3, 8: 0.3, 16: 0.3})]
+        with pytest.raises(DomainError, match="p=32"):
+            lp_gain_check(recs, 32, p, dim=1)
 
 
 def make_states(g, rhos):

@@ -1,8 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capns
 from capns.errors import ConfigurationError, DomainError
 from capns.fields import (
     Grid,
@@ -198,3 +201,14 @@ class TestNormsAndMismatch:
         f = random_field(g, seed=4)
         with pytest.raises(ConfigurationError):
             div((f,))
+
+
+def test_only_fields_module_calls_numpy_fft():
+    # one spectral layer: every transform goes through capns/fields.py
+    pattern = re.compile(r"\bnp\.fft\b|\bnumpy\.fft\b|from\s+numpy\s+import\s+fft\b")
+    src = Path(capns.__file__).parent
+    offenders = [f"{path.name}:{i}"
+                 for path in sorted(src.glob("*.py")) if path.name != "fields.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []

@@ -39,10 +39,10 @@ def _state(dim, n, formulation):
 
 
 @pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", [
-    (1, 128, "primitive", 53, 24),
-    (1, 128, "effective", 34, 16),
-    (2, 64, "primitive", 138, 41),
-    (2, 64, "effective", 59, 29),
+    (1, 128, "primitive", 53, 11),
+    (1, 128, "effective", 34, 11),
+    (2, 64, "primitive", 138, 22),
+    (2, 64, "effective", 59, 22),
 ])
 def test_step_and_record_transform_counts(fft_calls, dim, n, formulation,
                                           step_fft, record_fft):
