@@ -9,6 +9,7 @@ import configparser
 import json
 import math
 import sys
+from dataclasses import replace
 
 from .diagnostics import (
     DiagnosticsAccumulator,
@@ -392,12 +393,13 @@ def cmd_besov(args, stream) -> int:
     q, v = _effective_data(state, params) if not hasattr(state, "q") \
         else (state.q, state.v)
     n = q.grid.dim
-    p = args.p
-    s = args.s if args.s is not None else n / p
     bumps = build_bumps()
     try:
-        spec_q = BesovSpec(s=s, p=p, r=args.r)
-        spec_v = BesovSpec(s=s - 1.0, p=p, r=args.r)
+        spec_q = BesovSpec(s=0.0 if args.s is None else args.s, p=args.p, r=args.r)
+        if args.s is None:
+            # the critical index n/p, formed once p has passed validation
+            spec_q = replace(spec_q, s=n / spec_q.p)
+        spec_v = replace(spec_q, s=spec_q.s - 1.0)
     except ConfigurationError as ex:
         return _fail_config([f"besov: {ex}"], args.json, stream)
     report = {

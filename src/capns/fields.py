@@ -1,16 +1,33 @@
 """Spectral fields and exact derivatives on uniform periodic grids.
 
-This is the only module that calls ``numpy.fft``. Conventions: forward
-transforms are plain unnormalized ``numpy.fft.fftn``, the inverse carries
-the 1/n^dim factor and keeps the real part. Wavenumbers are integer mode
-indices scaled by 2*pi/length. Odd-order derivative multipliers zero the
-unpaired Nyquist mode of even-length transforms; the Laplacian keeps it.
-All functions are pure and never mutate their inputs.
+This is the only module that calls ``numpy.fft``, in two layouts.
 
-The solver, model and dyadic code work on raw arrays through the
-array-level helpers ``fft_array``, ``ifft_array``, ``grad_arrays``,
-``div_array``, ``lap_array`` and ``dealias_values``; the ``RealField``
-functions below wrap the same helpers and validate their results.
+Array level (the solver, model, diagnostics and dyadic code): real grid
+samples and their half spectrum, from ``numpy.fft.rfft`` in 1-D and
+``rfft2`` in 2-D. The last axis keeps modes 0..n/2, a 2-D grid keeps every
+mode of its first axis, and the inverse carries the 1/n^dim factor. The
+helpers ``fft_array``, ``ifft_array``, ``grad_arrays``, ``div_array``,
+``lap_array`` and ``dealias_values`` work in this layout, with the
+per-grid multipliers ``Grid.half_ik``, ``half_k2``, ``half_kmag``,
+``half_mask`` and ``half_weight`` cached on the grid.
+
+Typed boundary: ``SpectralField`` holds the full unnormalized
+``numpy.fft.fftn`` layout, and ``Grid.k``, ``k2``, ``kmag``, ``k_deriv``,
+``dealias_mask``, ``transform``, ``inverse_transform`` and
+``dealias(SpectralField)`` work in it. ``inverse_transform`` keeps the real
+part, so a full spectrum without Hermitian symmetry still gives real
+samples. ``RealField`` functions (``grad``, ``div``, ``laplacian``,
+``hessian``, ``dealias``) run on the array helpers and validate their
+results.
+
+Nyquist rules, in both layouts: wavenumbers are integer mode indices
+scaled by 2*pi/length; odd-order derivative multipliers (``k_deriv``,
+``half_ik``) zero the unpaired Nyquist mode of each axis, the Laplacian
+keeps it, and the 2/3 mask drops it. In the half layout the last axis holds
+each Hermitian pair once, except its k = 0 and Nyquist columns, so a sum of
+|coefficient|^2 over the full spectrum is the ``half_weight``-weighted sum
+(1 on those two columns, 2 elsewhere). All functions are pure and never
+mutate their inputs.
 """
 
 from __future__ import annotations
@@ -104,6 +121,53 @@ class Grid:
             keep = axis_keep if keep is None else (keep & axis_keep)
         return np.broadcast_to(keep, self.shape)
 
+    # -- half-spectrum layout of fft_array ---------------------------------
+
+    @cached_property
+    def half_k(self) -> tuple:
+        """Wavenumbers per axis on the half spectrum, broadcastable."""
+        scale = TAU / self.length
+        last = np.fft.rfftfreq(self.n, d=1.0 / self.n) * scale
+        if self.dim == 1:
+            return (last,)
+        first = np.fft.fftfreq(self.n, d=1.0 / self.n) * scale
+        return (first[:, None], last[None, :])
+
+    @cached_property
+    def half_ik(self) -> tuple:
+        """i*k per axis on the half spectrum with the Nyquist entry zeroed."""
+        out = []
+        for kk in self.half_k:
+            ik = 1j * kk
+            ik[np.abs(kk) == np.max(np.abs(kk))] = 0.0  # Nyquist: the largest |k|
+            out.append(ik)
+        return tuple(out)
+
+    @cached_property
+    def half_k2(self) -> np.ndarray:
+        """|k|^2 on the half spectrum (Nyquist included)."""
+        return sum(kk ** 2 for kk in self.half_k)
+
+    @cached_property
+    def half_kmag(self) -> np.ndarray:
+        return np.sqrt(self.half_k2)
+
+    @cached_property
+    def half_mask(self) -> np.ndarray:
+        """1.0 on the half-spectrum modes kept by the 2/3 rule, 0.0 elsewhere."""
+        cut = (2.0 / 3.0) * (self.n / 2.0) * (TAU / self.length)
+        keep = 1.0
+        for kk in self.half_k:
+            keep = keep * (np.abs(kk) <= cut)
+        return keep
+
+    @cached_property
+    def half_weight(self) -> np.ndarray:
+        """Parseval weights: 1 on the last-axis k = 0 and Nyquist columns, 2 elsewhere."""
+        w = np.full(self.n // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
+
 
 def _checked(grid, values, dtype, name):
     arr = np.asarray(values, dtype=dtype)
@@ -145,46 +209,47 @@ def same_grid(*fields) -> Grid:
 
 
 def fft_array(values: np.ndarray) -> np.ndarray:
-    """Unnormalized forward FFT of grid samples."""
-    return np.fft.fftn(values)
+    """Unnormalized half spectrum of real grid samples."""
+    if values.ndim == 1:
+        return np.fft.rfft(values)
+    return np.fft.rfft2(values)
 
 
 def ifft_array(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse FFT with the 1/n^dim factor; drops the imaginary residue."""
-    return np.fft.ifftn(coeffs).real
+    """Real grid samples from a half spectrum, with the 1/n^dim factor."""
+    if coeffs.ndim == 1:
+        return np.fft.irfft(coeffs)
+    return np.fft.irfft2(coeffs)
 
 
 def grad_arrays(grid: Grid, fhat: np.ndarray) -> list:
-    """Gradient samples, one per axis, from the coefficients ``fhat``."""
-    return [ifft_array(1j * kd * fhat) for kd in grid.k_deriv]
+    """Gradient samples, one per axis, from the half spectrum ``fhat``."""
+    return [ifft_array(ik * fhat) for ik in grid.half_ik]
 
 
 def div_array(grid: Grid, comps) -> np.ndarray:
     """Divergence samples of a vector given as one array per axis."""
-    out = np.zeros(grid.shape)
-    for kd, comp in zip(grid.k_deriv, comps):
-        out += ifft_array(1j * kd * fft_array(comp))
-    return out
+    return ifft_array(sum(ik * fft_array(comp) for ik, comp in zip(grid.half_ik, comps)))
 
 
 def lap_array(grid: Grid, fhat: np.ndarray) -> np.ndarray:
-    """Laplacian samples from the coefficients ``fhat``."""
-    return ifft_array(-grid.k2 * fhat)
+    """Laplacian samples from the half spectrum ``fhat``."""
+    return ifft_array(-grid.half_k2 * fhat)
 
 
 def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array-level 2/3 truncation used in nonlinear term assembly."""
-    return ifft_array(np.where(grid.dealias_mask, fft_array(values), 0.0))
+    """Array-level 2/3 truncation: one mask multiply on the half spectrum."""
+    return ifft_array(grid.half_mask * fft_array(values))
 
 
 def transform(f: RealField) -> SpectralField:
-    """Unnormalized forward FFT."""
-    return SpectralField(f.grid, fft_array(f.values))
+    """Unnormalized forward FFT in the full fftn layout."""
+    return SpectralField(f.grid, np.fft.fftn(f.values))
 
 
 def inverse_transform(F: SpectralField) -> RealField:
-    """Inverse FFT with the 1/n^dim factor; drops the imaginary residue."""
-    return RealField(F.grid, ifft_array(F.coeffs))
+    """Inverse of the full layout with the 1/n^dim factor; keeps the real part."""
+    return RealField(F.grid, np.fft.ifftn(F.coeffs).real)
 
 
 def grad(f: RealField) -> tuple:
@@ -209,12 +274,8 @@ def hessian(f: RealField) -> tuple:
     """Symmetric matrix of second derivatives as nested tuples H[i][j]."""
     g = f.grid
     fhat = fft_array(f.values)
-    rows = []
-    for ki in g.k_deriv:
-        rows.append(tuple(
-            RealField(g, ifft_array(-(ki * kj) * fhat)) for kj in g.k_deriv
-        ))
-    return tuple(rows)
+    return tuple(tuple(RealField(g, ifft_array(ki * kj * fhat)) for kj in g.half_ik)
+                 for ki in g.half_ik)
 
 
 def dealias(obj):

@@ -85,7 +85,7 @@ def build_bumps(resolution: int = 256) -> BumpPair:
 def block_range(grid: Grid) -> tuple:
     """Smallest and largest block index needed to cover the resolved band."""
     kmin = 2.0 * math.pi / grid.length
-    kmax = float(np.max(grid.kmag))
+    kmax = float(np.max(grid.half_kmag))
     l_min = int(math.floor(math.log2(PLATEAU * kmin)))
     l_max = int(math.ceil(math.log2(kmax / (2.0 * PLATEAU))))
     return l_min, l_max
@@ -94,7 +94,7 @@ def block_range(grid: Grid) -> tuple:
 def is_boundary_block(grid: Grid, l: int) -> bool:
     """True when the annulus of block l extends past the resolved band."""
     kmin = 2.0 * math.pi / grid.length
-    kmax = float(np.max(grid.kmag))
+    kmax = float(np.max(grid.half_kmag))
     return PLATEAU * 2.0 ** l < kmin or ANNULUS_OUTER * 2.0 ** l > kmax
 
 
@@ -125,13 +125,15 @@ class DyadicDecomposition:
 
 
 def _block_multiplier(grid, bumps, l):
-    return bumps.phi(grid.kmag / 2.0 ** l)
+    return bumps.phi(grid.half_kmag / 2.0 ** l)
 
 
 def _parseval_block_norms(grid, bumps, ls, fhat):
-    """Block L^2 norms from the coefficients, without inverse transforms."""
+    """Block L^2 norms from the half spectrum, without inverse transforms:
+    the Parseval weights count each Hermitian pair twice."""
     scale = math.sqrt(grid.cell_volume / grid.n ** grid.dim)
-    return [scale * float(np.linalg.norm(_block_multiplier(grid, bumps, l) * fhat))
+    power = grid.half_weight * np.abs(fhat) ** 2
+    return [scale * math.sqrt(float(np.sum(_block_multiplier(grid, bumps, l) ** 2 * power)))
             for l in ls]
 
 
@@ -243,7 +245,7 @@ def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
     uhat = fft_array(u.values)
 
     def low_pass(m):
-        mult = bumps.chi(g.kmag / 2.0 ** m)
+        mult = bumps.chi(g.half_kmag / 2.0 ** m)
         return ifft_array(mult * uhat)
 
     t_uv = np.zeros(g.shape)
@@ -253,7 +255,7 @@ def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
     vhat = fft_array(v.values)
     t_vu = np.zeros(g.shape)
     for l in du.ls:
-        mult = bumps.chi(g.kmag / 2.0 ** (l - 1))
+        mult = bumps.chi(g.half_kmag / 2.0 ** (l - 1))
         t_vu += ifft_array(mult * vhat) * du.blocks[l].values
 
     remainder = np.zeros(g.shape)
@@ -280,7 +282,7 @@ def heat_block_decay_check(u0: RealField, mu: float, times, bumps: BumpPair,
     uhat0 = fft_array(u0.values)
     table = [np.asarray(norms0)]
     for t in times[1:]:
-        dhat = np.exp(-mu * g.k2 * t) * uhat0
+        dhat = np.exp(-mu * g.half_k2 * t) * uhat0
         if p == 2:
             # spectral evaluation: per-mode decay is exact, so the annulus
             # bounds hold even for blocks holding only roundoff content

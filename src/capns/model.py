@@ -12,6 +12,13 @@ All right-hand sides are evaluated pseudo-spectrally: derivatives in
 Fourier space, products on the grid, products truncated by the 2/3 rule
 when ``dealias`` is set. ln(rho) is taken pointwise and is only defined
 above the vacuum floor.
+
+The stepper calls ``primitive_tendencies`` and ``effective_tendencies``,
+which take grid samples with their half spectra and return each diffusive
+unknown's tendency as a half spectrum, without the mu*Laplacian that the
+integrating factor carries; each truncated product costs one forward
+transform and a mask multiply. ``rhs_primitive`` and ``rhs_effective`` are
+the grid-valued views of the same routines.
 """
 
 from __future__ import annotations
@@ -113,6 +120,11 @@ def _maybe_dealias(grid, vals, flag):
     return dealias_values(grid, vals) if flag else vals
 
 
+def _mask(grid, dealias):
+    """Multiplier that truncates a half spectrum by the 2/3 rule, or 1.0."""
+    return grid.half_mask if dealias else 1.0
+
+
 def _check_density(rho, vacuum_floor=0.0):
     rmin = float(np.min(rho.values))
     if rmin <= max(vacuum_floor, 0.0):
@@ -130,11 +142,20 @@ def _finite_or_blowup(arrays, where):
 
 # -- capillarity divergence -------------------------------------------------
 
-def _div_rho_hess(g, r, lhat, dealias):
-    """Components of div(r * hess(l)) from the coefficients of l."""
-    return [div_array(g, [_maybe_dealias(g, r * ifft_array(-(ki * kj) * lhat), dealias)
-                          for kj in g.k_deriv])
-            for ki in g.k_deriv]
+def _hessian_entries(g, lhat):
+    """Entries H_ij, i <= j, of the Hessian of l from its half spectrum."""
+    ik = g.half_ik
+    return {(i, j): ifft_array(ik[i] * ik[j] * lhat)
+            for i in range(g.dim) for j in range(i, g.dim)}
+
+
+def _div_sym_hat(g, entries, mask):
+    """Half spectra of div S, one per axis, for a symmetric tensor given by
+    its grid entries S_ij, i <= j: one transform and one mask multiply each."""
+    hats = {ij: mask * fft_array(s) for ij, s in entries.items()}
+    ik = g.half_ik
+    return [sum(ik[j] * hats[min(i, j), max(i, j)] for j in range(g.dim))
+            for i in range(g.dim)]
 
 
 def div_k_form_a(rho: RealField, kappa1: float, dealias: bool = True,
@@ -158,8 +179,8 @@ def div_k_form_a(rho: RealField, kappa1: float, dealias: bool = True,
     scalar = r * kap * lap_r + 0.5 * (kap + r * dkap) * grad_sq
     scalar_hat = fft_array(_maybe_dealias(g, scalar, dealias))
     out = []
-    for i, ki in enumerate(g.k_deriv):
-        term1 = ifft_array(1j * ki * scalar_hat)
+    for i, ik in enumerate(g.half_ik):
+        term1 = ifft_array(ik * scalar_hat)
         term2 = div_array(g, [_maybe_dealias(g, kap * gr[i] * gr[j], dealias)
                               for j in range(g.dim)])
         out.append(RealField(g, term1 - term2))
@@ -171,8 +192,9 @@ def div_k_form_b(rho: RealField, kappa1: float, dealias: bool = True,
     """Capillarity divergence as kappa1 * div(rho * hess(ln rho))."""
     g = rho.grid
     r = _check_density(rho, vacuum_floor)
-    comps = _div_rho_hess(g, r, fft_array(np.log(r)), dealias)
-    return tuple(RealField(g, kappa1 * comp) for comp in comps)
+    hess = _hessian_entries(g, fft_array(np.log(r)))
+    comps = _div_sym_hat(g, {ij: r * h for ij, h in hess.items()}, _mask(g, dealias))
+    return tuple(RealField(g, kappa1 * ifft_array(c)) for c in comps)
 
 
 def div_k_gradient_form(rho: RealField, kappa1: float, dealias: bool = True,
@@ -182,12 +204,12 @@ def div_k_gradient_form(rho: RealField, kappa1: float, dealias: bool = True,
     g = rho.grid
     r = _check_density(rho, vacuum_floor)
     ln_hat = fft_array(np.log(r))
-    lap_ln_hat = -g.k2 * ln_hat
+    lap_ln_hat = -g.half_k2 * ln_hat
     grad_ln = grad_arrays(g, ln_hat)
     sq_hat = fft_array(_maybe_dealias(g, sum(c ** 2 for c in grad_ln), dealias))
     out = []
-    for ki in g.k_deriv:
-        comp = r * ifft_array(1j * ki * lap_ln_hat) + 0.5 * r * ifft_array(1j * ki * sq_hat)
+    for ik in g.half_ik:
+        comp = r * ifft_array(ik * lap_ln_hat) + 0.5 * r * ifft_array(ik * sq_hat)
         out.append(RealField(g, kappa1 * _maybe_dealias(g, comp, dealias)))
     return tuple(out)
 
@@ -219,6 +241,92 @@ def from_effective(e: EffectiveState, p: PhysParams) -> PrimitiveState:
 
 # -- right-hand sides --------------------------------------------------------
 
+def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats, dealias: bool = True):
+    """Tendencies of (rho, u) from density samples r, velocity samples u and
+    the half spectra uhats of u.
+
+    Returns d_t rho on the grid (the density carries no diffusion) and, per
+    velocity component, the half spectrum of d_t u - mu*lap(u): the part of
+    the momentum equation the integrating factor leaves to the explicit
+    stage. The symmetric stress r*(2 mu Du + kappa hess ln r) - P*I is
+    summed on the grid before its transforms, and advection and force are
+    truncated together by one mask.
+    """
+    mask = _mask(g, dealias)
+    ik = g.half_ik
+    dim = g.dim
+    drho = -ifft_array(sum(ik[i] * mask * fft_array(r * u[i]) for i in range(dim)))
+
+    du = [grad_arrays(g, uhats[i]) for i in range(dim)]  # du[i][j] = d_j u_i
+    press = p.a * r ** p.gamma
+    stress = {}
+    for (i, j), h in _hessian_entries(g, fft_array(np.log(r))).items():
+        stress[i, j] = r * (p.mu * (du[i][j] + du[j][i]) + p.kappa * h)
+        if i == j:
+            stress[i, j] -= press
+    div_stress = _div_sym_hat(g, stress, mask)
+
+    out = []
+    for i in range(dim):
+        adv = sum(u[j] * du[i][j] for j in range(dim))
+        force = ifft_array(div_stress[i]) / r
+        out.append(mask * fft_array(force - adv) + p.mu * g.half_k2 * uhats[i])
+    _finite_or_blowup([drho] + out, "rhs of the density-velocity form")
+    return drho, out
+
+
+def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: bool = True,
+                         freeze_advection: bool = False):
+    """Tendencies of (q, v) from samples q, v and their half spectra.
+
+    Returns, for q and per component of v, the half spectrum of
+    d_t w - mu*lap(w): the mu*Laplacian belongs to the integrating factor
+    and is left out. Transport -(u.grad)v + mu*(grad q . grad)v is one
+    product (mu grad q - u).grad v, truncated together with the pressure
+    and capillary terms by one mask.
+    """
+    excess = p.kappa - p.mu ** 2
+    if excess < -QUANTUM_TOL:
+        raise ConfigurationError(
+            f"effective formulation requires kappa >= mu^2, got kappa = {p.kappa}, mu^2 = {p.mu**2}"
+        )
+    mask = _mask(g, dealias)
+    ik = g.half_ik
+    dim = g.dim
+    gq = grad_arrays(g, qhat)
+    dv = [grad_arrays(g, vhats[i]) for i in range(dim)]  # dv[i][j] = d_j v_i
+
+    nq = -sum(ik[i] * vhats[i] for i in range(dim))
+    if freeze_advection:
+        drift = [p.mu * gq[j] for j in range(dim)]
+    else:
+        u = [v[j] - p.mu * gq[j] for j in range(dim)]
+        nq = nq - mask * fft_array(sum(u[j] * gq[j] for j in range(dim)))
+        drift = [p.mu * gq[j] - u[j] for j in range(dim)]
+
+    terms = [sum(drift[j] * dv[i][j] for j in range(dim)) for i in range(dim)]
+    if p.gamma != 1.0 or not p.is_quantum():
+        rho = p.rho_bar * np.exp(q)
+    if p.gamma != 1.0:
+        w = p.a * p.gamma * rho ** (p.gamma - 1.0)
+        terms = [terms[i] - w * gq[i] for i in range(dim)]
+    if not p.is_quantum():
+        hess = _hessian_entries(g, qhat)
+        corr = _div_sym_hat(g, {ij: rho * h for ij, h in hess.items()}, mask)
+        terms = [terms[i] + excess * ifft_array(corr[i]) / rho for i in range(dim)]
+
+    out = [mask * fft_array(t) for t in terms]
+    if p.gamma == 1.0:
+        out = [out[i] - p.a * ik[i] * qhat for i in range(dim)]
+    _finite_or_blowup([nq] + out, "rhs of the log-density form")
+    return nq, out
+
+
+def _grid_tendencies(g, p, nhats, hats):
+    """Grid samples of d_t w = -mu*k^2*w + n from the half spectra n and w."""
+    return [ifft_array(n - p.mu * g.half_k2 * w) for n, w in zip(nhats, hats)]
+
+
 def rhs_primitive(s: PrimitiveState, p: PhysParams, dealias: bool = True,
                   vacuum_floor: float = 0.0):
     """Time derivative of (rho, u).
@@ -231,26 +339,9 @@ def rhs_primitive(s: PrimitiveState, p: PhysParams, dealias: bool = True,
     r = _check_density(s.rho, vacuum_floor)
     u = [c.values for c in s.u]
     uhats = [fft_array(c) for c in u]
-
-    flux = [_maybe_dealias(g, r * u[i], dealias) for i in range(g.dim)]
-    drho = RealField(g, -div_array(g, flux))
-
-    # symmetric gradient Du_ij = (d_j u_i + d_i u_j)/2
-    du = [grad_arrays(g, uhats[i]) for i in range(g.dim)]
-    divk = div_k_form_b(s.rho, p.kappa, dealias, vacuum_floor)
-    p_hat = fft_array(_maybe_dealias(g, p.a * r ** p.gamma, dealias))
-
-    out = []
-    for i, ki in enumerate(g.k_deriv):
-        d_sym = [0.5 * (du[i][j] + du[j][i]) for j in range(g.dim)]
-        visc = div_array(g, [_maybe_dealias(g, 2.0 * p.mu * r * d_sym[j], dealias)
-                             for j in range(g.dim)])
-        grad_p = ifft_array(1j * ki * p_hat)
-        adv = _maybe_dealias(g, sum(u[j] * du[i][j] for j in range(g.dim)), dealias)
-        force = _maybe_dealias(g, (visc - grad_p + divk[i].values) / r, dealias)
-        out.append(-adv + force)
-    _finite_or_blowup([drho.values] + out, "rhs of the density-velocity form")
-    return drho, tuple(RealField(g, c) for c in out)
+    drho, nhats = primitive_tendencies(g, p, r, u, uhats, dealias)
+    return RealField(g, drho), tuple(RealField(g, c)
+                                     for c in _grid_tendencies(g, p, nhats, uhats))
 
 
 def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True,
@@ -267,48 +358,9 @@ def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True,
     (testing hook for the pure-diffusion limit).
     """
     g = e.grid
-    excess = p.kappa - p.mu ** 2
-    if excess < -QUANTUM_TOL:
-        raise ConfigurationError(
-            f"effective formulation requires kappa >= mu^2, got kappa = {p.kappa}, mu^2 = {p.mu**2}"
-        )
-    qv = e.q.values
-    qhat = fft_array(qv)
-    gq = grad_arrays(g, qhat)
-    lap_q = lap_array(g, qhat)
-    vhats = [fft_array(c.values) for c in e.v]
+    q = e.q.values
     v = [c.values for c in e.v]
-    dv_mat = [grad_arrays(g, vhats[i]) for i in range(g.dim)]
-    div_v = sum(dv_mat[i][i] for i in range(g.dim))
-    lap_v = [lap_array(g, vhats[i]) for i in range(g.dim)]
-
-    if freeze_advection:
-        u = [np.zeros(g.shape) for _ in range(g.dim)]
-    else:
-        u = [v[i] - p.mu * gq[i] for i in range(g.dim)]
-
-    dq = p.mu * lap_q - _maybe_dealias(g, sum(u[j] * gq[j] for j in range(g.dim)), dealias) - div_v
-
-    if p.gamma == 1.0:
-        press = [p.a * gq[i] for i in range(g.dim)]
-    else:
-        rho = p.rho_bar * np.exp(qv)
-        w = p.a * p.gamma * rho ** (p.gamma - 1.0)
-        press = [_maybe_dealias(g, w * gq[i], dealias) for i in range(g.dim)]
-
-    extra = None
-    if not p.is_quantum():
-        rho = p.rho_bar * np.exp(qv)
-        extra = [excess * _maybe_dealias(g, comp / rho, dealias)
-                 for comp in _div_rho_hess(g, rho, qhat, dealias)]
-
-    out = []
-    for i in range(g.dim):
-        adv = _maybe_dealias(g, sum(u[j] * dv_mat[i][j] for j in range(g.dim)), dealias)
-        gqdv = _maybe_dealias(g, sum(gq[j] * dv_mat[i][j] for j in range(g.dim)), dealias)
-        comp = p.mu * lap_v[i] - adv + p.mu * gqdv - press[i]
-        if extra is not None:
-            comp = comp + extra[i]
-        out.append(comp)
-    _finite_or_blowup([dq] + out, "rhs of the log-density form")
-    return RealField(g, dq), tuple(RealField(g, c) for c in out)
+    hats = [fft_array(q)] + [fft_array(c) for c in v]
+    nq, nv = effective_tendencies(g, p, q, hats[0], v, hats[1:], dealias, freeze_advection)
+    dq, *dv = _grid_tendencies(g, p, [nq] + nv, hats)
+    return RealField(g, dq), tuple(RealField(g, c) for c in dv)

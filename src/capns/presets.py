@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import Grid, RealField, dealias_values, ifft_array
+from .fields import Grid, RealField, SpectralField, dealias_values, inverse_transform
 from .model import PhysParams, PrimitiveState
 
 PRESET_NAMES = ("equilibrium", "smooth_bump", "near_vacuum",
@@ -66,8 +66,9 @@ def _bandlimited_noise(grid: Grid, rng, band: int) -> np.ndarray:
         keep &= np.abs(grid.k[i]) <= band * scale
     coeffs[keep] = spectrum[keep]
     coeffs[tuple([0] * grid.dim)] = 0.0
-    vals = ifft_array(coeffs)
-    vals = dealias_values(grid, vals)
+    # the spectrum is not Hermitian: the field is the real part of its
+    # full-layout inverse
+    vals = dealias_values(grid, inverse_transform(SpectralField(grid, coeffs)).values)
     peak = np.max(np.abs(vals))
     return vals / peak if peak > 0 else vals
 

@@ -16,7 +16,9 @@ Duhamel quadrature, difference norms measured in time-sup Besov style).
 
 from __future__ import annotations
 
+import functools
 import math
+import zipfile
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -34,8 +36,8 @@ from .model import (
     EffectiveState,
     PhysParams,
     PrimitiveState,
-    rhs_effective,
-    rhs_primitive,
+    effective_tendencies,
+    primitive_tendencies,
 )
 
 CHECKPOINT_VERSION = 1
@@ -106,71 +108,99 @@ def _identity(x):
 
 
 class _Unknown(NamedTuple):
-    """How a step carries one unknown: transform pair, integrating factor
-    exp(-L dt) and linear part L."""
+    """How a step carries one unknown: transform pair and integrating
+    factor exp(-L dt)."""
 
     fwd: Callable
     inv: Callable
     fac: np.ndarray | float
-    lin: np.ndarray | float
+
+
+class _Scheme:
+    """The integrating-factor Heun step of one formulation on raw arrays.
+
+    Built once per (grid, params, cfg): the factor exp(-mu k^2 dt) and the
+    per-unknown transforms are fixed here, and ``step`` neither validates
+    the configuration nor rebuilds them. The unknowns are the scalar
+    (rho or q) followed by the vector components (u or v).
+    """
+
+    def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
+        self.grid, self.params, self.cfg = g, params, cfg
+        diffusive = _Unknown(fft_array, ifft_array, np.exp(-params.mu * g.half_k2 * cfg.dt))
+        if cfg.formulation == "primitive":
+            # the mass equation has no Laplacian: the density stays on the
+            # grid with factor 1.0, which the scheme keeps exact
+            self.parts = [_Unknown(_identity, _identity, 1.0)] + [diffusive] * g.dim
+            self.kind = PrimitiveState
+        else:
+            self.parts = [diffusive] * (1 + g.dim)
+            self.kind = EffectiveState
+
+    def tendencies(self, vals, hats):
+        g, params, cfg = self.grid, self.params, self.cfg
+        if self.kind is PrimitiveState:
+            d_scalar, d_vector = primitive_tendencies(g, params, vals[0], vals[1:], hats[1:],
+                                                      cfg.dealias)
+        else:
+            d_scalar, d_vector = effective_tendencies(g, params, vals[0], hats[0], vals[1:],
+                                                      hats[1:], cfg.dealias, cfg.freeze_advection)
+        return [d_scalar, *d_vector]
+
+    def guard(self, vals, t):
+        if self.kind is PrimitiveState:
+            _guard_primitive(vals[0], vals[1:], self.cfg.vacuum_floor, t)
+        else:
+            _guard_effective(vals[0], vals[1:], self.params, self.cfg.vacuum_floor, t)
+
+    def values(self, state) -> list:
+        if not isinstance(state, self.kind):
+            article = "a" if self.kind is PrimitiveState else "an"
+            raise ConfigurationError(
+                f"{self.cfg.formulation} stepping needs {article} {self.kind.__name__}")
+        scalar, vector = (state.rho, state.u) if self.kind is PrimitiveState \
+            else (state.q, state.v)
+        return [scalar.values] + [c.values for c in vector]
+
+    def state(self, vals):
+        g = self.grid
+        return self.kind(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
+
+    def step(self, vals, t: float) -> list:
+        """Samples of every unknown at t + dt from those at t.
+
+        Each unknown w is carried by W = fwd(w) with factor exp(-L dt); with
+        N the tendency beyond -L W the step is
+        W* = exp(-L dt) (W + dt N), W_new = exp(-L dt) W + dt/2 (exp(-L dt) N + N*).
+        """
+        dt, parts = self.cfg.dt, self.parts
+        hat0 = [p.fwd(w) for p, w in zip(parts, vals)]
+        n0 = self.tendencies(vals, hat0)
+        hat_star = [p.fac * (w + dt * n) for p, w, n in zip(parts, hat0, n0)]
+        vals_star = [p.inv(w) for p, w in zip(parts, hat_star)]
+        self.guard(vals_star, t + dt)
+        n1 = self.tendencies(vals_star, hat_star)
+        out = [p.inv(p.fac * w + 0.5 * dt * (p.fac * a + b))
+               for p, w, a, b in zip(parts, hat0, n0, n1)]
+        self.guard(out, t + dt)
+        return out
+
+
+@functools.lru_cache(maxsize=8)
+def _scheme(g: Grid, params: PhysParams, cfg: SolverConfig) -> _Scheme:
+    """The validated scheme of one (grid, params, cfg), built on first use.
+
+    All three keys are frozen, so a configuration that validated once stays
+    valid, and the steps of a run reuse one factor exp(-mu k^2 dt).
+    """
+    cfg.validate_for(g, params)
+    return _Scheme(g, params, cfg)
 
 
 def step_imex(state, params: PhysParams, cfg: SolverConfig, t: float = 0.0):
-    """One integrating-factor Heun step; returns the state at t + dt.
-
-    Each unknown w is carried by a transform W = fwd(w) with linear part L
-    and factor exp(-L dt). With N = fwd(rhs) + L W the step is
-    W* = exp(-L dt) (W + dt N), W_new = exp(-L dt) W + dt/2 (exp(-L dt) N + N*).
-    """
-    g = state.grid
-    cfg.validate_for(g, params)
-    e_fac = np.exp(-params.mu * g.k2 * cfg.dt)
-    dt = cfg.dt
-    diffusive = _Unknown(fft_array, ifft_array, e_fac, params.mu * g.k2)
-    velocity = [diffusive] * g.dim
-
-    if cfg.formulation == "primitive":
-        if not isinstance(state, PrimitiveState):
-            raise ConfigurationError("primitive stepping needs a PrimitiveState")
-        # the mass equation has no Laplacian: the density stays on the grid
-        # with factor 1.0 and linear part 0.0, which the scheme keeps exact
-        parts = [_Unknown(_identity, _identity, 1.0, 0.0)] + velocity
-        unknowns = [state.rho, *state.u]
-
-        def rhs(s):
-            return rhs_primitive(s, params, dealias=cfg.dealias)
-
-        def guard(vals):
-            _guard_primitive(vals[0], vals[1:], cfg.vacuum_floor, t + dt)
-    else:
-        if not isinstance(state, EffectiveState):
-            raise ConfigurationError("effective stepping needs an EffectiveState")
-        parts = [diffusive] + velocity
-        unknowns = [state.q, *state.v]
-
-        def rhs(s):
-            return rhs_effective(s, params, dealias=cfg.dealias,
-                                 freeze_advection=cfg.freeze_advection)
-
-        def guard(vals):
-            _guard_effective(vals[0], vals[1:], params, cfg.vacuum_floor, t + dt)
-
-    def explicit(s, hats):
-        d_scalar, d_vector = rhs(s)
-        return [p.fwd(d.values) + p.lin * w
-                for p, d, w in zip(parts, [d_scalar, *d_vector], hats)]
-
-    def rebuild(vals):
-        guard(vals)
-        return type(state)(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
-
-    hat0 = [p.fwd(w.values) for p, w in zip(parts, unknowns)]
-    n0 = explicit(state, hat0)
-    hat_star = [p.fac * (w + dt * n) for p, w, n in zip(parts, hat0, n0)]
-    s_star = rebuild([p.inv(w) for p, w in zip(parts, hat_star)])
-    n1 = explicit(s_star, hat_star)
-    return rebuild([p.inv(p.fac * w + 0.5 * dt * (p.fac * a + b))
-                    for p, w, a, b in zip(parts, hat0, n0, n1)])
+    """One integrating-factor Heun step; returns the state at t + dt."""
+    scheme = _scheme(state.grid, params, cfg)
+    return scheme.state(scheme.step(scheme.values(state), t))
 
 
 @dataclass
@@ -191,7 +221,7 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
     every accepted step. The span must be a whole number of dt steps.
     """
     g = initial.grid
-    cfg.validate_for(g, params)
+    _scheme(g, params, cfg)  # validates once; every step reuses the scheme
     if cfg.formulation == "primitive" and not isinstance(initial, PrimitiveState):
         raise ConfigurationError("primitive run needs a PrimitiveState initial condition")
     if cfg.formulation == "effective" and not isinstance(initial, EffectiveState):
@@ -258,34 +288,47 @@ def save_checkpoint(path, state, params: PhysParams, t: float):
     np.savez(path, **payload)
 
 
+def _read_archive(path) -> dict:
+    """Every array of an NPZ file; a file that is not one, or that was cut
+    short or corrupted, raises ConfigurationError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if isinstance(data, np.lib.npyio.NpzFile):
+            with data:
+                return {name: data[name] for name in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as ex:
+        raise ConfigurationError(f"{path} is not a readable checkpoint: {ex}") from ex
+    raise ConfigurationError(f"{path} holds a single array, not a checkpoint archive")
+
+
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (state, params, t)."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"])
-        if version != CHECKPOINT_VERSION:
-            raise ConfigurationError(f"unsupported checkpoint version {version}")
-        g = Grid(int(data["dim"]), int(data["n"]), float(data["length"]))
-        params = PhysParams(
-            mu=float(data["mu"]),
-            kappa=float(data["kappa"]),
-            a=float(data["a"]),
-            gamma=float(data["gamma"]),
-            rho_bar=float(data["rho_bar"]),
+    data = _read_archive(path)
+    version = int(data["version"])
+    if version != CHECKPOINT_VERSION:
+        raise ConfigurationError(f"unsupported checkpoint version {version}")
+    g = Grid(int(data["dim"]), int(data["n"]), float(data["length"]))
+    params = PhysParams(
+        mu=float(data["mu"]),
+        kappa=float(data["kappa"]),
+        a=float(data["a"]),
+        gamma=float(data["gamma"]),
+        rho_bar=float(data["rho_bar"]),
+    )
+    t = float(data["t"])
+    kind = str(data["kind"])
+    if kind == "primitive":
+        state = PrimitiveState(
+            RealField(g, data["rho"]),
+            tuple(RealField(g, data[f"u{i}"]) for i in range(g.dim)),
         )
-        t = float(data["t"])
-        kind = str(data["kind"])
-        if kind == "primitive":
-            state = PrimitiveState(
-                RealField(g, data["rho"]),
-                tuple(RealField(g, data[f"u{i}"]) for i in range(g.dim)),
-            )
-        elif kind == "effective":
-            state = EffectiveState(
-                RealField(g, data["q"]),
-                tuple(RealField(g, data[f"v{i}"]) for i in range(g.dim)),
-            )
-        else:
-            raise ConfigurationError(f"unknown checkpoint state kind {kind!r}")
+    elif kind == "effective":
+        state = EffectiveState(
+            RealField(g, data["q"]),
+            tuple(RealField(g, data[f"v{i}"]) for i in range(g.dim)),
+        )
+    else:
+        raise ConfigurationError(f"unknown checkpoint state kind {kind!r}")
     return state, params, t
 
 
@@ -293,8 +336,8 @@ def load_checkpoint(path):
 
 def _linear_modes(g, mu, qhat0, vhat0, t):
     """Fourier coefficients of the linearized solution at time t."""
-    decay = np.exp(-mu * g.k2 * t)
-    div_v0 = sum(1j * g.k_deriv[i] * vhat0[i] for i in range(g.dim))
+    decay = np.exp(-mu * g.half_k2 * t)
+    div_v0 = sum(g.half_ik[i] * vhat0[i] for i in range(g.dim))
     return decay * (qhat0 - t * div_v0), [decay * c for c in vhat0]
 
 
@@ -393,7 +436,7 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
     m_steps = pcfg.n_steps
     dt = T / m_steps
     times = np.arange(m_steps + 1) * dt
-    e_fac = np.exp(-params.mu * g.k2 * dt)
+    e_fac = np.exp(-params.mu * g.half_k2 * dt)
 
     qhat0 = fft_array(q0.values)
     vhat0 = [fft_array(c.values) for c in v0]
@@ -425,7 +468,7 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
                 f_hat.append(fh)
                 g_hat.append(gh)
 
-            vbar = [[np.zeros(g.shape, dtype=complex) for _ in range(g.dim)]]
+            vbar = [[np.zeros(g.half_k2.shape, dtype=complex) for _ in range(g.dim)]]
             for m in range(m_steps):
                 row = []
                 for i in range(g.dim):
@@ -435,9 +478,9 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
 
             src = []
             for m in range(m_steps + 1):
-                div_vbar = sum(1j * g.k_deriv[i] * vbar[m][i] for i in range(g.dim))
+                div_vbar = sum(g.half_ik[i] * vbar[m][i] for i in range(g.dim))
                 src.append(f_hat[m] - div_vbar)
-            qbar = [np.zeros(g.shape, dtype=complex)]
+            qbar = [np.zeros(g.half_k2.shape, dtype=complex)]
             for m in range(m_steps):
                 qbar.append(e_fac * (qbar[m] + 0.5 * dt * src[m]) + 0.5 * dt * src[m + 1])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import Grid, RealField, grad, ifft_array, lp_norm
+from .fields import Grid, RealField, SpectralField, grad, inverse_transform, lp_norm
 from .lp_besov import (
     ANNULUS_OUTER,
     bony_decompose,
@@ -98,7 +98,7 @@ def _broadband(grid: Grid, rng) -> RealField:
     spectrum = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     spectrum /= 1.0 + grid.kmag
     spectrum.flat[0] = 0.0
-    return RealField(grid, ifft_array(spectrum))
+    return inverse_transform(SpectralField(grid, spectrum))
 
 
 def suite_heat() -> SuiteReport:

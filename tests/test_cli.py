@@ -256,6 +256,40 @@ class TestBesovCommand:
         assert main(["besov", "--config", cfg, "--state", "x.npz"]) \
             == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("p", ["0", "0.5", "-1"])
+    def test_exponent_below_one_rejected(self, tmp_path, capsys, p):
+        cfg = write_ini(tmp_path / "c.ini", base_sections())
+        json_path = tmp_path / "b.json"
+        assert main(["besov", "--config", cfg, "--p", p, "--json", str(json_path)]) \
+            == EXIT_BAD_CONFIG
+        rep = json.loads(json_path.read_text())
+        assert rep["cause"] == "invalid_config"
+        assert "config error: besov:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corrupt", ["text", "truncated", "empty"])
+    def test_corrupt_state_file_rejected(self, tmp_path, capsys, corrupt):
+        from capns.fields import Grid
+        from capns.model import PhysParams
+        from capns.presets import Preset, build
+        from capns.solver import save_checkpoint
+
+        ckpt = tmp_path / "state.npz"
+        if corrupt == "text":
+            ckpt.write_text("not a checkpoint\n")
+        elif corrupt == "empty":
+            ckpt.write_bytes(b"")
+        else:
+            params = PhysParams(mu=0.15, kappa=0.0225)
+            save_checkpoint(ckpt, build(Preset("smooth_bump"), Grid(1, 64), params),
+                            params, t=0.0)
+            data = ckpt.read_bytes()
+            ckpt.write_bytes(data[: len(data) // 2])
+        json_path = tmp_path / "b.json"
+        assert main(["besov", "--state", str(ckpt), "--json", str(json_path)]) \
+            == EXIT_BAD_CONFIG
+        assert json.loads(json_path.read_text())["cause"] == "invalid_config"
+        assert "config error: besov.state:" in capsys.readouterr().out
+
 
 def test_cause_codes_are_distinct():
     assert len(set(CAUSE_CODES.values())) == len(CAUSE_CODES)

@@ -10,8 +10,11 @@ from capns.model import (
     EffectiveState,
     PhysParams,
     PrimitiveState,
+    rhs_effective,
+    rhs_primitive,
     to_effective,
 )
+from capns.presets import Preset, build
 from capns.solver import (
     PicardConfig,
     PicardResult,
@@ -159,6 +162,81 @@ class TestStepImex:
         assert np.max(np.abs(res.final_state.v[0].values - v_lin[0].values)) / amp < 1e-5
 
 
+def _reference_step(state, params, cfg):
+    """Integrating-factor Heun step over the grid-valued right-hand sides,
+    with full-layout numpy.fft transforms. The primitive density stays on
+    the grid (factor 1, no linear part); every other unknown W carries
+    factor exp(-mu k^2 dt) and linear part mu k^2, N = fft(rhs) + mu k^2 W,
+    W* = e (W + dt N), W_new = e W + dt/2 (e N + N*)."""
+    g, dt = state.grid, cfg.dt
+    lin = params.mu * g.k2
+    if cfg.formulation == "primitive":
+        spectral = [False] + [True] * g.dim
+        vals0 = [state.rho.values] + [c.values for c in state.u]
+
+        def rhs(vals):
+            s = PrimitiveState(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
+            d, dv = rhs_primitive(s, params, dealias=cfg.dealias)
+            return [d.values] + [c.values for c in dv]
+    else:
+        spectral = [True] * (1 + g.dim)
+        vals0 = [state.q.values] + [c.values for c in state.v]
+
+        def rhs(vals):
+            s = EffectiveState(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
+            d, dv = rhs_effective(s, params, dealias=cfg.dealias,
+                                  freeze_advection=cfg.freeze_advection)
+            return [d.values] + [c.values for c in dv]
+
+    fwd = [np.fft.fftn if sp else (lambda x: x) for sp in spectral]
+    inv = [(lambda c: np.fft.ifftn(c).real) if sp else (lambda x: x) for sp in spectral]
+    fac = [np.exp(-lin * dt) if sp else 1.0 for sp in spectral]
+    lins = [lin if sp else 0.0 for sp in spectral]
+
+    def explicit(vals, hats):
+        return [f(d) + l * w for f, d, l, w in zip(fwd, rhs(vals), lins, hats)]
+
+    hat0 = [f(v) for f, v in zip(fwd, vals0)]
+    n0 = explicit(vals0, hat0)
+    hat_star = [e * (w + dt * n) for e, w, n in zip(fac, hat0, n0)]
+    n1 = explicit([i(w) for i, w in zip(inv, hat_star)], hat_star)
+    return [i(e * w + 0.5 * dt * (e * a + b))
+            for i, e, w, a, b in zip(inv, fac, hat0, n0, n1)]
+
+
+ORACLE_CASES = [
+    pytest.param(dim, form, dealias, gamma, 0.0225, False,
+                 id=f"{dim}d-{form}-{'dealias' if dealias else 'raw'}-g{gamma}")
+    for dim in (1, 2) for form in ("primitive", "effective")
+    for dealias in (True, False) for gamma in (1.0, 1.4)
+] + [
+    pytest.param(dim, "effective", True, 1.0, 0.04, False, id=f"{dim}d-effective-kappa-above")
+    for dim in (1, 2)
+] + [
+    pytest.param(dim, "effective", True, 1.4, 0.04, True, id=f"{dim}d-effective-frozen")
+    for dim in (1, 2)
+]
+
+
+class TestStepOracle:
+    @pytest.mark.parametrize("dim,formulation,dealias,gamma,kappa,freeze", ORACLE_CASES)
+    def test_matches_reference_step(self, dim, formulation, dealias, gamma, kappa, freeze):
+        g = Grid(dim, 64 if dim == 1 else 32)
+        params = PhysParams(mu=0.15, kappa=kappa, a=1.0, gamma=gamma, rho_bar=1.3)
+        state = build(Preset("random_bandlimited", amplitude=0.2, seed=5), g, params)
+        if formulation == "effective":
+            state = to_effective(state, params)
+        probe = SolverConfig(dt=1.0, t_end=1.0)
+        cfg = SolverConfig(dt=0.25 * probe.dt_ceiling(g, params), t_end=1.0,
+                           formulation=formulation, dealias=dealias,
+                           freeze_advection=freeze)
+        new = step_imex(state, params, cfg)
+        got = ([new.rho] + list(new.u)) if formulation == "primitive" else ([new.q] + list(new.v))
+        want = _reference_step(state, params, cfg)
+        for f, ref in zip(got, want):
+            assert np.max(np.abs(f.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 class TestRun:
     def test_zero_horizon_emits_initial_only(self):
         g = Grid(1, 64)
@@ -191,6 +269,28 @@ class TestRun:
             callbacks=(lambda m, t, s: seen.append(m),),
         )
         assert seen == [1, 2, 3, 4, 5]
+
+    def test_validates_once_per_run(self, monkeypatch):
+        from capns import solver
+
+        calls = []
+        original = SolverConfig.validate_for
+
+        def counted(self, grid, params):
+            calls.append(self)
+            return original(self, grid, params)
+
+        monkeypatch.setattr(SolverConfig, "validate_for", counted)
+        solver._scheme.cache_clear()
+        g = Grid(1, 64)
+        res = run(primitive_wave(g), PARAMS, SolverConfig(dt=1e-4, t_end=1e-3))
+        assert res.steps == 10
+        assert len(calls) == 1
+
+    def test_step_imex_validates_direct_calls(self):
+        g = Grid(1, 256)
+        with pytest.raises(ConfigurationError):
+            step_imex(primitive_wave(g), PARAMS, SolverConfig(dt=0.1, t_end=1.0))
 
     def test_non_integer_span_rejected(self):
         g = Grid(1, 64)
@@ -267,6 +367,31 @@ class TestCheckpoint:
         assert isinstance(loaded, EffectiveState)
         assert np.array_equal(loaded.q.values, state.q.values)
         assert np.array_equal(loaded.v[1].values, state.v[1].values)
+
+    @pytest.mark.parametrize("content", [b"", b"plain text\n", b"PK\x03\x04 cut short"],
+                             ids=["empty", "text", "cut-zip"])
+    def test_unreadable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.npz"
+        path.write_bytes(content)
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
+
+    def test_corrupted_member_rejected(self, tmp_path):
+        g = Grid(1, 32)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, primitive_wave(g), PARAMS, t=0.0)
+        data = bytearray(path.read_bytes())
+        i = data.index(b"rho.npy") + 200  # inside the density's payload
+        data[i] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
+
+    def test_single_array_file_rejected(self, tmp_path):
+        path = tmp_path / "arr.npy"
+        np.save(path, np.zeros(4))
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         g = Grid(1, 64)
