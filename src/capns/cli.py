@@ -383,7 +383,7 @@ def cmd_besov(args, stream) -> int:
     if args.state:
         try:
             state, params, t = load_checkpoint(args.state)
-        except (OSError, KeyError, ConfigurationError) as ex:
+        except (OSError, ConfigurationError) as ex:
             return _fail_config([f"besov.state: {ex}"], args.json, stream)
     else:
         values, errors, grid, params, preset = _load_case(args.config)

@@ -75,7 +75,7 @@ class _Fields:
         s = self.source
         if isinstance(s, PrimitiveState):
             return [c.values for c in s.u]
-        gq = grad_arrays(self.grid, fft_array(s.q.values))
+        gq = grad_arrays(self.grid, fft_array(self.grid, s.q.values))
         return [s.v[i].values - self.params.mu * gq[i] for i in range(self.grid.dim)]
 
     @cached_property
@@ -84,7 +84,7 @@ class _Fields:
         s = self.source
         if isinstance(s, EffectiveState):
             return [c.values for c in s.v]
-        gl = grad_arrays(self.grid, fft_array(np.log(self.rho)))
+        gl = grad_arrays(self.grid, fft_array(self.grid, np.log(self.rho)))
         return [s.u[i].values + self.params.mu * gl[i] for i in range(self.grid.dim)]
 
     @cached_property
@@ -106,7 +106,7 @@ class _Fields:
 
     @cached_property
     def sqrt_rho_hat(self) -> np.ndarray:
-        return fft_array(self.sqrt_rho)
+        return fft_array(self.grid, self.sqrt_rho)
 
     @cached_property
     def grad_sqrt2(self) -> np.ndarray:
@@ -153,7 +153,7 @@ def dissip_u_rate(state, params: PhysParams) -> float:
     """int 2 mu rho |Du|^2 with Du the symmetric velocity gradient."""
     f = _fields(state, params)
     g = f.grid
-    du = [grad_arrays(g, fft_array(c)) for c in f.u]
+    du = [grad_arrays(g, fft_array(g, c)) for c in f.u]
     acc = np.zeros(g.shape)
     for i in range(g.dim):
         for j in range(g.dim):
@@ -167,7 +167,7 @@ def dissip_v_rate(state, params: PhysParams) -> float:
     g = f.grid
     acc = np.zeros(g.shape)
     for c in f.v:
-        acc += _grad_sq(g, fft_array(c))
+        acc += _grad_sq(g, fft_array(g, c))
     return integrate(RealField(g, params.mu * f.rho * acc))
 
 
@@ -175,7 +175,7 @@ def dissip_density_rate(state, params: PhysParams) -> float:
     """int mu P'(rho)/rho |grad rho|^2; a*mu/rho |grad rho|^2 when gamma=1."""
     f = _fields(state, params)
     r = f.rho
-    grad2 = _grad_sq(f.grid, fft_array(r))
+    grad2 = _grad_sq(f.grid, fft_array(f.grid, r))
     weight = params.a * params.gamma * params.mu * r ** (params.gamma - 2.0)
     return integrate(RealField(f.grid, weight * grad2))
 
@@ -417,7 +417,7 @@ def level_set_report(states, times, params: PhysParams, alpha: float, k: float,
         trunc = np.maximum(inv - k, 0.0)
         measures[i] = g.cell_volume * int(np.count_nonzero(inv >= k))
         sup_l2 = max(sup_l2, math.sqrt(integrate(RealField(g, trunc ** 2))))
-        grad_sq[i] = integrate(RealField(g, _grad_sq(g, fft_array(trunc))))
+        grad_sq[i] = integrate(RealField(g, _grad_sq(g, fft_array(g, trunc))))
     mu_k = float(np.trapezoid(measures ** (r1 / q1), times)) if len(times) > 1 else 0.0
     q_norm = sup_l2 + math.sqrt(float(np.trapezoid(grad_sq, times))) if len(times) > 1 else sup_l2
     return LevelSetReport(

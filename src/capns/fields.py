@@ -9,7 +9,10 @@ mode of its first axis, and the inverse carries the 1/n^dim factor. The
 helpers ``fft_array``, ``ifft_array``, ``grad_arrays``, ``div_array``,
 ``lap_array`` and ``dealias_values`` work in this layout, with the
 per-grid multipliers ``Grid.half_ik``, ``half_k2``, ``half_kmag``,
-``half_mask`` and ``half_weight`` cached on the grid.
+``half_mask`` and ``half_weight`` cached on the grid. They transform the
+trailing ``grid.dim`` axes only, so a stack with leading axes (time levels,
+vector components) goes through one transform call, slice by slice
+bit-identical to transforming each slice alone.
 
 Typed boundary: ``SpectralField`` holds the full unnormalized
 ``numpy.fft.fftn`` layout, and ``Grid.k``, ``k2``, ``kmag``, ``k_deriv``,
@@ -208,38 +211,41 @@ def same_grid(*fields) -> Grid:
     return grid
 
 
-def fft_array(values: np.ndarray) -> np.ndarray:
-    """Unnormalized half spectrum of real grid samples."""
-    if values.ndim == 1:
+def fft_array(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unnormalized half spectrum of real grid samples over the last
+    ``grid.dim`` axes; leading axes are a stack."""
+    if grid.dim == 1:
         return np.fft.rfft(values)
     return np.fft.rfft2(values)
 
 
-def ifft_array(coeffs: np.ndarray) -> np.ndarray:
-    """Real grid samples from a half spectrum, with the 1/n^dim factor."""
-    if coeffs.ndim == 1:
+def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real grid samples from a half spectrum, with the 1/n^dim factor;
+    leading axes are a stack."""
+    if grid.dim == 1:
         return np.fft.irfft(coeffs)
     return np.fft.irfft2(coeffs)
 
 
 def grad_arrays(grid: Grid, fhat: np.ndarray) -> list:
     """Gradient samples, one per axis, from the half spectrum ``fhat``."""
-    return [ifft_array(ik * fhat) for ik in grid.half_ik]
+    return [ifft_array(grid, ik * fhat) for ik in grid.half_ik]
 
 
 def div_array(grid: Grid, comps) -> np.ndarray:
     """Divergence samples of a vector given as one array per axis."""
-    return ifft_array(sum(ik * fft_array(comp) for ik, comp in zip(grid.half_ik, comps)))
+    return ifft_array(grid, sum(ik * fft_array(grid, comp)
+                                for ik, comp in zip(grid.half_ik, comps)))
 
 
 def lap_array(grid: Grid, fhat: np.ndarray) -> np.ndarray:
     """Laplacian samples from the half spectrum ``fhat``."""
-    return ifft_array(-grid.half_k2 * fhat)
+    return ifft_array(grid, -grid.half_k2 * fhat)
 
 
 def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Array-level 2/3 truncation: one mask multiply on the half spectrum."""
-    return ifft_array(grid.half_mask * fft_array(values))
+    return ifft_array(grid, grid.half_mask * fft_array(grid, values))
 
 
 def transform(f: RealField) -> SpectralField:
@@ -255,7 +261,7 @@ def inverse_transform(F: SpectralField) -> RealField:
 def grad(f: RealField) -> tuple:
     """Exact spectral gradient, one component per axis."""
     g = f.grid
-    return tuple(RealField(g, c) for c in grad_arrays(g, fft_array(f.values)))
+    return tuple(RealField(g, c) for c in grad_arrays(g, fft_array(g, f.values)))
 
 
 def div(vec: Sequence[RealField]) -> RealField:
@@ -267,14 +273,14 @@ def div(vec: Sequence[RealField]) -> RealField:
 
 def laplacian(f: RealField) -> RealField:
     g = f.grid
-    return RealField(g, lap_array(g, fft_array(f.values)))
+    return RealField(g, lap_array(g, fft_array(g, f.values)))
 
 
 def hessian(f: RealField) -> tuple:
     """Symmetric matrix of second derivatives as nested tuples H[i][j]."""
     g = f.grid
-    fhat = fft_array(f.values)
-    return tuple(tuple(RealField(g, ifft_array(ki * kj * fhat)) for kj in g.half_ik)
+    fhat = fft_array(g, f.values)
+    return tuple(tuple(RealField(g, ifft_array(g, ki * kj * fhat)) for kj in g.half_ik)
                  for ki in g.half_ik)
 
 
@@ -292,8 +298,17 @@ def integrate(f: RealField) -> float:
 
 def lp_norm(f: RealField, p: float) -> float:
     """Discrete L^p norm via grid quadrature; p may be math.inf."""
-    if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+    return float(lp_norms(f.grid, f.values, p))
+
+
+def lp_norms(grid: Grid, samples: np.ndarray, p: float):
+    """Discrete L^p norms over the last ``grid.dim`` axes of a stack of grid
+    samples; leading axes are kept. p may be math.inf."""
     if p < 1:
         raise DomainError(f"L^p norm requires p >= 1, got {p}")
-    return float((np.sum(np.abs(f.values) ** p) * f.grid.cell_volume) ** (1.0 / p))
+    axes = tuple(range(-grid.dim, 0))
+    mags = np.abs(samples)
+    if p == math.inf:
+        return np.max(mags, axis=axes)
+    np.power(mags, p, out=mags)
+    return (np.sum(mags, axis=axes) * grid.cell_volume) ** (1.0 / p)

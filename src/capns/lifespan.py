@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonContraction, ScheduleStall
 from .fields import Grid, RealField
-from .lp_besov import BesovSpec, besov_norm, build_bumps
+from .lp_besov import BesovSpec, _weighted_lr, block_norms, build_bumps
 from .model import PhysParams
 
 BRANCH_NAMES = ("q_regularity", "v_regularity", "iteration_window", "data_size")
@@ -166,17 +166,20 @@ def norms_for_data(q0: RealField, v0, p: float = None, eps_prime: float = 0.25,
         p = 0.5 * (n / (1.0 - eps_prime) + 2.0 * n)
     if bumps is None:
         bumps = build_bumps()
-    comps = tuple(v0)
     s_crit = n / p
+    BesovSpec(s=s_crit, p=p)  # validates p before any transform
+    # p is the same at both indices: each field's block norms are taken
+    # once and weighted at the critical and the surcritical index
+    q_blocks = [block_norms(q0, bumps, p)[:2]]
+    v_blocks = [block_norms(c, bumps, p)[:2] for c in v0]
 
-    def vec_norm(fields, s):
-        spec = BesovSpec(s=s, p=p, r=1.0)
-        return sum(besov_norm(f, spec, bumps) for f in fields)
+    def vec_norm(blocks, s):
+        return sum(_weighted_lr(ls, norms, s, 1.0) for ls, norms in blocks)
 
-    q_crit = vec_norm((q0,), s_crit)
-    v_crit = vec_norm(comps, s_crit - 1.0)
-    q_sur = vec_norm((q0,), s_crit + eps_prime)
-    v_sur = vec_norm(comps, s_crit - 1.0 + eps_prime)
+    q_crit = vec_norm(q_blocks, s_crit)
+    v_crit = vec_norm(v_blocks, s_crit - 1.0)
+    q_sur = vec_norm(q_blocks, s_crit + eps_prime)
+    v_sur = vec_norm(v_blocks, s_crit - 1.0 + eps_prime)
     if eps is None:
         eps = epsilon_from_data(q_crit + v_crit, C1) ** 2
     return LifespanInputs(

@@ -14,17 +14,25 @@ annulus pokes past the resolved band in either direction are flagged as
 boundary blocks. Wavenumbers are physical (2*pi/length units), which makes
 the critical-index norms invariant under the "same samples, halved box"
 dilation.
+
+Every block norm goes through one kernel, :func:`block_norm_table`, which
+maps a stack of half spectra to a [stack, block] table. The block
+multipliers of a (grid, bumps) pair are interpolated once and cached. At
+p = 2 the table is one product of |fhat|^2 with the cached
+(blocks x modes) matrix of Parseval weight x phi_l^2; other p take one
+inverse transform of the whole stack per block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import Grid, RealField, fft_array, ifft_array, lp_norm
+from .fields import Grid, RealField, fft_array, ifft_array, lp_norms
 
 PLATEAU = 0.75       # chi = 1 on [0, 3/4]
 SUPPORT = 4.0 / 3.0  # chi = 0 beyond 4/3
@@ -40,12 +48,13 @@ def _smooth_step(y):
     return a / (a + b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BumpPair:
     """Sampled radial cutoff chi and annulus bump phi(x) = chi(x/2) - chi(x).
 
     Both are stored on the same uniform radial step so that piecewise-linear
-    evaluation keeps the telescoping identities exact.
+    evaluation keeps the telescoping identities exact. A pair compares and
+    hashes by identity, which keys the per-grid multiplier cache.
     """
 
     resolution: int
@@ -61,8 +70,12 @@ class BumpPair:
         return np.interp(r, self.r_phi, self.phi_samples)
 
 
+@functools.lru_cache(maxsize=8)
 def build_bumps(resolution: int = 256) -> BumpPair:
-    """Sample the cutoff pair at ``resolution`` points per unit radius."""
+    """Sample the cutoff pair at ``resolution`` points per unit radius.
+
+    One pair is built per resolution and shared; its samples are read-only.
+    """
     if resolution < 64:
         raise ConfigurationError(f"bump resolution must be >= 64, got {resolution}")
     h = 1.0 / resolution
@@ -79,6 +92,8 @@ def build_bumps(resolution: int = 256) -> BumpPair:
     chi_half = np.interp(r_phi / 2.0, r_chi, chi)
     chi_full = np.interp(r_phi, r_chi, chi)
     phi = chi_half - chi_full
+    for arr in (r_chi, chi, r_phi, phi):
+        arr.flags.writeable = False
     return BumpPair(resolution, r_chi, chi, r_phi, phi)
 
 
@@ -124,29 +139,68 @@ class DyadicDecomposition:
         return RealField(self.grid, total)
 
 
-def _block_multiplier(grid, bumps, l):
-    return bumps.phi(grid.half_kmag / 2.0 ** l)
+@functools.lru_cache(maxsize=8)
+def _radial_blocks(dim: int, n: int, length: float, bumps: BumpPair) -> tuple:
+    """Block indices, phi(r / 2^l) on each distinct radius r = |k| of the
+    half spectrum as a [block, radius] table, and each mode's radius index.
+
+    One interpolation per (grid, bumps); modes of equal |k| share their
+    multiplier bit for bit. The key holds plain numbers, so the cache keeps
+    no grid (and none of its cached arrays) alive.
+    """
+    grid = Grid(dim, n, length)
+    l_min, l_max = block_range(grid)
+    ls = list(range(l_min, l_max + 1))
+    radii, index = np.unique(grid.half_kmag, return_inverse=True)
+    table = bumps.phi(radii / np.array([2.0 ** l for l in ls])[:, None])
+    return ls, table, index.reshape(grid.half_kmag.shape)
 
 
-def _parseval_block_norms(grid, bumps, ls, fhat):
-    """Block L^2 norms from the half spectrum, without inverse transforms:
-    the Parseval weights count each Hermitian pair twice."""
-    scale = math.sqrt(grid.cell_volume / grid.n ** grid.dim)
-    power = grid.half_weight * np.abs(fhat) ** 2
-    return [scale * math.sqrt(float(np.sum(_block_multiplier(grid, bumps, l) ** 2 * power)))
-            for l in ls]
+def _block_multipliers(grid: Grid, bumps: BumpPair) -> tuple:
+    """Block indices and the multipliers phi(|k| / 2^l), built one block
+    at a time from the cached radial table."""
+    ls, table, index = _radial_blocks(grid.dim, grid.n, grid.length, bumps)
+    return ls, (row[index] for row in table)
+
+
+@functools.lru_cache(maxsize=8)
+def _parseval_matrix(dim: int, n: int, length: float, bumps: BumpPair) -> np.ndarray:
+    """(blocks x modes) matrix of Parseval weight x phi_l^2: the weights
+    count each Hermitian pair of the half spectrum twice."""
+    grid = Grid(dim, n, length)
+    _, mults = _block_multipliers(grid, bumps)
+    return np.stack([(grid.half_weight * mult ** 2).ravel() for mult in mults])
+
+
+def block_norm_table(grid: Grid, fhat: np.ndarray, bumps: BumpPair, p: float) -> tuple:
+    """Block indices and the per-block L^p norms of a stack of half spectra.
+
+    ``fhat`` has any leading (stack) axes before the half-spectrum axes of
+    ``grid``; the table has the same leading axes and one trailing block
+    axis. p = 2 is one product of |fhat|^2 with the Parseval matrix, without
+    inverse transforms; other p take one inverse transform of the whole
+    stack per block.
+    """
+    ls, mults = _block_multipliers(grid, bumps)
+    lead = fhat.shape[:fhat.ndim - grid.dim]
+    if p == 2:
+        parseval = _parseval_matrix(grid.dim, grid.n, grid.length, bumps)
+        power = (np.abs(fhat) ** 2).reshape(-1, parseval.shape[1])
+        scale = math.sqrt(grid.cell_volume / grid.n ** grid.dim)
+        return ls, scale * np.sqrt(power @ parseval.T).reshape(lead + (len(ls),))
+    table = np.empty(lead + (len(ls),))
+    for j, mult in enumerate(mults):
+        table[..., j] = lp_norms(grid, ifft_array(grid, mult * fhat), p)
+    return ls, table
 
 
 def decompose(f: RealField, bumps: BumpPair) -> DyadicDecomposition:
     g = f.grid
-    l_min, l_max = block_range(g)
-    fhat = fft_array(f.values)
+    ls, mults = _block_multipliers(g, bumps)
+    fhat = fft_array(g, f.values)
     mean = float(fhat.flat[0].real) / g.n ** g.dim
-    blocks = {}
-    for l in range(l_min, l_max + 1):
-        mult = _block_multiplier(g, bumps, l)
-        blocks[l] = RealField(g, ifft_array(mult * fhat))
-    return DyadicDecomposition(g, bumps, l_min, l_max, blocks, mean)
+    blocks = {l: RealField(g, ifft_array(g, mult * fhat)) for l, mult in zip(ls, mults)}
+    return DyadicDecomposition(g, bumps, ls[0], ls[-1], blocks, mean)
 
 
 @dataclass(frozen=True)
@@ -165,23 +219,13 @@ class BesovSpec:
 
 
 def block_norms(f: RealField, bumps: BumpPair, p: float):
-    """Per-block L^p norms (and the mean mode), one FFT total.
-
-    p = 2 goes through Parseval without inverse transforms.
-    """
+    """Per-block L^p norms (and the mean mode) from one forward transform;
+    see :func:`block_norm_table`."""
     g = f.grid
-    l_min, l_max = block_range(g)
-    fhat = fft_array(f.values)
+    fhat = fft_array(g, f.values)
     mean = float(fhat.flat[0].real) / g.n ** g.dim
-    ls = list(range(l_min, l_max + 1))
-    if p == 2:
-        norms = _parseval_block_norms(g, bumps, ls, fhat)
-    else:
-        norms = []
-        for l in ls:
-            mult = _block_multiplier(g, bumps, l)
-            norms.append(lp_norm(RealField(g, ifft_array(mult * fhat)), p))
-    return ls, np.array(norms), mean
+    ls, norms = block_norm_table(g, fhat, bumps, p)
+    return ls, norms, mean
 
 
 def _weighted_lr(ls, norms, s, r):
@@ -216,14 +260,20 @@ def tilde_norm(series, times, sigma: float, spec: BesovSpec, bumps: BumpPair) ->
         raise ConfigurationError(f"time exponent must satisfy sigma >= 1, got {sigma}")
     if any(f.grid != series[0].grid for f in series):
         raise DomainError("time series mixes grids")
+    if not math.isinf(sigma) and times.size == 1:
+        raise DomainError("finite-sigma time norm needs at least two sample times")
+    g = series[0].grid
+    fhat = fft_array(g, np.stack([f.values for f in series]))
+    return spectral_tilde_norm(g, fhat, times, sigma, spec, bumps)
 
-    per_time = [block_norms(f, bumps, spec.p) for f in series]
-    ls = per_time[0][0]
-    table = np.stack([norms for _, norms, _ in per_time])  # [time, block]
+
+def spectral_tilde_norm(grid: Grid, fhat: np.ndarray, times, sigma: float,
+                        spec: BesovSpec, bumps: BumpPair) -> float:
+    """:func:`tilde_norm` of a series given as a [time, half spectrum] stack,
+    for callers that already hold the spectra; the arguments are trusted."""
+    ls, table = block_norm_table(grid, fhat, bumps, spec.p)  # [time, block]
     if math.isinf(sigma):
         agg = np.max(table, axis=0)
-    elif times.size == 1:
-        raise DomainError("finite-sigma time norm needs at least two sample times")
     else:
         agg = np.trapezoid(table ** sigma, times, axis=0) ** (1.0 / sigma)
     return _weighted_lr(ls, agg, spec.s, spec.r)
@@ -242,21 +292,21 @@ def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
     g = u.grid
     du = decompose(u, bumps)
     dv = decompose(v, bumps)
-    uhat = fft_array(u.values)
+    uhat = fft_array(g, u.values)
 
     def low_pass(m):
         mult = bumps.chi(g.half_kmag / 2.0 ** m)
-        return ifft_array(mult * uhat)
+        return ifft_array(g, mult * uhat)
 
     t_uv = np.zeros(g.shape)
     for l in du.ls:
         t_uv += low_pass(l - 1) * dv.blocks[l].values
 
-    vhat = fft_array(v.values)
+    vhat = fft_array(g, v.values)
     t_vu = np.zeros(g.shape)
     for l in du.ls:
         mult = bumps.chi(g.half_kmag / 2.0 ** (l - 1))
-        t_vu += ifft_array(mult * vhat) * du.blocks[l].values
+        t_vu += ifft_array(g, mult * vhat) * du.blocks[l].values
 
     remainder = np.zeros(g.shape)
     for l in du.ls:
@@ -278,20 +328,16 @@ def heat_block_decay_check(u0: RealField, mu: float, times, bumps: BumpPair,
     if mu <= 0:
         raise ConfigurationError(f"diffusion coefficient must be positive, got {mu}")
     g = u0.grid
-    ls, norms0, _ = block_norms(u0, bumps, p)
-    uhat0 = fft_array(u0.values)
-    table = [np.asarray(norms0)]
-    for t in times[1:]:
-        dhat = np.exp(-mu * g.half_k2 * t) * uhat0
-        if p == 2:
-            # spectral evaluation: per-mode decay is exact, so the annulus
-            # bounds hold even for blocks holding only roundoff content
-            row = _parseval_block_norms(g, bumps, ls, dhat)
-        else:
-            decayed = RealField(g, ifft_array(dhat))
-            row = block_norms(decayed, bumps, p)[1]
-        table.append(np.asarray(row))
-    table = np.stack(table)  # [time, block]
+    uhat0 = fft_array(g, u0.values)
+    decay = np.exp(-mu * g.half_k2 * times.reshape((-1,) + (1,) * g.dim))
+    dhat = decay * uhat0  # [time, half spectrum]; exact at t = 0
+    if p != 2:
+        # the decayed fields are sampled on the grid and transformed back;
+        # at p = 2 the spectral evaluation keeps the per-mode decay exact,
+        # so the annulus bounds hold even for blocks of roundoff content
+        dhat[1:] = fft_array(g, ifft_array(g, dhat[1:]))
+    ls, table = block_norm_table(g, dhat, bumps, p)  # [time, block]
+    norms0 = table[0]
     # p != 2 goes through a real-space round trip whose roundoff does not
     # decay, so blocks at the noise floor cannot be certified
     floor = 0.0 if p == 2 else 1e-12 * float(np.max(norms0, initial=0.0))

@@ -145,14 +145,14 @@ def _finite_or_blowup(arrays, where):
 def _hessian_entries(g, lhat):
     """Entries H_ij, i <= j, of the Hessian of l from its half spectrum."""
     ik = g.half_ik
-    return {(i, j): ifft_array(ik[i] * ik[j] * lhat)
+    return {(i, j): ifft_array(g, ik[i] * ik[j] * lhat)
             for i in range(g.dim) for j in range(i, g.dim)}
 
 
 def _div_sym_hat(g, entries, mask):
     """Half spectra of div S, one per axis, for a symmetric tensor given by
     its grid entries S_ij, i <= j: one transform and one mask multiply each."""
-    hats = {ij: mask * fft_array(s) for ij, s in entries.items()}
+    hats = {ij: mask * fft_array(g, s) for ij, s in entries.items()}
     ik = g.half_ik
     return [sum(ik[j] * hats[min(i, j), max(i, j)] for j in range(g.dim))
             for i in range(g.dim)]
@@ -170,17 +170,17 @@ def div_k_form_a(rho: RealField, kappa1: float, dealias: bool = True,
     """
     g = rho.grid
     r = _check_density(rho, vacuum_floor)
-    rhat = fft_array(r)
+    rhat = fft_array(g, r)
     gr = grad_arrays(g, rhat)
     lap_r = lap_array(g, rhat)
     kap = kappa1 / r
     dkap = -kappa1 / r ** 2
     grad_sq = sum(c ** 2 for c in gr)
     scalar = r * kap * lap_r + 0.5 * (kap + r * dkap) * grad_sq
-    scalar_hat = fft_array(_maybe_dealias(g, scalar, dealias))
+    scalar_hat = fft_array(g, _maybe_dealias(g, scalar, dealias))
     out = []
     for i, ik in enumerate(g.half_ik):
-        term1 = ifft_array(ik * scalar_hat)
+        term1 = ifft_array(g, ik * scalar_hat)
         term2 = div_array(g, [_maybe_dealias(g, kap * gr[i] * gr[j], dealias)
                               for j in range(g.dim)])
         out.append(RealField(g, term1 - term2))
@@ -192,9 +192,9 @@ def div_k_form_b(rho: RealField, kappa1: float, dealias: bool = True,
     """Capillarity divergence as kappa1 * div(rho * hess(ln rho))."""
     g = rho.grid
     r = _check_density(rho, vacuum_floor)
-    hess = _hessian_entries(g, fft_array(np.log(r)))
+    hess = _hessian_entries(g, fft_array(g, np.log(r)))
     comps = _div_sym_hat(g, {ij: r * h for ij, h in hess.items()}, _mask(g, dealias))
-    return tuple(RealField(g, kappa1 * ifft_array(c)) for c in comps)
+    return tuple(RealField(g, kappa1 * ifft_array(g, c)) for c in comps)
 
 
 def div_k_gradient_form(rho: RealField, kappa1: float, dealias: bool = True,
@@ -203,13 +203,13 @@ def div_k_gradient_form(rho: RealField, kappa1: float, dealias: bool = True,
     + (rho/2)*grad(|grad ln rho|^2)), kept for cross-checks."""
     g = rho.grid
     r = _check_density(rho, vacuum_floor)
-    ln_hat = fft_array(np.log(r))
+    ln_hat = fft_array(g, np.log(r))
     lap_ln_hat = -g.half_k2 * ln_hat
     grad_ln = grad_arrays(g, ln_hat)
-    sq_hat = fft_array(_maybe_dealias(g, sum(c ** 2 for c in grad_ln), dealias))
+    sq_hat = fft_array(g, _maybe_dealias(g, sum(c ** 2 for c in grad_ln), dealias))
     out = []
     for ik in g.half_ik:
-        comp = r * ifft_array(ik * lap_ln_hat) + 0.5 * r * ifft_array(ik * sq_hat)
+        comp = r * ifft_array(g, ik * lap_ln_hat) + 0.5 * r * ifft_array(g, ik * sq_hat)
         out.append(RealField(g, kappa1 * _maybe_dealias(g, comp, dealias)))
     return tuple(out)
 
@@ -225,7 +225,7 @@ def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
     """(rho, u) -> (q, v) with q = ln(rho/rho_bar), v = u + mu*grad(q)."""
     g = s.grid
     q_vals = np.log(_check_density(s.rho) / p.rho_bar)
-    gq = grad_arrays(g, fft_array(q_vals))
+    gq = grad_arrays(g, fft_array(g, q_vals))
     v = tuple(RealField(g, s.u[i].values + p.mu * gq[i]) for i in range(g.dim))
     return EffectiveState(RealField(g, q_vals), v)
 
@@ -234,7 +234,7 @@ def from_effective(e: EffectiveState, p: PhysParams) -> PrimitiveState:
     """(q, v) -> (rho, u); exact inverse of :func:`to_effective`."""
     g = e.grid
     rho_vals = p.rho_bar * np.exp(e.q.values)
-    gq = grad_arrays(g, fft_array(e.q.values))
+    gq = grad_arrays(g, fft_array(g, e.q.values))
     u = tuple(RealField(g, e.v[i].values - p.mu * gq[i]) for i in range(g.dim))
     return PrimitiveState(RealField(g, rho_vals), u)
 
@@ -255,12 +255,12 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats, dealias: bool = Tr
     mask = _mask(g, dealias)
     ik = g.half_ik
     dim = g.dim
-    drho = -ifft_array(sum(ik[i] * mask * fft_array(r * u[i]) for i in range(dim)))
+    drho = -ifft_array(g, sum(ik[i] * mask * fft_array(g, r * u[i]) for i in range(dim)))
 
     du = [grad_arrays(g, uhats[i]) for i in range(dim)]  # du[i][j] = d_j u_i
     press = p.a * r ** p.gamma
     stress = {}
-    for (i, j), h in _hessian_entries(g, fft_array(np.log(r))).items():
+    for (i, j), h in _hessian_entries(g, fft_array(g, np.log(r))).items():
         stress[i, j] = r * (p.mu * (du[i][j] + du[j][i]) + p.kappa * h)
         if i == j:
             stress[i, j] -= press
@@ -269,8 +269,8 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats, dealias: bool = Tr
     out = []
     for i in range(dim):
         adv = sum(u[j] * du[i][j] for j in range(dim))
-        force = ifft_array(div_stress[i]) / r
-        out.append(mask * fft_array(force - adv) + p.mu * g.half_k2 * uhats[i])
+        force = ifft_array(g, div_stress[i]) / r
+        out.append(mask * fft_array(g, force - adv) + p.mu * g.half_k2 * uhats[i])
     _finite_or_blowup([drho] + out, "rhs of the density-velocity form")
     return drho, out
 
@@ -301,7 +301,7 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: boo
         drift = [p.mu * gq[j] for j in range(dim)]
     else:
         u = [v[j] - p.mu * gq[j] for j in range(dim)]
-        nq = nq - mask * fft_array(sum(u[j] * gq[j] for j in range(dim)))
+        nq = nq - mask * fft_array(g, sum(u[j] * gq[j] for j in range(dim)))
         drift = [p.mu * gq[j] - u[j] for j in range(dim)]
 
     terms = [sum(drift[j] * dv[i][j] for j in range(dim)) for i in range(dim)]
@@ -313,9 +313,9 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: boo
     if not p.is_quantum():
         hess = _hessian_entries(g, qhat)
         corr = _div_sym_hat(g, {ij: rho * h for ij, h in hess.items()}, mask)
-        terms = [terms[i] + excess * ifft_array(corr[i]) / rho for i in range(dim)]
+        terms = [terms[i] + excess * ifft_array(g, corr[i]) / rho for i in range(dim)]
 
-    out = [mask * fft_array(t) for t in terms]
+    out = [mask * fft_array(g, t) for t in terms]
     if p.gamma == 1.0:
         out = [out[i] - p.a * ik[i] * qhat for i in range(dim)]
     _finite_or_blowup([nq] + out, "rhs of the log-density form")
@@ -324,7 +324,7 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: boo
 
 def _grid_tendencies(g, p, nhats, hats):
     """Grid samples of d_t w = -mu*k^2*w + n from the half spectra n and w."""
-    return [ifft_array(n - p.mu * g.half_k2 * w) for n, w in zip(nhats, hats)]
+    return [ifft_array(g, n - p.mu * g.half_k2 * w) for n, w in zip(nhats, hats)]
 
 
 def rhs_primitive(s: PrimitiveState, p: PhysParams, dealias: bool = True,
@@ -338,7 +338,7 @@ def rhs_primitive(s: PrimitiveState, p: PhysParams, dealias: bool = True,
     g = s.grid
     r = _check_density(s.rho, vacuum_floor)
     u = [c.values for c in s.u]
-    uhats = [fft_array(c) for c in u]
+    uhats = [fft_array(g, c) for c in u]
     drho, nhats = primitive_tendencies(g, p, r, u, uhats, dealias)
     return RealField(g, drho), tuple(RealField(g, c)
                                      for c in _grid_tendencies(g, p, nhats, uhats))
@@ -360,7 +360,7 @@ def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True,
     g = e.grid
     q = e.q.values
     v = [c.values for c in e.v]
-    hats = [fft_array(q)] + [fft_array(c) for c in v]
+    hats = [fft_array(g, q)] + [fft_array(g, c) for c in v]
     nq, nv = effective_tendencies(g, p, q, hats[0], v, hats[1:], dealias, freeze_advection)
     dq, *dv = _grid_tendencies(g, p, [nq] + nv, hats)
     return RealField(g, dq), tuple(RealField(g, c) for c in dv)

@@ -58,13 +58,12 @@ def _velocity_profile(grid: Grid, amplitude: float):
 def _bandlimited_noise(grid: Grid, rng, band: int) -> np.ndarray:
     """Mean-free random field with modes |k_i| <= band (in units of
     2*pi/length), dealiased and scaled to a peak of 1."""
-    coeffs = np.zeros(grid.shape, dtype=complex)
-    spectrum = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    coeffs = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     scale = 2.0 * np.pi / grid.length
     keep = np.ones(grid.shape, dtype=bool)
     for i in range(grid.dim):
         keep &= np.abs(grid.k[i]) <= band * scale
-    coeffs[keep] = spectrum[keep]
+    coeffs[~keep] = 0.0
     coeffs[tuple([0] * grid.dim)] = 0.0
     # the spectrum is not Hermitian: the field is the real part of its
     # full-layout inverse

@@ -12,6 +12,9 @@ Also here: the exact per-mode solution of the linearized system, and a
 fixed-point iteration that mirrors the constructive existence scheme
 (forced heat solves with sources frozen at the previous iterate, trapezoid
 Duhamel quadrature, difference norms measured in time-sup Besov style).
+The iteration keeps every iterate as one stack of half spectra with a
+leading time axis (and a component axis for the velocity), so each
+transform of an iteration covers all time levels in one call.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     VacuumBreach,
 )
 from .fields import Grid, RealField, dealias_values, fft_array, grad_arrays, ifft_array
-from .lp_besov import BesovSpec, build_bumps, tilde_norm, besov_norm
+from .lp_besov import BesovSpec, besov_norm, build_bumps, spectral_tilde_norm
 from .model import (
     EffectiveState,
     PhysParams,
@@ -127,7 +130,8 @@ class _Scheme:
 
     def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
         self.grid, self.params, self.cfg = g, params, cfg
-        diffusive = _Unknown(fft_array, ifft_array, np.exp(-params.mu * g.half_k2 * cfg.dt))
+        diffusive = _Unknown(functools.partial(fft_array, g), functools.partial(ifft_array, g),
+                             np.exp(-params.mu * g.half_k2 * cfg.dt))
         if cfg.formulation == "primitive":
             # the mass equation has no Laplacian: the density stays on the
             # grid with factor 1.0, which the scheme keeps exact
@@ -302,8 +306,23 @@ def _read_archive(path) -> dict:
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (state, params, t)."""
+    """Inverse of save_checkpoint; returns (state, params, t).
+
+    A missing or malformed member (a scalar that does not convert, an array
+    of the wrong shape or with non-finite values) raises ConfigurationError.
+    """
     data = _read_archive(path)
+    try:
+        return _state_from_archive(data)
+    except ConfigurationError:
+        raise
+    except KeyError as ex:
+        raise ConfigurationError(f"{path} has no checkpoint member {ex}") from ex
+    except (ValueError, TypeError) as ex:
+        raise ConfigurationError(f"{path} has a malformed checkpoint member: {ex}") from ex
+
+
+def _state_from_archive(data: dict):
     version = int(data["version"])
     if version != CHECKPOINT_VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {version}")
@@ -335,7 +354,8 @@ def load_checkpoint(path):
 # -- exact linear solution ----------------------------------------------------
 
 def _linear_modes(g, mu, qhat0, vhat0, t):
-    """Fourier coefficients of the linearized solution at time t."""
+    """Fourier coefficients of the linearized solution at time t; a t of
+    shape [time, 1, ...] gives [time, ...] stacks."""
     decay = np.exp(-mu * g.half_k2 * t)
     div_v0 = sum(g.half_ik[i] * vhat0[i] for i in range(g.dim))
     return decay * (qhat0 - t * div_v0), [decay * c for c in vhat0]
@@ -350,9 +370,9 @@ def solve_linear_system(q0: RealField, v0, mu: float, t: float):
     if mu <= 0:
         raise ConfigurationError(f"diffusion coefficient must be positive, got {mu}")
     g = q0.grid
-    qhat, vhats = _linear_modes(g, mu, fft_array(q0.values),
-                                [fft_array(c.values) for c in v0], t)
-    return RealField(g, ifft_array(qhat)), tuple(RealField(g, ifft_array(c)) for c in vhats)
+    qhat, vhats = _linear_modes(g, mu, fft_array(g, q0.values),
+                                [fft_array(g, c.values) for c in v0], t)
+    return RealField(g, ifft_array(g, qhat)), tuple(RealField(g, ifft_array(g, c)) for c in vhats)
 
 
 
@@ -390,22 +410,44 @@ class PicardResult:
 
 
 def _picard_sources(g, params, qhat, vhats, dealias):
-    """Frozen sources for the next iterate, from one time level."""
+    """Frozen sources for the next iterate at every time level at once.
+
+    ``qhat`` is a [time, ...] stack of half spectra and ``vhats`` a
+    [component, time, ...] one; returns the source spectra in the same
+    layouts. Each level sees the same operations as when sources were built
+    one level at a time, so the stacks are bit-identical to that; the
+    intermediates are updated in place and dropped per component to bound
+    the memory of the stacks.
+    """
     def trunc(vals):
         return dealias_values(g, vals) if dealias else vals
 
     gq = grad_arrays(g, qhat)
-    v = [ifft_array(c) for c in vhats]
-    u = [v[i] - params.mu * gq[i] for i in range(g.dim)]
-    f_src = trunc(-sum(v[i] * gq[i] for i in range(g.dim))
-                  + params.mu * sum(c ** 2 for c in gq))
-    g_src = []
+    u = ifft_array(g, vhats)  # v for now
+    f_hat = fft_array(g, trunc(-sum(u[i] * gq[i] for i in range(g.dim))
+                               + params.mu * sum(c ** 2 for c in gq)))
+    for i in range(g.dim):
+        u[i] -= params.mu * gq[i]  # u = v - mu grad q
+    g_hat = np.empty_like(vhats)
     for i in range(g.dim):
         dv_i = grad_arrays(g, vhats[i])
         adv = sum(u[j] * dv_i[j] for j in range(g.dim))
         qdv = sum(gq[j] * dv_i[j] for j in range(g.dim))
-        g_src.append(trunc(-adv + params.mu * qdv) - params.a * gq[i])
-    return fft_array(f_src), [fft_array(c) for c in g_src]
+        del dv_i
+        g_hat[i] = fft_array(g, trunc(-adv + params.mu * qdv) - params.a * gq[i])
+    return f_hat, g_hat
+
+
+def _duhamel(g, e_fac, h_src):
+    """Trapezoid Duhamel sums of the forced heat equation with zero data,
+    bar[m+1] = e (bar[m] + h[m]) + h[m+1], from the half-step-weighted
+    sources h; the time axis is the one just before the spectral axes."""
+    bar = np.empty_like(h_src)
+    b, h = (np.moveaxis(a, -1 - g.dim, 0) for a in (bar, h_src))
+    b[0] = 0.0
+    for m in range(len(h) - 1):
+        b[m + 1] = e_fac * (b[m] + h[m]) + h[m + 1]
+    return bar
 
 
 def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
@@ -438,67 +480,43 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
     times = np.arange(m_steps + 1) * dt
     e_fac = np.exp(-params.mu * g.half_k2 * dt)
 
-    qhat0 = fft_array(q0.values)
-    vhat0 = [fft_array(c.values) for c in v0]
-
-    # iterate 0: the exact linear solution, per mode
-    q_lin, v_lin = [], []
-    for t in times:
-        qhat, vhats = _linear_modes(g, params.mu, qhat0, vhat0, t)
-        q_lin.append(qhat)
-        v_lin.append(vhats)
+    # iterate 0: the exact linear solution, per mode, as [time, ...] stacks
+    q_lin, v_lin = _linear_modes(g, params.mu, fft_array(g, q0.values),
+                                 fft_array(g, np.stack([c.values for c in v0])),
+                                 times.reshape((-1,) + (1,) * g.dim))
+    v_lin = np.stack(v_lin)  # [component, time, ...]
 
     data_norms = {
         "q": besov_norm(q0, spec_q, bumps),
         "v": sum(besov_norm(c, spec_v, bumps) for c in v0),
     }
 
-    qs = list(q_lin)
-    vs = [list(row) for row in v_lin]
+    qs, vs = q_lin, v_lin
     diff_norms = []
     growth_streak = 0
     converged = False
     iterations = 0
+    h = 0.5 * dt
 
     for iterations in range(1, pcfg.max_iters + 1):
         with np.errstate(all="ignore"):
-            f_hat, g_hat = [], []
-            for m in range(m_steps + 1):
-                fh, gh = _picard_sources(g, params, qs[m], vs[m], pcfg.dealias)
-                f_hat.append(fh)
-                g_hat.append(gh)
+            f_hat, g_hat = _picard_sources(g, params, qs, vs, pcfg.dealias)
+            g_hat *= h
+            v_new = _duhamel(g, e_fac, g_hat)  # vbar for now
+            del g_hat
+            f_hat -= sum(g.half_ik[i] * v_new[i] for i in range(g.dim))
+            f_hat *= h
+            q_new = _duhamel(g, e_fac, f_hat)  # qbar for now
+            del f_hat
+            q_new += q_lin
+            v_new += v_lin
 
-            vbar = [[np.zeros(g.half_k2.shape, dtype=complex) for _ in range(g.dim)]]
-            for m in range(m_steps):
-                row = []
-                for i in range(g.dim):
-                    row.append(e_fac * (vbar[m][i] + 0.5 * dt * g_hat[m][i])
-                               + 0.5 * dt * g_hat[m + 1][i])
-                vbar.append(row)
-
-            src = []
-            for m in range(m_steps + 1):
-                div_vbar = sum(g.half_ik[i] * vbar[m][i] for i in range(g.dim))
-                src.append(f_hat[m] - div_vbar)
-            qbar = [np.zeros(g.half_k2.shape, dtype=complex)]
-            for m in range(m_steps):
-                qbar.append(e_fac * (qbar[m] + 0.5 * dt * src[m]) + 0.5 * dt * src[m + 1])
-
-            q_new = [q_lin[m] + qbar[m] for m in range(m_steps + 1)]
-            v_new = [[v_lin[m][i] + vbar[m][i] for i in range(g.dim)]
-                     for m in range(m_steps + 1)]
-
-        finite = all(np.all(np.isfinite(c)) for c in q_new) and all(
-            np.all(np.isfinite(c)) for row in v_new for c in row
-        )
-        if not finite:
+        if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(v_new))):
             raise NonContraction(T, data_norms, diff_norms + [float("inf")])
 
-        dq_fields = [RealField(g, ifft_array(q_new[m] - qs[m])) for m in range(m_steps + 1)]
-        delta = tilde_norm(dq_fields, times, math.inf, spec_q, bumps)
+        delta = spectral_tilde_norm(g, q_new - qs, times, math.inf, spec_q, bumps)
         for i in range(g.dim):
-            dv_fields = [RealField(g, ifft_array(v_new[m][i] - vs[m][i])) for m in range(m_steps + 1)]
-            delta += tilde_norm(dv_fields, times, math.inf, spec_v, bumps)
+            delta += spectral_tilde_norm(g, v_new[i] - vs[i], times, math.inf, spec_v, bumps)
 
         qs, vs = q_new, v_new
         diff_norms.append(delta)
@@ -512,7 +530,9 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         else:
             growth_streak = 0
 
-    q_series = [RealField(g, ifft_array(c)) for c in qs]
-    v_series = [tuple(RealField(g, ifft_array(c)) for c in row) for row in vs]
+    q_vals, v_vals = ifft_array(g, qs), ifft_array(g, vs)
+    q_series = [RealField(g, c) for c in q_vals]
+    v_series = [tuple(RealField(g, v_vals[i, m]) for i in range(g.dim))
+                for m in range(m_steps + 1)]
     return PicardResult(times, q_series, v_series, diff_norms, iterations,
                         converged, data_norms)

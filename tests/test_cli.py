@@ -266,8 +266,10 @@ class TestBesovCommand:
         assert rep["cause"] == "invalid_config"
         assert "config error: besov:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("corrupt", ["text", "truncated", "empty"])
+    @pytest.mark.parametrize("corrupt", ["text", "truncated", "empty", "raw-member"])
     def test_corrupt_state_file_rejected(self, tmp_path, capsys, corrupt):
+        import zipfile
+
         from capns.fields import Grid
         from capns.model import PhysParams
         from capns.presets import Preset, build
@@ -282,8 +284,17 @@ class TestBesovCommand:
             params = PhysParams(mu=0.15, kappa=0.0225)
             save_checkpoint(ckpt, build(Preset("smooth_bump"), Grid(1, 64), params),
                             params, t=0.0)
-            data = ckpt.read_bytes()
-            ckpt.write_bytes(data[: len(data) // 2])
+            if corrupt == "truncated":
+                data = ckpt.read_bytes()
+                ckpt.write_bytes(data[: len(data) // 2])
+            else:
+                # a zip member that is not an .npy array reads back as raw bytes
+                with zipfile.ZipFile(ckpt) as src:
+                    members = {name: src.read(name) for name in src.namelist()}
+                members["version.npy"] = b"garbage"
+                with zipfile.ZipFile(ckpt, "w") as dst:
+                    for name, raw in members.items():
+                        dst.writestr(name, raw)
         json_path = tmp_path / "b.json"
         assert main(["besov", "--state", str(ckpt), "--json", str(json_path)]) \
             == EXIT_BAD_CONFIG

@@ -1,11 +1,14 @@
+import io
 import math
 import os
+import zipfile
 
 import numpy as np
 import pytest
 
 from capns.errors import ConfigurationError, NonContraction, NumericBlowup, VacuumBreach
 from capns.fields import Grid, RealField, integrate
+from capns.lp_besov import BesovSpec, build_bumps, tilde_norm
 from capns.model import (
     EffectiveState,
     PhysParams,
@@ -393,6 +396,36 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
 
+    @staticmethod
+    def _npy(arr):
+        buf = io.BytesIO()
+        np.save(buf, arr)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("member,payload", [
+        ("version.npy", b"garbage"),  # not an .npy: numpy hands back the raw bytes
+        ("t.npy", "soon"),
+        ("dim.npy", np.arange(2)),
+        ("rho.npy", np.zeros(3)),
+        ("rho.npy", np.full(32, np.nan)),
+        ("u0.npy", None),
+    ], ids=["raw-bytes-version", "text-time", "array-dim", "short-rho", "nan-rho",
+            "missing-u0"])
+    def test_malformed_member_rejected(self, tmp_path, member, payload):
+        g = Grid(1, 32)
+        good = tmp_path / "good.npz"
+        save_checkpoint(good, primitive_wave(g), PARAMS, t=0.0)
+        path = tmp_path / "bad.npz"
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(path, "w") as dst:
+            for name in src.namelist():
+                if name != member:
+                    dst.writestr(name, src.read(name))
+            if payload is not None:
+                raw = payload if isinstance(payload, bytes) else self._npy(np.asarray(payload))
+                dst.writestr(member, raw)
+        with pytest.raises(ConfigurationError):
+            load_checkpoint(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         g = Grid(1, 64)
         state = primitive_wave(g)
@@ -540,6 +573,29 @@ class TestPicard:
         dv = np.max(np.abs(pic.v_series[-1][0].values - res.final_state.v[0].values))
         assert dq < 1e-8
         assert dv < 1e-8
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_first_difference_is_tilde_norm_of_correction(self, p):
+        # the iteration measures its differences on the spectra; the typed
+        # tilde_norm of the grid differences from the linear solution (the
+        # iterate 0) must give the same number, at p = 2 through Parseval
+        # and at p = 3 through the per-block inverse transforms
+        g = Grid(2, 16)
+        x, y = g.x
+        q0 = RealField(g, 0.05 * np.sin(x) * np.cos(2 * y))
+        v0 = (RealField(g, 0.05 * np.cos(y)), RealField(g, 0.03 * np.sin(x + y)))
+        pcfg = PicardConfig(n_steps=8, max_iters=1, tol=1e-30, p=p)
+        res = picard_solve(q0, v0, PARAMS, 0.5, pcfg)
+        lin = [solve_linear_system(q0, v0, PARAMS.mu, t) for t in res.times]
+        bumps = build_bumps(pcfg.bump_resolution)
+        dq = [RealField(g, q.values - ql.values) for q, (ql, _) in zip(res.q_series, lin)]
+        want = tilde_norm(dq, res.times, math.inf, BesovSpec(g.dim / p, p), bumps)
+        for i in range(g.dim):
+            dv = [RealField(g, v[i].values - vl[i].values)
+                  for v, (_, vl) in zip(res.v_series, lin)]
+            want += tilde_norm(dv, res.times, math.inf, BesovSpec(g.dim / p - 1.0, p), bumps)
+        assert want > 0
+        assert res.diff_norms[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_iterate_zero_is_linear_solution(self):
         # one-iteration cap: the returned series must still contain the

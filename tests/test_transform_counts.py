@@ -13,7 +13,7 @@ from capns.fields import Grid
 from capns.lp_besov import BesovSpec, block_report, build_bumps
 from capns.model import PhysParams, to_effective
 from capns.presets import Preset, build
-from capns.solver import SolverConfig, step_imex
+from capns.solver import PicardConfig, SolverConfig, picard_solve, step_imex
 
 PARAMS = PhysParams(mu=0.15, kappa=0.0225)
 
@@ -68,3 +68,42 @@ def test_block_report_one_transform_per_block(fft_calls):
     rep = block_report(f, BesovSpec(2.0 / 3.0, 3.0), bumps)
     # one forward transform, then one inverse per block for p != 2
     assert fft_calls[0] == 1 + len(rep["blocks"])
+
+
+@pytest.mark.parametrize("dim,n,per_iter", [
+    pytest.param(1, 64, 9, id="1-64"),
+    pytest.param(2, 16, 16, id="2-16"),
+])
+def test_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
+    # every transform of an iteration covers all time levels at once, and
+    # the differences are measured on the spectra, so the count of an
+    # iteration does not grow with the number of time steps
+    e = _state(dim, n, "effective")
+    counts = {}
+    for n_steps in (16, 32):
+        for iters in (1, 2):
+            fft_calls[0] = 0
+            picard_solve(e.q, e.v, PARAMS, 0.5,
+                         PicardConfig(n_steps=n_steps, max_iters=iters, tol=1e-30))
+            counts[n_steps, iters] = fft_calls[0]
+    assert counts[16, 2] - counts[16, 1] == per_iter
+    assert counts[32, 2] - counts[32, 1] == per_iter
+    assert counts[16, 1] == counts[32, 1]
+
+
+def test_second_picard_solve_interpolates_nothing(monkeypatch):
+    # the bumps and the block multipliers of a grid are interpolated once
+    calls = [0]
+    original = np.interp
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counted)
+    e = _state(2, 16, "effective")
+    pcfg = PicardConfig(n_steps=8, max_iters=3, tol=1e-30)
+    picard_solve(e.q, e.v, PARAMS, 0.5, pcfg)
+    calls[0] = 0
+    picard_solve(e.q, e.v, PARAMS, 0.5, pcfg)
+    assert calls[0] == 0
