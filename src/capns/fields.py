@@ -1,36 +1,34 @@
 """Spectral fields and exact derivatives on uniform periodic grids.
 
-This is the only module that calls ``numpy.fft``, in two layouts.
+This is the only module that calls ``numpy.fft``, and it uses one Fourier
+layout: the half spectrum of real grid samples, from ``numpy.fft.rfft`` in
+1-D and ``rfft2`` in 2-D. The last axis keeps modes 0..n/2 (shape
+``Grid.half_shape``), a 2-D grid keeps every mode of its first axis, and the
+inverse carries the 1/n^dim factor. The helpers ``fft_array``,
+``ifft_array``, ``grad_arrays``, ``div_array``, ``lap_array`` and
+``dealias_values`` work on raw arrays, with the per-grid multipliers
+``Grid.half_ik``, ``half_k2``, ``half_kmag``, ``half_mask`` and
+``half_weight`` cached on the grid. They transform the trailing
+``grid.dim`` axes only, so a stack with leading axes (time levels, vector
+components) goes through one transform call, slice by slice bit-identical
+to transforming each slice alone.
 
-Array level (the solver, model, diagnostics and dyadic code): real grid
-samples and their half spectrum, from ``numpy.fft.rfft`` in 1-D and
-``rfft2`` in 2-D. The last axis keeps modes 0..n/2, a 2-D grid keeps every
-mode of its first axis, and the inverse carries the 1/n^dim factor. The
-helpers ``fft_array``, ``ifft_array``, ``grad_arrays``, ``div_array``,
-``lap_array`` and ``dealias_values`` work in this layout, with the
-per-grid multipliers ``Grid.half_ik``, ``half_k2``, ``half_kmag``,
-``half_mask`` and ``half_weight`` cached on the grid. They transform the
-trailing ``grid.dim`` axes only, so a stack with leading axes (time levels,
-vector components) goes through one transform call, slice by slice
-bit-identical to transforming each slice alone.
+Typed boundary: ``SpectralField`` holds a half spectrum; ``transform``,
+``inverse_transform`` and ``dealias(SpectralField)`` are ``fft_array``,
+``ifft_array`` and a ``half_mask`` multiply on it. ``RealField`` functions
+(``grad``, ``div``, ``laplacian``, ``hessian``, ``dealias``) run on the
+array helpers and validate their results. A spectrum drawn without
+Hermitian symmetry in the full ``fftn`` ordering enters through
+``hermitian_half``, which gives the half spectrum of the real part of its
+inverse.
 
-Typed boundary: ``SpectralField`` holds the full unnormalized
-``numpy.fft.fftn`` layout, and ``Grid.k``, ``k2``, ``kmag``, ``k_deriv``,
-``dealias_mask``, ``transform``, ``inverse_transform`` and
-``dealias(SpectralField)`` work in it. ``inverse_transform`` keeps the real
-part, so a full spectrum without Hermitian symmetry still gives real
-samples. ``RealField`` functions (``grad``, ``div``, ``laplacian``,
-``hessian``, ``dealias``) run on the array helpers and validate their
-results.
-
-Nyquist rules, in both layouts: wavenumbers are integer mode indices
-scaled by 2*pi/length; odd-order derivative multipliers (``k_deriv``,
-``half_ik``) zero the unpaired Nyquist mode of each axis, the Laplacian
-keeps it, and the 2/3 mask drops it. In the half layout the last axis holds
-each Hermitian pair once, except its k = 0 and Nyquist columns, so a sum of
-|coefficient|^2 over the full spectrum is the ``half_weight``-weighted sum
-(1 on those two columns, 2 elsewhere). All functions are pure and never
-mutate their inputs.
+Nyquist rules: wavenumbers are integer mode indices scaled by
+2*pi/length; odd-order derivative multipliers (``half_ik``) zero the
+unpaired Nyquist mode of each axis, the Laplacian keeps it, and the 2/3
+mask drops it. The last axis holds each Hermitian pair once, except its
+k = 0 and Nyquist columns, so a sum of |coefficient|^2 over the full
+spectrum is the ``half_weight``-weighted sum (1 on those two columns, 2
+elsewhere). All functions are pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -86,45 +84,9 @@ class Grid:
         return (xx, yy)
 
     @cached_property
-    def k(self) -> tuple:
-        """Physical wavenumbers per axis, broadcastable; Nyquist kept as -n/2."""
-        scale = TAU / self.length
-        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n) * scale
-        if self.dim == 1:
-            return (k1,)
-        return (k1[:, None], k1[None, :])
-
-    @cached_property
-    def k_deriv(self) -> tuple:
-        """Like ``k`` with the Nyquist entry zeroed, for odd derivatives."""
-        scale = TAU / self.length
-        k1 = np.fft.fftfreq(self.n, d=1.0 / self.n) * scale
-        k1[self.n // 2] = 0.0
-        if self.dim == 1:
-            return (k1,)
-        return (k1[:, None], k1[None, :])
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        """|k|^2 on the full grid shape (Nyquist included)."""
-        out = sum(kk ** 2 for kk in self.k)
-        return np.broadcast_to(out, self.shape) if self.dim > 1 else out
-
-    @cached_property
-    def kmag(self) -> np.ndarray:
-        return np.sqrt(self.k2)
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """True on modes kept by the 2/3 rule, applied per axis."""
-        cut = (2.0 / 3.0) * (self.n / 2.0) * (TAU / self.length)
-        keep = None
-        for kk in self.k:
-            axis_keep = np.abs(kk) <= cut
-            keep = axis_keep if keep is None else (keep & axis_keep)
-        return np.broadcast_to(keep, self.shape)
-
-    # -- half-spectrum layout of fft_array ---------------------------------
+    def half_shape(self) -> tuple:
+        """Shape of a half spectrum: the last axis keeps modes 0..n/2."""
+        return (self.n,) * (self.dim - 1) + (self.n // 2 + 1,)
 
     @cached_property
     def half_k(self) -> tuple:
@@ -172,10 +134,10 @@ class Grid:
         return w
 
 
-def _checked(grid, values, dtype, name):
+def _checked(values, shape, dtype, name):
     arr = np.asarray(values, dtype=dtype)
-    if arr.shape != grid.shape:
-        raise DomainError(f"{name} shape {arr.shape} does not match grid shape {grid.shape}")
+    if arr.shape != shape:
+        raise DomainError(f"{name} shape {arr.shape} does not match {shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} contains non-finite values")
     return arr
@@ -189,18 +151,20 @@ class RealField:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _checked(self.grid, self.values, np.float64, "values"))
+        object.__setattr__(self, "values", _checked(self.values, self.grid.shape, np.float64,
+                                                     "values"))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Fourier coefficients in unnormalized fftn layout."""
+    """Unnormalized half spectrum of a real field, of shape ``grid.half_shape``."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _checked(self.grid, self.coeffs, np.complex128, "coeffs"))
+        object.__setattr__(self, "coeffs", _checked(self.coeffs, self.grid.half_shape,
+                                                     np.complex128, "coeffs"))
 
 
 def same_grid(*fields) -> Grid:
@@ -248,14 +212,23 @@ def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     return ifft_array(grid, grid.half_mask * fft_array(grid, values))
 
 
+def hermitian_half(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Half spectrum of the real part of the inverse of a full spectrum in
+    ``fftn`` ordering: (c(k) + conj(c(-k)))/2 on the half modes."""
+    neg = -np.arange(grid.n) % grid.n
+    half = grid.n // 2 + 1
+    mirror = coeffs[np.ix_(*[neg] * (grid.dim - 1), neg[:half])]
+    return 0.5 * (coeffs[..., :half] + np.conj(mirror))
+
+
 def transform(f: RealField) -> SpectralField:
-    """Unnormalized forward FFT in the full fftn layout."""
-    return SpectralField(f.grid, np.fft.fftn(f.values))
+    """Unnormalized forward FFT onto the half spectrum."""
+    return SpectralField(f.grid, fft_array(f.grid, f.values))
 
 
 def inverse_transform(F: SpectralField) -> RealField:
-    """Inverse of the full layout with the 1/n^dim factor; keeps the real part."""
-    return RealField(F.grid, np.fft.ifftn(F.coeffs).real)
+    """Real grid samples of a half spectrum, with the 1/n^dim factor."""
+    return RealField(F.grid, ifft_array(F.grid, F.coeffs))
 
 
 def grad(f: RealField) -> tuple:
@@ -287,7 +260,7 @@ def hessian(f: RealField) -> tuple:
 def dealias(obj):
     """Zero all modes with any |k_i| above the 2/3 cutoff. Idempotent."""
     if isinstance(obj, SpectralField):
-        return SpectralField(obj.grid, np.where(obj.grid.dealias_mask, obj.coeffs, 0.0))
+        return SpectralField(obj.grid, obj.grid.half_mask * obj.coeffs)
     return RealField(obj.grid, dealias_values(obj.grid, obj.values))
 
 

@@ -292,24 +292,15 @@ def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
     g = u.grid
     du = decompose(u, bumps)
     dv = decompose(v, bumps)
-    uhat = fft_array(g, u.values)
-
-    def low_pass(m):
-        mult = bumps.chi(g.half_kmag / 2.0 ** m)
-        return ifft_array(g, mult * uhat)
+    uvhat = fft_array(g, np.stack([u.values, v.values]))
 
     t_uv = np.zeros(g.shape)
-    for l in du.ls:
-        t_uv += low_pass(l - 1) * dv.blocks[l].values
-
-    vhat = fft_array(g, v.values)
     t_vu = np.zeros(g.shape)
-    for l in du.ls:
-        mult = bumps.chi(g.half_kmag / 2.0 ** (l - 1))
-        t_vu += ifft_array(g, mult * vhat) * du.blocks[l].values
-
     remainder = np.zeros(g.shape)
     for l in du.ls:
+        low_u, low_v = ifft_array(g, bumps.chi(g.half_kmag / 2.0 ** (l - 1)) * uvhat)
+        t_uv += low_u * dv.blocks[l].values
+        t_vu += low_v * du.blocks[l].values
         for m in (l - 1, l, l + 1):
             if du.l_min <= m <= du.l_max:
                 remainder += du.blocks[l].values * dv.blocks[m].values

@@ -275,8 +275,7 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats, dealias: bool = Tr
     return drho, out
 
 
-def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: bool = True,
-                         freeze_advection: bool = False):
+def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: bool = True):
     """Tendencies of (q, v) from samples q, v and their half spectra.
 
     Returns, for q and per component of v, the half spectrum of
@@ -296,13 +295,10 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: boo
     gq = grad_arrays(g, qhat)
     dv = [grad_arrays(g, vhats[i]) for i in range(dim)]  # dv[i][j] = d_j v_i
 
-    nq = -sum(ik[i] * vhats[i] for i in range(dim))
-    if freeze_advection:
-        drift = [p.mu * gq[j] for j in range(dim)]
-    else:
-        u = [v[j] - p.mu * gq[j] for j in range(dim)]
-        nq = nq - mask * fft_array(g, sum(u[j] * gq[j] for j in range(dim)))
-        drift = [p.mu * gq[j] - u[j] for j in range(dim)]
+    u = [v[j] - p.mu * gq[j] for j in range(dim)]
+    nq = -sum(ik[i] * vhats[i] for i in range(dim)) \
+        - mask * fft_array(g, sum(u[j] * gq[j] for j in range(dim)))
+    drift = [p.mu * gq[j] - u[j] for j in range(dim)]
 
     terms = [sum(drift[j] * dv[i][j] for j in range(dim)) for i in range(dim)]
     if p.gamma != 1.0 or not p.is_quantum():
@@ -344,8 +340,7 @@ def rhs_primitive(s: PrimitiveState, p: PhysParams, dealias: bool = True,
                                      for c in _grid_tendencies(g, p, nhats, uhats))
 
 
-def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True,
-                  freeze_advection: bool = False):
+def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True):
     """Time derivative of (q, v).
 
     d_t q = mu*lap(q) - u.grad(q) - div(v)
@@ -354,13 +349,12 @@ def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True,
 
     with u = v - mu*grad(q). The correction (kappa - mu^2)*div(rho*hess q)/rho
     vanishes identically at kappa = mu^2 and is skipped there; kappa < mu^2
-    is rejected. ``freeze_advection`` pins the transport velocity u to zero
-    (testing hook for the pure-diffusion limit).
+    is rejected.
     """
     g = e.grid
     q = e.q.values
     v = [c.values for c in e.v]
     hats = [fft_array(g, q)] + [fft_array(g, c) for c in v]
-    nq, nv = effective_tendencies(g, p, q, hats[0], v, hats[1:], dealias, freeze_advection)
+    nq, nv = effective_tendencies(g, p, q, hats[0], v, hats[1:], dealias)
     dq, *dv = _grid_tendencies(g, p, [nq] + nv, hats)
     return RealField(g, dq), tuple(RealField(g, c) for c in dv)

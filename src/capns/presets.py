@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import Grid, RealField, SpectralField, dealias_values, inverse_transform
+from .fields import Grid, RealField, dealias_values, hermitian_half, ifft_array
 from .model import PhysParams, PrimitiveState
 
 PRESET_NAMES = ("equilibrium", "smooth_bump", "near_vacuum",
@@ -58,16 +58,15 @@ def _velocity_profile(grid: Grid, amplitude: float):
 def _bandlimited_noise(grid: Grid, rng, band: int) -> np.ndarray:
     """Mean-free random field with modes |k_i| <= band (in units of
     2*pi/length), dealiased and scaled to a peak of 1."""
-    coeffs = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    # the draw is not Hermitian: the field is the real part of its inverse
+    coeffs = hermitian_half(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
     scale = 2.0 * np.pi / grid.length
-    keep = np.ones(grid.shape, dtype=bool)
-    for i in range(grid.dim):
-        keep &= np.abs(grid.k[i]) <= band * scale
+    keep = np.ones(grid.half_shape, dtype=bool)
+    for kk in grid.half_k:
+        keep &= np.abs(kk) <= band * scale
     coeffs[~keep] = 0.0
     coeffs[tuple([0] * grid.dim)] = 0.0
-    # the spectrum is not Hermitian: the field is the real part of its
-    # full-layout inverse
-    vals = dealias_values(grid, inverse_transform(SpectralField(grid, coeffs)).values)
+    vals = dealias_values(grid, ifft_array(grid, coeffs))
     peak = np.max(np.abs(vals))
     return vals / peak if peak > 0 else vals
 
@@ -76,9 +75,9 @@ def build(preset: Preset, grid: Grid, params: PhysParams) -> PrimitiveState:
     """Construct the primitive initial state for a named scenario."""
     rb = params.rho_bar
     amp = preset.amplitude
-    zeros = tuple(RealField(grid, np.zeros(grid.shape)) for _ in range(grid.dim))
 
     if preset.name == "equilibrium":
+        zeros = tuple(RealField(grid, np.zeros(grid.shape)) for _ in range(grid.dim))
         return PrimitiveState(RealField(grid, np.full(grid.shape, rb)), zeros)
 
     if preset.name == "smooth_bump":

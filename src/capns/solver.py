@@ -57,7 +57,6 @@ class SolverConfig:
     vacuum_floor: float = 1e-8
     diag_stride: int = 1
     c_stab: float = 1.0
-    freeze_advection: bool = False
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -72,8 +71,6 @@ class SolverConfig:
             raise ConfigurationError(f"diag_stride must be a positive integer, got {self.diag_stride}")
         if not (self.c_stab > 0):
             raise ConfigurationError(f"c_stab must be positive, got {self.c_stab}")
-        if self.freeze_advection and self.formulation == "primitive":
-            raise ConfigurationError("freeze_advection only applies to the effective formulation")
 
     def dt_ceiling(self, grid: Grid, params: PhysParams) -> float:
         """Explicit-capillarity stability ceiling c_stab*h^2/max(mu, sqrt(kappa))."""
@@ -148,7 +145,7 @@ class _Scheme:
                                                       cfg.dealias)
         else:
             d_scalar, d_vector = effective_tendencies(g, params, vals[0], hats[0], vals[1:],
-                                                      hats[1:], cfg.dealias, cfg.freeze_advection)
+                                                      hats[1:], cfg.dealias)
         return [d_scalar, *d_vector]
 
     def guard(self, vals, t):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import Grid, RealField, SpectralField, grad, inverse_transform, lp_norm
+from .fields import Grid, RealField, grad, hermitian_half, ifft_array, lp_norm
 from .lp_besov import (
     ANNULUS_OUTER,
     bony_decompose,
@@ -95,10 +95,10 @@ def suite_divk() -> SuiteReport:
 
 def _broadband(grid: Grid, rng) -> RealField:
     # energy in every resolved block: flat random phases, mild k^-1 rolloff
-    spectrum = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    spectrum /= 1.0 + grid.kmag
+    spectrum = hermitian_half(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
+    spectrum /= 1.0 + grid.half_kmag
     spectrum.flat[0] = 0.0
-    return inverse_transform(SpectralField(grid, spectrum))
+    return RealField(grid, ifft_array(grid, spectrum))
 
 
 def suite_heat() -> SuiteReport:
@@ -153,7 +153,7 @@ def suite_besov() -> SuiteReport:
 
     from .lp_besov import block_range
     l_min, l_max = block_range(g)
-    kmag = g.kmag.ravel()
+    kmag = g.half_kmag.ravel()
     resolved = kmag[kmag > 0]
     total = bumps.chi(resolved / 2.0 ** l_min)
     for l in range(l_min, l_max + 1):

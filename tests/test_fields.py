@@ -4,12 +4,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import full_layout
 
 import capns
 from capns.errors import ConfigurationError, DomainError
 from capns.fields import (
     Grid,
     RealField,
+    SpectralField,
     dealias,
     div,
     grad,
@@ -30,7 +32,7 @@ def random_field(grid, seed=0, bandlimit=None):
     f = RealField(grid, vals)
     if bandlimit is not None:
         coeffs = np.fft.fftn(vals)
-        coeffs[grid.kmag > bandlimit] = 0.0
+        coeffs[full_layout(grid)[2] > bandlimit] = 0.0
         f = RealField(grid, np.fft.ifftn(coeffs).real)
     return f
 
@@ -39,11 +41,13 @@ class TestGrid:
     def test_wavenumbers_are_scaled_integers(self):
         g = Grid(1, 16, length=TAU / 2)
         scale = TAU / g.length
-        ints = np.round(g.k[0] / scale)
-        assert np.allclose(g.k[0], ints * scale, atol=0)
-        assert g.k[0][0] == 0.0
-        assert g.k[0][1] == pytest.approx(scale)
-        assert g.k[0][g.n // 2] == pytest.approx(-8 * scale)
+        (k,) = g.half_k
+        ints = np.round(k / scale)
+        assert np.allclose(k, ints * scale, atol=0)
+        assert k.shape == g.half_shape == (g.n // 2 + 1,)
+        assert k[0] == 0.0
+        assert k[1] == pytest.approx(scale)
+        assert k[g.n // 2] == pytest.approx(8 * scale)
 
     def test_cell_volume(self):
         g = Grid(2, 8, length=1.0)
@@ -71,17 +75,26 @@ class TestTransforms:
         g = Grid(1, 64)
         f = RealField(g, np.sin(g.x[0]))
         coeffs = transform(f).coeffs
-        # unnormalized forward: sin(x) lands on k = +-1 with magnitude n/2
-        assert abs(coeffs[1]) == pytest.approx(32.0, rel=1e-12)
-        assert abs(coeffs[-1]) == pytest.approx(32.0, rel=1e-12)
-        rest = np.delete(coeffs, [1, g.n - 1])
+        # unnormalized forward: sin(x) = (e^{ix} - e^{-ix})/2i, and the half
+        # spectrum holds the pair once, as -i n/2 at k = 1
+        assert coeffs[1] == pytest.approx(-32.0j, rel=1e-12)
+        rest = np.delete(coeffs, 1)
         assert np.max(np.abs(rest)) < 1e-10
 
     def test_hermitian_symmetry_of_real_data(self):
-        g = Grid(1, 32)
+        # the k = 0 and Nyquist columns of the last axis hold their own
+        # conjugate pairs along the first axis
+        g = Grid(2, 32)
         coeffs = transform(random_field(g, seed=1)).coeffs
-        for k in range(1, g.n // 2):
-            assert coeffs[-k] == pytest.approx(np.conj(coeffs[k]), rel=1e-12)
+        for col in (0, g.n // 2):
+            for k in range(g.n):
+                assert coeffs[-k, col] == pytest.approx(np.conj(coeffs[k, col]), rel=1e-12)
+
+    def test_spectral_field_holds_half_spectrum(self):
+        g = Grid(2, 16)
+        assert SpectralField(g, np.zeros(g.half_shape)).coeffs.shape == (16, 9)
+        with pytest.raises(DomainError):
+            SpectralField(g, np.zeros(g.shape))
 
     def test_nonfinite_values_rejected(self):
         g = Grid(1, 8)
@@ -171,8 +184,9 @@ class TestDealias:
         g = Grid(1, 32)
         F = transform(random_field(g, seed=2))
         out = dealias(F)
-        assert np.all(out.coeffs[~g.dealias_mask] == 0)
-        assert np.allclose(out.coeffs[g.dealias_mask], F.coeffs[g.dealias_mask], atol=0)
+        keep = g.half_mask == 1.0
+        assert np.all(out.coeffs[~keep] == 0)
+        assert np.allclose(out.coeffs[keep], F.coeffs[keep], atol=0)
 
 
 class TestNormsAndMismatch:

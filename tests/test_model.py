@@ -4,6 +4,7 @@ variable changes, and both right-hand sides (manufactured-solution checks)."""
 import numpy as np
 import pytest
 import sympy as sp
+from conftest import full_layout
 
 from capns.errors import ConfigurationError, DomainError, NumericBlowup
 from capns.fields import Grid, RealField, integrate, lp_norm
@@ -40,10 +41,9 @@ def rel_err(got, want):
 
 def random_band_field(grid, rng, amplitude, bandlimit):
     coeffs = np.zeros(grid.shape, dtype=complex)
-    k_int = [np.round(k * grid.length / (2 * np.pi)).astype(int) for k in grid.k]
     mask = np.ones(grid.shape, dtype=bool)
-    for k in k_int:
-        mask &= np.abs(np.broadcast_to(k, grid.shape)) <= bandlimit
+    for m in full_layout(grid)[0]:
+        mask &= np.abs(m) <= bandlimit
     coeffs[mask] = rng.standard_normal(int(mask.sum())) + 1j * rng.standard_normal(int(mask.sum()))
     vals = np.fft.ifftn(coeffs).real
     vals *= amplitude / max(np.max(np.abs(vals)), 1e-300)
@@ -308,15 +308,17 @@ class TestRhsPrimitive:
         drho0, du0 = rhs_primitive(PrimitiveState(rho, u), p)
         drho1, du1 = rhs_primitive(PrimitiveState(rho, u_shifted), p)
 
+        # odd-derivative multipliers with the unpaired Nyquist mode zeroed
+        ik = [1j * np.where(np.abs(m) == g.n // 2, 0, m) for m in full_layout(g)[0]]
         rho_hat = np.fft.fftn(rho.values)
         transport_rho = sum(
-            shift[j] * np.fft.ifftn(1j * g.k_deriv[j] * rho_hat).real for j in range(2)
+            shift[j] * np.fft.ifftn(ik[j] * rho_hat).real for j in range(2)
         )
         assert rel_err(drho1.values - drho0.values, -transport_rho) < 1e-10
         for i in range(2):
             u_hat = np.fft.fftn(u[i].values)
             transport_u = sum(
-                shift[j] * np.fft.ifftn(1j * g.k_deriv[j] * u_hat).real for j in range(2)
+                shift[j] * np.fft.ifftn(ik[j] * u_hat).real for j in range(2)
             )
             assert rel_err(du1[i].values - du0[i].values, -transport_u) < 1e-10
 
@@ -404,14 +406,7 @@ class TestRhsEffective:
 
         dq_want = drho.values / rho.values
         assert rel_err(dq.values, dq_want) < 1e-7
-        grad_dq = np.fft.ifftn(1j * g.k_deriv[0] * np.fft.fftn(dq_want)).real
+        (m,) = full_layout(g)[0]
+        ik = 1j * np.where(np.abs(m) == g.n // 2, 0, m)
+        grad_dq = np.fft.ifftn(ik * np.fft.fftn(dq_want)).real
         assert rel_err(dv[0].values, du[0].values + p.mu * grad_dq) < 1e-7
-
-    def test_frozen_transport_heat_limit(self):
-        g = Grid(1, 128)
-        p = PhysParams(mu=0.3, kappa=0.09, a=0.0)
-        q = RealField(g, np.sin(g.x[0]))
-        zero = RealField(g, np.zeros(g.shape))
-        dq, dv = rhs_effective(EffectiveState(q, (zero,)), p, freeze_advection=True)
-        assert rel_err(dq.values, -0.3 * np.sin(g.x[0])) < 1e-12
-        assert np.max(np.abs(dv[0].values)) < 1e-13

@@ -12,22 +12,21 @@ from capns.diagnostics import DiagnosticsAccumulator
 from capns.fields import Grid
 from capns.lp_besov import BesovSpec, block_report, build_bumps
 from capns.model import PhysParams, to_effective
-from capns.presets import Preset, build
+from capns.presets import PRESET_NAMES, Preset, build
 from capns.solver import PicardConfig, SolverConfig, picard_solve, step_imex
 
 PARAMS = PhysParams(mu=0.15, kappa=0.0225)
 
 
 # every transform numpy.fft offers, complex and real
-FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
-             "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+COMPLEX_FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
+FFT_NAMES = COMPLEX_FFT_NAMES + ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Counter of calls to any numpy.fft transform."""
+def _counter(monkeypatch, names):
+    """Counter of calls to the named numpy.fft transforms."""
     calls = [0]
-    for name in FFT_NAMES:
+    for name in names:
         original = getattr(np.fft, name)
 
         def counted(*args, _original=original, **kwargs):
@@ -36,6 +35,12 @@ def fft_calls(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Counter of calls to any numpy.fft transform."""
+    return _counter(monkeypatch, FFT_NAMES)
 
 
 def _state(dim, n, formulation):
@@ -106,4 +111,23 @@ def test_second_picard_solve_interpolates_nothing(monkeypatch):
     picard_solve(e.q, e.v, PARAMS, 0.5, pcfg)
     calls[0] = 0
     picard_solve(e.q, e.v, PARAMS, 0.5, pcfg)
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+def test_no_complex_transform(monkeypatch, dim, n):
+    # one Fourier layout: the package transforms real fields to half spectra
+    # only, random draws included
+    calls = _counter(monkeypatch, COMPLEX_FFT_NAMES)
+    g = Grid(dim, n)
+    for name in PRESET_NAMES:
+        build(Preset(name), g, PARAMS)
+    for formulation in ("primitive", "effective"):
+        state = _state(dim, n, formulation)
+        step_imex(state, PARAMS, SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation))
+        DiagnosticsAccumulator(PARAMS)(state, 0.0)
+    e = _state(dim, n, "effective")
+    picard_solve(e.q, e.v, PARAMS, 0.5, PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
+    f = build(Preset("random_bandlimited", amplitude=0.05), g, PARAMS).rho
+    block_report(f, BesovSpec(2.0 / 3.0, 3.0), build_bumps())
     assert calls[0] == 0
