@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -113,65 +113,47 @@ def load_config(path) -> tuple:
     return values, errors
 
 
-def _build_grid(values, errors):
-    kw = values.get("grid", {})
-    try:
-        return Grid(dim=kw.get("dim", 1), n=kw.get("n", 128),
-                    length=kw.get("length", 2.0 * math.pi))
-    except (ConfigurationError, TypeError) as ex:
-        errors.append(f"grid: {ex}")
-        return None
+# The CLI's own defaults: for fields the dataclasses leave without one, and
+# the picard tolerance, tighter than the library's. Every other default is
+# the dataclass's own.
+DEFAULTS = {
+    "grid": {"dim": 1, "n": 128},
+    "physics": {"mu": 0.15, "kappa": 0.0225},
+    "initial": {"preset": "equilibrium"},
+    "picard": {"tol": 1e-10},
+}
+FIELD_NAMES = {"initial": {"preset": "name"}}  # keys named apart from their field
+SCHEDULE_KEYS = ("horizon", "fraction")  # [lifespan] keys not passed to norms_for_data
 
 
-def _build_params(values, errors):
-    kw = values.get("physics", {})
+def _build(cls, section, values, errors, skip=()):
+    """The section's dataclass from its parsed keys (all but ``skip``) over
+    the CLI defaults; None, with a 'section: message' line appended to
+    errors, when the dataclass rejects them."""
+    names = FIELD_NAMES.get(section, {})
+    kw = {**DEFAULTS.get(section, {}), **values.get(section, {})}
     try:
-        return PhysParams(mu=kw.get("mu", 0.15), kappa=kw.get("kappa", 0.0225),
-                          a=kw.get("a", 1.0), gamma=kw.get("gamma", 1.0),
-                          rho_bar=kw.get("rho_bar", 1.0))
+        return cls(**{names.get(k, k): v for k, v in kw.items() if k not in skip})
     except ConfigurationError as ex:
-        errors.append(f"physics: {ex}")
-        return None
-
-
-def _build_preset(values, errors):
-    kw = values.get("initial", {})
-    try:
-        return Preset(name=kw.get("preset", "equilibrium"),
-                      amplitude=kw.get("amplitude", 0.1),
-                      seed=kw.get("seed", 0), delta=kw.get("delta", 0.1))
-    except ConfigurationError as ex:
-        errors.append(f"initial: {ex}")
+        errors.append(f"{section}: {ex}")
         return None
 
 
 def _load_case(path) -> tuple:
     """(values, errors, grid, params, preset) of a config file."""
     values, errors = load_config(path)
-    grid = _build_grid(values, errors)
-    params = _build_params(values, errors)
-    preset = _build_preset(values, errors)
-    return values, errors, grid, params, preset
+    return (values, errors, _build(Grid, "grid", values, errors),
+            _build(PhysParams, "physics", values, errors),
+            _build(Preset, "initial", values, errors))
 
 
-def _build_solver(values, errors):
-    kw = values.get("solver", {})
-    missing = [k for k in ("dt", "t_end") if k not in kw]
-    if missing:
-        for k in missing:
-            errors.append(f"solver.{k}: required for this command")
-        return None
+@contextlib.contextmanager
+def _prefixed(prefix):
+    """Report a ConfigurationError raised inside as 'prefix: message'."""
     try:
-        return SolverConfig(
-            dt=kw["dt"], t_end=kw["t_end"],
-            formulation=kw.get("formulation", "primitive"),
-            dealias=kw.get("dealias", True),
-            vacuum_floor=kw.get("vacuum_floor", 1e-8),
-            diag_stride=kw.get("diag_stride", 1),
-            c_stab=kw.get("c_stab", 1.0))
+        yield
     except ConfigurationError as ex:
-        errors.append(f"solver: {ex}")
-        return None
+        raise ConfigurationError(f"{prefix}: {ex}") from ex
 
 
 def _emit(report: dict, json_path, stream):
@@ -200,16 +182,17 @@ def _effective_data(state, params):
 def _lifespan_inputs(values, q0, v0, params):
     """The data norms and constants of the [lifespan] section."""
     lkw = values.get("lifespan", {})
-    return norms_for_data(
-        q0, v0, p=lkw.get("p"), eps_prime=lkw.get("eps_prime", 0.25),
-        C=lkw.get("C", 1.0), C1=lkw.get("C1", 1.0), c=lkw.get("c", 1.0),
-        mu=params.mu, eps=lkw.get("eps"))
+    with _prefixed("lifespan"):
+        return norms_for_data(q0, v0, mu=params.mu, **{
+            k: val for k, val in lkw.items() if k not in SCHEDULE_KEYS})
 
 
 def cmd_run(args, stream) -> int:
     values, errors, grid, params, preset = _load_case(args.config)
-    solver_cfg = _build_solver(values, errors)
-    if not errors and solver_cfg is not None:
+    missing = [k for k in ("dt", "t_end") if k not in values.get("solver", {})]
+    errors += [f"solver.{k}: required for this command" for k in missing]
+    solver_cfg = None if missing else _build(SolverConfig, "solver", values, errors)
+    if not errors:
         try:
             solver_cfg.validate_for(grid, params)
         except ConfigurationError as ex:
@@ -272,11 +255,7 @@ def cmd_verify(args, stream) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
-        try:
-            rep = run_suite(name)
-        except ConfigurationError as ex:
-            print(f"config error: {ex}", file=stream)
-            return EXIT_BAD_CONFIG
+        rep = run_suite(name)
         reports.append(rep)
         for case in rep.cases:
             tag = "PASS" if case.passed else "FAIL"
@@ -298,26 +277,20 @@ def cmd_lifespan(args, stream) -> int:
     values, errors, grid, params, preset = _load_case(args.config)
     if errors:
         return _fail_config(errors, args.json, stream)
-    lkw = values.get("lifespan", {})
     q0, v0 = _effective_data(build(preset, grid, params), params)
-    try:
-        inp = _lifespan_inputs(values, q0, v0, params)
-    except ConfigurationError as ex:
-        return _fail_config([f"lifespan: {ex}"], args.json, stream)
+    inp = _lifespan_inputs(values, q0, v0, params)
     report = lifespan_report(inp)
     report["preset"] = preset.name
-    horizon = lkw.get("horizon")
-    if horizon is not None:
+    schedule_kw = {k: v for k, v in values.get("lifespan", {}).items() if k in SCHEDULE_KEYS}
+    if "horizon" in schedule_kw:
         try:
-            sched = restart_schedule(lambda t: inp, horizon,
-                                     fraction=lkw.get("fraction", 0.5))
+            with _prefixed("lifespan.horizon"):
+                sched = restart_schedule(lambda t: inp, **schedule_kw)
         except ScheduleStall as ex:
             report.update(cause="schedule_stall", stall_t=ex.t,
                           stall_bound=ex.bound, exit_code=EXIT_STALL)
             _emit(report, args.json, stream)
             return EXIT_STALL
-        except ConfigurationError as ex:
-            return _fail_config([f"lifespan.horizon: {ex}"], args.json, stream)
         report["schedule"] = sched
     report.update(cause="ok", exit_code=EXIT_OK)
     _emit(report, args.json, stream)
@@ -333,11 +306,7 @@ def cmd_picard(args, stream) -> int:
 
     raw_horizon = pkw.get("horizon", "auto")
     if raw_horizon == "auto":
-        try:
-            inp = _lifespan_inputs(values, q0, v0, params)
-        except ConfigurationError as ex:
-            return _fail_config([f"lifespan: {ex}"], args.json, stream)
-        horizon = lifespan_report(inp)["lower_bound"]
+        horizon = lifespan_report(_lifespan_inputs(values, q0, v0, params))["lower_bound"]
     else:
         try:
             horizon = float(raw_horizon)
@@ -345,14 +314,13 @@ def cmd_picard(args, stream) -> int:
             return _fail_config(
                 [f"picard.horizon: not a number or 'auto': {raw_horizon!r}"],
                 args.json, stream)
+    errors = []
+    pcfg = _build(PicardConfig, "picard", values, errors, skip=("horizon",))
+    if errors:
+        return _fail_config(errors, args.json, stream)
     try:
-        pcfg = PicardConfig(max_iters=pkw.get("max_iters", 20),
-                            tol=pkw.get("tol", 1e-10),
-                            n_steps=pkw.get("n_steps", 64),
-                            p=pkw.get("p", 2.0))
-        result = picard_solve(q0, v0, params, horizon, pcfg)
-    except ConfigurationError as ex:
-        return _fail_config([f"picard: {ex}"], args.json, stream)
+        with _prefixed("picard"):
+            result = picard_solve(q0, v0, params, horizon, pcfg)
     except NonContraction as ex:
         report = {"horizon": horizon, "cause": "non_contraction",
                   "diff_norms": ex.diff_norms, "data_norms": ex.data_norms,
@@ -394,14 +362,12 @@ def cmd_besov(args, stream) -> int:
         else (state.q, state.v)
     n = q.grid.dim
     bumps = build_bumps()
-    try:
+    with _prefixed("besov"):
         spec_q = BesovSpec(s=0.0 if args.s is None else args.s, p=args.p, r=args.r)
         if args.s is None:
             # the critical index n/p, formed once p has passed validation
             spec_q = replace(spec_q, s=n / spec_q.p)
         spec_v = replace(spec_q, s=spec_q.s - 1.0)
-    except ConfigurationError as ex:
-        return _fail_config([f"besov: {ex}"], args.json, stream)
     report = {
         "t": t,
         "dim": n,
@@ -461,8 +427,8 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args, stream)
     except (ConfigurationError, DomainError) as ex:
-        print(f"config error: {ex}", file=stream)
-        return EXIT_BAD_CONFIG
+        # the one exit for errors found after a command's first checks
+        return _fail_config([str(ex)], args.json, stream)
 
 
 if __name__ == "__main__":

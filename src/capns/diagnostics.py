@@ -235,9 +235,8 @@ class DiagnosticsAccumulator:
     the call times, which must be nondecreasing.
     """
 
-    def __init__(self, params: PhysParams, gain_exponents=GAIN_EXPONENTS):
+    def __init__(self, params: PhysParams):
         self.params = params
-        self.gain_exponents = tuple(gain_exponents)
         self._prev_t = None
         self._prev_rates = None
         self._acc = np.zeros(4)
@@ -259,7 +258,7 @@ class DiagnosticsAccumulator:
             energy=energy(f, p), bd_entropy=bd_entropy(f, p),
             dissip_u=float(self._acc[0]), dissip_v=float(self._acc[1]),
             dissip_density=float(self._acc[2]), jungel=float(self._acc[3]),
-            lp_gain={q: lp_gain_value(f, p, q) for q in self.gain_exponents},
+            lp_gain={q: lp_gain_value(f, p, q) for q in GAIN_EXPONENTS},
             min_rho=float(np.min(f.rho)), max_inv_rho=f.max_inv_rho,
             h1_sqrt=sqrt_h1_norm(f, p.rho_bar),
         )

@@ -151,7 +151,7 @@ def restart_schedule(initial_norms_fn, horizon: float, fraction: float = 0.5,
 
 def norms_for_data(q0: RealField, v0, p: float = None, eps_prime: float = 0.25,
                    C: float = 1.0, C1: float = 1.0, c: float = 1.0,
-                   mu: float = 1.0, eps: float = None, bumps=None) -> LifespanInputs:
+                   mu: float = 1.0, eps: float = None) -> LifespanInputs:
     """Measure the four Besov norms of initial data and package them.
 
     Vector norms are summed over components. p defaults to the midpoint of
@@ -164,8 +164,7 @@ def norms_for_data(q0: RealField, v0, p: float = None, eps_prime: float = 0.25,
             f"eps_prime must lie in (0, 1) to leave room for p, got {eps_prime}")
     if p is None:
         p = 0.5 * (n / (1.0 - eps_prime) + 2.0 * n)
-    if bumps is None:
-        bumps = build_bumps()
+    bumps = build_bumps()
     s_crit = n / p
     BesovSpec(s=s_crit, p=p)  # validates p before any transform
     # p is the same at both indices: each field's block norms are taken
@@ -189,30 +188,23 @@ def norms_for_data(q0: RealField, v0, p: float = None, eps_prime: float = 0.25,
     )
 
 
-def _reference_data(n: int, amplitude: float):
-    g = Grid(dim=1, n=n)
-    x = g.x[0]
-    q0 = RealField(g, amplitude * np.cos(x))
-    v0 = (RealField(g, amplitude * np.sin(x)),)
-    return q0, v0
-
-
-def calibrate_c1(mu: float = 0.15, amplitude: float = 1e-3, n: int = 64,
-                 n_steps: int = 64, max_iters: int = 25, tol: float = 1e-9,
-                 rel: float = 0.05) -> float:
+def calibrate_c1(mu: float = 0.15, n_steps: int = 64) -> float:
     """Fit C1 so the iteration-window branch C1/4 matches the horizon up to
     which the fixed-point iteration actually contracts on a small reference
-    data family (single-mode, quantum coupling, linear pressure).
+    data family: amplitude 1e-3 single modes on a 1-D n = 64 grid, quantum
+    coupling, linear pressure.
 
-    The contraction edge is bracketed by doubling and then bisected to the
-    requested relative width; the returned C1 uses the still-contracting
+    The contraction edge is bracketed by doubling and then bisected to a
+    relative width of 5 %; the returned C1 uses the still-contracting
     endpoint, so the predicted window errs on the safe side.
     """
     from .solver import PicardConfig, picard_solve
 
-    q0, v0 = _reference_data(n, amplitude)
+    g = Grid(dim=1, n=64)
+    q0 = RealField(g, 1e-3 * np.cos(g.x[0]))
+    v0 = (RealField(g, 1e-3 * np.sin(g.x[0])),)
     params = PhysParams(mu=mu, kappa=mu * mu, a=1.0, gamma=1.0)
-    pcfg = PicardConfig(max_iters=max_iters, tol=tol, n_steps=n_steps)
+    pcfg = PicardConfig(max_iters=25, tol=1e-9, n_steps=n_steps)
 
     def contracts(horizon: float) -> bool:
         try:
@@ -242,7 +234,7 @@ def calibrate_c1(mu: float = 0.15, amplitude: float = 1e-3, n: int = 64,
     if hi is None:
         # contracted at every probed horizon; the cap is the estimate
         return 4.0 * lo
-    while (hi - lo) > rel * lo:
+    while (hi - lo) > 0.05 * lo:
         mid = 0.5 * (lo + hi)
         if contracts(mid):
             lo = mid

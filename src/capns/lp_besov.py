@@ -139,27 +139,34 @@ class DyadicDecomposition:
         return RealField(self.grid, total)
 
 
-@functools.lru_cache(maxsize=8)
-def _radial_blocks(dim: int, n: int, length: float, bumps: BumpPair) -> tuple:
+@functools.lru_cache(maxsize=16)
+def _radial_blocks(dim: int, n: int, length: float, bumps: BumpPair,
+                   low_pass: bool = False) -> tuple:
     """Block indices, phi(r / 2^l) on each distinct radius r = |k| of the
-    half spectrum as a [block, radius] table, and each mode's radius index.
+    half spectrum as a [block, radius] table, and each mode's radius index;
+    with ``low_pass``, the table holds the low-passes chi(r / 2^(l-1)) of
+    the blocks instead.
 
-    One interpolation per (grid, bumps); modes of equal |k| share their
-    multiplier bit for bit. The key holds plain numbers, so the cache keeps
-    no grid (and none of its cached arrays) alive.
+    One interpolation per (grid, bumps) and table; modes of equal |k| share
+    their multiplier bit for bit. The key holds plain numbers, so the cache
+    keeps no grid (and none of its cached arrays) alive.
     """
     grid = Grid(dim, n, length)
     l_min, l_max = block_range(grid)
     ls = list(range(l_min, l_max + 1))
     radii, index = np.unique(grid.half_kmag, return_inverse=True)
-    table = bumps.phi(radii / np.array([2.0 ** l for l in ls])[:, None])
+    if low_pass:
+        table = bumps.chi(radii / np.array([2.0 ** (l - 1) for l in ls])[:, None])
+    else:
+        table = bumps.phi(radii / np.array([2.0 ** l for l in ls])[:, None])
     return ls, table, index.reshape(grid.half_kmag.shape)
 
 
-def _block_multipliers(grid: Grid, bumps: BumpPair) -> tuple:
-    """Block indices and the multipliers phi(|k| / 2^l), built one block
-    at a time from the cached radial table."""
-    ls, table, index = _radial_blocks(grid.dim, grid.n, grid.length, bumps)
+def _block_multipliers(grid: Grid, bumps: BumpPair, low_pass: bool = False) -> tuple:
+    """Block indices and the multipliers phi(|k| / 2^l) (with ``low_pass``,
+    chi(|k| / 2^(l-1))), built one block at a time from the cached radial
+    table."""
+    ls, table, index = _radial_blocks(grid.dim, grid.n, grid.length, bumps, low_pass)
     return ls, (row[index] for row in table)
 
 
@@ -290,20 +297,22 @@ def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
     if u.grid != v.grid:
         raise ConfigurationError("paraproduct factors live on different grids")
     g = u.grid
-    du = decompose(u, bumps)
-    dv = decompose(v, bumps)
+    ls, mults = _block_multipliers(g, bumps)
+    _, lows = _block_multipliers(g, bumps, low_pass=True)
     uvhat = fft_array(g, np.stack([u.values, v.values]))
+    # blocks[l] stacks block_l u and block_l v
+    blocks = {l: ifft_array(g, mult * uvhat) for l, mult in zip(ls, mults)}
 
     t_uv = np.zeros(g.shape)
     t_vu = np.zeros(g.shape)
     remainder = np.zeros(g.shape)
-    for l in du.ls:
-        low_u, low_v = ifft_array(g, bumps.chi(g.half_kmag / 2.0 ** (l - 1)) * uvhat)
-        t_uv += low_u * dv.blocks[l].values
-        t_vu += low_v * du.blocks[l].values
+    for l, low in zip(ls, lows):
+        low_u, low_v = ifft_array(g, low * uvhat)
+        t_uv += low_u * blocks[l][1]
+        t_vu += low_v * blocks[l][0]
         for m in (l - 1, l, l + 1):
-            if du.l_min <= m <= du.l_max:
-                remainder += du.blocks[l].values * dv.blocks[m].values
+            if m in blocks:
+                remainder += blocks[l][0] * blocks[m][1]
     return RealField(g, t_uv), RealField(g, t_vu), RealField(g, remainder)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import Grid, RealField, dealias_values, hermitian_half, ifft_array
+from .fields import Grid, RealField, hermitian_half, ifft_array
 from .model import PhysParams, PrimitiveState
 
 PRESET_NAMES = ("equilibrium", "smooth_bump", "near_vacuum",
@@ -61,12 +61,12 @@ def _bandlimited_noise(grid: Grid, rng, band: int) -> np.ndarray:
     # the draw is not Hermitian: the field is the real part of its inverse
     coeffs = hermitian_half(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
     scale = 2.0 * np.pi / grid.length
-    keep = np.ones(grid.half_shape, dtype=bool)
+    keep = grid.half_mask.astype(bool)
     for kk in grid.half_k:
         keep &= np.abs(kk) <= band * scale
     coeffs[~keep] = 0.0
     coeffs[tuple([0] * grid.dim)] = 0.0
-    vals = dealias_values(grid, ifft_array(grid, coeffs))
+    vals = ifft_array(grid, coeffs)
     peak = np.max(np.abs(vals))
     return vals / peak if peak > 0 else vals
 

@@ -85,24 +85,6 @@ class SolverConfig:
             )
 
 
-def _guard_primitive(rho_vals, u_vals, floor, t):
-    arrays = [rho_vals] + list(u_vals)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise NumericBlowup(t, "density-velocity state")
-    m = float(np.min(rho_vals))
-    if m <= floor:
-        raise VacuumBreach(t, m)
-
-
-def _guard_effective(q_vals, v_vals, params, floor, t):
-    arrays = [q_vals] + list(v_vals)
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise NumericBlowup(t, "log-density state")
-    m = float(params.rho_bar * np.exp(np.min(q_vals)))
-    if m <= floor:
-        raise VacuumBreach(t, m)
-
-
 def _identity(x):
     return x
 
@@ -133,10 +115,12 @@ class _Scheme:
             # the mass equation has no Laplacian: the density stays on the
             # grid with factor 1.0, which the scheme keeps exact
             self.parts = [_Unknown(_identity, _identity, 1.0)] + [diffusive] * g.dim
-            self.kind = PrimitiveState
+            self.kind, self.detail = PrimitiveState, "density-velocity state"
+            self.min_rho = np.min
         else:
             self.parts = [diffusive] * (1 + g.dim)
-            self.kind = EffectiveState
+            self.kind, self.detail = EffectiveState, "log-density state"
+            self.min_rho = lambda q: params.rho_bar * np.exp(np.min(q))
 
     def tendencies(self, vals, hats):
         g, params, cfg = self.grid, self.params, self.cfg
@@ -149,10 +133,13 @@ class _Scheme:
         return [d_scalar, *d_vector]
 
     def guard(self, vals, t):
-        if self.kind is PrimitiveState:
-            _guard_primitive(vals[0], vals[1:], self.cfg.vacuum_floor, t)
-        else:
-            _guard_effective(vals[0], vals[1:], self.params, self.cfg.vacuum_floor, t)
+        """Raise on a non-finite unknown, then on a density minimum at or
+        below the vacuum floor."""
+        if not all(np.all(np.isfinite(a)) for a in vals):
+            raise NumericBlowup(t, self.detail)
+        m = float(self.min_rho(vals[0]))
+        if m <= self.cfg.vacuum_floor:
+            raise VacuumBreach(t, m)
 
     def values(self, state) -> list:
         if not isinstance(state, self.kind):
@@ -221,12 +208,9 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
     diag_fn(state, t) -> record; callbacks are called (step, t, state) after
     every accepted step. The span must be a whole number of dt steps.
     """
-    g = initial.grid
-    _scheme(g, params, cfg)  # validates once; every step reuses the scheme
-    if cfg.formulation == "primitive" and not isinstance(initial, PrimitiveState):
-        raise ConfigurationError("primitive run needs a PrimitiveState initial condition")
-    if cfg.formulation == "effective" and not isinstance(initial, EffectiveState):
-        raise ConfigurationError("effective run needs an EffectiveState initial condition")
+    # validates once, and rejects a state of the other formulation even
+    # when no step is taken; every step reuses the scheme
+    _scheme(initial.grid, params, cfg).values(initial)
     span = cfg.t_end - t0
     if span < -1e-12:
         raise ConfigurationError(f"t_end = {cfg.t_end} lies before the start time {t0}")
@@ -377,14 +361,13 @@ def solve_linear_system(q0: RealField, v0, mu: float, t: float):
 
 @dataclass(frozen=True)
 class PicardConfig:
+    """Iteration controls; differences are measured in the critical space
+    B^{N/p}_{p,1} (and B^{N/p-1}_{p,1} for the velocity)."""
+
     max_iters: int = 20
     tol: float = 1e-8
-    s: float = None  # None means the critical index N/p
     p: float = 2.0
-    r: float = 1.0
     n_steps: int = 64
-    dealias: bool = True
-    bump_resolution: int = 256
 
     def __post_init__(self):
         if not (self.tol > 0):
@@ -406,7 +389,7 @@ class PicardResult:
     data_norms: dict
 
 
-def _picard_sources(g, params, qhat, vhats, dealias):
+def _picard_sources(g, params, qhat, vhats):
     """Frozen sources for the next iterate at every time level at once.
 
     ``qhat`` is a [time, ...] stack of half spectra and ``vhats`` a
@@ -416,13 +399,10 @@ def _picard_sources(g, params, qhat, vhats, dealias):
     intermediates are updated in place and dropped per component to bound
     the memory of the stacks.
     """
-    def trunc(vals):
-        return dealias_values(g, vals) if dealias else vals
-
     gq = grad_arrays(g, qhat)
     u = ifft_array(g, vhats)  # v for now
-    f_hat = fft_array(g, trunc(-sum(u[i] * gq[i] for i in range(g.dim))
-                               + params.mu * sum(c ** 2 for c in gq)))
+    f_hat = fft_array(g, dealias_values(g, -sum(u[i] * gq[i] for i in range(g.dim))
+                                       + params.mu * sum(c ** 2 for c in gq)))
     for i in range(g.dim):
         u[i] -= params.mu * gq[i]  # u = v - mu grad q
     g_hat = np.empty_like(vhats)
@@ -431,7 +411,7 @@ def _picard_sources(g, params, qhat, vhats, dealias):
         adv = sum(u[j] * dv_i[j] for j in range(g.dim))
         qdv = sum(gq[j] * dv_i[j] for j in range(g.dim))
         del dv_i
-        g_hat[i] = fft_array(g, trunc(-adv + params.mu * qdv) - params.a * gq[i])
+        g_hat[i] = fft_array(g, dealias_values(g, -adv + params.mu * qdv) - params.a * gq[i])
     return f_hat, g_hat
 
 
@@ -467,10 +447,9 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         )
     g = q0.grid
     v0 = tuple(v0)
-    bumps = build_bumps(pcfg.bump_resolution)
-    s_q = (g.dim / pcfg.p) if pcfg.s is None else pcfg.s
-    spec_q = BesovSpec(s_q, pcfg.p, pcfg.r)
-    spec_v = BesovSpec(s_q - 1.0, pcfg.p, pcfg.r)
+    bumps = build_bumps()
+    spec_q = BesovSpec(g.dim / pcfg.p, pcfg.p)
+    spec_v = BesovSpec(g.dim / pcfg.p - 1.0, pcfg.p)
 
     m_steps = pcfg.n_steps
     dt = T / m_steps
@@ -497,7 +476,7 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
 
     for iterations in range(1, pcfg.max_iters + 1):
         with np.errstate(all="ignore"):
-            f_hat, g_hat = _picard_sources(g, params, qs, vs, pcfg.dealias)
+            f_hat, g_hat = _picard_sources(g, params, qs, vs)
             g_hat *= h
             v_new = _duhamel(g, e_fac, g_hat)  # vbar for now
             del g_hat

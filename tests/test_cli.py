@@ -1,9 +1,12 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import capns.cli
 from capns.cli import (
     CAUSE_CODES,
     EXIT_BAD_CONFIG,
@@ -14,6 +17,11 @@ from capns.cli import (
     main,
 )
 from capns.diagnostics import CSV_COLUMNS
+from capns.fields import Grid
+from capns.model import PhysParams
+from capns.solver import SolverConfig
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_ini(path, sections):
@@ -300,6 +308,69 @@ class TestBesovCommand:
             == EXIT_BAD_CONFIG
         assert json.loads(json_path.read_text())["cause"] == "invalid_config"
         assert "config error: besov.state:" in capsys.readouterr().out
+
+
+class TestConfiguration:
+    def test_defaults_of_a_minimal_config(self, tmp_path, monkeypatch):
+        # only dt and t_end are required; the rest is the CLI's defaults
+        # (grid, physics, preset) and the dataclasses' own
+        seen = {}
+        real_run = capns.cli.run
+
+        def spy(initial, params, cfg, **kw):
+            seen.update(grid=initial.grid, params=params, cfg=cfg)
+            return real_run(initial, params, cfg, **kw)
+
+        monkeypatch.setattr(capns.cli, "run", spy)
+        cfg = write_ini(tmp_path / "c.ini", {"solver": {"dt": 1e-3, "t_end": 2e-3}})
+        json_path = tmp_path / "out.json"
+        assert main(["run", "--config", cfg, "--csv", str(tmp_path / "s.csv"),
+                     "--json", str(json_path)]) == EXIT_OK
+        assert seen["grid"] == Grid(1, 128)
+        assert seen["params"] == PhysParams(0.15, 0.0225)
+        assert seen["cfg"] == SolverConfig(dt=1e-3, t_end=2e-3)
+        assert json.loads(json_path.read_text())["preset"] == "equilibrium"
+
+    def test_missing_step_keys_are_named(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path / "c.ini", {"grid": {"n": 64}})
+        json_path = tmp_path / "out.json"
+        assert main(["run", "--config", cfg, "--json", str(json_path)]) == EXIT_BAD_CONFIG
+        assert json.loads(json_path.read_text())["errors"] == [
+            "solver.dt: required for this command", "solver.t_end: required for this command"]
+        assert "config error: solver.dt: required for this command" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,overrides,message", [
+        ("run", {"solver": {"t_end": 0.0205}}, "not a whole number of dt"),
+        ("run", {"initial": {"preset": "random_bandlimited", "amplitude": 1.5}},
+         "needs amplitude < 1"),
+        ("lifespan", {"initial": {"preset": "random_bandlimited", "amplitude": 1.5}},
+         "needs amplitude < 1"),
+        ("picard", {"initial": {"preset": "random_bandlimited", "amplitude": 1.5}},
+         "needs amplitude < 1"),
+        ("besov", {"initial": {"preset": "random_bandlimited", "amplitude": 1.5}},
+         "needs amplitude < 1"),
+    ])
+    def test_late_config_error_writes_payload(self, tmp_path, capsys, command,
+                                              overrides, message):
+        # errors found after the config checks leave through the same exit
+        cfg = write_ini(tmp_path / "c.ini", base_sections(**overrides))
+        json_path = tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--json", str(json_path)]) == EXIT_BAD_CONFIG
+        payload = json.loads(json_path.read_text())
+        assert payload["cause"] == "invalid_config"
+        assert payload["exit_code"] == EXIT_BAD_CONFIG
+        assert len(payload["errors"]) == 1 and message in payload["errors"][0]
+        assert f"config error: {payload['errors'][0]}\n" in capsys.readouterr().out
+
+    def test_readme_example_runs(self, tmp_path, capsys):
+        ini = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(ini)
+        assert capns.cli.load_config(path)[1] == []
+        json_path = tmp_path / "out.json"
+        assert main(["run", "--config", str(path), "--csv", str(tmp_path / "s.csv"),
+                     "--json", str(json_path)]) == EXIT_OK
+        assert "config error" not in capsys.readouterr().out
 
 
 def test_cause_codes_are_distinct():

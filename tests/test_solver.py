@@ -287,6 +287,15 @@ class TestRun:
             run(primitive_wave(g), PARAMS,
                 SolverConfig(dt=1e-3, t_end=1e-3, formulation="effective"))
 
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    def test_state_mismatch_rejected_without_steps(self, formulation):
+        # the state is checked against the formulation even at zero horizon
+        state = primitive_wave(Grid(1, 64))
+        if formulation == "primitive":
+            state = to_effective(state, PARAMS)
+        with pytest.raises(ConfigurationError):
+            run(state, PARAMS, SolverConfig(dt=1e-3, t_end=0.0, formulation=formulation))
+
     def test_mass_conserved(self):
         g = Grid(1, 256)
         state = primitive_wave(g, 0.2, 0.1)
@@ -568,7 +577,7 @@ class TestPicard:
         pcfg = PicardConfig(n_steps=8, max_iters=1, tol=1e-30, p=p)
         res = picard_solve(q0, v0, PARAMS, 0.5, pcfg)
         lin = [solve_linear_system(q0, v0, PARAMS.mu, t) for t in res.times]
-        bumps = build_bumps(pcfg.bump_resolution)
+        bumps = build_bumps()
         dq = [RealField(g, q.values - ql.values) for q, (ql, _) in zip(res.q_series, lin)]
         want = tilde_norm(dq, res.times, math.inf, BesovSpec(g.dim / p, p), bumps)
         for i in range(g.dim):

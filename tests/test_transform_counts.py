@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from capns.diagnostics import DiagnosticsAccumulator
-from capns.fields import Grid
-from capns.lp_besov import BesovSpec, block_report, build_bumps
+from capns.fields import Grid, RealField
+from capns.lp_besov import BesovSpec, block_report, bony_decompose, build_bumps
 from capns.model import PhysParams, to_effective
 from capns.presets import PRESET_NAMES, Preset, build
 from capns.solver import PicardConfig, SolverConfig, picard_solve, step_imex
@@ -96,8 +96,9 @@ def test_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
     assert counts[16, 1] == counts[32, 1]
 
 
-def test_second_picard_solve_interpolates_nothing(monkeypatch):
-    # the bumps and the block multipliers of a grid are interpolated once
+@pytest.fixture
+def interp_calls(monkeypatch):
+    """Counter of calls to numpy.interp."""
     calls = [0]
     original = np.interp
 
@@ -106,12 +107,41 @@ def test_second_picard_solve_interpolates_nothing(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np, "interp", counted)
+    return calls
+
+
+def _bony_factors():
+    g = Grid(2, 64)
+    x, y = g.x
+    return RealField(g, np.sin(x) * np.cos(3 * y)), RealField(g, np.cos(5 * x + y))
+
+
+def test_bony_transforms_each_factor_once(fft_calls):
+    # one stacked forward transform of u and v, then per block one stacked
+    # inverse of the blocks and one of the low-passes
+    u, v = _bony_factors()
+    fft_calls[0] = 0
+    bony_decompose(u, v, build_bumps())
+    assert fft_calls[0] == 1 + 2 * 7  # 7 blocks at n = 64
+
+
+def test_second_bony_decompose_interpolates_nothing(interp_calls):
+    # the phi and chi multipliers of a grid are interpolated once
+    u, v = _bony_factors()
+    bony_decompose(u, v, build_bumps())
+    interp_calls[0] = 0
+    bony_decompose(u, v, build_bumps())
+    assert interp_calls[0] == 0
+
+
+def test_second_picard_solve_interpolates_nothing(interp_calls):
+    # the bumps and the block multipliers of a grid are interpolated once
     e = _state(2, 16, "effective")
     pcfg = PicardConfig(n_steps=8, max_iters=3, tol=1e-30)
     picard_solve(e.q, e.v, PARAMS, 0.5, pcfg)
-    calls[0] = 0
+    interp_calls[0] = 0
     picard_solve(e.q, e.v, PARAMS, 0.5, pcfg)
-    assert calls[0] == 0
+    assert interp_calls[0] == 0
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
