@@ -27,8 +27,8 @@ from .errors import (
 )
 from .fields import Grid
 from .lifespan import lifespan_report, norms_for_data, restart_schedule
-from .lp_besov import BesovSpec, block_report, build_bumps
-from .model import PhysParams, to_effective
+from .lp_besov import BesovSpec, block_report
+from .model import EffectiveState, PhysParams, to_effective
 from .presets import Preset, build
 from .solver import PicardConfig, SolverConfig, load_checkpoint, picard_solve, run
 from .verify import SUITE_NAMES, run_suite
@@ -189,6 +189,9 @@ def _lifespan_inputs(values, q0, v0, params):
 
 def cmd_run(args, stream) -> int:
     values, errors, grid, params, preset = _load_case(args.config)
+    out = values.get("output", {})
+    # every payload of run goes to one path, main's late invalid_config included
+    args.json = args.json or out.get("json")
     missing = [k for k in ("dt", "t_end") if k not in values.get("solver", {})]
     errors += [f"solver.{k}: required for this command" for k in missing]
     solver_cfg = None if missing else _build(SolverConfig, "solver", values, errors)
@@ -200,9 +203,7 @@ def cmd_run(args, stream) -> int:
     if errors:
         return _fail_config(errors, args.json, stream)
 
-    out = values.get("output", {})
     csv_path = args.csv or out.get("csv", "series.csv")
-    json_path = args.json or out.get("json")
 
     initial = build(preset, grid, params)
     if solver_cfg.formulation == "effective":
@@ -214,12 +215,12 @@ def cmd_run(args, stream) -> int:
     except VacuumBreach as ex:
         summary.update(cause="vacuum_breach", t=ex.t, min_rho=ex.min_rho,
                        exit_code=EXIT_VACUUM)
-        _emit(summary, json_path, stream)
+        _emit(summary, args.json, stream)
         return EXIT_VACUUM
     except NumericBlowup as ex:
         summary.update(cause="numeric_blowup", t=ex.t, detail=ex.detail,
                        exit_code=EXIT_BLOWUP)
-        _emit(summary, json_path, stream)
+        _emit(summary, args.json, stream)
         return EXIT_BLOWUP
 
     records = res.records
@@ -247,7 +248,7 @@ def cmd_run(args, stream) -> int:
         cause="ok" if ok else "check_failed",
         exit_code=EXIT_OK if ok else EXIT_CHECK_FAILED,
     )
-    _emit(summary, json_path, stream)
+    _emit(summary, args.json, stream)
     return summary["exit_code"]
 
 
@@ -358,10 +359,9 @@ def cmd_besov(args, stream) -> int:
         if errors:
             return _fail_config(errors, args.json, stream)
         state, t = build(preset, grid, params), 0.0
-    q, v = _effective_data(state, params) if not hasattr(state, "q") \
-        else (state.q, state.v)
+    q, v = (state.q, state.v) if isinstance(state, EffectiveState) \
+        else _effective_data(state, params)
     n = q.grid.dim
-    bumps = build_bumps()
     with _prefixed("besov"):
         spec_q = BesovSpec(s=0.0 if args.s is None else args.s, p=args.p, r=args.r)
         if args.s is None:
@@ -371,8 +371,8 @@ def cmd_besov(args, stream) -> int:
     report = {
         "t": t,
         "dim": n,
-        "log_density": block_report(q, spec_q, bumps),
-        "velocity": [block_report(c, spec_v, bumps) for c in v],
+        "log_density": block_report(q, spec_q),
+        "velocity": [block_report(c, spec_v) for c in v],
         "cause": "ok",
         "exit_code": EXIT_OK,
     }

@@ -13,6 +13,7 @@ for this capillarity (see notes in check_energy_inequality).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -264,19 +265,21 @@ class DiagnosticsAccumulator:
         )
 
 
+def _csv_getter(column: str):
+    """Reader of one CSV column from a record: the field of that name, or
+    for lp_gain_p<k> the gain at k (NaN when the record has none)."""
+    if column.startswith("lp_gain_p"):
+        k = int(column[len("lp_gain_p"):])
+        return lambda rec: rec.lp_gain.get(k, float("nan"))
+    return operator.attrgetter(column)
+
+
 def write_csv(records, path):
-    """Fixed-order CSV series, one row per diagnostic time, %.17g floats."""
+    """CSV series in CSV_COLUMNS order, one row per diagnostic time, %.17g floats."""
+    getters = [_csv_getter(c) for c in CSV_COLUMNS]
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        row = [
-            rec.t, rec.mass, rec.energy, rec.bd_entropy, rec.dissip_u,
-            rec.dissip_v, rec.dissip_density, rec.jungel, rec.min_rho,
-            rec.max_inv_rho, rec.h1_sqrt,
-            rec.lp_gain.get(4, float("nan")),
-            rec.lp_gain.get(8, float("nan")),
-            rec.lp_gain.get(16, float("nan")),
-        ]
-        lines.append(",".join("%.17g" % x for x in row))
+        lines.append(",".join("%.17g" % get(rec) for get in getters))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonContraction, ScheduleStall
 from .fields import Grid, RealField
-from .lp_besov import BesovSpec, _weighted_lr, block_norms, build_bumps
+from .lp_besov import BesovSpec, _weighted_lr, block_norms
 from .model import PhysParams
 
 BRANCH_NAMES = ("q_regularity", "v_regularity", "iteration_window", "data_size")
@@ -164,13 +164,12 @@ def norms_for_data(q0: RealField, v0, p: float = None, eps_prime: float = 0.25,
             f"eps_prime must lie in (0, 1) to leave room for p, got {eps_prime}")
     if p is None:
         p = 0.5 * (n / (1.0 - eps_prime) + 2.0 * n)
-    bumps = build_bumps()
     s_crit = n / p
     BesovSpec(s=s_crit, p=p)  # validates p before any transform
     # p is the same at both indices: each field's block norms are taken
     # once and weighted at the critical and the surcritical index
-    q_blocks = [block_norms(q0, bumps, p)[:2]]
-    v_blocks = [block_norms(c, bumps, p)[:2] for c in v0]
+    q_blocks = [block_norms(q0, p=p)[:2]]
+    v_blocks = [block_norms(c, p=p)[:2] for c in v0]
 
     def vec_norm(blocks, s):
         return sum(_weighted_lr(ls, norms, s, 1.0) for ls, norms in blocks)

@@ -15,12 +15,17 @@ boundary blocks. Wavenumbers are physical (2*pi/length units), which makes
 the critical-index norms invariant under the "same samples, halved box"
 dilation.
 
+The pair (chi, phi) is fixed data of this module, sampled once at
+RESOLUTION points per unit radius by :func:`build_bumps`: the Besov norms
+of the paper are defined on one dyadic partition, and another partition
+would only give an equivalent norm. No function here takes a partition.
+
 Every block norm goes through one kernel, :func:`block_norm_table`, which
 maps a stack of half spectra to a [stack, block] table. The block
-multipliers of a (grid, bumps) pair are interpolated once and cached. At
-p = 2 the table is one product of |fhat|^2 with the cached
-(blocks x modes) matrix of Parseval weight x phi_l^2; other p take one
-inverse transform of the whole stack per block.
+multipliers of a grid are interpolated once and cached. At p = 2 the table
+is one product of |fhat|^2 with the cached (blocks x modes) matrix of
+Parseval weight x phi_l^2; other p take one inverse transform of the whole
+stack per block.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .fields import Grid, RealField, fft_array, ifft_array, lp_norms
 PLATEAU = 0.75       # chi = 1 on [0, 3/4]
 SUPPORT = 4.0 / 3.0  # chi = 0 beyond 4/3
 ANNULUS_OUTER = 8.0 / 3.0
+RESOLUTION = 256     # samples of chi and phi per unit radius
 
 
 def _smooth_step(y):
@@ -53,11 +59,9 @@ class BumpPair:
     """Sampled radial cutoff chi and annulus bump phi(x) = chi(x/2) - chi(x).
 
     Both are stored on the same uniform radial step so that piecewise-linear
-    evaluation keeps the telescoping identities exact. A pair compares and
-    hashes by identity, which keys the per-grid multiplier cache.
+    evaluation keeps the telescoping identities exact.
     """
 
-    resolution: int
     r_chi: np.ndarray
     chi_samples: np.ndarray
     r_phi: np.ndarray
@@ -70,15 +74,13 @@ class BumpPair:
         return np.interp(r, self.r_phi, self.phi_samples)
 
 
-@functools.lru_cache(maxsize=8)
-def build_bumps(resolution: int = 256) -> BumpPair:
-    """Sample the cutoff pair at ``resolution`` points per unit radius.
+@functools.cache
+def build_bumps() -> BumpPair:
+    """The cutoff pair sampled at RESOLUTION points per unit radius.
 
-    One pair is built per resolution and shared; its samples are read-only.
+    One pair is built and shared; its samples are read-only.
     """
-    if resolution < 64:
-        raise ConfigurationError(f"bump resolution must be >= 64, got {resolution}")
-    h = 1.0 / resolution
+    h = 1.0 / RESOLUTION
     n_chi = int(math.ceil(SUPPORT / h)) + 1
     r_chi = np.arange(n_chi + 1) * h
     chi = _smooth_step((SUPPORT - r_chi) / (SUPPORT - PLATEAU))
@@ -94,7 +96,7 @@ def build_bumps(resolution: int = 256) -> BumpPair:
     phi = chi_half - chi_full
     for arr in (r_chi, chi, r_phi, phi):
         arr.flags.writeable = False
-    return BumpPair(resolution, r_chi, chi, r_phi, phi)
+    return BumpPair(r_chi, chi, r_phi, phi)
 
 
 def block_range(grid: Grid) -> tuple:
@@ -116,9 +118,8 @@ def is_boundary_block(grid: Grid, l: int) -> bool:
 class DyadicDecomposition:
     """Blocks of one field, the mean mode, and boundary bookkeeping."""
 
-    def __init__(self, grid, bumps, l_min, l_max, blocks, mean):
+    def __init__(self, grid, l_min, l_max, blocks, mean):
         self.grid = grid
-        self.bumps = bumps
         self.l_min = l_min
         self.l_max = l_max
         self.blocks = blocks
@@ -140,20 +141,20 @@ class DyadicDecomposition:
 
 
 @functools.lru_cache(maxsize=16)
-def _radial_blocks(dim: int, n: int, length: float, bumps: BumpPair,
-                   low_pass: bool = False) -> tuple:
+def _radial_blocks(dim: int, n: int, length: float, low_pass: bool = False) -> tuple:
     """Block indices, phi(r / 2^l) on each distinct radius r = |k| of the
     half spectrum as a [block, radius] table, and each mode's radius index;
     with ``low_pass``, the table holds the low-passes chi(r / 2^(l-1)) of
     the blocks instead.
 
-    One interpolation per (grid, bumps) and table; modes of equal |k| share
+    One interpolation per grid and table; modes of equal |k| share
     their multiplier bit for bit. The key holds plain numbers, so the cache
     keeps no grid (and none of its cached arrays) alive.
     """
     grid = Grid(dim, n, length)
     l_min, l_max = block_range(grid)
     ls = list(range(l_min, l_max + 1))
+    bumps = build_bumps()
     radii, index = np.unique(grid.half_kmag, return_inverse=True)
     if low_pass:
         table = bumps.chi(radii / np.array([2.0 ** (l - 1) for l in ls])[:, None])
@@ -162,24 +163,24 @@ def _radial_blocks(dim: int, n: int, length: float, bumps: BumpPair,
     return ls, table, index.reshape(grid.half_kmag.shape)
 
 
-def _block_multipliers(grid: Grid, bumps: BumpPair, low_pass: bool = False) -> tuple:
+def _block_multipliers(grid: Grid, low_pass: bool = False) -> tuple:
     """Block indices and the multipliers phi(|k| / 2^l) (with ``low_pass``,
     chi(|k| / 2^(l-1))), built one block at a time from the cached radial
     table."""
-    ls, table, index = _radial_blocks(grid.dim, grid.n, grid.length, bumps, low_pass)
+    ls, table, index = _radial_blocks(grid.dim, grid.n, grid.length, low_pass)
     return ls, (row[index] for row in table)
 
 
 @functools.lru_cache(maxsize=8)
-def _parseval_matrix(dim: int, n: int, length: float, bumps: BumpPair) -> np.ndarray:
+def _parseval_matrix(dim: int, n: int, length: float) -> np.ndarray:
     """(blocks x modes) matrix of Parseval weight x phi_l^2: the weights
     count each Hermitian pair of the half spectrum twice."""
     grid = Grid(dim, n, length)
-    _, mults = _block_multipliers(grid, bumps)
+    _, mults = _block_multipliers(grid)
     return np.stack([(grid.half_weight * mult ** 2).ravel() for mult in mults])
 
 
-def block_norm_table(grid: Grid, fhat: np.ndarray, bumps: BumpPair, p: float) -> tuple:
+def block_norm_table(grid: Grid, fhat: np.ndarray, p: float) -> tuple:
     """Block indices and the per-block L^p norms of a stack of half spectra.
 
     ``fhat`` has any leading (stack) axes before the half-spectrum axes of
@@ -188,10 +189,10 @@ def block_norm_table(grid: Grid, fhat: np.ndarray, bumps: BumpPair, p: float) ->
     inverse transforms; other p take one inverse transform of the whole
     stack per block.
     """
-    ls, mults = _block_multipliers(grid, bumps)
+    ls, mults = _block_multipliers(grid)
     lead = fhat.shape[:fhat.ndim - grid.dim]
     if p == 2:
-        parseval = _parseval_matrix(grid.dim, grid.n, grid.length, bumps)
+        parseval = _parseval_matrix(grid.dim, grid.n, grid.length)
         power = (np.abs(fhat) ** 2).reshape(-1, parseval.shape[1])
         scale = math.sqrt(grid.cell_volume / grid.n ** grid.dim)
         return ls, scale * np.sqrt(power @ parseval.T).reshape(lead + (len(ls),))
@@ -201,13 +202,13 @@ def block_norm_table(grid: Grid, fhat: np.ndarray, bumps: BumpPair, p: float) ->
     return ls, table
 
 
-def decompose(f: RealField, bumps: BumpPair) -> DyadicDecomposition:
+def decompose(f: RealField) -> DyadicDecomposition:
     g = f.grid
-    ls, mults = _block_multipliers(g, bumps)
+    ls, mults = _block_multipliers(g)
     fhat = fft_array(g, f.values)
     mean = float(fhat.flat[0].real) / g.n ** g.dim
     blocks = {l: RealField(g, ifft_array(g, mult * fhat)) for l, mult in zip(ls, mults)}
-    return DyadicDecomposition(g, bumps, ls[0], ls[-1], blocks, mean)
+    return DyadicDecomposition(g, ls[0], ls[-1], blocks, mean)
 
 
 @dataclass(frozen=True)
@@ -225,13 +226,14 @@ class BesovSpec:
             raise ConfigurationError(f"regularity index must be finite, got {self.s}")
 
 
-def block_norms(f: RealField, bumps: BumpPair, p: float):
+def block_norms(f: RealField, *, p: float):
     """Per-block L^p norms (and the mean mode) from one forward transform;
-    see :func:`block_norm_table`."""
+    see :func:`block_norm_table`. ``p`` is keyword-only: perfbench's tracer
+    reads it from the call's keywords."""
     g = f.grid
     fhat = fft_array(g, f.values)
     mean = float(fhat.flat[0].real) / g.n ** g.dim
-    ls, norms = block_norm_table(g, fhat, bumps, p)
+    ls, norms = block_norm_table(g, fhat, p)
     return ls, norms, mean
 
 
@@ -242,14 +244,14 @@ def _weighted_lr(ls, norms, s, r):
     return float(np.sum(weighted ** r) ** (1.0 / r))
 
 
-def besov_norm(f: RealField, spec: BesovSpec, bumps: BumpPair) -> float:
+def besov_norm(f: RealField, spec: BesovSpec) -> float:
     """l^r over blocks of 2^{ls} ||block||_{L^p}; the mean mode is excluded
     (constants have zero norm) and is available via decompose/block_norms."""
-    ls, norms, _ = block_norms(f, bumps, spec.p)
+    ls, norms, _ = block_norms(f, p=spec.p)
     return _weighted_lr(ls, norms, spec.s, spec.r)
 
 
-def tilde_norm(series, times, sigma: float, spec: BesovSpec, bumps: BumpPair) -> float:
+def tilde_norm(series, times, sigma: float, spec: BesovSpec) -> float:
     """Time-then-block norm: per block, L^sigma of t -> ||block(t)||_{L^p}
     over the time grid (trapezoid; sigma = inf takes the sup), then the
     weighted l^r across blocks. Time aggregation happens strictly before
@@ -271,14 +273,14 @@ def tilde_norm(series, times, sigma: float, spec: BesovSpec, bumps: BumpPair) ->
         raise DomainError("finite-sigma time norm needs at least two sample times")
     g = series[0].grid
     fhat = fft_array(g, np.stack([f.values for f in series]))
-    return spectral_tilde_norm(g, fhat, times, sigma, spec, bumps)
+    return spectral_tilde_norm(g, fhat, times, sigma, spec)
 
 
 def spectral_tilde_norm(grid: Grid, fhat: np.ndarray, times, sigma: float,
-                        spec: BesovSpec, bumps: BumpPair) -> float:
+                        spec: BesovSpec) -> float:
     """:func:`tilde_norm` of a series given as a [time, half spectrum] stack,
     for callers that already hold the spectra; the arguments are trusted."""
-    ls, table = block_norm_table(grid, fhat, bumps, spec.p)  # [time, block]
+    ls, table = block_norm_table(grid, fhat, spec.p)  # [time, block]
     if math.isinf(sigma):
         agg = np.max(table, axis=0)
     else:
@@ -286,7 +288,7 @@ def spectral_tilde_norm(grid: Grid, fhat: np.ndarray, times, sigma: float,
     return _weighted_lr(ls, agg, spec.s, spec.r)
 
 
-def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
+def bony_decompose(u: RealField, v: RealField):
     """Paraproduct split of the pointwise product.
 
     Returns (Tuv, Tvu, R) with Tuv = sum_l S_{l-1}u * block_l v, where
@@ -297,8 +299,8 @@ def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
     if u.grid != v.grid:
         raise ConfigurationError("paraproduct factors live on different grids")
     g = u.grid
-    ls, mults = _block_multipliers(g, bumps)
-    _, lows = _block_multipliers(g, bumps, low_pass=True)
+    ls, mults = _block_multipliers(g)
+    _, lows = _block_multipliers(g, low_pass=True)
     uvhat = fft_array(g, np.stack([u.values, v.values]))
     # blocks[l] stacks block_l u and block_l v
     blocks = {l: ifft_array(g, mult * uvhat) for l, mult in zip(ls, mults)}
@@ -316,8 +318,7 @@ def bony_decompose(u: RealField, v: RealField, bumps: BumpPair):
     return RealField(g, t_uv), RealField(g, t_vu), RealField(g, remainder)
 
 
-def heat_block_decay_check(u0: RealField, mu: float, times, bumps: BumpPair,
-                           p: float = 2) -> dict:
+def heat_block_decay_check(u0: RealField, mu: float, times, p: float = 2) -> dict:
     """Evolve u0 by the exact diffusion semigroup and compare per-block decay
     against the annulus bounds exp(-mu*(8/3)^2*4^l*t) <= ratio <=
     exp(-mu*(3/4)^2*4^l*t). Also fits the effective rate c in
@@ -336,7 +337,7 @@ def heat_block_decay_check(u0: RealField, mu: float, times, bumps: BumpPair,
         # at p = 2 the spectral evaluation keeps the per-mode decay exact,
         # so the annulus bounds hold even for blocks of roundoff content
         dhat[1:] = fft_array(g, ifft_array(g, dhat[1:]))
-    ls, table = block_norm_table(g, dhat, bumps, p)  # [time, block]
+    ls, table = block_norm_table(g, dhat, p)  # [time, block]
     norms0 = table[0]
     # p != 2 goes through a real-space round trip whose roundoff does not
     # decay, so blocks at the noise floor cannot be certified
@@ -370,9 +371,9 @@ def heat_block_decay_check(u0: RealField, mu: float, times, bumps: BumpPair,
             "all_within": all(b["lower_ok"] and b["upper_ok"] for b in blocks)}
 
 
-def block_report(f: RealField, spec: BesovSpec, bumps: BumpPair) -> dict:
+def block_report(f: RealField, spec: BesovSpec) -> dict:
     """JSON-ready per-block norm report."""
-    ls, norms, mean = block_norms(f, bumps, spec.p)
+    ls, norms, mean = block_norms(f, p=spec.p)
     records = []
     for l, v in zip(ls, norms):
         records.append({

@@ -33,6 +33,10 @@ class Preset:
         if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
             raise ConfigurationError(
                 f"amplitude must be finite and >= 0, got {self.amplitude}")
+        # these densities reach zero or below somewhere at amplitude >= 1
+        if self.name in ("random_bandlimited", "manufactured") and self.amplitude >= 1.0:
+            raise ConfigurationError(
+                f"{self.name} needs amplitude < 1 for positivity, got {self.amplitude}")
         if not (0.0 < self.delta < 1.0):
             raise ConfigurationError(
                 f"delta must lie in (0, 1), got {self.delta}")
@@ -98,9 +102,6 @@ def build(preset: Preset, grid: Grid, params: PhysParams) -> PrimitiveState:
         rng = np.random.default_rng(preset.seed)
         band = max(2, grid.n // 6)
         noise = _bandlimited_noise(grid, rng, band)
-        if amp >= 1.0:
-            raise ConfigurationError(
-                f"random_bandlimited needs amplitude < 1 for positivity, got {amp}")
         rho = rb * (1.0 + amp * noise)
         u = tuple(RealField(grid, amp * _bandlimited_noise(grid, rng, band))
                   for _ in range(grid.dim))
@@ -108,7 +109,4 @@ def build(preset: Preset, grid: Grid, params: PhysParams) -> PrimitiveState:
 
     # manufactured: squared profile so sqrt(rho) is a single mode
     rho = rb * (1.0 + amp * np.cos(grid.x[0])) ** 2
-    if amp >= 1.0:
-        raise ConfigurationError(
-            f"manufactured needs amplitude < 1 for positivity, got {amp}")
     return PrimitiveState(RealField(grid, rho), _velocity_profile(grid, amp))

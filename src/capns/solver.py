@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     VacuumBreach,
 )
 from .fields import Grid, RealField, dealias_values, fft_array, grad_arrays, ifft_array
-from .lp_besov import BesovSpec, besov_norm, build_bumps, spectral_tilde_norm
+from .lp_besov import BesovSpec, besov_norm, spectral_tilde_norm
 from .model import (
     EffectiveState,
     PhysParams,
@@ -45,7 +45,8 @@ from .model import (
 
 CHECKPOINT_VERSION = 1
 
-FORMULATIONS = ("primitive", "effective")
+# formulation name -> state class; the name is also a checkpoint's ``kind``
+FORMULATIONS = {"primitive": PrimitiveState, "effective": EffectiveState}
 
 
 @dataclass(frozen=True)
@@ -244,32 +245,28 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
 # -- checkpointing ------------------------------------------------------------
 
 def save_checkpoint(path, state, params: PhysParams, t: float):
-    """Versioned NPZ dump of grid, physical parameters, state, and time."""
+    """Versioned NPZ dump of grid, physical parameters, state, and time.
+
+    Members, in order: version, dim, n, length, t, the fields of PhysParams,
+    kind (the formulation name), then the state's two fields by name, the
+    vector one per component (rho, u0, u1 or q, v0, v1).
+    """
+    kind = next((name for name, cls in FORMULATIONS.items() if isinstance(state, cls)), None)
+    if kind is None:
+        raise ConfigurationError(f"cannot checkpoint a {type(state).__name__}")
     g = state.grid
+    scalar, vector = (f.name for f in fields(state))
     payload = {
         "version": np.int64(CHECKPOINT_VERSION),
         "dim": np.int64(g.dim),
         "n": np.int64(g.n),
         "length": np.float64(g.length),
         "t": np.float64(t),
-        "mu": np.float64(params.mu),
-        "kappa": np.float64(params.kappa),
-        "a": np.float64(params.a),
-        "gamma": np.float64(params.gamma),
-        "rho_bar": np.float64(params.rho_bar),
+        **{f.name: np.float64(getattr(params, f.name)) for f in fields(PhysParams)},
+        "kind": kind,
+        scalar: getattr(state, scalar).values,
+        **{f"{vector}{i}": c.values for i, c in enumerate(getattr(state, vector))},
     }
-    if isinstance(state, PrimitiveState):
-        payload["kind"] = "primitive"
-        payload["rho"] = state.rho.values
-        for i, c in enumerate(state.u):
-            payload[f"u{i}"] = c.values
-    elif isinstance(state, EffectiveState):
-        payload["kind"] = "effective"
-        payload["q"] = state.q.values
-        for i, c in enumerate(state.v):
-            payload[f"v{i}"] = c.values
-    else:
-        raise ConfigurationError(f"cannot checkpoint a {type(state).__name__}")
     np.savez(path, **payload)
 
 
@@ -308,27 +305,15 @@ def _state_from_archive(data: dict):
     if version != CHECKPOINT_VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {version}")
     g = Grid(int(data["dim"]), int(data["n"]), float(data["length"]))
-    params = PhysParams(
-        mu=float(data["mu"]),
-        kappa=float(data["kappa"]),
-        a=float(data["a"]),
-        gamma=float(data["gamma"]),
-        rho_bar=float(data["rho_bar"]),
-    )
+    params = PhysParams(**{f.name: float(data[f.name]) for f in fields(PhysParams)})
     t = float(data["t"])
     kind = str(data["kind"])
-    if kind == "primitive":
-        state = PrimitiveState(
-            RealField(g, data["rho"]),
-            tuple(RealField(g, data[f"u{i}"]) for i in range(g.dim)),
-        )
-    elif kind == "effective":
-        state = EffectiveState(
-            RealField(g, data["q"]),
-            tuple(RealField(g, data[f"v{i}"]) for i in range(g.dim)),
-        )
-    else:
+    if kind not in FORMULATIONS:
         raise ConfigurationError(f"unknown checkpoint state kind {kind!r}")
+    cls = FORMULATIONS[kind]
+    scalar, vector = (f.name for f in fields(cls))
+    state = cls(RealField(g, data[scalar]),
+                tuple(RealField(g, data[f"{vector}{i}"]) for i in range(g.dim)))
     return state, params, t
 
 
@@ -447,7 +432,6 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         )
     g = q0.grid
     v0 = tuple(v0)
-    bumps = build_bumps()
     spec_q = BesovSpec(g.dim / pcfg.p, pcfg.p)
     spec_v = BesovSpec(g.dim / pcfg.p - 1.0, pcfg.p)
 
@@ -463,8 +447,8 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
     v_lin = np.stack(v_lin)  # [component, time, ...]
 
     data_norms = {
-        "q": besov_norm(q0, spec_q, bumps),
-        "v": sum(besov_norm(c, spec_v, bumps) for c in v0),
+        "q": besov_norm(q0, spec_q),
+        "v": sum(besov_norm(c, spec_v) for c in v0),
     }
 
     qs, vs = q_lin, v_lin
@@ -490,9 +474,9 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(v_new))):
             raise NonContraction(T, data_norms, diff_norms + [float("inf")])
 
-        delta = spectral_tilde_norm(g, q_new - qs, times, math.inf, spec_q, bumps)
+        delta = spectral_tilde_norm(g, q_new - qs, times, math.inf, spec_q)
         for i in range(g.dim):
-            delta += spectral_tilde_norm(g, v_new[i] - vs[i], times, math.inf, spec_v, bumps)
+            delta += spectral_tilde_norm(g, v_new[i] - vs[i], times, math.inf, spec_v)
 
         qs, vs = q_new, v_new
         diff_norms.append(delta)

@@ -105,11 +105,10 @@ def suite_heat() -> SuiteReport:
     """Dyadic blocks of the diffusion semigroup decay inside the annulus
     envelope, and infinitesimal horizons leave every block unchanged."""
     rng = np.random.default_rng(202)
-    bumps = build_bumps()
     g = Grid(dim=1, n=256)
     u0 = _broadband(g, rng)
     mu = 0.15
-    rep = heat_block_decay_check(u0, mu, (0.0, 0.01, 0.1, 1.0), bumps)
+    rep = heat_block_decay_check(u0, mu, (0.0, 0.01, 0.1, 1.0))
     cases = []
     for blk in rep["blocks"]:
         if blk["negligible"]:
@@ -117,7 +116,7 @@ def suite_heat() -> SuiteReport:
         cases.append(CaseResult(
             f"block_{blk['l']}_envelope", blk["lower_ok"] and blk["upper_ok"],
             detail=f"c_fit={blk['c_fit']:.4f}" if blk["c_fit"] else ""))
-    tiny = heat_block_decay_check(u0, mu, (0.0, 1e-30), bumps)
+    tiny = heat_block_decay_check(u0, mu, (0.0, 1e-30))
     worst = max(abs(r - 1.0) for blk in tiny["blocks"] if not blk["negligible"]
                 for r in blk["ratios"])
     cases.append(CaseResult("zero_horizon_ratios_one", worst < 1e-10, worst, 1e-10))
@@ -127,13 +126,12 @@ def suite_heat() -> SuiteReport:
 def suite_bony() -> SuiteReport:
     """Paraproduct + remainder reconstruct the pointwise product."""
     rng = np.random.default_rng(303)
-    bumps = build_bumps()
     cases = []
     for dim, n in ((1, 256), (2, 64)):
         g = Grid(dim=dim, n=n)
         u = RealField(g, _bandlimited_noise(g, rng, n // 4) + 0.3)
         v = RealField(g, _bandlimited_noise(g, rng, n // 4) - 0.2)
-        t_uv, t_vu, rem = bony_decompose(u, v, bumps)
+        t_uv, t_vu, rem = bony_decompose(u, v)
         mean_u = float(np.mean(u.values))
         mean_v = float(np.mean(v.values))
         recon = t_uv.values + t_vu.values + rem.values + mean_u * mean_v
@@ -162,11 +160,11 @@ def suite_besov() -> SuiteReport:
     cases.append(CaseResult("partition_of_unity", err < 1e-12, err, 1e-12))
 
     f = _broadband(g, rng)
-    recon = decompose(f, bumps).reconstruct()
+    recon = decompose(f).reconstruct()
     err = _rel_l2([RealField(g, recon.values - f.values)], [f])
     cases.append(CaseResult("reconstruction", err < 1e-10, err, 1e-10))
 
-    dec = decompose(f, bumps)
+    dec = decompose(f)
     worst = 0.0
     for l in dec.ls:
         blk = dec.blocks[l]

@@ -258,6 +258,22 @@ class TestBesovCommand:
         assert rep["log_density"]["norm"] > 0
         assert len(rep["log_density"]["blocks"]) >= 4
 
+    def test_effective_state_file_reports_as_primitive(self, tmp_path):
+        from capns.model import to_effective
+        from capns.presets import Preset, build
+        from capns.solver import save_checkpoint
+
+        g = Grid(dim=2, n=16)
+        params = PhysParams(mu=0.15, kappa=0.0225)
+        state = build(Preset("smooth_bump", amplitude=0.2), g, params)
+        reports = []
+        for kind, s in (("p", state), ("e", to_effective(state, params))):
+            ckpt, json_path = tmp_path / f"{kind}.npz", tmp_path / f"{kind}.json"
+            save_checkpoint(ckpt, s, params, t=0.5)
+            assert main(["besov", "--state", str(ckpt), "--json", str(json_path)]) == EXIT_OK
+            reports.append(json.loads(json_path.read_text()))
+        assert reports[0] == reports[1]
+
     def test_requires_exactly_one_source(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", base_sections())
         assert main(["besov"]) == EXIT_BAD_CONFIG
@@ -361,6 +377,27 @@ class TestConfiguration:
         assert payload["exit_code"] == EXIT_BAD_CONFIG
         assert len(payload["errors"]) == 1 and message in payload["errors"][0]
         assert f"config error: {payload['errors'][0]}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("solver", [{"dt": -1.0}, {"t_end": 0.0205}],
+                             ids=["early", "late"])
+    def test_config_json_path_takes_invalid_config(self, tmp_path, capsys, solver):
+        # without --json, [output] json receives every payload of run
+        json_path = tmp_path / "out_cfg.json"
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            solver=solver, output={"json": str(json_path)}))
+        assert main(["run", "--config", cfg]) == EXIT_BAD_CONFIG
+        assert json.loads(json_path.read_text())["cause"] == "invalid_config"
+        assert capsys.readouterr().out.endswith(f"wrote {json_path}\n")
+
+    @pytest.mark.parametrize("preset", ["random_bandlimited", "manufactured"])
+    def test_amplitude_bound_checked_with_the_config(self, tmp_path, preset):
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            physics={"mu": -1}, initial={"preset": preset, "amplitude": 1.5}))
+        json_path = tmp_path / "out.json"
+        assert main(["run", "--config", cfg, "--json", str(json_path)]) == EXIT_BAD_CONFIG
+        errors = json.loads(json_path.read_text())["errors"]
+        assert [e.split(":")[0] for e in errors] == ["physics", "initial"]
+        assert f"{preset} needs amplitude < 1" in errors[1]
 
     def test_readme_example_runs(self, tmp_path, capsys):
         ini = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)

@@ -29,7 +29,7 @@ from capns.lp_besov import (
 
 @pytest.fixture(scope="module")
 def bumps():
-    return build_bumps(256)
+    return build_bumps()
 
 
 def white_noise_field(grid, rng, amplitude=1.0):
@@ -46,10 +46,6 @@ def band_field(grid, rng, bandlimit, amplitude=1.0):
 
 
 class TestBumps:
-    def test_resolution_floor(self):
-        with pytest.raises(ConfigurationError):
-            build_bumps(32)
-
     @pytest.mark.parametrize("r,want", [(0.0, 1.0), (0.5, 1.0), (0.74, 1.0), (4 / 3, 0.0), (1.5, 0.0), (3.0, 0.0)])
     def test_chi_plateau_and_support(self, bumps, r, want):
         assert bumps.chi(r) == pytest.approx(want, abs=1e-15)
@@ -73,78 +69,78 @@ class TestBumps:
 
 
 class TestDecompose:
-    def test_constant_field(self, bumps):
+    def test_constant_field(self):
         g = Grid(1, 64)
-        d = decompose(RealField(g, np.full(g.shape, 2.5)), bumps)
+        d = decompose(RealField(g, np.full(g.shape, 2.5)))
         assert d.mean == pytest.approx(2.5, rel=1e-14)
         for b in d.blocks.values():
             assert np.max(np.abs(b.values)) < 1e-13
 
-    def test_power_of_two_harmonic_spans_two_blocks(self, bumps):
+    def test_power_of_two_harmonic_spans_two_blocks(self):
         g = Grid(1, 64)
-        d = decompose(RealField(g, np.sin(4 * g.x[0])), bumps)
+        d = decompose(RealField(g, np.sin(4 * g.x[0])))
         active = [l for l, b in d.blocks.items() if lp_norm(b, 2) > 1e-12]
         assert len(active) <= 2
         assert active  # not all filtered out
 
-    def test_single_block_harmonic(self, bumps):
+    def test_single_block_harmonic(self):
         # |k| = 6 satisfies 4/3 <= 6/2^2 <= 3/2, inside exactly one annulus
         g = Grid(1, 64)
-        d = decompose(RealField(g, np.sin(6 * g.x[0])), bumps)
+        d = decompose(RealField(g, np.sin(6 * g.x[0])))
         active = [l for l, b in d.blocks.items() if lp_norm(b, 2) > 1e-12]
         assert active == [2]
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
-    def test_reconstruction(self, bumps, dim, n):
+    def test_reconstruction(self, dim, n):
         rng = np.random.default_rng(dim)
         g = Grid(dim, n)
         f = white_noise_field(g, rng)
-        d = decompose(f, bumps)
+        d = decompose(f)
         err = np.max(np.abs(d.reconstruct().values - f.values))
         assert err < 1e-10
 
-    def test_block_spectrum_in_annulus(self, bumps):
+    def test_block_spectrum_in_annulus(self):
         rng = np.random.default_rng(9)
         g = Grid(1, 128)
         f = white_noise_field(g, rng)
-        d = decompose(f, bumps)
+        d = decompose(f)
         kmag = full_layout(g)[2]
         for l, b in d.blocks.items():
             bhat = np.abs(np.fft.fftn(b.values))
             outside = (kmag < PLATEAU * 2.0 ** l - 1e-9) | (kmag > ANNULUS_OUTER * 2.0 ** l + 1e-9)
             assert np.max(bhat[outside], initial=0.0) < 1e-9 * max(np.max(bhat), 1.0)
 
-    def test_near_orthogonality(self, bumps):
+    def test_near_orthogonality(self):
         rng = np.random.default_rng(3)
         g = Grid(1, 128)
         f = white_noise_field(g, rng)
-        d = decompose(f, bumps)
+        d = decompose(f)
         mid = (d.l_min + d.l_max) // 2
-        again = decompose(d.blocks[mid], bumps)
+        again = decompose(d.blocks[mid])
         for m, b in again.blocks.items():
             if abs(m - mid) >= 2:
                 assert np.max(np.abs(b.values)) < 1e-13
 
-    def test_boundary_flags(self, bumps):
+    def test_boundary_flags(self):
         g = Grid(1, 128)
-        d = decompose(RealField(g, np.sin(g.x[0])), bumps)
+        d = decompose(RealField(g, np.sin(g.x[0])))
         assert d.is_boundary(d.l_min)
         assert d.is_boundary(d.l_max)
         assert not d.is_boundary((d.l_min + d.l_max) // 2)
 
 
 class TestBesovNorm:
-    def test_zero_field(self, bumps):
+    def test_zero_field(self):
         g = Grid(1, 64)
         spec = BesovSpec(1.5, 2, 1)
-        assert besov_norm(RealField(g, np.zeros(g.shape)), spec, bumps) == 0.0
+        assert besov_norm(RealField(g, np.zeros(g.shape)), spec) == 0.0
 
     @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
-    def test_single_block_any_r(self, bumps, r):
+    def test_single_block_any_r(self, r):
         g = Grid(1, 64)
         f = RealField(g, 0.7 * np.sin(6 * g.x[0]))
         want = 2.0 ** (2 * 1.1) * 0.7 * math.sqrt(math.pi)
-        got = besov_norm(f, BesovSpec(1.1, 2, r), bumps)
+        got = besov_norm(f, BesovSpec(1.1, 2, r))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_invalid_exponents(self):
@@ -170,21 +166,21 @@ class TestBesovNorm:
         s = 1.3
         for _ in range(50):
             f = white_noise_field(g, rng)
-            lhs = besov_norm(f, BesovSpec(s - 0.5, math.inf, 1), bumps)
-            rhs = besov_norm(f, BesovSpec(s, 2, 1), bumps)
+            lhs = besov_norm(f, BesovSpec(s - 0.5, math.inf, 1))
+            rhs = besov_norm(f, BesovSpec(s, 2, 1))
             assert lhs <= c_emb * rhs * (1 + 1e-9)
 
-    def test_l2_equivalence_window(self, bumps):
+    def test_l2_equivalence_window(self):
         rng = np.random.default_rng(7)
         for g in (Grid(1, 128), Grid(2, 32)):
             spec = BesovSpec(0.0, 2, 2)
             for _ in range(10):
                 f = white_noise_field(g, rng)
                 centered = RealField(g, f.values - np.mean(f.values))
-                ratio = besov_norm(f, spec, bumps) / lp_norm(centered, 2)
+                ratio = besov_norm(f, spec) / lp_norm(centered, 2)
                 assert 1 / math.sqrt(2) - 1e-12 <= ratio <= math.sqrt(2) + 1e-12
 
-    def test_dilation_invariance_of_critical_norm(self, bumps):
+    def test_dilation_invariance_of_critical_norm(self):
         # same samples on a half-size box represent f(2x); the critical-index
         # norm must not notice (exact here, spec-level bar is 10%)
         rng = np.random.default_rng(21)
@@ -192,8 +188,8 @@ class TestBesovNorm:
         g2 = Grid(1, 128, length=math.pi)
         f = band_field(g1, rng, 10)
         spec = BesovSpec(0.5, 2, 1)  # s = N/p with N=1, p=2
-        n1 = besov_norm(f, spec, bumps)
-        n2 = besov_norm(RealField(g2, f.values.copy()), spec, bumps)
+        n1 = besov_norm(f, spec)
+        n2 = besov_norm(RealField(g2, f.values.copy()), spec)
         assert n1 > 0.1
         assert abs(n1 - n2) / n1 < 0.10
         assert abs(n1 - n2) / n1 < 1e-10
@@ -201,11 +197,11 @@ class TestBesovNorm:
 
 class TestBernstein:
     @pytest.mark.parametrize("length", [2 * math.pi, 1.0])
-    def test_gradient_bound_l2(self, bumps, length):
+    def test_gradient_bound_l2(self, length):
         rng = np.random.default_rng(31)
         for g in (Grid(1, 128, length=length), Grid(2, 64, length=length)):
             f = white_noise_field(g, rng)
-            d = decompose(f, bumps)
+            d = decompose(f)
             for l, b in d.blocks.items():
                 base = lp_norm(b, 2)
                 if base < 1e-12:
@@ -214,11 +210,11 @@ class TestBernstein:
                 assert lp_norm(RealField(g, mag), 2) <= ANNULUS_OUTER * 2.0 ** l * base * (1 + 1e-12)
 
     @pytest.mark.parametrize("p", [1.0, math.inf])
-    def test_gradient_bound_other_p(self, bumps, p):
+    def test_gradient_bound_other_p(self, p):
         rng = np.random.default_rng(37)
         g = Grid(1, 128)
         f = band_field(g, rng, 32)
-        d = decompose(f, bumps)
+        d = decompose(f)
         for l, b in d.blocks.items():
             base = lp_norm(b, p)
             if base < 1e-12:
@@ -228,109 +224,109 @@ class TestBernstein:
 
 
 class TestTildeNorm:
-    def test_time_constant_single_block(self, bumps):
+    def test_time_constant_single_block(self):
         g = Grid(1, 64)
         f = RealField(g, 0.7 * np.sin(6 * g.x[0]))
         times = np.linspace(0.0, 0.8, 9)
         spec = BesovSpec(1.1, 2, 1)
-        got = tilde_norm([f] * 9, times, 2.0, spec, bumps)
+        got = tilde_norm([f] * 9, times, 2.0, spec)
         want = 0.8 ** 0.5 * 2.0 ** 2.2 * 0.7 * math.sqrt(math.pi)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_sup_in_time(self, bumps):
+    def test_sup_in_time(self):
         g = Grid(1, 64)
         base = 0.7 * np.sin(6 * g.x[0])
         series = [RealField(g, c * base) for c in (1.0, 0.5, 2.0)]
-        got = tilde_norm(series, [0.0, 0.1, 0.2], math.inf, BesovSpec(1.1, 2, 1), bumps)
+        got = tilde_norm(series, [0.0, 0.1, 0.2], math.inf, BesovSpec(1.1, 2, 1))
         want = 2.0 * 2.0 ** 2.2 * 0.7 * math.sqrt(math.pi)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_minkowski_ordering(self, bumps):
+    def test_minkowski_ordering(self):
         rng = np.random.default_rng(11)
         g = Grid(1, 128)
         times = np.linspace(0.0, 1.0, 6)
         series = [white_noise_field(g, rng) for _ in times]
         spec_r3 = BesovSpec(0.8, 2, 3)
-        lhs = tilde_norm(series, times, 2.0, spec_r3, bumps)
-        inst = np.array([besov_norm(f, spec_r3, bumps) for f in series])
+        lhs = tilde_norm(series, times, 2.0, spec_r3)
+        inst = np.array([besov_norm(f, spec_r3) for f in series])
         rhs = np.trapezoid(inst ** 2, times) ** 0.5
         assert lhs <= rhs * (1 + 1e-12)
 
         spec_r1 = BesovSpec(0.8, 2, 1)
-        lhs1 = tilde_norm(series, times, 1.0, spec_r1, bumps)
-        rhs1 = np.trapezoid([besov_norm(f, spec_r1, bumps) for f in series], times)
+        lhs1 = tilde_norm(series, times, 1.0, spec_r1)
+        rhs1 = np.trapezoid([besov_norm(f, spec_r1) for f in series], times)
         assert lhs1 == pytest.approx(rhs1, rel=1e-12)
 
-    def test_input_validation(self, bumps):
+    def test_input_validation(self):
         g = Grid(1, 64)
         f = RealField(g, np.sin(g.x[0]))
         spec = BesovSpec(1.0, 2, 1)
         with pytest.raises(DomainError):
-            tilde_norm([], [], 2.0, spec, bumps)
+            tilde_norm([], [], 2.0, spec)
         with pytest.raises(DomainError):
-            tilde_norm([f, f], [0.0, 0.0], 2.0, spec, bumps)
+            tilde_norm([f, f], [0.0, 0.0], 2.0, spec)
         with pytest.raises(DomainError):
-            tilde_norm([f], [0.0], 2.0, spec, bumps)
+            tilde_norm([f], [0.0], 2.0, spec)
         with pytest.raises(ConfigurationError):
-            tilde_norm([f, f], [0.0, 0.1], 0.5, spec, bumps)
+            tilde_norm([f, f], [0.0, 0.1], 0.5, spec)
 
 
 class TestBony:
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
-    def test_reconstruction(self, bumps, dim, n):
+    def test_reconstruction(self, dim, n):
         rng = np.random.default_rng(dim + 40)
         g = Grid(dim, n)
         u = white_noise_field(g, rng)
         v = white_noise_field(g, rng)
-        t_uv, t_vu, rem = bony_decompose(u, v, bumps)
+        t_uv, t_vu, rem = bony_decompose(u, v)
         product = u.values * v.values
         recon = t_uv.values + t_vu.values + rem.values + np.mean(u.values) * np.mean(v.values)
         assert np.max(np.abs(product - recon)) < 1e-10 * max(1.0, np.max(np.abs(product)))
 
-    def test_constant_factor(self, bumps):
+    def test_constant_factor(self):
         g = Grid(1, 64)
         u = RealField(g, np.full(g.shape, 3.0))
         v = RealField(g, 1.5 + np.sin(2 * g.x[0]) + 0.3 * np.cos(9 * g.x[0]))
-        t_uv, t_vu, rem = bony_decompose(u, v, bumps)
+        t_uv, t_vu, rem = bony_decompose(u, v)
         assert np.max(np.abs(t_vu.values)) < 1e-12
         assert np.max(np.abs(rem.values)) < 1e-12
         want = 3.0 * (v.values - np.mean(v.values))
         assert np.max(np.abs(t_uv.values - want)) < 1e-12
 
-    def test_distant_harmonics_have_no_remainder(self, bumps):
+    def test_distant_harmonics_have_no_remainder(self):
         g = Grid(1, 256)
         u = RealField(g, np.sin(6 * g.x[0]))    # block 2
         v = RealField(g, np.cos(96 * g.x[0]))   # block 6
-        _, _, rem = bony_decompose(u, v, bumps)
+        _, _, rem = bony_decompose(u, v)
         assert np.max(np.abs(rem.values)) < 1e-10
 
-    def test_self_product_is_remainder(self, bumps):
+    def test_self_product_is_remainder(self):
         g = Grid(1, 64)
         u = RealField(g, np.sin(6 * g.x[0]))
-        t_uv, t_vu, rem = bony_decompose(u, u, bumps)
+        t_uv, t_vu, rem = bony_decompose(u, u)
         assert np.max(np.abs(t_uv.values)) < 1e-12
         assert np.max(np.abs(t_vu.values)) < 1e-12
         assert np.max(np.abs(rem.values - u.values ** 2)) < 1e-12
 
-    def test_grid_mismatch(self, bumps):
+    def test_grid_mismatch(self):
         u = RealField(Grid(1, 64), np.zeros(64))
         v = RealField(Grid(1, 128), np.zeros(128))
         with pytest.raises(ConfigurationError):
-            bony_decompose(u, v, bumps)
+            bony_decompose(u, v)
 
 
 class TestHeatDecay:
-    def test_time_zero_only(self, bumps):
+    def test_time_zero_only(self):
         g = Grid(1, 64)
-        report = heat_block_decay_check(RealField(g, np.sin(3 * g.x[0])), 0.5, [0.0], bumps)
+        report = heat_block_decay_check(RealField(g, np.sin(3 * g.x[0])), 0.5, [0.0])
         assert report["all_within"]
         assert all(b["ratios"] == [] for b in report["blocks"])
 
-    def test_single_mode_exact_rate(self, bumps):
+    def test_single_mode_exact_rate(self):
         g = Grid(1, 64)
         mu, k0 = 0.3, 5
         times = [0.0, 0.1, 0.3]
-        report = heat_block_decay_check(RealField(g, np.sin(k0 * g.x[0])), mu, times, bumps)
+        report = heat_block_decay_check(RealField(g, np.sin(k0 * g.x[0])), mu, times)
         assert report["all_within"]
         for b in report["blocks"]:
             if b["initial_norm"] < 1e-12:
@@ -340,34 +336,34 @@ class TestHeatDecay:
             assert b["c_fit"] == pytest.approx(k0 ** 2 / 4.0 ** b["l"], rel=1e-9)
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
-    def test_broadband_two_sided(self, bumps, dim, n):
+    def test_broadband_two_sided(self, dim, n):
         rng = np.random.default_rng(dim + 50)
         g = Grid(dim, n)
         f = white_noise_field(g, rng)
-        report = heat_block_decay_check(f, 0.2, [0.0, 0.02, 0.05, 0.1], bumps)
+        report = heat_block_decay_check(f, 0.2, [0.0, 0.02, 0.05, 0.1])
         assert report["all_within"]
         for b in report["blocks"]:
             if b["c_fit"] is not None:
                 assert PLATEAU ** 2 - 1e-9 <= b["c_fit"] <= ANNULUS_OUTER ** 2 + 1e-9
 
-    def test_validation(self, bumps):
+    def test_validation(self):
         g = Grid(1, 64)
         f = RealField(g, np.sin(g.x[0]))
         with pytest.raises(DomainError):
-            heat_block_decay_check(f, 0.3, [0.1, 0.2], bumps)
+            heat_block_decay_check(f, 0.3, [0.1, 0.2])
         with pytest.raises(ConfigurationError):
-            heat_block_decay_check(f, -0.3, [0.0, 0.2], bumps)
+            heat_block_decay_check(f, -0.3, [0.0, 0.2])
 
 
 class TestBlockReport:
-    def test_json_round_trip(self, bumps):
+    def test_json_round_trip(self):
         g = Grid(1, 128)
         f = RealField(g, 2.0 + np.sin(3 * g.x[0]) + 0.2 * np.cos(17 * g.x[0]))
-        report = block_report(f, BesovSpec(0.5, 2, 1), bumps)
+        report = block_report(f, BesovSpec(0.5, 2, 1))
         text = json.dumps(report)
         back = json.loads(text)
         assert back["mean"] == pytest.approx(2.0, rel=1e-12)
-        assert back["norm"] == pytest.approx(besov_norm(f, BesovSpec(0.5, 2, 1), bumps), rel=1e-12)
+        assert back["norm"] == pytest.approx(besov_norm(f, BesovSpec(0.5, 2, 1)), rel=1e-12)
         assert {"l", "block_norm", "weighted", "boundary"} <= set(back["blocks"][0])
         assert any(rec["boundary"] for rec in back["blocks"])
         assert any(not rec["boundary"] for rec in back["blocks"])

@@ -24,6 +24,12 @@ class TestPresetValidation:
         with pytest.raises(ConfigurationError):
             Preset("smooth_bump", **kw)
 
+    @pytest.mark.parametrize("name", ["random_bandlimited", "manufactured"])
+    def test_amplitude_cap(self, name):
+        Preset(name, amplitude=0.99)
+        with pytest.raises(ConfigurationError, match=f"{name} needs amplitude < 1"):
+            Preset(name, amplitude=1.0)
+
 
 class TestBuild:
     @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -9,7 +9,7 @@ from conftest import full_layout
 
 from capns.errors import ConfigurationError, NonContraction, NumericBlowup, VacuumBreach
 from capns.fields import Grid, RealField, integrate
-from capns.lp_besov import BesovSpec, build_bumps, tilde_norm
+from capns.lp_besov import BesovSpec, tilde_norm
 from capns.model import (
     EffectiveState,
     PhysParams,
@@ -427,6 +427,43 @@ class TestCheckpoint:
         with pytest.raises(ConfigurationError):
             load_checkpoint(path)
 
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, primitive_wave(Grid(1, 32)), PARAMS, 0.0)
+        data = dict(np.load(path))
+        data["kind"] = np.str_("spectral")
+        np.savez(path, **data)
+        with pytest.raises(ConfigurationError, match="unknown checkpoint state kind 'spectral'"):
+            load_checkpoint(path)
+
+    def test_non_state_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot checkpoint a RealField"):
+            save_checkpoint(tmp_path / "ck.npz", zero(Grid(1, 32)), PARAMS, 0.0)
+
+    @pytest.mark.parametrize("formulation,unknowns", [
+        ("primitive", ["rho", "u0", "u1"]),
+        ("effective", ["q", "v0", "v1"]),
+    ])
+    def test_format_v1_members(self, tmp_path, formulation, unknowns):
+        # the archive layout of version 1, in order: files written by any
+        # version of the package must keep loading
+        g = Grid(2, 8)
+        params = PhysParams(mu=0.15, kappa=0.0225, a=0.9, gamma=1.4, rho_bar=1.3)
+        state = build(Preset("smooth_bump"), g, params)
+        if formulation == "effective":
+            state = to_effective(state, params)
+        path = tmp_path / "ck.npz"
+        save_checkpoint(path, state, params, 0.5)
+        with zipfile.ZipFile(path) as z:
+            names = z.namelist()
+        with np.load(path) as data:
+            dtypes = [str(data[name[:-len(".npy")]].dtype) for name in names]
+            kind = str(data["kind"])
+        scalars = ["version", "dim", "n", "length", "t", "mu", "kappa", "a", "gamma", "rho_bar"]
+        assert names == [f"{m}.npy" for m in scalars + ["kind"] + unknowns]
+        assert dtypes == ["int64"] * 3 + ["float64"] * 7 + ["<U9"] + ["float64"] * 3
+        assert kind == formulation
+
     def test_restart_matches_uninterrupted(self, tmp_path):
         g = Grid(1, 128)
         state = primitive_wave(g)
@@ -577,13 +614,12 @@ class TestPicard:
         pcfg = PicardConfig(n_steps=8, max_iters=1, tol=1e-30, p=p)
         res = picard_solve(q0, v0, PARAMS, 0.5, pcfg)
         lin = [solve_linear_system(q0, v0, PARAMS.mu, t) for t in res.times]
-        bumps = build_bumps()
         dq = [RealField(g, q.values - ql.values) for q, (ql, _) in zip(res.q_series, lin)]
-        want = tilde_norm(dq, res.times, math.inf, BesovSpec(g.dim / p, p), bumps)
+        want = tilde_norm(dq, res.times, math.inf, BesovSpec(g.dim / p, p))
         for i in range(g.dim):
             dv = [RealField(g, v[i].values - vl[i].values)
                   for v, (_, vl) in zip(res.v_series, lin)]
-            want += tilde_norm(dv, res.times, math.inf, BesovSpec(g.dim / p - 1.0, p), bumps)
+            want += tilde_norm(dv, res.times, math.inf, BesovSpec(g.dim / p - 1.0, p))
         assert want > 0
         assert res.diff_norms[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 

@@ -10,7 +10,7 @@ import pytest
 
 from capns.diagnostics import DiagnosticsAccumulator
 from capns.fields import Grid, RealField
-from capns.lp_besov import BesovSpec, block_report, bony_decompose, build_bumps
+from capns.lp_besov import BesovSpec, block_report, bony_decompose
 from capns.model import PhysParams, to_effective
 from capns.presets import PRESET_NAMES, Preset, build
 from capns.solver import PicardConfig, SolverConfig, picard_solve, step_imex
@@ -68,9 +68,8 @@ def test_step_and_record_transform_counts(fft_calls, dim, n, formulation,
 
 def test_block_report_one_transform_per_block(fft_calls):
     f = build(Preset("random_bandlimited", amplitude=0.05), Grid(2, 64), PARAMS).rho
-    bumps = build_bumps()
     fft_calls[0] = 0
-    rep = block_report(f, BesovSpec(2.0 / 3.0, 3.0), bumps)
+    rep = block_report(f, BesovSpec(2.0 / 3.0, 3.0))
     # one forward transform, then one inverse per block for p != 2
     assert fft_calls[0] == 1 + len(rep["blocks"])
 
@@ -121,16 +120,16 @@ def test_bony_transforms_each_factor_once(fft_calls):
     # inverse of the blocks and one of the low-passes
     u, v = _bony_factors()
     fft_calls[0] = 0
-    bony_decompose(u, v, build_bumps())
+    bony_decompose(u, v)
     assert fft_calls[0] == 1 + 2 * 7  # 7 blocks at n = 64
 
 
 def test_second_bony_decompose_interpolates_nothing(interp_calls):
     # the phi and chi multipliers of a grid are interpolated once
     u, v = _bony_factors()
-    bony_decompose(u, v, build_bumps())
+    bony_decompose(u, v)
     interp_calls[0] = 0
-    bony_decompose(u, v, build_bumps())
+    bony_decompose(u, v)
     assert interp_calls[0] == 0
 
 
@@ -159,5 +158,5 @@ def test_no_complex_transform(monkeypatch, dim, n):
     e = _state(dim, n, "effective")
     picard_solve(e.q, e.v, PARAMS, 0.5, PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
     f = build(Preset("random_bandlimited", amplitude=0.05), g, PARAMS).rho
-    block_report(f, BesovSpec(2.0 / 3.0, 3.0), build_bumps())
+    block_report(f, BesovSpec(2.0 / 3.0, 3.0))
     assert calls[0] == 0
