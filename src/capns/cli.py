@@ -52,22 +52,12 @@ CAUSE_CODES = {
 }
 
 
-def _to_bool(raw: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 SCHEMA = {
     "grid": {"dim": int, "n": int, "length": float},
     "physics": {"mu": float, "kappa": float, "a": float, "gamma": float,
                 "rho_bar": float},
     "solver": {"dt": float, "t_end": float, "formulation": str,
-               "dealias": _to_bool, "vacuum_floor": float, "diag_stride": int,
-               "c_stab": float},
+               "vacuum_floor": float, "diag_stride": int, "c_stab": float},
     "initial": {"preset": str, "amplitude": float, "seed": int, "delta": float},
     "output": {"csv": str, "json": str},
     "lifespan": {"C": float, "C1": float, "c": float, "eps": float,
@@ -140,11 +130,19 @@ def _build(cls, section, values, errors, skip=()):
 
 
 def _load_case(path) -> tuple:
-    """(values, errors, grid, params, preset) of a config file."""
+    """(values, errors, params, preset, initial) of a config file, with the
+    primitive initial state built once; None where errors names the cause."""
     values, errors = load_config(path)
-    return (values, errors, _build(Grid, "grid", values, errors),
-            _build(PhysParams, "physics", values, errors),
-            _build(Preset, "initial", values, errors))
+    grid = _build(Grid, "grid", values, errors)
+    params = _build(PhysParams, "physics", values, errors)
+    preset = _build(Preset, "initial", values, errors)
+    initial = None
+    if not errors:
+        try:
+            initial = build(preset, grid, params)
+        except ConfigurationError as ex:
+            errors.append(f"initial: {ex}")
+    return values, errors, params, preset, initial
 
 
 @contextlib.contextmanager
@@ -188,7 +186,7 @@ def _lifespan_inputs(values, q0, v0, params):
 
 
 def cmd_run(args, stream) -> int:
-    values, errors, grid, params, preset = _load_case(args.config)
+    values, errors, params, preset, initial = _load_case(args.config)
     out = values.get("output", {})
     # every payload of run goes to one path, main's late invalid_config included
     args.json = args.json or out.get("json")
@@ -197,7 +195,7 @@ def cmd_run(args, stream) -> int:
     solver_cfg = None if missing else _build(SolverConfig, "solver", values, errors)
     if not errors:
         try:
-            solver_cfg.validate_for(grid, params)
+            solver_cfg.validate_for(initial.grid, params)
         except ConfigurationError as ex:
             errors.append(f"solver.dt: {ex}")
     if errors:
@@ -205,7 +203,6 @@ def cmd_run(args, stream) -> int:
 
     csv_path = args.csv or out.get("csv", "series.csv")
 
-    initial = build(preset, grid, params)
     if solver_cfg.formulation == "effective":
         initial = to_effective(initial, params)
     acc = DiagnosticsAccumulator(params)
@@ -234,7 +231,7 @@ def cmd_run(args, stream) -> int:
     gains_ok = True
     if params.gamma == 1.0:
         for p_exp in (4, 8, 16):
-            rep = lp_gain_check(records, p_exp, params, grid.dim)
+            rep = lp_gain_check(records, p_exp, params, initial.grid.dim)
             gains[str(p_exp)] = {"verdict": rep.verdict, "note": rep.note}
             gains_ok &= bool(rep.verdict)
     ok = energy_verdict.ok and gains_ok and drift < 1e-10
@@ -275,10 +272,10 @@ def cmd_verify(args, stream) -> int:
 
 
 def cmd_lifespan(args, stream) -> int:
-    values, errors, grid, params, preset = _load_case(args.config)
+    values, errors, params, preset, initial = _load_case(args.config)
     if errors:
         return _fail_config(errors, args.json, stream)
-    q0, v0 = _effective_data(build(preset, grid, params), params)
+    q0, v0 = _effective_data(initial, params)
     inp = _lifespan_inputs(values, q0, v0, params)
     report = lifespan_report(inp)
     report["preset"] = preset.name
@@ -299,11 +296,11 @@ def cmd_lifespan(args, stream) -> int:
 
 
 def cmd_picard(args, stream) -> int:
-    values, errors, grid, params, preset = _load_case(args.config)
+    values, errors, params, preset, initial = _load_case(args.config)
     if errors:
         return _fail_config(errors, args.json, stream)
     pkw = values.get("picard", {})
-    q0, v0 = _effective_data(build(preset, grid, params), params)
+    q0, v0 = _effective_data(initial, params)
 
     raw_horizon = pkw.get("horizon", "auto")
     if raw_horizon == "auto":
@@ -355,10 +352,10 @@ def cmd_besov(args, stream) -> int:
         except (OSError, ConfigurationError) as ex:
             return _fail_config([f"besov.state: {ex}"], args.json, stream)
     else:
-        values, errors, grid, params, preset = _load_case(args.config)
+        values, errors, params, preset, state = _load_case(args.config)
         if errors:
             return _fail_config(errors, args.json, stream)
-        state, t = build(preset, grid, params), 0.0
+        t = 0.0
     q, v = (state.q, state.v) if isinstance(state, EffectiveState) \
         else _effective_data(state, params)
     n = q.grid.dim

@@ -25,7 +25,8 @@ maps a stack of half spectra to a [stack, block] table. The block
 multipliers of a grid are interpolated once and cached. At p = 2 the table
 is one product of |fhat|^2 with the cached (blocks x modes) matrix of
 Parseval weight x phi_l^2; other p take one inverse transform of the whole
-stack per block.
+stack per block. :func:`heat_block_decay_check` works in L^2 only, on
+exactly decayed spectra.
 """
 
 from __future__ import annotations
@@ -318,11 +319,14 @@ def bony_decompose(u: RealField, v: RealField):
     return RealField(g, t_uv), RealField(g, t_vu), RealField(g, remainder)
 
 
-def heat_block_decay_check(u0: RealField, mu: float, times, p: float = 2) -> dict:
-    """Evolve u0 by the exact diffusion semigroup and compare per-block decay
-    against the annulus bounds exp(-mu*(8/3)^2*4^l*t) <= ratio <=
-    exp(-mu*(3/4)^2*4^l*t). Also fits the effective rate c in
-    ratio ~ exp(-c*mu*4^l*t) for each block."""
+def heat_block_decay_check(u0: RealField, mu: float, times) -> dict:
+    """Evolve u0 by the exact diffusion semigroup and compare the decay of
+    each block's L^2 norm against the annulus bounds
+    exp(-mu*(8/3)^2*4^l*t) <= ratio <= exp(-mu*(3/4)^2*4^l*t). Also fits the
+    effective rate c in ratio ~ exp(-c*mu*4^l*t) for each block.
+
+    The norms are taken on the decayed spectra, so the per-mode decay is
+    exact and the bounds hold even for blocks of roundoff content."""
     times = np.asarray(times, dtype=float)
     if times.size == 0 or times[0] != 0 or np.any(np.diff(times) <= 0):
         raise DomainError("need increasing sample times starting at 0")
@@ -331,22 +335,12 @@ def heat_block_decay_check(u0: RealField, mu: float, times, p: float = 2) -> dic
     g = u0.grid
     uhat0 = fft_array(g, u0.values)
     decay = np.exp(-mu * g.half_k2 * times.reshape((-1,) + (1,) * g.dim))
-    dhat = decay * uhat0  # [time, half spectrum]; exact at t = 0
-    if p != 2:
-        # the decayed fields are sampled on the grid and transformed back;
-        # at p = 2 the spectral evaluation keeps the per-mode decay exact,
-        # so the annulus bounds hold even for blocks of roundoff content
-        dhat[1:] = fft_array(g, ifft_array(g, dhat[1:]))
-    ls, table = block_norm_table(g, dhat, p)  # [time, block]
-    norms0 = table[0]
-    # p != 2 goes through a real-space round trip whose roundoff does not
-    # decay, so blocks at the noise floor cannot be certified
-    floor = 0.0 if p == 2 else 1e-12 * float(np.max(norms0, initial=0.0))
+    ls, table = block_norm_table(g, decay * uhat0, 2)  # [time, block]
 
     blocks = []
     for j, l in enumerate(ls):
         n0 = table[0, j]
-        if n0 <= floor or n0 == 0:
+        if n0 == 0:
             blocks.append({"l": l, "initial_norm": float(n0), "ratios": [],
                            "lower_ok": True, "upper_ok": True, "c_fit": None,
                            "negligible": True})
@@ -367,7 +361,7 @@ def heat_block_decay_check(u0: RealField, mu: float, times, p: float = 2) -> dic
             "c_fit": float(np.mean(cs)) if cs.size else None,
             "negligible": False,
         })
-    return {"mu": mu, "p": p, "times": [float(t) for t in times], "blocks": blocks,
+    return {"mu": mu, "p": 2, "times": [float(t) for t in times], "blocks": blocks,
             "all_within": all(b["lower_ok"] and b["upper_ok"] for b in blocks)}
 
 

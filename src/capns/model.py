@@ -9,9 +9,11 @@ requires kappa >= mu^2, and the capillary correction drops out exactly at
 kappa = mu^2.
 
 All right-hand sides are evaluated pseudo-spectrally: derivatives in
-Fourier space, products on the grid, products truncated by the 2/3 rule
-when ``dealias`` is set. ln(rho) is taken pointwise and is only defined
-above the vacuum floor.
+Fourier space, products on the grid, every product truncated by the 2/3
+rule (Orszag): the truncation is part of the scheme, not an option, and
+the budgets, formulation equivalence and Picard contraction are all
+checked on it. ln(rho) is taken pointwise and needs a positive density;
+the vacuum floor of a run is the stepper's guard.
 
 The stepper calls ``primitive_tendencies`` and ``effective_tendencies``,
 which take grid samples with their half spectra and return each diffusive
@@ -116,21 +118,11 @@ class EffectiveState:
         return self.q.grid
 
 
-def _maybe_dealias(grid, vals, flag):
-    return dealias_values(grid, vals) if flag else vals
-
-
-def _mask(grid, dealias):
-    """Multiplier that truncates a half spectrum by the 2/3 rule, or 1.0."""
-    return grid.half_mask if dealias else 1.0
-
-
-def _check_density(rho, vacuum_floor=0.0):
+def _check_density(rho):
+    """Samples of rho, which ln(rho) needs strictly positive."""
     rmin = float(np.min(rho.values))
-    if rmin <= max(vacuum_floor, 0.0):
-        raise DomainError(
-            f"density reached the vacuum floor: min rho = {rmin:.6g}, floor = {vacuum_floor:.6g}"
-        )
+    if rmin <= 0.0:
+        raise DomainError(f"density must be positive for ln(rho), min rho = {rmin:.6g}")
     return rho.values
 
 
@@ -149,17 +141,16 @@ def _hessian_entries(g, lhat):
             for i in range(g.dim) for j in range(i, g.dim)}
 
 
-def _div_sym_hat(g, entries, mask):
+def _div_sym_hat(g, entries):
     """Half spectra of div S, one per axis, for a symmetric tensor given by
     its grid entries S_ij, i <= j: one transform and one mask multiply each."""
-    hats = {ij: mask * fft_array(g, s) for ij, s in entries.items()}
+    hats = {ij: g.half_mask * fft_array(g, s) for ij, s in entries.items()}
     ik = g.half_ik
     return [sum(ik[j] * hats[min(i, j), max(i, j)] for j in range(g.dim))
             for i in range(g.dim)]
 
 
-def div_k_form_a(rho: RealField, kappa1: float, dealias: bool = True,
-                 vacuum_floor: float = 0.0) -> tuple:
+def div_k_form_a(rho: RealField, kappa1: float) -> tuple:
     """Capillarity divergence from the general gradient/tensor form.
 
     grad(rho*kap(rho)*lap(rho) + 0.5*(kap(rho) + rho*kap'(rho))*|grad rho|^2)
@@ -169,7 +160,7 @@ def div_k_form_a(rho: RealField, kappa1: float, dealias: bool = True,
     this route stays independent of :func:`div_k_form_b`.
     """
     g = rho.grid
-    r = _check_density(rho, vacuum_floor)
+    r = _check_density(rho)
     rhat = fft_array(g, r)
     gr = grad_arrays(g, rhat)
     lap_r = lap_array(g, rhat)
@@ -177,40 +168,37 @@ def div_k_form_a(rho: RealField, kappa1: float, dealias: bool = True,
     dkap = -kappa1 / r ** 2
     grad_sq = sum(c ** 2 for c in gr)
     scalar = r * kap * lap_r + 0.5 * (kap + r * dkap) * grad_sq
-    scalar_hat = fft_array(g, _maybe_dealias(g, scalar, dealias))
+    scalar_hat = fft_array(g, dealias_values(g, scalar))
     out = []
     for i, ik in enumerate(g.half_ik):
         term1 = ifft_array(g, ik * scalar_hat)
-        term2 = div_array(g, [_maybe_dealias(g, kap * gr[i] * gr[j], dealias)
-                              for j in range(g.dim)])
+        term2 = div_array(g, [dealias_values(g, kap * gr[i] * gr[j]) for j in range(g.dim)])
         out.append(RealField(g, term1 - term2))
     return tuple(out)
 
 
-def div_k_form_b(rho: RealField, kappa1: float, dealias: bool = True,
-                 vacuum_floor: float = 0.0) -> tuple:
+def div_k_form_b(rho: RealField, kappa1: float) -> tuple:
     """Capillarity divergence as kappa1 * div(rho * hess(ln rho))."""
     g = rho.grid
-    r = _check_density(rho, vacuum_floor)
+    r = _check_density(rho)
     hess = _hessian_entries(g, fft_array(g, np.log(r)))
-    comps = _div_sym_hat(g, {ij: r * h for ij, h in hess.items()}, _mask(g, dealias))
+    comps = _div_sym_hat(g, {ij: r * h for ij, h in hess.items()})
     return tuple(RealField(g, kappa1 * ifft_array(g, c)) for c in comps)
 
 
-def div_k_gradient_form(rho: RealField, kappa1: float, dealias: bool = True,
-                        vacuum_floor: float = 0.0) -> tuple:
+def div_k_gradient_form(rho: RealField, kappa1: float) -> tuple:
     """Equivalent gradient expression kappa1*(rho*grad(lap ln rho)
     + (rho/2)*grad(|grad ln rho|^2)), kept for cross-checks."""
     g = rho.grid
-    r = _check_density(rho, vacuum_floor)
+    r = _check_density(rho)
     ln_hat = fft_array(g, np.log(r))
     lap_ln_hat = -g.half_k2 * ln_hat
     grad_ln = grad_arrays(g, ln_hat)
-    sq_hat = fft_array(g, _maybe_dealias(g, sum(c ** 2 for c in grad_ln), dealias))
+    sq_hat = fft_array(g, dealias_values(g, sum(c ** 2 for c in grad_ln)))
     out = []
     for ik in g.half_ik:
         comp = r * ifft_array(g, ik * lap_ln_hat) + 0.5 * r * ifft_array(g, ik * sq_hat)
-        out.append(RealField(g, kappa1 * _maybe_dealias(g, comp, dealias)))
+        out.append(RealField(g, kappa1 * dealias_values(g, comp)))
     return tuple(out)
 
 
@@ -241,7 +229,7 @@ def from_effective(e: EffectiveState, p: PhysParams) -> PrimitiveState:
 
 # -- right-hand sides --------------------------------------------------------
 
-def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats, dealias: bool = True):
+def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats):
     """Tendencies of (rho, u) from density samples r, velocity samples u and
     the half spectra uhats of u.
 
@@ -252,7 +240,7 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats, dealias: bool = Tr
     summed on the grid before its transforms, and advection and force are
     truncated together by one mask.
     """
-    mask = _mask(g, dealias)
+    mask = g.half_mask
     ik = g.half_ik
     dim = g.dim
     drho = -ifft_array(g, sum(ik[i] * mask * fft_array(g, r * u[i]) for i in range(dim)))
@@ -264,7 +252,7 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats, dealias: bool = Tr
         stress[i, j] = r * (p.mu * (du[i][j] + du[j][i]) + p.kappa * h)
         if i == j:
             stress[i, j] -= press
-    div_stress = _div_sym_hat(g, stress, mask)
+    div_stress = _div_sym_hat(g, stress)
 
     out = []
     for i in range(dim):
@@ -275,7 +263,7 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats, dealias: bool = Tr
     return drho, out
 
 
-def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: bool = True):
+def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats):
     """Tendencies of (q, v) from samples q, v and their half spectra.
 
     Returns, for q and per component of v, the half spectrum of
@@ -289,7 +277,7 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: boo
         raise ConfigurationError(
             f"effective formulation requires kappa >= mu^2, got kappa = {p.kappa}, mu^2 = {p.mu**2}"
         )
-    mask = _mask(g, dealias)
+    mask = g.half_mask
     ik = g.half_ik
     dim = g.dim
     gq = grad_arrays(g, qhat)
@@ -308,7 +296,7 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats, dealias: boo
         terms = [terms[i] - w * gq[i] for i in range(dim)]
     if not p.is_quantum():
         hess = _hessian_entries(g, qhat)
-        corr = _div_sym_hat(g, {ij: rho * h for ij, h in hess.items()}, mask)
+        corr = _div_sym_hat(g, {ij: rho * h for ij, h in hess.items()})
         terms = [terms[i] + excess * ifft_array(g, corr[i]) / rho for i in range(dim)]
 
     out = [mask * fft_array(g, t) for t in terms]
@@ -323,8 +311,7 @@ def _grid_tendencies(g, p, nhats, hats):
     return [ifft_array(g, n - p.mu * g.half_k2 * w) for n, w in zip(nhats, hats)]
 
 
-def rhs_primitive(s: PrimitiveState, p: PhysParams, dealias: bool = True,
-                  vacuum_floor: float = 0.0):
+def rhs_primitive(s: PrimitiveState, p: PhysParams):
     """Time derivative of (rho, u).
 
     Mass: d_t rho = -div(rho u). Momentum is returned in velocity form,
@@ -332,15 +319,15 @@ def rhs_primitive(s: PrimitiveState, p: PhysParams, dealias: bool = True,
     Du the symmetric velocity gradient and div K from form B.
     """
     g = s.grid
-    r = _check_density(s.rho, vacuum_floor)
+    r = _check_density(s.rho)
     u = [c.values for c in s.u]
     uhats = [fft_array(g, c) for c in u]
-    drho, nhats = primitive_tendencies(g, p, r, u, uhats, dealias)
+    drho, nhats = primitive_tendencies(g, p, r, u, uhats)
     return RealField(g, drho), tuple(RealField(g, c)
                                      for c in _grid_tendencies(g, p, nhats, uhats))
 
 
-def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True):
+def rhs_effective(e: EffectiveState, p: PhysParams):
     """Time derivative of (q, v).
 
     d_t q = mu*lap(q) - u.grad(q) - div(v)
@@ -355,6 +342,6 @@ def rhs_effective(e: EffectiveState, p: PhysParams, dealias: bool = True):
     q = e.q.values
     v = [c.values for c in e.v]
     hats = [fft_array(g, q)] + [fft_array(g, c) for c in v]
-    nq, nv = effective_tendencies(g, p, q, hats[0], v, hats[1:], dealias)
+    nq, nv = effective_tendencies(g, p, q, hats[0], v, hats[1:])
     dq, *dv = _grid_tendencies(g, p, [nq] + nv, hats)
     return RealField(g, dq), tuple(RealField(g, c) for c in dv)

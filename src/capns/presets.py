@@ -87,6 +87,13 @@ def build(preset: Preset, grid: Grid, params: PhysParams) -> PrimitiveState:
     if preset.name == "smooth_bump":
         bump = _mean_zero_bump(grid)
         peak = np.max(np.abs(bump))
+        # rho > 0 needs amplitude < peak/|min| of the centred bump, which
+        # depends on the grid (1.6168 in 1-D, 3.9426 in 2-D)
+        bound = peak / -np.min(bump)
+        if amp >= bound:
+            raise ConfigurationError(
+                f"smooth_bump needs amplitude < {bound:.5g} for positivity on a "
+                f"dim-{grid.dim} grid, got {amp}")
         rho = rb * (1.0 + amp * bump / peak)
         return PrimitiveState(RealField(grid, rho), _velocity_profile(grid, amp))
 

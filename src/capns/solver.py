@@ -6,7 +6,9 @@ integrating factor; every remaining term is explicit through a two-stage
 the velocity only (the mass equation carries no Laplacian); in the
 log-density formulation it acts on both unknowns. The explicitly treated
 capillary operator imposes a step ceiling dt <= c_stab * h^2 / max(mu,
-sqrt(kappa)) which is enforced before stepping.
+sqrt(kappa)) which is enforced before stepping. Every explicit product is
+truncated by the 2/3 rule, in the step and in the fixed-point iteration
+below; the truncation is part of the scheme and has no switch.
 
 Also here: the exact per-mode solution of the linearized system, and a
 fixed-point iteration that mirrors the constructive existence scheme
@@ -54,7 +56,6 @@ class SolverConfig:
     dt: float
     t_end: float
     formulation: str = "primitive"
-    dealias: bool = True
     vacuum_floor: float = 1e-8
     diag_stride: int = 1
     c_stab: float = 1.0
@@ -124,13 +125,12 @@ class _Scheme:
             self.min_rho = lambda q: params.rho_bar * np.exp(np.min(q))
 
     def tendencies(self, vals, hats):
-        g, params, cfg = self.grid, self.params, self.cfg
+        g, params = self.grid, self.params
         if self.kind is PrimitiveState:
-            d_scalar, d_vector = primitive_tendencies(g, params, vals[0], vals[1:], hats[1:],
-                                                      cfg.dealias)
+            d_scalar, d_vector = primitive_tendencies(g, params, vals[0], vals[1:], hats[1:])
         else:
-            d_scalar, d_vector = effective_tendencies(g, params, vals[0], hats[0], vals[1:],
-                                                      hats[1:], cfg.dealias)
+            d_scalar, d_vector = effective_tendencies(g, params, vals[0], hats[0],
+                                                      vals[1:], hats[1:])
         return [d_scalar, *d_vector]
 
     def guard(self, vals, t):

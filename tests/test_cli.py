@@ -112,11 +112,13 @@ class TestRunCommand:
             assert fragment in out
 
     def test_freeze_advection_not_a_config_key(self, tmp_path, capsys):
-        # a testing hook of the library; frozen transport cannot conserve mass
-        cfg = write_ini(tmp_path / "c.ini", base_sections(
-            solver={"formulation": "effective", "freeze_advection": "true"}))
-        assert main(["run", "--config", cfg]) == EXIT_BAD_CONFIG
-        assert "solver.freeze_advection: unknown key" in capsys.readouterr().out
+        # freeze_advection is a testing hook of the library (frozen transport
+        # cannot conserve mass); dealias is no option, the 2/3 rule always holds
+        for key in ("freeze_advection", "dealias"):
+            cfg = write_ini(tmp_path / "c.ini", base_sections(
+                solver={"formulation": "effective", key: "true"}))
+            assert main(["run", "--config", cfg]) == EXIT_BAD_CONFIG
+            assert f"solver.{key}: unknown key" in capsys.readouterr().out
 
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.ini")]) \
@@ -398,6 +400,17 @@ class TestConfiguration:
         errors = json.loads(json_path.read_text())["errors"]
         assert [e.split(":")[0] for e in errors] == ["physics", "initial"]
         assert f"{preset} needs amplitude < 1" in errors[1]
+
+    @pytest.mark.parametrize("command", ["run", "lifespan", "picard", "besov"])
+    def test_bump_amplitude_bound_is_an_initial_error(self, tmp_path, command):
+        # 1.6168 = peak/|min| of the centred 1-D bump; beyond it rho < 0
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            initial={"preset": "smooth_bump", "amplitude": 3}))
+        json_path = tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--json", str(json_path)]) == EXIT_BAD_CONFIG
+        assert json.loads(json_path.read_text())["errors"] == [
+            "initial: smooth_bump needs amplitude < 1.6168 for positivity on a "
+            "dim-1 grid, got 3.0"]
 
     def test_readme_example_runs(self, tmp_path, capsys):
         ini = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)

@@ -7,7 +7,7 @@ import sympy as sp
 from conftest import full_layout
 
 from capns.errors import ConfigurationError, DomainError, NumericBlowup
-from capns.fields import Grid, RealField, integrate, lp_norm
+from capns.fields import Grid, RealField, fft_array, integrate, lp_norm
 from capns.model import (
     EffectiveState,
     PhysParams,
@@ -15,12 +15,15 @@ from capns.model import (
     div_k_form_a,
     div_k_form_b,
     div_k_gradient_form,
+    effective_tendencies,
     from_effective,
     pressure,
+    primitive_tendencies,
     rhs_effective,
     rhs_primitive,
     to_effective,
 )
+from capns.presets import Preset, build
 
 X, Y = sp.symbols("x y", real=True)
 
@@ -191,12 +194,6 @@ class TestDivK:
             with pytest.raises(DomainError):
                 form(rho, 0.1)
 
-    def test_floor_respected(self):
-        g = Grid(1, 64)
-        rho = RealField(g, np.full(g.shape, 0.5))
-        with pytest.raises(DomainError):
-            div_k_form_b(rho, 0.1, vacuum_floor=0.6)
-
 
 class TestPressure:
     def test_constant(self):
@@ -322,16 +319,6 @@ class TestRhsPrimitive:
             )
             assert rel_err(du1[i].values - du0[i].values, -transport_u) < 1e-10
 
-    def test_floor_enforced(self):
-        g = Grid(1, 64)
-        p = PhysParams(mu=0.2, kappa=0.04)
-        s = PrimitiveState(
-            RealField(g, np.full(g.shape, 0.05)),
-            (RealField(g, np.zeros(g.shape)),),
-        )
-        with pytest.raises(DomainError):
-            rhs_primitive(s, p, vacuum_floor=0.1)
-
     def test_overflow_reported(self):
         g = Grid(1, 64)
         p = PhysParams(mu=0.2, kappa=0.04, gamma=2.0)
@@ -401,8 +388,8 @@ class TestRhsEffective:
         u = (random_band_field(g, rng, 0.2, 10),)
         s = PrimitiveState(rho, u)
 
-        drho, du = rhs_primitive(s, p, dealias=False)
-        dq, dv = rhs_effective(to_effective(s, p), p, dealias=False)
+        drho, du = rhs_primitive(s, p)
+        dq, dv = rhs_effective(to_effective(s, p), p)
 
         dq_want = drho.values / rho.values
         assert rel_err(dq.values, dq_want) < 1e-7
@@ -410,3 +397,34 @@ class TestRhsEffective:
         ik = 1j * np.where(np.abs(m) == g.n // 2, 0, m)
         grad_dq = np.fft.ifftn(ik * np.fft.fftn(dq_want)).real
         assert rel_err(dv[0].values, du[0].values + p.mu * grad_dq) < 1e-7
+
+
+class TestTwoThirdsRule:
+    """Every product is truncated: outside Grid.half_mask a tendency
+    spectrum holds its linear terms and nothing else, to the bit."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+    def test_nonlinear_parts_vanish_outside_mask(self, dim, n, gamma):
+        g = Grid(dim, n)
+        p = PhysParams(mu=0.15, kappa=0.04, a=1.0, gamma=gamma, rho_bar=1.3)
+        s = build(Preset("random_bandlimited", amplitude=0.2, seed=5), g, p)
+        outside = g.half_mask == 0
+        ik = g.half_ik
+
+        u = [c.values for c in s.u]
+        uhats = [fft_array(g, c) for c in u]
+        _, du = primitive_tendencies(g, p, s.rho.values, u, uhats)
+        for i in range(dim):
+            nonlinear = du[i] - p.mu * g.half_k2 * uhats[i]
+            assert np.all(nonlinear[outside] == 0)
+
+        e = to_effective(s, p)
+        q, v = e.q.values, [c.values for c in e.v]
+        qhat, vhats = fft_array(g, q), [fft_array(g, c) for c in v]
+        nq, nv = effective_tendencies(g, p, q, qhat, v, vhats)
+        nonlinear = [nq + sum(ik[i] * vhats[i] for i in range(dim))]
+        linear_v = [p.a * ik[i] * qhat if gamma == 1.0 else 0.0 for i in range(dim)]
+        nonlinear += [nv[i] + linear_v[i] for i in range(dim)]
+        for part in nonlinear:
+            assert np.all(part[outside] == 0)

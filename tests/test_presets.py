@@ -78,6 +78,16 @@ class TestBuild:
         outside = np.abs(coeffs[np.abs(k_int) > band])
         assert np.max(outside) < 1e-10 * np.max(np.abs(coeffs))
 
+    def test_smooth_bump_amplitude_bound(self):
+        # the bound peak/|min| of the centred bump is 1.6168 in 1-D, 3.9426 in 2-D
+        with pytest.raises(ConfigurationError,
+                           match=r"smooth_bump needs amplitude < 1\.6168 .* got 3"):
+            build(Preset("smooth_bump", amplitude=3.0), Grid(dim=1, n=64), PARAMS)
+        s = build(Preset("smooth_bump", amplitude=3.0), Grid(dim=2, n=32), PARAMS)
+        assert np.min(s.rho.values) > 0
+        with pytest.raises(ConfigurationError, match=r"amplitude < 3\.9426 "):
+            build(Preset("smooth_bump", amplitude=4.0), Grid(dim=2, n=32), PARAMS)
+
     def test_random_bandlimited_amplitude_cap(self):
         g = Grid(dim=1, n=64)
         with pytest.raises(ConfigurationError):

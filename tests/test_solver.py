@@ -165,7 +165,7 @@ def _reference_step(state, params, cfg):
 
         def rhs(vals):
             s = PrimitiveState(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
-            d, dv = rhs_primitive(s, params, dealias=cfg.dealias)
+            d, dv = rhs_primitive(s, params)
             return [d.values] + [c.values for c in dv]
     else:
         spectral = [True] * (1 + g.dim)
@@ -173,7 +173,7 @@ def _reference_step(state, params, cfg):
 
         def rhs(vals):
             s = EffectiveState(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
-            d, dv = rhs_effective(s, params, dealias=cfg.dealias)
+            d, dv = rhs_effective(s, params)
             return [d.values] + [c.values for c in dv]
 
     fwd = [np.fft.fftn if sp else (lambda x: x) for sp in spectral]
@@ -193,19 +193,17 @@ def _reference_step(state, params, cfg):
 
 
 ORACLE_CASES = [
-    pytest.param(dim, form, dealias, gamma, 0.0225,
-                 id=f"{dim}d-{form}-{'dealias' if dealias else 'raw'}-g{gamma}")
-    for dim in (1, 2) for form in ("primitive", "effective")
-    for dealias in (True, False) for gamma in (1.0, 1.4)
+    pytest.param(dim, form, gamma, 0.0225, id=f"{dim}d-{form}-dealias-g{gamma}")
+    for dim in (1, 2) for form in ("primitive", "effective") for gamma in (1.0, 1.4)
 ] + [
-    pytest.param(dim, "effective", True, 1.0, 0.04, id=f"{dim}d-effective-kappa-above")
+    pytest.param(dim, "effective", 1.0, 0.04, id=f"{dim}d-effective-kappa-above")
     for dim in (1, 2)
 ]
 
 
 class TestStepOracle:
-    @pytest.mark.parametrize("dim,formulation,dealias,gamma,kappa", ORACLE_CASES)
-    def test_matches_reference_step(self, dim, formulation, dealias, gamma, kappa):
+    @pytest.mark.parametrize("dim,formulation,gamma,kappa", ORACLE_CASES)
+    def test_matches_reference_step(self, dim, formulation, gamma, kappa):
         g = Grid(dim, 64 if dim == 1 else 32)
         params = PhysParams(mu=0.15, kappa=kappa, a=1.0, gamma=gamma, rho_bar=1.3)
         state = build(Preset("random_bandlimited", amplitude=0.2, seed=5), g, params)
@@ -213,7 +211,7 @@ class TestStepOracle:
             state = to_effective(state, params)
         probe = SolverConfig(dt=1.0, t_end=1.0)
         cfg = SolverConfig(dt=0.25 * probe.dt_ceiling(g, params), t_end=1.0,
-                           formulation=formulation, dealias=dealias)
+                           formulation=formulation)
         new = step_imex(state, params, cfg)
         got = ([new.rho] + list(new.u)) if formulation == "primitive" else ([new.q] + list(new.v))
         want = _reference_step(state, params, cfg)
