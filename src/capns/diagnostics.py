@@ -94,7 +94,12 @@ class _Fields:
 
     @cached_property
     def pi(self) -> np.ndarray:
-        """Pressure potential samples (see pi_potential)."""
+        """Pressure potential, normalized to vanish to second order at rho_bar.
+
+        For the linear law it is a(rho ln(rho/rho_bar) + rho_bar - rho); for
+        gamma > 1 the Lions construction gives
+        a/(gamma-1) * (rho^g - rho_bar^g - g rho_bar^(g-1) (rho - rho_bar)).
+        """
         r = self.rho
         a, g, rb = self.params.a, self.params.gamma, self.params.rho_bar
         if g == 1.0:
@@ -118,16 +123,6 @@ class _Fields:
 def _fields(source, params: PhysParams = None) -> _Fields:
     """The derived-field set of ``source``; a set passes through unchanged."""
     return source if isinstance(source, _Fields) else _Fields(source, params)
-
-
-def pi_potential(rho: RealField, params: PhysParams) -> RealField:
-    """Pressure potential, normalized to vanish to second order at rho_bar.
-
-    For the linear law it is a(rho ln(rho/rho_bar) + rho_bar - rho); for
-    gamma > 1 the Lions construction gives
-    a/(gamma-1) * (rho^g - rho_bar^g - g rho_bar^(g-1) (rho - rho_bar)).
-    """
-    return RealField(rho.grid, _Fields(rho, params).pi)
 
 
 def energy(state, params: PhysParams) -> float:
@@ -185,16 +180,6 @@ def jungel_rate(state, params: PhysParams) -> float:
     """Squared L2 norm of the Laplacian of sqrt(rho)."""
     f = _fields(state, params)
     return integrate(RealField(f.grid, lap_array(f.grid, f.sqrt_rho_hat) ** 2))
-
-
-def jungel_accumulate(states, times, params: PhysParams) -> float:
-    """Trapezoid-in-time of the Laplacian functional along a trajectory."""
-    if len(states) != len(times):
-        raise DomainError("states and times must have matching length")
-    rates = [jungel_rate(s, params) for s in states]
-    if len(rates) < 2:
-        return 0.0
-    return float(np.trapezoid(rates, times))
 
 
 def sqrt_h1_norm(rho: RealField, rho_bar: float) -> float:
@@ -515,7 +500,7 @@ def vacuum_bound_estimate(states, times, params: PhysParams, q_exp: float,
     Exponents follow 1/r + N/(2q) = 1/2 (so q_exp > N is required) with
     kappa = 1/N. The Gagliardo-Nirenberg factor beta is configuration
     (default 1; the analysis never fixes it numerically), so the comparison
-    is a consistency check, not a sharpness test.
+    is a consistency check, not a sharpness test. No command reports it yet.
     """
     if len(states) != len(times) or not states:
         raise DomainError("need a nonempty state series with matching times")

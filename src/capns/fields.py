@@ -13,14 +13,12 @@ inverse carries the 1/n^dim factor. The helpers ``fft_array``,
 components) goes through one transform call, slice by slice bit-identical
 to transforming each slice alone.
 
-Typed boundary: ``SpectralField`` holds a half spectrum; ``transform``,
-``inverse_transform`` and ``dealias(SpectralField)`` are ``fft_array``,
-``ifft_array`` and a ``half_mask`` multiply on it. ``RealField`` functions
-(``grad``, ``div``, ``laplacian``, ``hessian``, ``dealias``) run on the
-array helpers and validate their results. A spectrum drawn without
-Hermitian symmetry in the full ``fftn`` ordering enters through
-``hermitian_half``, which gives the half spectrum of the real part of its
-inverse.
+Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
+half spectrum, both validated on construction; ``transform`` is
+``fft_array`` on a ``RealField``. Derivatives, divergences and the 2/3
+truncation run on raw arrays only. A spectrum drawn without Hermitian
+symmetry in the full ``fftn`` ordering enters through ``hermitian_half``,
+which gives the half spectrum of the real part of its inverse.
 
 Nyquist rules: wavenumbers are integer mode indices scaled by
 2*pi/length; odd-order derivative multipliers (``half_ik``) zero the
@@ -36,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -167,14 +164,6 @@ class SpectralField:
                                                      np.complex128, "coeffs"))
 
 
-def same_grid(*fields) -> Grid:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ConfigurationError(f"grid mismatch: {f.grid} vs {grid}")
-    return grid
-
-
 def fft_array(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Unnormalized half spectrum of real grid samples over the last
     ``grid.dim`` axes; leading axes are a stack."""
@@ -222,46 +211,9 @@ def hermitian_half(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 
 def transform(f: RealField) -> SpectralField:
-    """Unnormalized forward FFT onto the half spectrum."""
+    """Unnormalized forward FFT onto the half spectrum; the one producer of
+    the public ``SpectralField``, which no solver path builds."""
     return SpectralField(f.grid, fft_array(f.grid, f.values))
-
-
-def inverse_transform(F: SpectralField) -> RealField:
-    """Real grid samples of a half spectrum, with the 1/n^dim factor."""
-    return RealField(F.grid, ifft_array(F.grid, F.coeffs))
-
-
-def grad(f: RealField) -> tuple:
-    """Exact spectral gradient, one component per axis."""
-    g = f.grid
-    return tuple(RealField(g, c) for c in grad_arrays(g, fft_array(g, f.values)))
-
-
-def div(vec: Sequence[RealField]) -> RealField:
-    g = same_grid(*vec)
-    if len(vec) != g.dim:
-        raise ConfigurationError(f"vector has {len(vec)} components on a dim-{g.dim} grid")
-    return RealField(g, div_array(g, [comp.values for comp in vec]))
-
-
-def laplacian(f: RealField) -> RealField:
-    g = f.grid
-    return RealField(g, lap_array(g, fft_array(g, f.values)))
-
-
-def hessian(f: RealField) -> tuple:
-    """Symmetric matrix of second derivatives as nested tuples H[i][j]."""
-    g = f.grid
-    fhat = fft_array(g, f.values)
-    return tuple(tuple(RealField(g, ifft_array(g, ki * kj * fhat)) for kj in g.half_ik)
-                 for ki in g.half_ik)
-
-
-def dealias(obj):
-    """Zero all modes with any |k_i| above the 2/3 cutoff. Idempotent."""
-    if isinstance(obj, SpectralField):
-        return SpectralField(obj.grid, obj.grid.half_mask * obj.coeffs)
-    return RealField(obj.grid, dealias_values(obj.grid, obj.values))
 
 
 def integrate(f: RealField) -> float:

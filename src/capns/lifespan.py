@@ -195,7 +195,8 @@ def calibrate_c1(mu: float = 0.15, n_steps: int = 64) -> float:
 
     The contraction edge is bracketed by doubling and then bisected to a
     relative width of 5 %; the returned C1 uses the still-contracting
-    endpoint, so the predicted window errs on the safe side.
+    endpoint, so the predicted window errs on the safe side. No command
+    calls it; the benchmark runs and traces it as a job of its own.
     """
     from .solver import PicardConfig, picard_solve
 

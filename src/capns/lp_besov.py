@@ -117,7 +117,7 @@ def is_boundary_block(grid: Grid, l: int) -> bool:
 
 
 class DyadicDecomposition:
-    """Blocks of one field, the mean mode, and boundary bookkeeping."""
+    """Blocks of one field and its mean mode."""
 
     def __init__(self, grid, l_min, l_max, blocks, mean):
         self.grid = grid
@@ -129,10 +129,6 @@ class DyadicDecomposition:
     @property
     def ls(self):
         return list(range(self.l_min, self.l_max + 1))
-
-    def is_boundary(self, l: int) -> bool:
-        """See :func:`is_boundary_block`."""
-        return is_boundary_block(self.grid, l)
 
     def reconstruct(self) -> RealField:
         total = np.full(self.grid.shape, self.mean)
@@ -257,7 +253,7 @@ def tilde_norm(series, times, sigma: float, spec: BesovSpec) -> float:
     over the time grid (trapezoid; sigma = inf takes the sup), then the
     weighted l^r across blocks. Time aggregation happens strictly before
     the block sum, which is what distinguishes this from L^sigma of the
-    instantaneous norm."""
+    instantaneous norm. A benchmark span target: runs take spectral_tilde_norm."""
     series = list(series)
     times = np.asarray(times, dtype=float)
     if len(series) == 0:

@@ -20,7 +20,9 @@ which take grid samples with their half spectra and return each diffusive
 unknown's tendency as a half spectrum, without the mu*Laplacian that the
 integrating factor carries; each truncated product costs one forward
 transform and a mask multiply. ``rhs_primitive`` and ``rhs_effective`` are
-the grid-valued views of the same routines.
+the grid-valued views of the same routines; no run calls them, but the
+benchmark's tracer times them as spans and fails when a span target is
+missing.
 """
 
 from __future__ import annotations
@@ -62,18 +64,6 @@ class PhysParams:
     def is_quantum(self) -> bool:
         """True when kappa equals mu^2 to within 1e-12."""
         return abs(self.kappa - self.mu ** 2) <= QUANTUM_TOL
-
-    def gamma_in_analysis_range(self, dim: int) -> bool:
-        """Adiabatic exponents for which the global-regularity theory is
-        recorded, by space dimension. Informational, never enforced."""
-        if dim == 2:
-            return self.gamma >= 1.0
-        if dim == 3:
-            return 1.0 <= self.gamma < 7.0 / 3.0
-        if dim >= 4:
-            return self.gamma == 1.0
-        # one-dimensional runs sit outside the recorded ranges
-        return True
 
 
 def _vector(grid, comps, name):
@@ -202,11 +192,6 @@ def div_k_gradient_form(rho: RealField, kappa1: float) -> tuple:
     return tuple(out)
 
 
-def pressure(rho: RealField, p: PhysParams) -> RealField:
-    """Barotropic pressure a * rho^gamma."""
-    return RealField(rho.grid, p.a * rho.values ** p.gamma)
-
-
 # -- change of variables ----------------------------------------------------
 
 def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
@@ -216,15 +201,6 @@ def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
     gq = grad_arrays(g, fft_array(g, q_vals))
     v = tuple(RealField(g, s.u[i].values + p.mu * gq[i]) for i in range(g.dim))
     return EffectiveState(RealField(g, q_vals), v)
-
-
-def from_effective(e: EffectiveState, p: PhysParams) -> PrimitiveState:
-    """(q, v) -> (rho, u); exact inverse of :func:`to_effective`."""
-    g = e.grid
-    rho_vals = p.rho_bar * np.exp(e.q.values)
-    gq = grad_arrays(g, fft_array(g, e.q.values))
-    u = tuple(RealField(g, e.v[i].values - p.mu * gq[i]) for i in range(g.dim))
-    return PrimitiveState(RealField(g, rho_vals), u)
 
 
 # -- right-hand sides --------------------------------------------------------

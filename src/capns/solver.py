@@ -67,12 +67,12 @@ class SolverConfig:
             raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}")
         if self.formulation not in FORMULATIONS:
             raise ConfigurationError(f"unknown formulation {self.formulation!r}")
-        if not (self.vacuum_floor > 0):
-            raise ConfigurationError(f"vacuum_floor must be positive, got {self.vacuum_floor}")
+        if not (self.vacuum_floor > 0 and math.isfinite(self.vacuum_floor)):
+            raise ConfigurationError(f"vacuum_floor must be positive and finite, got {self.vacuum_floor}")
         if not (isinstance(self.diag_stride, int) and self.diag_stride >= 1):
             raise ConfigurationError(f"diag_stride must be a positive integer, got {self.diag_stride}")
-        if not (self.c_stab > 0):
-            raise ConfigurationError(f"c_stab must be positive, got {self.c_stab}")
+        if not (self.c_stab > 0 and math.isfinite(self.c_stab)):
+            raise ConfigurationError(f"c_stab must be positive and finite, got {self.c_stab}")
 
     def dt_ceiling(self, grid: Grid, params: PhysParams) -> float:
         """Explicit-capillarity stability ceiling c_stab*h^2/max(mu, sqrt(kappa))."""
@@ -332,6 +332,7 @@ def solve_linear_system(q0: RealField, v0, mu: float, t: float):
 
     The velocity part diffuses mode by mode; the log-density picks up the
     divergence source: qhat(t) = exp(-mu|k|^2 t) * (qhat0 - t * i k.vhat0).
+    The reference the step and Picard tests compare against; no run calls it.
     """
     if mu <= 0:
         raise ConfigurationError(f"diffusion coefficient must be positive, got {mu}")
@@ -339,7 +340,6 @@ def solve_linear_system(q0: RealField, v0, mu: float, t: float):
     qhat, vhats = _linear_modes(g, mu, fft_array(g, q0.values),
                                 [fft_array(g, c.values) for c in v0], t)
     return RealField(g, ifft_array(g, qhat)), tuple(RealField(g, ifft_array(g, c)) for c in vhats)
-
 
 
 # -- constructive fixed-point iteration ---------------------------------------

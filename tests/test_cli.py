@@ -98,6 +98,14 @@ class TestRunCommand:
         assert not csv_path.exists()
         assert "solver.dt" in capsys.readouterr().out
 
+    def test_infinite_c_stab_rejected(self, tmp_path, capsys):
+        # an infinite c_stab would lift the stability ceiling altogether
+        cfg = write_ini(tmp_path / "c.ini", base_sections(solver={"c_stab": "inf"}))
+        json_path = tmp_path / "out.json"
+        assert main(["run", "--config", cfg, "--json", str(json_path)]) == EXIT_BAD_CONFIG
+        assert json.loads(json_path.read_text())["cause"] == "invalid_config"
+        assert "c_stab must be positive and finite" in capsys.readouterr().out
+
     def test_field_level_errors(self, tmp_path, capsys):
         cfg = write_ini(tmp_path / "c.ini", {
             "grid": {"dim": 1, "n": "many"},

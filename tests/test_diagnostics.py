@@ -9,6 +9,7 @@ from capns.diagnostics import (
     CSV_COLUMNS,
     DiagnosticsAccumulator,
     DiagnosticsRecord,
+    _Fields,
     bd_entropy,
     check_energy_inequality,
     degiorgi_recursion,
@@ -17,12 +18,10 @@ from capns.diagnostics import (
     dissip_v_rate,
     dissipation_constant,
     energy,
-    jungel_accumulate,
     jungel_rate,
     level_set_report,
     lp_gain_check,
     lp_gain_value,
-    pi_potential,
     sqrt_h1_norm,
     vacuum_bound_estimate,
     vacuum_bound_formula,
@@ -58,15 +57,15 @@ class TestPiPotential:
     def test_vanishes_at_reference(self, gamma):
         g = grid1(32)
         p = PhysParams(mu=0.1, kappa=0.01, a=0.7, gamma=gamma, rho_bar=1.3)
-        pi = pi_potential(field(g, lambda x: np.full_like(x, 1.3)), p)
-        assert np.max(np.abs(pi.values)) < 1e-14
+        pi = _Fields(field(g, lambda x: np.full_like(x, 1.3)), p).pi
+        assert np.max(np.abs(pi)) < 1e-14
 
     def test_gamma_two_closed_form(self):
         g = grid1(64)
         p = PhysParams(mu=0.1, kappa=0.01, a=0.6, gamma=2.0, rho_bar=0.9)
         rho = field(g, lambda x: 1.1 + 0.4 * np.sin(x))
-        pi = pi_potential(rho, p)
-        assert np.allclose(pi.values, 0.6 * (rho.values - 0.9) ** 2, atol=1e-13)
+        pi = _Fields(rho, p).pi
+        assert np.allclose(pi, 0.6 * (rho.values - 0.9) ** 2, atol=1e-13)
 
     @pytest.mark.parametrize("gamma", [1.0, 1.3, 2.0])
     @pytest.mark.parametrize("rho", [0.4, 0.9, 1.7])
@@ -76,10 +75,10 @@ class TestPiPotential:
         a, rb = 0.7, 1.1
         p = PhysParams(mu=0.1, kappa=0.01, a=a, gamma=gamma, rho_bar=rb)
         g = grid1(8)
-        pi = pi_potential(field(g, lambda x: np.full_like(x, rho)), p)
+        pi = _Fields(field(g, lambda x: np.full_like(x, rho)), p).pi
         oracle, err = quad(lambda s: (rho - s) * a * gamma * s ** (gamma - 2.0),
                            rb, rho, epsabs=1e-13, epsrel=1e-13)
-        assert abs(pi.values[0] - oracle) < 1e-10 + 1e-10 * abs(oracle)
+        assert abs(pi[0] - oracle) < 1e-10 + 1e-10 * abs(oracle)
 
     def test_second_derivative_identity_symbolic(self):
         import sympy as sp
@@ -97,13 +96,13 @@ class TestPiPotential:
         rng = np.random.default_rng(5)
         rho = RealField(g, 0.3 + rng.random(g.shape))
         p = PhysParams(mu=0.1, kappa=0.01, a=1.0, gamma=gamma, rho_bar=0.8)
-        assert np.min(pi_potential(rho, p).values) >= -1e-14
+        assert np.min(_Fields(rho, p).pi) >= -1e-14
 
     def test_rejects_vacuum(self):
         g = grid1(32)
         p = PhysParams(mu=0.1, kappa=0.01)
         with pytest.raises(DomainError):
-            pi_potential(field(g, lambda x: np.cos(x)), p)
+            _Fields(field(g, lambda x: np.cos(x)), p).pi
 
 
 class TestEnergyFunctionals:
@@ -132,7 +131,7 @@ class TestEnergyFunctionals:
         p = PhysParams(mu=0.2, kappa=kappa, a=0.7)
         rho = field(g, lambda x: (1.0 + 0.2 * np.cos(x)) ** 2)
         s = PrimitiveState(rho, (field(g, np.zeros_like),))
-        pot = integrate(pi_potential(rho, p))
+        pot = integrate(RealField(g, _Fields(rho, p).pi))
         assert abs(energy(s, p) - pot - 2.0 * kappa * 0.04 * math.pi) < 1e-12
 
     def test_generic_state_against_quadrature(self):
@@ -207,12 +206,14 @@ class TestEnergyFunctionals:
 
 
 class TestJungel:
+    # the accumulated Laplacian functional is the jungel field of the
+    # records of a DiagnosticsAccumulator
     def test_constant_density_zero(self):
         g = grid1(32)
         p = PhysParams(mu=0.2, kappa=0.04)
-        states = [PrimitiveState(field(g, lambda x: np.full_like(x, 2.0)),
-                                 (field(g, np.zeros_like),)) for _ in range(3)]
-        assert jungel_accumulate(states, [0.0, 0.5, 1.0], p) == 0.0
+        acc = DiagnosticsAccumulator(p)
+        s = PrimitiveState(field(g, lambda x: np.full_like(x, 2.0)), (field(g, np.zeros_like),))
+        assert [acc(s, t).jungel for t in (0.0, 0.5, 1.0)] == [0.0, 0.0, 0.0]
 
     def test_heat_profile_matches_trapezoid_of_exact_rate(self):
         # rho(t) = (1 + 0.3 e^-t cos x)^2 has Lap sqrt(rho) = -0.3 e^-t cos x,
@@ -220,34 +221,27 @@ class TestJungel:
         g = grid1(64)
         p = PhysParams(mu=0.2, kappa=0.04)
         ts = np.linspace(0.0, 1.0, 9)
-        states = [PrimitiveState(
+        acc = DiagnosticsAccumulator(p)
+        records = [acc(PrimitiveState(
             field(g, lambda x, t=t: (1.0 + 0.3 * math.exp(-t) * np.cos(x)) ** 2),
-            (field(g, np.zeros_like),)) for t in ts]
+            (field(g, np.zeros_like),)), t) for t in ts]
         exact_rates = 0.09 * np.exp(-2.0 * ts) * math.pi
-        got = jungel_accumulate(states, ts, p)
         want = float(np.trapezoid(exact_rates, ts))
-        assert abs(got - want) < 1e-12 * want
+        assert abs(records[-1].jungel - want) < 1e-12 * want
 
     def test_fine_grid_approaches_closed_form(self):
         g = grid1(64)
         p = PhysParams(mu=0.2, kappa=0.04)
         ts = np.linspace(0.0, 1.0, 201)
-        states = [PrimitiveState(
+        acc = DiagnosticsAccumulator(p)
+        records = [acc(PrimitiveState(
             field(g, lambda x, t=t: (1.0 + 0.3 * math.exp(-t) * np.cos(x)) ** 2),
-            (field(g, np.zeros_like),)) for t in ts]
+            (field(g, np.zeros_like),)), t) for t in ts]
         want = 0.09 * math.pi * (1.0 - math.exp(-2.0)) / 2.0
-        assert abs(jungel_accumulate(states, ts, p) - want) < 1e-4 * want
+        assert abs(records[-1].jungel - want) < 1e-4 * want
         # prefixes are nondecreasing
-        partial = [jungel_accumulate(states[: i + 1], ts[: i + 1], p)
-                   for i in (0, 50, 100, 200)]
+        partial = [records[i].jungel for i in (0, 50, 100, 200)]
         assert all(b >= a for a, b in zip(partial, partial[1:]))
-
-    def test_length_mismatch(self):
-        g = grid1(32)
-        p = PhysParams(mu=0.2, kappa=0.04)
-        s = PrimitiveState(field(g, np.ones_like), (field(g, np.zeros_like),))
-        with pytest.raises(DomainError):
-            jungel_accumulate([s, s], [0.0], p)
 
 
 class TestSqrtH1:

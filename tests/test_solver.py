@@ -58,6 +58,8 @@ class TestSolverConfig:
             dict(dt=1e-3, t_end=1.0, vacuum_floor=0.0),
             dict(dt=1e-3, t_end=1.0, diag_stride=0),
             dict(dt=1e-3, t_end=1.0, c_stab=0.0),
+            dict(dt=1e-3, t_end=1.0, c_stab=float("inf")),
+            dict(dt=1e-3, t_end=1.0, vacuum_floor=float("inf")),
         ],
     )
     def test_invalid(self, kw):
