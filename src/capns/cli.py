@@ -1,6 +1,12 @@
 """Command-line front end: INI configuration, runs with diagnostic series,
 verification suites, existence-time reports, iteration mode, and block-norm
-reports. Every failure path carries a distinct machine-readable cause."""
+reports.
+
+One outcome path: a command fills the report ``main`` hands it and returns a
+cause. Only ``main`` catches: ``FAILURES`` gives each failure's cause and
+payload keys, and config errors, collected ones raised together, are
+``invalid_config``. ``main`` takes the exit code from ``CAUSE_CODES`` and
+writes the payload once, to ``--json`` or else to stdout."""
 
 from __future__ import annotations
 
@@ -8,7 +14,6 @@ import argparse
 import configparser
 import contextlib
 import json
-import sys
 from dataclasses import replace
 
 from .diagnostics import (
@@ -33,23 +38,35 @@ from .presets import Preset, build
 from .solver import PicardConfig, SolverConfig, load_checkpoint, picard_solve, run
 from .verify import SUITE_NAMES, run_suite
 
-EXIT_OK = 0
-EXIT_CHECK_FAILED = 1
-EXIT_BAD_CONFIG = 2
-EXIT_VACUUM = 3
-EXIT_BLOWUP = 4
-EXIT_NO_CONTRACTION = 5
-EXIT_STALL = 6
-
+# the external contract: every payload's cause and the exit code it carries
 CAUSE_CODES = {
-    "ok": EXIT_OK,
-    "check_failed": EXIT_CHECK_FAILED,
-    "invalid_config": EXIT_BAD_CONFIG,
-    "vacuum_breach": EXIT_VACUUM,
-    "numeric_blowup": EXIT_BLOWUP,
-    "non_contraction": EXIT_NO_CONTRACTION,
-    "schedule_stall": EXIT_STALL,
+    "ok": 0,
+    "check_failed": 1,
+    "invalid_config": 2,
+    "vacuum_breach": 3,
+    "numeric_blowup": 4,
+    "non_contraction": 5,
+    "schedule_stall": 6,
 }
+
+# failure exception -> (cause, the payload keys it adds)
+FAILURES = {
+    VacuumBreach: ("vacuum_breach", lambda ex: {"t": ex.t, "min_rho": ex.min_rho}),
+    NumericBlowup: ("numeric_blowup", lambda ex: {"t": ex.t, "detail": ex.detail}),
+    NonContraction: ("non_contraction", lambda ex: {"diff_norms": ex.diff_norms,
+                                                    "data_norms": ex.data_norms}),
+    ScheduleStall: ("schedule_stall", lambda ex: {"stall_t": ex.t, "stall_bound": ex.bound}),
+}
+
+
+def _horizon(raw):
+    """The [picard] horizon: 'auto' (the lifespan lower bound) or a number."""
+    if raw == "auto":
+        return raw
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"not a number or 'auto': {raw!r}") from None
 
 
 SCHEMA = {
@@ -63,7 +80,7 @@ SCHEMA = {
     "lifespan": {"C": float, "C1": float, "c": float, "eps": float,
                  "eps_prime": float, "p": float, "horizon": float,
                  "fraction": float},
-    "picard": {"horizon": str, "max_iters": int, "tol": float, "n_steps": int,
+    "picard": {"horizon": _horizon, "max_iters": int, "tol": float, "n_steps": int,
                "p": float},
 }
 
@@ -145,31 +162,27 @@ def _load_case(path) -> tuple:
     return values, errors, params, preset, initial
 
 
+def _check(errors):
+    """Raise the config errors a command collected, all in one exception."""
+    if errors:
+        raise ConfigurationError(*errors)
+
+
 @contextlib.contextmanager
 def _prefixed(prefix):
-    """Report a ConfigurationError raised inside as 'prefix: message'."""
+    """Report a ConfigurationError or OSError raised inside as a config
+    error 'prefix: message'."""
     try:
         yield
-    except ConfigurationError as ex:
+    except (ConfigurationError, OSError) as ex:
         raise ConfigurationError(f"{prefix}: {ex}") from ex
 
 
-def _emit(report: dict, json_path, stream):
-    text = json.dumps(report, indent=2, sort_keys=True, default=float)
-    if json_path:
-        with open(json_path, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {json_path}", file=stream)
-    else:
-        print(text, file=stream)
-
-
-def _fail_config(errors, json_path, stream):
+def _invalid(errors):
+    """The invalid_config cause and payload, with each error printed."""
     for e in errors:
-        print(f"config error: {e}", file=stream)
-    _emit({"cause": "invalid_config", "errors": errors,
-           "exit_code": EXIT_BAD_CONFIG}, json_path, stream)
-    return EXIT_BAD_CONFIG
+        print(f"config error: {e}")
+    return "invalid_config", {"errors": errors}
 
 
 def _effective_data(state, params):
@@ -185,44 +198,28 @@ def _lifespan_inputs(values, q0, v0, params):
             k: val for k, val in lkw.items() if k not in SCHEDULE_KEYS})
 
 
-def cmd_run(args, stream) -> int:
+def cmd_run(args, report) -> str:
     values, errors, params, preset, initial = _load_case(args.config)
     out = values.get("output", {})
-    # every payload of run goes to one path, main's late invalid_config included
+    # every payload of run goes to one path, invalid_config included
     args.json = args.json or out.get("json")
     missing = [k for k in ("dt", "t_end") if k not in values.get("solver", {})]
     errors += [f"solver.{k}: required for this command" for k in missing]
     solver_cfg = None if missing else _build(SolverConfig, "solver", values, errors)
-    if not errors:
-        try:
-            solver_cfg.validate_for(initial.grid, params)
-        except ConfigurationError as ex:
-            errors.append(f"solver.dt: {ex}")
-    if errors:
-        return _fail_config(errors, args.json, stream)
+    _check(errors)
+    with _prefixed("solver.dt"):
+        solver_cfg.validate_for(initial.grid, params)
 
     csv_path = args.csv or out.get("csv", "series.csv")
 
     if solver_cfg.formulation == "effective":
         initial = to_effective(initial, params)
-    acc = DiagnosticsAccumulator(params)
-    summary = {"preset": preset.name, "config": values}
-    try:
-        res = run(initial, params, solver_cfg, diag_fn=acc)
-    except VacuumBreach as ex:
-        summary.update(cause="vacuum_breach", t=ex.t, min_rho=ex.min_rho,
-                       exit_code=EXIT_VACUUM)
-        _emit(summary, args.json, stream)
-        return EXIT_VACUUM
-    except NumericBlowup as ex:
-        summary.update(cause="numeric_blowup", t=ex.t, detail=ex.detail,
-                       exit_code=EXIT_BLOWUP)
-        _emit(summary, args.json, stream)
-        return EXIT_BLOWUP
-
+    report.update(preset=preset.name, config=values)
+    res = run(initial, params, solver_cfg, diag_fn=DiagnosticsAccumulator(params))
     records = res.records
-    write_csv(records, csv_path)
-    print(f"wrote {csv_path} ({len(records)} rows)", file=stream)
+    with _prefixed("output.csv: cannot write"):
+        write_csv(records, csv_path)
+    print(f"wrote {csv_path} ({len(records)} rows)")
 
     masses = [r.mass for r in records]
     drift = max(abs(m - masses[0]) for m in masses) / abs(masses[0])
@@ -234,22 +231,18 @@ def cmd_run(args, stream) -> int:
             rep = lp_gain_check(records, p_exp, params, initial.grid.dim)
             gains[str(p_exp)] = {"verdict": rep.verdict, "note": rep.note}
             gains_ok &= bool(rep.verdict)
-    ok = energy_verdict.ok and gains_ok and drift < 1e-10
-    summary.update(
+    report.update(
         t_final=res.t_final, steps=res.steps, rows=len(records),
         mass_drift=drift,
         energy_check={"ok": energy_verdict.ok,
                       "first_violation_t": energy_verdict.first_violation_t,
                       "detail": energy_verdict.detail},
         lp_gain=gains,
-        cause="ok" if ok else "check_failed",
-        exit_code=EXIT_OK if ok else EXIT_CHECK_FAILED,
     )
-    _emit(summary, args.json, stream)
-    return summary["exit_code"]
+    return "ok" if energy_verdict.ok and gains_ok and drift < 1e-10 else "check_failed"
 
 
-def cmd_verify(args, stream) -> int:
+def cmd_verify(args, report) -> str:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:
@@ -260,101 +253,56 @@ def cmd_verify(args, stream) -> int:
             line = f"[{tag}] {name}:{case.name}"
             if case.measured is not None and case.threshold is not None:
                 line += f" measured={case.measured:.3e} threshold={case.threshold:.3e}"
-            print(line, file=stream)
-    ok = all(rep.ok for rep in reports)
-    payload = {
-        "suites": [rep.to_dict() for rep in reports],
-        "cause": "ok" if ok else "check_failed",
-        "exit_code": EXIT_OK if ok else EXIT_CHECK_FAILED,
-    }
-    _emit(payload, args.json, stream)
-    return payload["exit_code"]
+            print(line)
+    report["suites"] = [rep.to_dict() for rep in reports]
+    return "ok" if all(rep.ok for rep in reports) else "check_failed"
 
 
-def cmd_lifespan(args, stream) -> int:
+def cmd_lifespan(args, report) -> str:
     values, errors, params, preset, initial = _load_case(args.config)
-    if errors:
-        return _fail_config(errors, args.json, stream)
+    _check(errors)
     q0, v0 = _effective_data(initial, params)
     inp = _lifespan_inputs(values, q0, v0, params)
-    report = lifespan_report(inp)
-    report["preset"] = preset.name
+    report.update(lifespan_report(inp), preset=preset.name)
     schedule_kw = {k: v for k, v in values.get("lifespan", {}).items() if k in SCHEDULE_KEYS}
     if "horizon" in schedule_kw:
-        try:
-            with _prefixed("lifespan.horizon"):
-                sched = restart_schedule(lambda t: inp, **schedule_kw)
-        except ScheduleStall as ex:
-            report.update(cause="schedule_stall", stall_t=ex.t,
-                          stall_bound=ex.bound, exit_code=EXIT_STALL)
-            _emit(report, args.json, stream)
-            return EXIT_STALL
-        report["schedule"] = sched
-    report.update(cause="ok", exit_code=EXIT_OK)
-    _emit(report, args.json, stream)
-    return EXIT_OK
+        with _prefixed("lifespan.horizon"):
+            report["schedule"] = restart_schedule(lambda t: inp, **schedule_kw)
+    return "ok"
 
 
-def cmd_picard(args, stream) -> int:
+def cmd_picard(args, report) -> str:
     values, errors, params, preset, initial = _load_case(args.config)
-    if errors:
-        return _fail_config(errors, args.json, stream)
-    pkw = values.get("picard", {})
-    q0, v0 = _effective_data(initial, params)
-
-    raw_horizon = pkw.get("horizon", "auto")
-    if raw_horizon == "auto":
-        horizon = lifespan_report(_lifespan_inputs(values, q0, v0, params))["lower_bound"]
-    else:
-        try:
-            horizon = float(raw_horizon)
-        except ValueError:
-            return _fail_config(
-                [f"picard.horizon: not a number or 'auto': {raw_horizon!r}"],
-                args.json, stream)
-    errors = []
     pcfg = _build(PicardConfig, "picard", values, errors, skip=("horizon",))
-    if errors:
-        return _fail_config(errors, args.json, stream)
-    try:
-        with _prefixed("picard"):
-            result = picard_solve(q0, v0, params, horizon, pcfg)
-    except NonContraction as ex:
-        report = {"horizon": horizon, "cause": "non_contraction",
-                  "diff_norms": ex.diff_norms, "data_norms": ex.data_norms,
-                  "exit_code": EXIT_NO_CONTRACTION}
-        _emit(report, args.json, stream)
-        return EXIT_NO_CONTRACTION
+    _check(errors)
+    q0, v0 = _effective_data(initial, params)
+    horizon = values.get("picard", {}).get("horizon", "auto")
+    if horizon == "auto":
+        horizon = lifespan_report(_lifespan_inputs(values, q0, v0, params))["lower_bound"]
+    report["horizon"] = horizon
+    with _prefixed("picard"):
+        result = picard_solve(q0, v0, params, horizon, pcfg)
 
     ds = result.diff_norms
-    ratios = [ds[i + 1] / ds[i] for i in range(len(ds) - 1) if ds[i] > 0]
-    report = {
-        "horizon": horizon,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "diff_norms": ds,
-        "contraction_ratios": ratios,
-        "data_norms": result.data_norms,
-        "cause": "ok" if result.converged else "check_failed",
-        "exit_code": EXIT_OK if result.converged else EXIT_CHECK_FAILED,
-    }
-    _emit(report, args.json, stream)
-    return report["exit_code"]
+    report.update(
+        iterations=result.iterations,
+        converged=result.converged,
+        diff_norms=ds,
+        contraction_ratios=[ds[i + 1] / ds[i] for i in range(len(ds) - 1) if ds[i] > 0],
+        data_norms=result.data_norms,
+    )
+    return "ok" if result.converged else "check_failed"
 
 
-def cmd_besov(args, stream) -> int:
+def cmd_besov(args, report) -> str:
     if bool(args.state) == bool(args.config):
-        return _fail_config(["besov: give exactly one of --state or --config"],
-                            args.json, stream)
+        raise ConfigurationError("besov: give exactly one of --state or --config")
     if args.state:
-        try:
+        with _prefixed("besov.state"):
             state, params, t = load_checkpoint(args.state)
-        except (OSError, ConfigurationError) as ex:
-            return _fail_config([f"besov.state: {ex}"], args.json, stream)
     else:
         values, errors, params, preset, state = _load_case(args.config)
-        if errors:
-            return _fail_config(errors, args.json, stream)
+        _check(errors)
         t = 0.0
     q, v = (state.q, state.v) if isinstance(state, EffectiveState) \
         else _effective_data(state, params)
@@ -365,16 +313,18 @@ def cmd_besov(args, stream) -> int:
             # the critical index n/p, formed once p has passed validation
             spec_q = replace(spec_q, s=n / spec_q.p)
         spec_v = replace(spec_q, s=spec_q.s - 1.0)
-    report = {
-        "t": t,
-        "dim": n,
-        "log_density": block_report(q, spec_q),
-        "velocity": [block_report(c, spec_v) for c in v],
-        "cause": "ok",
-        "exit_code": EXIT_OK,
-    }
-    _emit(report, args.json, stream)
-    return EXIT_OK
+    report.update(t=t, dim=n, log_density=block_report(q, spec_q),
+                  velocity=[block_report(c, spec_v) for c in v])
+    return "ok"
+
+
+COMMANDS = {
+    "run": cmd_run,
+    "verify": cmd_verify,
+    "lifespan": cmd_lifespan,
+    "picard": cmd_picard,
+    "besov": cmd_besov,
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -412,21 +362,29 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and write its payload; returns the payload's exit code."""
     args = make_parser().parse_args(argv)
-    stream = sys.stdout
-    handlers = {
-        "run": cmd_run,
-        "verify": cmd_verify,
-        "lifespan": cmd_lifespan,
-        "picard": cmd_picard,
-        "besov": cmd_besov,
-    }
+    report = {}
     try:
-        return handlers[args.command](args, stream)
+        cause = COMMANDS[args.command](args, report)
+    except tuple(FAILURES) as ex:
+        cause, keys = FAILURES[type(ex)]
+        report.update(keys(ex))
     except (ConfigurationError, DomainError) as ex:
-        # the one exit for errors found after a command's first checks
-        return _fail_config([str(ex)], args.json, stream)
+        cause, report = _invalid([str(e) for e in ex.args])
+    sink = None
+    if args.json:
+        try:
+            sink = open(args.json, "w")
+        except OSError as ex:
+            cause, report = _invalid([f"output.json: cannot write: {ex}"])
+    report.update(cause=cause, exit_code=CAUSE_CODES[cause])
+    with sink or contextlib.nullcontext():  # file=None prints to stdout
+        print(json.dumps(report, indent=2, sort_keys=True, default=float), file=sink)
+    if sink is not None:
+        print(f"wrote {args.json}")
+    return report["exit_code"]
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(main())

@@ -7,21 +7,19 @@ import numpy as np
 import pytest
 
 import capns.cli
-from capns.cli import (
-    CAUSE_CODES,
-    EXIT_BAD_CONFIG,
-    EXIT_CHECK_FAILED,
-    EXIT_NO_CONTRACTION,
-    EXIT_OK,
-    EXIT_VACUUM,
-    main,
-)
+from capns.cli import CAUSE_CODES, main
 from capns.diagnostics import CSV_COLUMNS
+from capns.errors import NumericBlowup
 from capns.fields import Grid
 from capns.model import PhysParams
 from capns.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+EXIT_OK = CAUSE_CODES["ok"]
+EXIT_BAD_CONFIG = CAUSE_CODES["invalid_config"]
+EXIT_VACUUM = CAUSE_CODES["vacuum_breach"]
+EXIT_NO_CONTRACTION = CAUSE_CODES["non_contraction"]
 
 
 def write_ini(path, sections):
@@ -153,6 +151,21 @@ class TestRunCommand:
         assert code == EXIT_OK
         assert json.loads(json_path.read_text())["energy_check"]["ok"]
 
+    @pytest.mark.parametrize("target", ["csv", "json"])
+    def test_unwritable_output_is_invalid_config(self, tmp_path, capsys, target):
+        cfg = write_ini(tmp_path / "c.ini", base_sections())
+        paths = {"csv": tmp_path / "s.csv", "json": tmp_path / "out.json"}
+        paths[target] = tmp_path / "absent" / f"x.{target}"
+        assert main(["run", "--config", cfg, "--csv", str(paths["csv"]),
+                     "--json", str(paths["json"])]) == EXIT_BAD_CONFIG
+        out = capsys.readouterr().out
+        assert f"config error: output.{target}: cannot write" in out
+        # with no JSON file to take it, the payload goes to stdout
+        text = paths["json"].read_text() if target == "csv" else out[out.index("{"):]
+        payload = json.loads(text)
+        assert payload["cause"] == "invalid_config"
+        assert payload["errors"][0].startswith(f"output.{target}: cannot write")
+
 
 class TestVerifyCommand:
     def test_single_suite(self, tmp_path, capsys):
@@ -236,6 +249,17 @@ class TestPicardCommand:
         cfg = write_ini(tmp_path / "c.ini", base_sections(
             picard={"horizon": "whenever"}))
         assert main(["picard", "--config", cfg]) == EXIT_BAD_CONFIG
+
+    def test_all_config_errors_reported_at_once(self, tmp_path):
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            physics={"mu": -1}, picard={"horizon": "whenever", "max_iters": 0}))
+        json_path = tmp_path / "p.json"
+        assert main(["picard", "--config", cfg, "--json", str(json_path)]) \
+            == EXIT_BAD_CONFIG
+        assert json.loads(json_path.read_text())["errors"] == [
+            "picard.horizon: not a number or 'auto': 'whenever'",
+            "physics: invalid mu = -1.0",
+            "picard: max_iters must be >= 1, got 0"]
 
 
 class TestBesovCommand:
@@ -433,3 +457,52 @@ class TestConfiguration:
 
 def test_cause_codes_are_distinct():
     assert len(set(CAUSE_CODES.values())) == len(CAUSE_CODES)
+
+
+# cause -> (command, config overrides, payload keys that cause adds)
+CAUSE_CASES = {
+    "ok": ("run", {"initial": {"preset": "equilibrium"}}, {"steps", "energy_check"}),
+    # with the auto horizon this config converges at once
+    "check_failed": ("picard", {"picard": {"horizon": 1.0, "max_iters": 1}},
+                     {"converged", "diff_norms"}),
+    "invalid_config": ("run", {"solver": {"dt": -1.0}}, {"errors"}),
+    "vacuum_breach": ("run", {"solver": {"vacuum_floor": 0.9, "t_end": 0.01},
+                              "initial": {"preset": "near_vacuum", "delta": 0.05}},
+                      {"t", "min_rho"}),
+    "numeric_blowup": ("run", {}, {"t", "detail", "preset", "config"}),
+    "non_contraction": ("picard", {"initial": {"amplitude": 0.9},
+                                   "picard": {"horizon": 20.0, "max_iters": 15}},
+                        {"diff_norms", "data_norms"}),
+    "schedule_stall": ("lifespan", {"initial": {"preset": "equilibrium"},
+                                    "lifespan": {"horizon": 1e9}},
+                       {"stall_t", "stall_bound"}),
+}
+
+
+@pytest.mark.parametrize("cause", list(CAUSE_CODES))
+def test_every_cause_through_main(tmp_path, monkeypatch, cause):
+    command, overrides, keys = CAUSE_CASES[cause]
+    if cause == "numeric_blowup":
+        def blowup(*args, **kw):
+            raise NumericBlowup(0.5, "non-finite rho")
+
+        monkeypatch.setattr(capns.cli, "run", blowup)
+    cfg = write_ini(tmp_path / "c.ini", base_sections(**overrides))
+    json_path = tmp_path / "out.json"
+    argv = [command, "--config", cfg, "--json", str(json_path)]
+    if command == "run":
+        argv += ["--csv", str(tmp_path / "s.csv")]
+    code = main(argv)
+    payload = json.loads(json_path.read_text())
+    assert payload["cause"] == cause
+    assert payload["exit_code"] == CAUSE_CODES[cause] == code
+    assert keys <= payload.keys()
+    if cause == "numeric_blowup":
+        assert (payload["t"], payload["detail"]) == (0.5, "non-finite rho")
+        assert payload["preset"] == "smooth_bump"
+        assert payload["config"]["grid"] == {"dim": 1, "n": 64}
+
+
+def test_readme_exit_code_table():
+    rows = re.findall(r"^\| (\d+) +\| (\w+) +\|$", README.read_text(), re.M)
+    assert {cause: int(code) for code, cause in rows} == CAUSE_CODES
