@@ -14,6 +14,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import os
 from dataclasses import replace
 
 from .diagnostics import (
@@ -185,6 +186,20 @@ def _invalid(errors):
     return "invalid_config", {"errors": errors}
 
 
+def _writable(key, path, errors) -> bool:
+    """Whether ``path`` opens for writing; if not, an 'output.<key>: cannot
+    write: ...' line goes to errors. A file the probe creates is removed."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as ex:
+        errors.append(f"output.{key}: cannot write: {ex}")
+        return False
+    if not existed:
+        os.remove(path)
+    return True
+
+
 def _effective_data(state, params):
     e = to_effective(state, params)
     return e.q, e.v
@@ -206,11 +221,14 @@ def cmd_run(args, report) -> str:
     missing = [k for k in ("dt", "t_end") if k not in values.get("solver", {})]
     errors += [f"solver.{k}: required for this command" for k in missing]
     solver_cfg = None if missing else _build(SolverConfig, "solver", values, errors)
+    csv_path = args.csv or out.get("csv", "series.csv")
+    # both outputs are checked with the config, before the run writes either
+    if args.json and not _writable("json", args.json, errors):
+        args.json = None  # the payload goes to stdout
+    _writable("csv", csv_path, errors)
     _check(errors)
     with _prefixed("solver.dt"):
         solver_cfg.validate_for(initial.grid, params)
-
-    csv_path = args.csv or out.get("csv", "series.csv")
 
     if solver_cfg.formulation == "effective":
         initial = to_effective(initial, params)

@@ -8,6 +8,12 @@ periodic fields), time accumulations use the trapezoid rule on the recorded
 diagnostic times, and the capillary part of the energy is 2*kappa*|grad
 sqrt(rho)|^2 - the coefficient that makes dE/dt = -dissipation an identity
 for this capillarity (see notes in check_energy_inequality).
+
+Validation stays at the state boundary: a state's fields were checked when
+it was built, and every quadrature here runs ``Grid.integrate`` on raw
+samples, so a diagnostics record re-validates nothing. A record builds one
+``_Fields`` set and calls the public functionals on it, so the record and
+the API evaluate the same formulas.
 """
 
 from __future__ import annotations
@@ -15,12 +21,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import RealField, fft_array, grad_arrays, integrate, lap_array
+from .fields import RealField, fft_array, grad_arrays, lap_array
 from .model import EffectiveState, PhysParams, PrimitiveState
 
 GAIN_EXPONENTS = (2, 4, 8, 16)
@@ -37,6 +42,21 @@ def _grad_sq(grid, fhat) -> np.ndarray:
     return sum(c ** 2 for c in grad_arrays(grid, fhat))
 
 
+class _memo:
+    """A lazy attribute without a lock: the first read computes it and
+    stores it in the instance dict, which then shadows this descriptor."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 class _Fields:
     """Derived fields of one state, each computed on first use and kept.
 
@@ -44,6 +64,12 @@ class _Fields:
     (params is then only read for rho_bar and the pressure law). Only what
     two or more functionals read is kept; Du, grad v, grad rho and
     lap sqrt(rho) stay local to the one functional that uses each.
+
+    The fields are ``_memo`` attributes, not ``functools.cached_property``:
+    before Python 3.12 the first read of a cached_property takes an RLock,
+    and a set lives for one record, so each of its fields pays that lock
+    once per record. A set is never shared between threads, so the lock
+    buys nothing.
     """
 
     def __init__(self, source, params: PhysParams = None):
@@ -51,7 +77,7 @@ class _Fields:
         self.params = params
         self.grid = source.grid
 
-    @cached_property
+    @_memo
     def rho(self) -> np.ndarray:
         """Density samples, checked to be strictly positive."""
         s = self.source
@@ -61,16 +87,16 @@ class _Fields:
             r = s.rho.values
         else:
             r = self.params.rho_bar * np.exp(s.q.values)
-        m = float(np.min(r))
+        m = float(r.min())
         if m <= 0:
             raise DomainError(f"density must stay positive, min = {m}")
         return r
 
-    @cached_property
+    @_memo
     def max_inv_rho(self) -> float:
-        return float(np.max(1.0 / self.rho))
+        return float((1.0 / self.rho).max())
 
-    @cached_property
+    @_memo
     def u(self) -> list:
         """Fluid velocity; v - mu grad q in the effective form."""
         s = self.source
@@ -79,7 +105,7 @@ class _Fields:
         gq = grad_arrays(self.grid, fft_array(self.grid, s.q.values))
         return [s.v[i].values - self.params.mu * gq[i] for i in range(self.grid.dim)]
 
-    @cached_property
+    @_memo
     def v(self) -> list:
         """Drift-corrected velocity v = u + mu grad(ln rho)."""
         s = self.source
@@ -88,11 +114,11 @@ class _Fields:
         gl = grad_arrays(self.grid, fft_array(self.grid, np.log(self.rho)))
         return [s.u[i].values + self.params.mu * gl[i] for i in range(self.grid.dim)]
 
-    @cached_property
+    @_memo
     def v_speed2(self) -> np.ndarray:
         return sum(c ** 2 for c in self.v)
 
-    @cached_property
+    @_memo
     def pi(self) -> np.ndarray:
         """Pressure potential, normalized to vanish to second order at rho_bar.
 
@@ -106,15 +132,15 @@ class _Fields:
             return a * (r * np.log(r / rb) + rb - r)
         return (a / (g - 1.0)) * (r ** g - rb ** g - g * rb ** (g - 1.0) * (r - rb))
 
-    @cached_property
+    @_memo
     def sqrt_rho(self) -> np.ndarray:
         return np.sqrt(self.rho)
 
-    @cached_property
+    @_memo
     def sqrt_rho_hat(self) -> np.ndarray:
         return fft_array(self.grid, self.sqrt_rho)
 
-    @cached_property
+    @_memo
     def grad_sqrt2(self) -> np.ndarray:
         """|grad sqrt(rho)|^2."""
         return _grad_sq(self.grid, self.sqrt_rho_hat)
@@ -135,14 +161,14 @@ def energy(state, params: PhysParams) -> float:
     """
     f = _fields(state, params)
     speed2 = sum(c ** 2 for c in f.u)
-    return integrate(RealField(f.grid, 0.5 * f.rho * speed2 + f.pi
-                               + 2.0 * params.kappa * f.grad_sqrt2))
+    return f.grid.integrate(0.5 * f.rho * speed2 + f.pi
+                            + 2.0 * params.kappa * f.grad_sqrt2)
 
 
 def bd_entropy(state, params: PhysParams) -> float:
     """Auxiliary entropy built on the drift-corrected velocity."""
     f = _fields(state, params)
-    return integrate(RealField(f.grid, 0.5 * f.rho * f.v_speed2 + f.pi))
+    return f.grid.integrate(0.5 * f.rho * f.v_speed2 + f.pi)
 
 
 def dissip_u_rate(state, params: PhysParams) -> float:
@@ -154,7 +180,7 @@ def dissip_u_rate(state, params: PhysParams) -> float:
     for i in range(g.dim):
         for j in range(g.dim):
             acc += (0.5 * (du[i][j] + du[j][i])) ** 2
-    return integrate(RealField(g, 2.0 * params.mu * f.rho * acc))
+    return g.integrate(2.0 * params.mu * f.rho * acc)
 
 
 def dissip_v_rate(state, params: PhysParams) -> float:
@@ -164,7 +190,7 @@ def dissip_v_rate(state, params: PhysParams) -> float:
     acc = np.zeros(g.shape)
     for c in f.v:
         acc += _grad_sq(g, fft_array(g, c))
-    return integrate(RealField(g, params.mu * f.rho * acc))
+    return g.integrate(params.mu * f.rho * acc)
 
 
 def dissip_density_rate(state, params: PhysParams) -> float:
@@ -173,20 +199,20 @@ def dissip_density_rate(state, params: PhysParams) -> float:
     r = f.rho
     grad2 = _grad_sq(f.grid, fft_array(f.grid, r))
     weight = params.a * params.gamma * params.mu * r ** (params.gamma - 2.0)
-    return integrate(RealField(f.grid, weight * grad2))
+    return f.grid.integrate(weight * grad2)
 
 
 def jungel_rate(state, params: PhysParams) -> float:
     """Squared L2 norm of the Laplacian of sqrt(rho)."""
     f = _fields(state, params)
-    return integrate(RealField(f.grid, lap_array(f.grid, f.sqrt_rho_hat) ** 2))
+    return f.grid.integrate(lap_array(f.grid, f.sqrt_rho_hat) ** 2)
 
 
 def sqrt_h1_norm(rho: RealField, rho_bar: float) -> float:
     """L2 distance of sqrt(rho) from sqrt(rho_bar) plus the L2 gradient norm."""
     f = _fields(rho)
-    l2 = math.sqrt(integrate(RealField(f.grid, (f.sqrt_rho - math.sqrt(rho_bar)) ** 2)))
-    return l2 + math.sqrt(integrate(RealField(f.grid, f.grad_sqrt2)))
+    l2 = math.sqrt(f.grid.integrate((f.sqrt_rho - math.sqrt(rho_bar)) ** 2))
+    return l2 + math.sqrt(f.grid.integrate(f.grad_sqrt2))
 
 
 def lp_gain_value(state, params: PhysParams, p: float) -> float:
@@ -194,7 +220,7 @@ def lp_gain_value(state, params: PhysParams, p: float) -> float:
     if p < 1:
         raise DomainError(f"exponent must be >= 1, got {p}")
     f = _fields(state, params)
-    return integrate(RealField(f.grid, f.rho * np.sqrt(f.v_speed2) ** p)) ** (1.0 / p)
+    return f.grid.integrate(f.rho * np.sqrt(f.v_speed2) ** p) ** (1.0 / p)
 
 
 @dataclass
@@ -240,12 +266,12 @@ class DiagnosticsAccumulator:
         self._prev_t, self._prev_rates = t, rates
 
         return DiagnosticsRecord(
-            t=t, mass=integrate(RealField(f.grid, f.rho)),
+            t=t, mass=f.grid.integrate(f.rho),
             energy=energy(f, p), bd_entropy=bd_entropy(f, p),
             dissip_u=float(self._acc[0]), dissip_v=float(self._acc[1]),
             dissip_density=float(self._acc[2]), jungel=float(self._acc[3]),
             lp_gain={q: lp_gain_value(f, p, q) for q in GAIN_EXPONENTS},
-            min_rho=float(np.min(f.rho)), max_inv_rho=f.max_inv_rho,
+            min_rho=float(f.rho.min()), max_inv_rho=f.max_inv_rho,
             h1_sqrt=sqrt_h1_norm(f, p.rho_bar),
         )
 
@@ -284,7 +310,9 @@ def check_energy_inequality(records, tol: float = 1e-4, atol: float = 1e-12) -> 
       bd_entropy(t) + dissip_v(t) + dissip_density(t)  <= bd_entropy(0) * (1+tol) + atol
     and that each accumulated dissipation is nonnegative and nondecreasing
     (they are time integrals of nonnegative rates, so a decrease means the
-    series was corrupted). atol absorbs roundoff on exactly-zero data.
+    series was corrupted). atol absorbs roundoff on exactly-zero data. A
+    non-finite statistic fails the check: records integrate raw samples, so
+    an overflowing integrand reaches the series as inf or nan.
     """
     if not records:
         raise DomainError("empty record series")
@@ -293,6 +321,8 @@ def check_energy_inequality(records, tol: float = 1e-4, atol: float = 1e-12) -> 
     prev = (0.0, 0.0, 0.0)
     for rec in records:
         diss = (rec.dissip_u, rec.dissip_v, rec.dissip_density)
+        if not all(map(math.isfinite, (rec.energy, rec.bd_entropy) + diss)):
+            return EnergyVerdict(False, rec.t, f"non-finite statistic at t={rec.t}")
         for name, val, pv in zip(("dissip_u", "dissip_v", "dissip_density"), diss, prev):
             if val < -atol or val < pv - atol:
                 return EnergyVerdict(False, rec.t, f"{name} not nondecreasing at t={rec.t}")
@@ -320,7 +350,7 @@ def lp_gain_check(records, p: float, params: PhysParams, dim: int,
     bound with its explicit p-dependent constants.
 
     The bound holds for the linear pressure law only; otherwise the
-    measured side is reported alone.
+    measured side is reported alone. A non-finite measured value fails.
     """
     if p < 4:
         raise ConfigurationError(f"the bound needs p >= 4, got {p}")
@@ -344,7 +374,7 @@ def lp_gain_check(records, p: float, params: PhysParams, dim: int,
     ) ** (1.0 / p) * big_t ** (1.0 / p)
     growth = b_stat ** (4.0 / (p - 2)) * a2 * (dim ** 2 * (p - 4) / (p - 2) + 1.0)
     rhs = [2.0 ** (1.0 / p) * bracket * math.exp(growth * t / p) for t in times]
-    verdict = all(l <= r * (1 + tol) for l, r in zip(lhs, rhs))
+    verdict = all(math.isfinite(l) and l <= r * (1 + tol) for l, r in zip(lhs, rhs))
     return LpGainReport(p, times, lhs, rhs, verdict)
 
 
@@ -403,8 +433,8 @@ def level_set_report(states, times, params: PhysParams, alpha: float, k: float,
         inv = _Fields(s, params).rho ** (-alpha)
         trunc = np.maximum(inv - k, 0.0)
         measures[i] = g.cell_volume * int(np.count_nonzero(inv >= k))
-        sup_l2 = max(sup_l2, math.sqrt(integrate(RealField(g, trunc ** 2))))
-        grad_sq[i] = integrate(RealField(g, _grad_sq(g, fft_array(g, trunc))))
+        sup_l2 = max(sup_l2, math.sqrt(g.integrate(trunc ** 2)))
+        grad_sq[i] = g.integrate(_grad_sq(g, fft_array(g, trunc)))
     mu_k = float(np.trapezoid(measures ** (r1 / q1), times)) if len(times) > 1 else 0.0
     q_norm = sup_l2 + math.sqrt(float(np.trapezoid(grad_sq, times))) if len(times) > 1 else sup_l2
     return LevelSetReport(
@@ -522,8 +552,8 @@ def vacuum_bound_estimate(states, times, params: PhysParams, q_exp: float,
         f = f0 if i == 0 else _Fields(states[i], params)
         sup_inv = max(sup_inv, f.max_inv_rho)
         b_2q = max(b_2q, lp_gain_value(f, params, 2.0 * q_exp))
-        sqrt_norm = max(sqrt_norm, integrate(
-            RealField(g, np.abs(f.sqrt_rho - math.sqrt(params.rho_bar)) ** q3)) ** (1.0 / q3))
+        sqrt_norm = max(sqrt_norm, g.integrate(
+            np.abs(f.sqrt_rho - math.sqrt(params.rho_bar)) ** q3) ** (1.0 / q3))
     khat0 = f0.max_inv_rho ** alpha
     measured = sup_inv ** alpha
     c_am = dissipation_constant(alpha, params.mu)

@@ -15,8 +15,9 @@ to transforming each slice alone.
 
 Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
 half spectrum, both validated on construction; ``transform`` is
-``fft_array`` on a ``RealField``. Derivatives, divergences and the 2/3
-truncation run on raw arrays only. A spectrum drawn without Hermitian
+``fft_array`` on a ``RealField`` and ``integrate`` is ``Grid.integrate``,
+the grid quadrature of raw samples, on one. Derivatives, divergences, the
+2/3 truncation and the quadrature run on raw arrays only. A spectrum drawn without Hermitian
 symmetry in the full ``fftn`` ordering enters through ``hermitian_half``,
 which gives the half spectrum of the real part of its inverse.
 
@@ -130,12 +131,16 @@ class Grid:
         w[0] = w[-1] = 1.0
         return w
 
+    def integrate(self, values: np.ndarray) -> float:
+        """Grid quadrature of raw samples over the torus; no validation."""
+        return float(values.sum()) * self.cell_volume
+
 
 def _checked(values, shape, dtype, name):
     arr = np.asarray(values, dtype=dtype)
     if arr.shape != shape:
         raise DomainError(f"{name} shape {arr.shape} does not match {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains non-finite values")
     return arr
 
@@ -218,7 +223,7 @@ def transform(f: RealField) -> SpectralField:
 
 def integrate(f: RealField) -> float:
     """Grid quadrature of f over the torus."""
-    return float(np.sum(f.values)) * f.grid.cell_volume
+    return f.grid.integrate(f.values)
 
 
 def lp_norm(f: RealField, p: float) -> float:

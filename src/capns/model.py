@@ -118,7 +118,7 @@ def _check_density(rho):
 
 def _finite_or_blowup(arrays, where):
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericBlowup(float("nan"), where)
 
 

@@ -118,11 +118,11 @@ class _Scheme:
             # grid with factor 1.0, which the scheme keeps exact
             self.parts = [_Unknown(_identity, _identity, 1.0)] + [diffusive] * g.dim
             self.kind, self.detail = PrimitiveState, "density-velocity state"
-            self.min_rho = np.min
+            self.min_rho = np.ndarray.min
         else:
             self.parts = [diffusive] * (1 + g.dim)
             self.kind, self.detail = EffectiveState, "log-density state"
-            self.min_rho = lambda q: params.rho_bar * np.exp(np.min(q))
+            self.min_rho = lambda q: params.rho_bar * np.exp(q.min())
 
     def tendencies(self, vals, hats):
         g, params = self.grid, self.params
@@ -136,7 +136,7 @@ class _Scheme:
     def guard(self, vals, t):
         """Raise on a non-finite unknown, then on a density minimum at or
         below the vacuum floor."""
-        if not all(np.all(np.isfinite(a)) for a in vals):
+        if not all(np.isfinite(a).all() for a in vals):
             raise NumericBlowup(t, self.detail)
         m = float(self.min_rho(vals[0]))
         if m <= self.cfg.vacuum_floor:

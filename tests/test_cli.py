@@ -166,6 +166,54 @@ class TestRunCommand:
         assert payload["cause"] == "invalid_config"
         assert payload["errors"][0].startswith(f"output.{target}: cannot write")
 
+    @pytest.mark.parametrize("source", ["flag", "ini"])
+    def test_unwritable_json_is_found_before_the_run(self, tmp_path, capsys, source):
+        # the JSON path is checked with the config: the run never starts,
+        # so no CSV is written, and the payload goes to stdout
+        json_path = str(tmp_path / "absent" / "o.json")
+        csv_path = tmp_path / "series.csv"
+        sections = base_sections(output={"csv": csv_path})
+        argv = ["--json", json_path] if source == "flag" else []
+        if source == "ini":
+            sections["output"]["json"] = json_path
+        cfg = write_ini(tmp_path / "c.ini", sections)
+        assert main(["run", "--config", cfg, *argv]) == EXIT_BAD_CONFIG
+        out = capsys.readouterr().out
+        assert not csv_path.exists()
+        assert "wrote" not in out
+        assert out.count("config error: output.json: cannot write") == 1
+        payload = json.loads(out[out.index("{"):])
+        assert payload["cause"] == "invalid_config"
+        assert payload["errors"] == [line[len("config error: "):]
+                                     for line in out.splitlines()
+                                     if line.startswith("config error: ")]
+
+    def test_all_output_and_config_errors_reported_at_once(self, tmp_path, capsys):
+        absent = tmp_path / "absent"
+        cfg = write_ini(tmp_path / "c.ini", base_sections(physics={"mu": -1}))
+        assert main(["run", "--config", cfg, "--csv", str(absent / "s.csv"),
+                     "--json", str(absent / "o.json")]) == EXIT_BAD_CONFIG
+        out = capsys.readouterr().out
+        errors = json.loads(out[out.index("{"):])["errors"]
+        assert [e.split(":")[0] for e in errors] == ["physics", "output.json", "output.csv"]
+        assert not absent.exists()
+
+    def test_output_probe_leaves_no_file(self, tmp_path):
+        # a config error stops the run after the probe; the probe's own
+        # files are gone, and an existing file keeps its content
+        csv_path = tmp_path / "series.csv"
+        json_path = tmp_path / "o.json"
+        csv_path.write_text("kept\n")
+        cfg = write_ini(tmp_path / "c.ini", base_sections(physics={"mu": -1}))
+        assert main(["run", "--config", cfg, "--csv", str(csv_path),
+                     "--json", str(json_path)]) == EXIT_BAD_CONFIG
+        assert csv_path.read_text() == "kept\n"
+        assert json.loads(json_path.read_text())["cause"] == "invalid_config"
+        json_path.unlink()
+        csv_path.unlink()
+        assert main(["run", "--config", cfg, "--csv", str(csv_path)]) == EXIT_BAD_CONFIG
+        assert not csv_path.exists()
+
 
 class TestVerifyCommand:
     def test_single_suite(self, tmp_path, capsys):

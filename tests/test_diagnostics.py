@@ -303,13 +303,18 @@ class TestAccumulator:
         with pytest.raises(DomainError):
             acc(s, 0.4)
 
-    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("formulation,kappa", [
+        pytest.param("primitive", 0.0225, id="primitive"),
+        pytest.param("effective", 0.0225, id="effective"),
+        pytest.param("effective", 0.04, id="effective-kappa-above-mu2"),
+    ])
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
     @pytest.mark.parametrize("gamma", [1.0, 1.4])
-    def test_record_equals_public_functionals(self, formulation, dim, n, gamma):
-        # The record shares one derived-field set; the public (state, params)
-        # functionals build their own. Both must give the same bits.
-        p = PhysParams(mu=0.15, kappa=0.0225, gamma=gamma, rho_bar=1.3)
+    def test_record_equals_public_functionals(self, formulation, kappa, dim, n, gamma):
+        # The record shares one derived-field set and integrates raw
+        # samples; the public (state, params) functionals build their own
+        # set. Both must give the same bits.
+        p = PhysParams(mu=0.15, kappa=kappa, gamma=gamma, rho_bar=1.3)
         s = build(Preset("random_bandlimited", amplitude=0.2, seed=7), Grid(dim, n), p)
         if formulation == "effective":
             s = to_effective(s, p)
@@ -389,6 +394,16 @@ class TestEnergyInequality:
         assert "energy" in verdict.detail
         assert verdict.first_violation_t == bad[-1].t
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("stat", ["energy", "bd_entropy", "dissip_v"])
+    def test_non_finite_statistic_fails(self, quantum_run, stat, bad):
+        # every record non-finite: no comparison with the first record holds
+        p, res = quantum_run
+        recs = [dataclasses.replace(r, **{stat: bad}) for r in res.records]
+        verdict = check_energy_inequality(recs)
+        assert not verdict.ok
+        assert verdict.detail == f"non-finite statistic at t={recs[0].t}"
+
     def test_empty_series_rejected(self):
         with pytest.raises(DomainError):
             check_energy_inequality([])
@@ -445,6 +460,19 @@ class TestLpGain:
         p = PhysParams(mu=0.2, kappa=0.04, a=0.8)
         recs = [record(0.0, {2: 0.5, 4: 0.3}), record(0.5, {2: 0.7, 4: 50.0})]
         assert not lp_gain_check(recs, 4, p, dim=1).verdict
+
+    def test_overflowing_record_fails(self):
+        # a finite state whose |v|^16 overflows: the record keeps the inf,
+        # and an inf series must not meet its own inf bound
+        g = grid1(64)
+        p = PhysParams(mu=0.15, kappa=0.0225)
+        s = PrimitiveState(field(g, lambda x: 1.0 + 0.1 * np.cos(x)),
+                           (field(g, lambda x: 1e20 * np.sin(x)),))
+        acc = DiagnosticsAccumulator(p)
+        with np.errstate(over="ignore"):
+            recs = [acc(s, 0.0), acc(s, 0.01)]
+        assert recs[0].lp_gain[16] == math.inf
+        assert lp_gain_check(recs, 16, p, dim=1).verdict is False
 
     @pytest.mark.parametrize("p_exp", [4, 8, 16])
     def test_small_data_run_obeys_bound(self, quantum_run, p_exp):

@@ -8,6 +8,7 @@ that lowers a count should tighten the number here.
 import numpy as np
 import pytest
 
+from capns import fields
 from capns.diagnostics import DiagnosticsAccumulator
 from capns.fields import Grid, RealField
 from capns.lp_besov import BesovSpec, block_report, bony_decompose
@@ -64,6 +65,24 @@ def test_step_and_record_transform_counts(fft_calls, dim, n, formulation,
     fft_calls[0] = 0
     DiagnosticsAccumulator(PARAMS)(state, 0.0)
     assert fft_calls[0] == record_fft
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+@pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+def test_record_validates_nothing(monkeypatch, dim, n, formulation):
+    # the state was validated when it was built; a record integrates raw
+    # samples and builds no RealField or SpectralField
+    state = _state(dim, n, formulation)
+    calls = [0]
+    original = fields._checked
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_checked", counted)
+    DiagnosticsAccumulator(PARAMS)(state, 0.0)
+    assert calls[0] == 0
 
 
 def test_block_report_one_transform_per_block(fft_calls):
