@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import json
 import os
 from dataclasses import replace
@@ -345,7 +346,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing does not
+    change it."""
     parser = argparse.ArgumentParser(
         prog="capns",
         description="Pseudo-spectral capillary compressible flow toolkit")

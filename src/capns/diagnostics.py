@@ -13,7 +13,10 @@ Validation stays at the state boundary: a state's fields were checked when
 it was built, and every quadrature here runs ``Grid.integrate`` on raw
 samples, so a diagnostics record re-validates nothing. A record builds one
 ``_Fields`` set and calls the public functionals on it, so the record and
-the API evaluate the same formulas.
+the API evaluate the same formulas. The set takes its derivatives in two
+stages of independent transforms, ``fft_stage``/``ifft_stage`` each way:
+first those of the fields the source holds, then those of the velocity it
+does not hold; on a 1-D grid that is four transform calls per record.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import RealField, fft_array, grad_arrays, lap_array
+from .fields import RealField, fft_array, fft_stage, grad_arrays, ifft_stage
 from .model import EffectiveState, PhysParams, PrimitiveState
 
 GAIN_EXPONENTS = (2, 4, 8, 16)
@@ -40,6 +43,15 @@ CSV_COLUMNS = (
 def _grad_sq(grid, fhat) -> np.ndarray:
     """|grad f|^2 from the coefficients of f."""
     return sum(c ** 2 for c in grad_arrays(grid, fhat))
+
+
+def _derivatives(grid, arrays, mults) -> list:
+    """Samples of m * f-hat for each array f and each multiplier m of its
+    list in ``mults``, one list per array: one forward and one inverse
+    transform stage."""
+    flat = iter(ifft_stage(grid, (m * h for h, ms in zip(fft_stage(grid, arrays), mults)
+                                  for m in ms)))
+    return [[next(flat) for _ in ms] for ms in mults]
 
 
 class _memo:
@@ -61,9 +73,10 @@ class _Fields:
     """Derived fields of one state, each computed on first use and kept.
 
     The source is a primitive or effective state, or a bare density field
-    (params is then only read for rho_bar and the pressure law). Only what
-    two or more functionals read is kept; Du, grad v, grad rho and
-    lap sqrt(rho) stay local to the one functional that uses each.
+    (params is then only read for rho_bar and the pressure law). The
+    derivatives of the fields the source holds are taken together in
+    ``_held``; those of the velocity it does not hold (v of a primitive
+    state, u of an effective one) in ``du`` or ``dv``.
 
     The fields are ``_memo`` attributes, not ``functools.cached_property``:
     before Python 3.12 the first read of a cached_property takes an RLock,
@@ -97,12 +110,27 @@ class _Fields:
         return float((1.0 / self.rho).max())
 
     @_memo
+    def _held(self) -> list:
+        """Derivatives of the fields the source holds, per field a list:
+        grad rho; grad sqrt(rho) followed by lap sqrt(rho); then, for a
+        state, grad ln(rho) (grad q in the effective form) and the gradient
+        of each velocity component it holds."""
+        g, s = self.grid, self.source
+        arrays = [self.rho, self.sqrt_rho]
+        if isinstance(s, PrimitiveState):
+            arrays += [np.log(self.rho), *(c.values for c in s.u)]
+        elif isinstance(s, EffectiveState):
+            arrays += [s.q.values, *(c.values for c in s.v)]
+        mults = [g.half_ik, (*g.half_ik, -g.half_k2)] + [g.half_ik] * (len(arrays) - 2)
+        return _derivatives(g, arrays, mults)
+
+    @_memo
     def u(self) -> list:
         """Fluid velocity; v - mu grad q in the effective form."""
         s = self.source
         if isinstance(s, PrimitiveState):
             return [c.values for c in s.u]
-        gq = grad_arrays(self.grid, fft_array(self.grid, s.q.values))
+        gq = self._held[2]
         return [s.v[i].values - self.params.mu * gq[i] for i in range(self.grid.dim)]
 
     @_memo
@@ -111,8 +139,22 @@ class _Fields:
         s = self.source
         if isinstance(s, EffectiveState):
             return [c.values for c in s.v]
-        gl = grad_arrays(self.grid, fft_array(self.grid, np.log(self.rho)))
+        gl = self._held[2]
         return [s.u[i].values + self.params.mu * gl[i] for i in range(self.grid.dim)]
+
+    @_memo
+    def du(self) -> list:
+        """Velocity gradient, du[i][j] = d_j u_i."""
+        if isinstance(self.source, PrimitiveState):
+            return self._held[3:]
+        return _derivatives(self.grid, self.u, [self.grid.half_ik] * self.grid.dim)
+
+    @_memo
+    def dv(self) -> list:
+        """Gradient of v, dv[i][j] = d_j v_i."""
+        if isinstance(self.source, EffectiveState):
+            return self._held[3:]
+        return _derivatives(self.grid, self.v, [self.grid.half_ik] * self.grid.dim)
 
     @_memo
     def v_speed2(self) -> np.ndarray:
@@ -137,13 +179,9 @@ class _Fields:
         return np.sqrt(self.rho)
 
     @_memo
-    def sqrt_rho_hat(self) -> np.ndarray:
-        return fft_array(self.grid, self.sqrt_rho)
-
-    @_memo
     def grad_sqrt2(self) -> np.ndarray:
         """|grad sqrt(rho)|^2."""
-        return _grad_sq(self.grid, self.sqrt_rho_hat)
+        return sum(c ** 2 for c in self._held[1][:-1])
 
 
 def _fields(source, params: PhysParams = None) -> _Fields:
@@ -175,7 +213,7 @@ def dissip_u_rate(state, params: PhysParams) -> float:
     """int 2 mu rho |Du|^2 with Du the symmetric velocity gradient."""
     f = _fields(state, params)
     g = f.grid
-    du = [grad_arrays(g, fft_array(g, c)) for c in f.u]
+    du = f.du
     acc = np.zeros(g.shape)
     for i in range(g.dim):
         for j in range(g.dim):
@@ -188,8 +226,8 @@ def dissip_v_rate(state, params: PhysParams) -> float:
     f = _fields(state, params)
     g = f.grid
     acc = np.zeros(g.shape)
-    for c in f.v:
-        acc += _grad_sq(g, fft_array(g, c))
+    for dv_i in f.dv:
+        acc += sum(c ** 2 for c in dv_i)
     return g.integrate(params.mu * f.rho * acc)
 
 
@@ -197,7 +235,7 @@ def dissip_density_rate(state, params: PhysParams) -> float:
     """int mu P'(rho)/rho |grad rho|^2; a*mu/rho |grad rho|^2 when gamma=1."""
     f = _fields(state, params)
     r = f.rho
-    grad2 = _grad_sq(f.grid, fft_array(f.grid, r))
+    grad2 = sum(c ** 2 for c in f._held[0])
     weight = params.a * params.gamma * params.mu * r ** (params.gamma - 2.0)
     return f.grid.integrate(weight * grad2)
 
@@ -205,7 +243,7 @@ def dissip_density_rate(state, params: PhysParams) -> float:
 def jungel_rate(state, params: PhysParams) -> float:
     """Squared L2 norm of the Laplacian of sqrt(rho)."""
     f = _fields(state, params)
-    return f.grid.integrate(lap_array(f.grid, f.sqrt_rho_hat) ** 2)
+    return f.grid.integrate(f._held[1][-1] ** 2)
 
 
 def sqrt_h1_norm(rho: RealField, rho_bar: float) -> float:
@@ -350,7 +388,8 @@ def lp_gain_check(records, p: float, params: PhysParams, dim: int,
     bound with its explicit p-dependent constants.
 
     The bound holds for the linear pressure law only; otherwise the
-    measured side is reported alone. A non-finite measured value fails.
+    measured side is reported alone. A non-finite measured value fails. A
+    bound whose exponential overflows is inf, and the note says so.
     """
     if p < 4:
         raise ConfigurationError(f"the bound needs p >= 4, got {p}")
@@ -373,9 +412,18 @@ def lp_gain_check(records, p: float, params: PhysParams, dim: int,
         dim ** 2 * 2 * p ** 2 / (p - 2) + 2 * p ** 2 * (p - 4)
     ) ** (1.0 / p) * big_t ** (1.0 / p)
     growth = b_stat ** (4.0 / (p - 2)) * a2 * (dim ** 2 * (p - 4) / (p - 2) + 1.0)
-    rhs = [2.0 ** (1.0 / p) * bracket * math.exp(growth * t / p) for t in times]
+    rhs = [2.0 ** (1.0 / p) * bracket * _exp_or_inf(growth * t / p) for t in times]
     verdict = all(math.isfinite(l) and l <= r * (1 + tol) for l, r in zip(lhs, rhs))
-    return LpGainReport(p, times, lhs, rhs, verdict)
+    note = "" if all(map(math.isfinite, rhs)) else "the bound overflows to inf"
+    return LpGainReport(p, times, lhs, rhs, verdict, note)
+
+
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 # -- level sets of 1/rho^alpha ------------------------------------------------

@@ -11,15 +11,19 @@ inverse carries the 1/n^dim factor. The helpers ``fft_array``,
 ``half_weight`` cached on the grid. They transform the trailing
 ``grid.dim`` axes only, so a stack with leading axes (time levels, vector
 components) goes through one transform call, slice by slice bit-identical
-to transforming each slice alone.
+to transforming each slice alone. ``fft_stage`` and ``ifft_stage`` take
+the independent arrays of one stage of a computation: on a 1-D grid, where
+a transform costs its call more than its arithmetic, they are one call on
+the row stack; on a 2-D grid they transform one array at a time, as it is
+reached, so no more arrays are live than the caller holds.
 
 Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
 half spectrum, both validated on construction; ``transform`` is
-``fft_array`` on a ``RealField`` and ``integrate`` is ``Grid.integrate``,
-the grid quadrature of raw samples, on one. Derivatives, divergences, the
-2/3 truncation and the quadrature run on raw arrays only. A spectrum drawn without Hermitian
-symmetry in the full ``fftn`` ordering enters through ``hermitian_half``,
-which gives the half spectrum of the real part of its inverse.
+``fft_array`` on a ``RealField``. Derivatives, divergences, the 2/3
+truncation and the quadrature ``Grid.integrate`` run on raw arrays only.
+A spectrum drawn without Hermitian symmetry in the full ``fftn`` ordering
+enters through ``hermitian_half``, which gives the half spectrum of the
+real part of its inverse.
 
 Nyquist rules: wavenumbers are integer mode indices scaled by
 2*pi/length; odd-order derivative multipliers (``half_ik``) zero the
@@ -185,6 +189,28 @@ def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft2(coeffs)
 
 
+def fft_stage(grid: Grid, arrays):
+    """Half spectra of the independent real arrays of one stage, in order.
+
+    On a 1-D grid: one ``rfft`` call on their row stack, each row
+    bit-identical to its own transform. On a 2-D grid: an iterator that
+    transforms each array when it is reached, so ``arrays`` may be a
+    generator and only the arrays in use are live.
+    """
+    if grid.dim == 1:
+        return np.fft.rfft(np.array(list(arrays)))
+    return (np.fft.rfft2(a) for a in arrays)
+
+
+def ifft_stage(grid: Grid, coeffs):
+    """Real samples of the independent half spectra of one stage, in order;
+    one ``irfft`` call on a 1-D grid, one ``irfft2`` per spectrum as it is
+    reached on a 2-D grid (see ``fft_stage``)."""
+    if grid.dim == 1:
+        return np.fft.irfft(np.array(list(coeffs)))
+    return (np.fft.irfft2(c) for c in coeffs)
+
+
 def grad_arrays(grid: Grid, fhat: np.ndarray) -> list:
     """Gradient samples, one per axis, from the half spectrum ``fhat``."""
     return [ifft_array(grid, ik * fhat) for ik in grid.half_ik]
@@ -219,11 +245,6 @@ def transform(f: RealField) -> SpectralField:
     """Unnormalized forward FFT onto the half spectrum; the one producer of
     the public ``SpectralField``, which no solver path builds."""
     return SpectralField(f.grid, fft_array(f.grid, f.values))
-
-
-def integrate(f: RealField) -> float:
-    """Grid quadrature of f over the torus."""
-    return f.grid.integrate(f.values)
 
 
 def lp_norm(f: RealField, p: float) -> float:

@@ -19,22 +19,27 @@ The stepper calls ``primitive_tendencies`` and ``effective_tendencies``,
 which take grid samples with their half spectra and return each diffusive
 unknown's tendency as a half spectrum, without the mu*Laplacian that the
 integrating factor carries; each truncated product costs one forward
-transform and a mask multiply. ``rhs_primitive`` and ``rhs_effective`` are
-the grid-valued views of the same routines; no run calls them, but the
-benchmark's tracer times them as spans and fails when a span target is
-missing.
+transform and a mask multiply. Their transforms are grouped into the
+sequential stages of the formulas, one ``fft_stage``/``ifft_stage`` call
+each, so a 1-D tendency makes one transform call per stage. They check
+nothing: the stepper's guard rejects a non-finite result one stage later.
+``rhs_primitive`` and ``rhs_effective`` are the grid-valued views of the
+same routines and raise ``NumericBlowup`` on a non-finite tendency; no run
+calls them, but the benchmark's tracer times them as spans and fails when a
+span target is missing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericBlowup
-from .fields import (Grid, RealField, dealias_values, div_array, fft_array, grad_arrays,
-                     ifft_array, lap_array)
+from .fields import (Grid, RealField, dealias_values, div_array, fft_array, fft_stage,
+                     grad_arrays, ifft_array, ifft_stage, lap_array)
 
 QUANTUM_TOL = 1e-12
 
@@ -124,17 +129,24 @@ def _finite_or_blowup(arrays, where):
 
 # -- capillarity divergence -------------------------------------------------
 
-def _hessian_entries(g, lhat):
-    """Entries H_ij, i <= j, of the Hessian of l from its half spectrum."""
+def _pairs(dim):
+    """Index pairs (i, j), i <= j, of a symmetric tensor, in the order every
+    list of its entries here uses."""
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
+def _hessian_hats(g, lhat):
+    """Half spectra of the Hessian entries H_ij, i <= j, of l from its half
+    spectrum, made one at a time."""
     ik = g.half_ik
-    return {(i, j): ifft_array(g, ik[i] * ik[j] * lhat)
-            for i in range(g.dim) for j in range(i, g.dim)}
+    return (ik[i] * ik[j] * lhat for i, j in _pairs(g.dim))
 
 
-def _div_sym_hat(g, entries):
+def _div_sym_hat(g, hats):
     """Half spectra of div S, one per axis, for a symmetric tensor given by
-    its grid entries S_ij, i <= j: one transform and one mask multiply each."""
-    hats = {ij: g.half_mask * fft_array(g, s) for ij, s in entries.items()}
+    the half spectra of its entries S_ij, i <= j; each entry is truncated by
+    one mask multiply."""
+    hats = dict(zip(_pairs(g.dim), (g.half_mask * h for h in hats)))
     ik = g.half_ik
     return [sum(ik[j] * hats[min(i, j), max(i, j)] for j in range(g.dim))
             for i in range(g.dim)]
@@ -171,9 +183,9 @@ def div_k_form_b(rho: RealField, kappa1: float) -> tuple:
     """Capillarity divergence as kappa1 * div(rho * hess(ln rho))."""
     g = rho.grid
     r = _check_density(rho)
-    hess = _hessian_entries(g, fft_array(g, np.log(r)))
-    comps = _div_sym_hat(g, {ij: r * h for ij, h in hess.items()})
-    return tuple(RealField(g, kappa1 * ifft_array(g, c)) for c in comps)
+    hess = ifft_stage(g, _hessian_hats(g, fft_array(g, np.log(r))))
+    comps = _div_sym_hat(g, fft_stage(g, (r * h for h in hess)))
+    return tuple(RealField(g, kappa1 * c) for c in ifft_stage(g, comps))
 
 
 def div_k_gradient_form(rho: RealField, kappa1: float) -> tuple:
@@ -214,29 +226,35 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats):
     the momentum equation the integrating factor leaves to the explicit
     stage. The symmetric stress r*(2 mu Du + kappa hess ln r) - P*I is
     summed on the grid before its transforms, and advection and force are
-    truncated together by one mask.
+    truncated together by one mask. Five transform stages: the mass flux and
+    ln r; d_t rho, Du and the Hessian; the stress; the force; the momentum.
     """
     mask = g.half_mask
     ik = g.half_ik
     dim = g.dim
-    drho = -ifft_array(g, sum(ik[i] * mask * fft_array(g, r * u[i]) for i in range(dim)))
-
-    du = [grad_arrays(g, uhats[i]) for i in range(dim)]  # du[i][j] = d_j u_i
+    # arrays no later stage reads are dropped as soon as they are used up,
+    # which keeps the peak memory of a 2-D step where it was
+    *flux, lhat = fft_stage(g, [*(r * c for c in u), np.log(r)])
+    drho_hat = sum(ik[i] * mask * flux[i] for i in range(dim))
+    del flux
+    drho, *grads = ifft_stage(g, itertools.chain(
+        [drho_hat], (k * w for w in uhats for k in ik), _hessian_hats(g, lhat)))
+    del drho_hat, lhat
+    drho = -drho
+    du = [grads[i * dim:(i + 1) * dim] for i in range(dim)]  # du[i][j] = d_j u_i
     press = p.a * r ** p.gamma
-    stress = {}
-    for (i, j), h in _hessian_entries(g, fft_array(g, np.log(r))).items():
-        stress[i, j] = r * (p.mu * (du[i][j] + du[j][i]) + p.kappa * h)
-        if i == j:
-            stress[i, j] -= press
-    div_stress = _div_sym_hat(g, stress)
 
-    out = []
-    for i in range(dim):
-        adv = sum(u[j] * du[i][j] for j in range(dim))
-        force = ifft_array(g, div_stress[i]) / r
-        out.append(mask * fft_array(g, force - adv) + p.mu * g.half_k2 * uhats[i])
-    _finite_or_blowup([drho] + out, "rhs of the density-velocity form")
-    return drho, out
+    def stress():
+        for (i, j), h in zip(_pairs(dim), grads[dim * dim:]):
+            s = r * (p.mu * (du[i][j] + du[j][i]) + p.kappa * h)
+            if i == j:
+                s -= press
+            yield s
+
+    forces = ifft_stage(g, _div_sym_hat(g, fft_stage(g, stress())))
+    momentum = fft_stage(g, (f / r - sum(u[j] * du[i][j] for j in range(dim))
+                             for i, f in enumerate(forces)))
+    return drho, [mask * h + p.mu * g.half_k2 * uhats[i] for i, h in enumerate(momentum)]
 
 
 def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats):
@@ -246,7 +264,10 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats):
     d_t w - mu*lap(w): the mu*Laplacian belongs to the integrating factor
     and is left out. Transport -(u.grad)v + mu*(grad q . grad)v is one
     product (mu grad q - u).grad v, truncated together with the pressure
-    and capillary terms by one mask.
+    and capillary terms by one mask. Two transform stages at kappa = mu^2
+    (the gradients, then the products); away from it the Hessian of q joins
+    the first, and the capillary correction adds an inverse and a forward
+    stage.
     """
     excess = p.kappa - p.mu ** 2
     if excess < -QUANTUM_TOL:
@@ -256,29 +277,37 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats):
     mask = g.half_mask
     ik = g.half_ik
     dim = g.dim
-    gq = grad_arrays(g, qhat)
-    dv = [grad_arrays(g, vhats[i]) for i in range(dim)]  # dv[i][j] = d_j v_i
+    quantum = p.is_quantum()
+    grads = list(ifft_stage(g, itertools.chain(
+        (k * qhat for k in ik), (k * w for w in vhats for k in ik),
+        () if quantum else _hessian_hats(g, qhat))))
+    gq = grads[:dim]
+    dv = [grads[(i + 1) * dim:(i + 2) * dim] for i in range(dim)]  # dv[i][j] = d_j v_i
 
     u = [v[j] - p.mu * gq[j] for j in range(dim)]
-    nq = -sum(ik[i] * vhats[i] for i in range(dim)) \
-        - mask * fft_array(g, sum(u[j] * gq[j] for j in range(dim)))
+    transport = sum(u[j] * gq[j] for j in range(dim))
     drift = [p.mu * gq[j] - u[j] for j in range(dim)]
 
     terms = [sum(drift[j] * dv[i][j] for j in range(dim)) for i in range(dim)]
-    if p.gamma != 1.0 or not p.is_quantum():
+    del u, drift  # as in primitive_tendencies, for the peak memory of a 2-D step
+    if p.gamma != 1.0 or not quantum:
         rho = p.rho_bar * np.exp(q)
     if p.gamma != 1.0:
         w = p.a * p.gamma * rho ** (p.gamma - 1.0)
         terms = [terms[i] - w * gq[i] for i in range(dim)]
-    if not p.is_quantum():
-        hess = _hessian_entries(g, qhat)
-        corr = _div_sym_hat(g, {ij: rho * h for ij, h in hess.items()})
-        terms = [terms[i] + excess * ifft_array(g, corr[i]) / rho for i in range(dim)]
-
-    out = [mask * fft_array(g, t) for t in terms]
+    if quantum:
+        stage = fft_stage(g, [transport, *terms])
+    else:
+        transport_hat, *entries = fft_stage(
+            g, [transport, *(rho * h for h in grads[dim * (dim + 1):])])
+        corr = ifft_stage(g, _div_sym_hat(g, entries))
+        stage = itertools.chain([transport_hat], fft_stage(
+            g, [terms[i] + excess * c / rho for i, c in enumerate(corr)]))
+    stage = iter(stage)
+    nq = -sum(ik[i] * vhats[i] for i in range(dim)) - mask * next(stage)
+    out = [mask * h for h in stage]
     if p.gamma == 1.0:
         out = [out[i] - p.a * ik[i] * qhat for i in range(dim)]
-    _finite_or_blowup([nq] + out, "rhs of the log-density form")
     return nq, out
 
 
@@ -299,6 +328,7 @@ def rhs_primitive(s: PrimitiveState, p: PhysParams):
     u = [c.values for c in s.u]
     uhats = [fft_array(g, c) for c in u]
     drho, nhats = primitive_tendencies(g, p, r, u, uhats)
+    _finite_or_blowup([drho] + nhats, "rhs of the density-velocity form")
     return RealField(g, drho), tuple(RealField(g, c)
                                      for c in _grid_tendencies(g, p, nhats, uhats))
 
@@ -319,5 +349,6 @@ def rhs_effective(e: EffectiveState, p: PhysParams):
     v = [c.values for c in e.v]
     hats = [fft_array(g, q)] + [fft_array(g, c) for c in v]
     nq, nv = effective_tendencies(g, p, q, hats[0], v, hats[1:])
+    _finite_or_blowup([nq] + nv, "rhs of the log-density form")
     dq, *dv = _grid_tendencies(g, p, [nq] + nv, hats)
     return RealField(g, dq), tuple(RealField(g, c) for c in dv)

@@ -22,10 +22,10 @@ transform of an iteration covers all time levels in one call.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import zipfile
 from dataclasses import dataclass, field, fields
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,8 @@ from .errors import (
     NumericBlowup,
     VacuumBreach,
 )
-from .fields import Grid, RealField, dealias_values, fft_array, grad_arrays, ifft_array
+from .fields import (Grid, RealField, dealias_values, fft_array, fft_stage, grad_arrays,
+                     ifft_array, ifft_stage)
 from .lp_besov import BesovSpec, besov_norm, spectral_tilde_norm
 from .model import (
     EffectiveState,
@@ -87,42 +88,47 @@ class SolverConfig:
             )
 
 
-def _identity(x):
-    return x
-
-
-class _Unknown(NamedTuple):
-    """How a step carries one unknown: transform pair and integrating
-    factor exp(-L dt)."""
-
-    fwd: Callable
-    inv: Callable
-    fac: np.ndarray | float
+def _unchecked(cls, *values):
+    """An instance of the frozen dataclass ``cls`` holding ``values`` in
+    field order, built without running its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 class _Scheme:
     """The integrating-factor Heun step of one formulation on raw arrays.
 
-    Built once per (grid, params, cfg): the factor exp(-mu k^2 dt) and the
-    per-unknown transforms are fixed here, and ``step`` neither validates
-    the configuration nor rebuilds them. The unknowns are the scalar
-    (rho or q) followed by the vector components (u or v).
+    Built once per (grid, params, cfg): the factor exp(-mu k^2 dt) is fixed
+    here, and ``step`` neither validates the configuration nor rebuilds it.
+    The unknowns are the scalar (rho or q) followed by the vector
+    components (u or v); the first ``on_grid`` of them stay on the grid and
+    the rest are carried as half spectra, all transformed in one stage.
     """
 
     def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
         self.grid, self.params, self.cfg = g, params, cfg
-        diffusive = _Unknown(functools.partial(fft_array, g), functools.partial(ifft_array, g),
-                             np.exp(-params.mu * g.half_k2 * cfg.dt))
+        fac = np.exp(-params.mu * g.half_k2 * cfg.dt)
         if cfg.formulation == "primitive":
             # the mass equation has no Laplacian: the density stays on the
             # grid with factor 1.0, which the scheme keeps exact
-            self.parts = [_Unknown(_identity, _identity, 1.0)] + [diffusive] * g.dim
+            self.on_grid, self.facs = 1, [1.0] + [fac] * g.dim
             self.kind, self.detail = PrimitiveState, "density-velocity state"
             self.min_rho = np.ndarray.min
         else:
-            self.parts = [diffusive] * (1 + g.dim)
+            self.on_grid, self.facs = 0, [fac] * (1 + g.dim)
             self.kind, self.detail = EffectiveState, "log-density state"
             self.min_rho = lambda q: params.rho_bar * np.exp(q.min())
+
+    def spectra(self, vals) -> list:
+        """The carried form of every unknown from its samples."""
+        k = self.on_grid
+        return [*vals[:k], *fft_stage(self.grid, vals[k:])]
+
+    def samples(self, carried) -> list:
+        """Samples of every unknown from an iterable of their carried forms."""
+        carried = iter(carried)
+        return [*itertools.islice(carried, self.on_grid), *ifft_stage(self.grid, carried)]
 
     def tendencies(self, vals, hats):
         g, params = self.grid, self.params
@@ -152,25 +158,31 @@ class _Scheme:
         return [scalar.values] + [c.values for c in vector]
 
     def state(self, vals):
+        """The state of guarded samples; neither the samples nor the density
+        are checked again."""
         g = self.grid
-        return self.kind(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
+        scalar, *vector = (_unchecked(RealField, g, a) for a in vals)
+        return _unchecked(self.kind, scalar, tuple(vector))
 
     def step(self, vals, t: float) -> list:
         """Samples of every unknown at t + dt from those at t.
 
-        Each unknown w is carried by W = fwd(w) with factor exp(-L dt); with
-        N the tendency beyond -L W the step is
+        Each unknown w is carried by W (its half spectrum, or w itself on
+        the grid) with factor exp(-L dt); with N the tendency beyond -L W
+        the step is
         W* = exp(-L dt) (W + dt N), W_new = exp(-L dt) W + dt/2 (exp(-L dt) N + N*).
+        The guard after each Heun stage is the only check: a non-finite
+        tendency reaches it as a non-finite unknown.
         """
-        dt, parts = self.cfg.dt, self.parts
-        hat0 = [p.fwd(w) for p, w in zip(parts, vals)]
+        dt, facs = self.cfg.dt, self.facs
+        hat0 = self.spectra(vals)
         n0 = self.tendencies(vals, hat0)
-        hat_star = [p.fac * (w + dt * n) for p, w, n in zip(parts, hat0, n0)]
-        vals_star = [p.inv(w) for p, w in zip(parts, hat_star)]
+        hat_star = [f * (w + dt * n) for f, w, n in zip(facs, hat0, n0)]
+        vals_star = self.samples(hat_star)
         self.guard(vals_star, t + dt)
         n1 = self.tendencies(vals_star, hat_star)
-        out = [p.inv(p.fac * w + 0.5 * dt * (p.fac * a + b))
-               for p, w, a, b in zip(parts, hat0, n0, n1)]
+        out = self.samples(f * w + 0.5 * dt * (f * a + b)
+                           for f, w, a, b in zip(facs, hat0, n0, n1))
         self.guard(out, t + dt)
         return out
 

@@ -17,7 +17,7 @@ from capns.diagnostics import (
     lp_gain_check,
 )
 from capns.errors import NonContraction, VacuumBreach
-from capns.fields import Grid, RealField, integrate
+from capns.fields import Grid, RealField
 from capns.lifespan import (
     LifespanInputs,
     branch_values,

@@ -28,7 +28,7 @@ from capns.diagnostics import (
     write_csv,
 )
 from capns.errors import ConfigurationError, DomainError
-from capns.fields import Grid, RealField, integrate
+from capns.fields import Grid, RealField
 from capns.model import EffectiveState, PhysParams, PrimitiveState, to_effective
 from capns.presets import Preset, build
 from capns.solver import SolverConfig, run
@@ -131,7 +131,7 @@ class TestEnergyFunctionals:
         p = PhysParams(mu=0.2, kappa=kappa, a=0.7)
         rho = field(g, lambda x: (1.0 + 0.2 * np.cos(x)) ** 2)
         s = PrimitiveState(rho, (field(g, np.zeros_like),))
-        pot = integrate(RealField(g, _Fields(rho, p).pi))
+        pot = g.integrate(_Fields(rho, p).pi)
         assert abs(energy(s, p) - pot - 2.0 * kappa * 0.04 * math.pi) < 1e-12
 
     def test_generic_state_against_quadrature(self):
@@ -321,7 +321,7 @@ class TestAccumulator:
         rec = DiagnosticsAccumulator(p)(s, 0.0)
         rho = s.rho if formulation == "primitive" else RealField(
             s.grid, p.rho_bar * np.exp(s.q.values))
-        assert rec.mass == integrate(rho)
+        assert rec.mass == s.grid.integrate(rho.values)
         assert rec.energy == energy(s, p)
         assert rec.bd_entropy == bd_entropy(s, p)
         assert rec.lp_gain == {q: lp_gain_value(s, p, q) for q in (2, 4, 8, 16)}
@@ -473,6 +473,21 @@ class TestLpGain:
             recs = [acc(s, 0.0), acc(s, 0.01)]
         assert recs[0].lp_gain[16] == math.inf
         assert lp_gain_check(recs, 16, p, dim=1).verdict is False
+
+    def test_overflowing_bound_is_inf(self):
+        # at p = 4 the Gronwall rate is about 3e40 on this state, so the
+        # bound's exponential overflows at t = 0.01: inf, said in the note
+        g = grid1(64)
+        p = PhysParams(mu=0.15, kappa=0.0225)
+        s = PrimitiveState(field(g, lambda x: 1.0 + 0.1 * np.cos(x)),
+                           (field(g, lambda x: 1e20 * np.sin(x)),))
+        acc = DiagnosticsAccumulator(p)
+        with np.errstate(over="ignore"):
+            recs = [acc(s, 0.0), acc(s, 0.01)]
+        rep = lp_gain_check(recs, 4, p, dim=1)
+        assert math.isfinite(rep.rhs[0]) and rep.rhs[1] == math.inf
+        assert "overflows" in rep.note
+        assert rep.verdict is True
 
     @pytest.mark.parametrize("p_exp", [4, 8, 16])
     def test_small_data_run_obeys_bound(self, quantum_run, p_exp):

@@ -3,7 +3,10 @@
 Every module-level function and class of ``capns``, and every method that
 is not a dunder, is reached: package code outside its own definition uses
 it by name, it is public (``capns.__all__``), or it is on the allowlist
-below with the reason it stays. The public names and the external
+below with the reason it stays. A module-level name is used as a bare name
+(the package never reaches a module's functions as attributes of the
+module) and a method as an attribute, so a method does not reach a module
+function of the same name, nor the other way round. The public names and the external
 contracts (CSV columns, exit causes) are pinned as literals, so a rename
 fails here and not only downstream.
 """
@@ -30,38 +33,55 @@ UNREACHED = {
 
 
 def _definitions(tree):
-    """(name, node) of module-level functions and classes and of the
-    non-dunder methods of those classes."""
+    """(kind, name, node) of module-level functions and classes (kind
+    ``ast.Name``) and of the non-dunder methods of those classes (kind
+    ``ast.Attribute``): the kind of use that reaches each."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield ast.Name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield item.name, item
+                    yield ast.Attribute, item.name, item
 
 
 def _uses(tree):
-    """(name, line) of every name read or attribute taken."""
+    """(kind, name, line) of every name read (kind ``ast.Name``) or
+    attribute taken (kind ``ast.Attribute``)."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield ast.Name, node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield ast.Attribute, node.attr, node.lineno
+
+
+def _unreached(trees):
+    uses = [(module, kind, name, line) for module, tree in trees.items()
+            for kind, name, line in _uses(tree)]
+    unreached = set()
+    for module, tree in trees.items():
+        for kind, name, node in _definitions(tree):
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(k is kind and n == name and not (m == module and line in inside)
+                       for m, k, n, line in uses):
+                unreached.add(name)
+    return unreached
 
 
 def test_every_package_function_is_reached():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = [(module, name, line) for module, tree in trees.items()
-            for name, line in _uses(tree)]
-    unreached = set()
-    for module, tree in trees.items():
-        for name, node in _definitions(tree):
-            inside = range(node.lineno, node.end_lineno + 1)
-            if not any(n == name and not (m == module and line in inside)
-                       for m, n, line in uses):
-                unreached.add(name)
-    assert unreached - set(capns.__all__) == set(UNREACHED)
+    assert _unreached(trees) - set(capns.__all__) == set(UNREACHED)
+
+
+def test_method_and_function_of_one_name_are_told_apart():
+    # a method call does not reach a module function of the same name, and
+    # a bare call does not reach a method; name-only matching reached both
+    grid = "class Grid:\n    def integrate(self, v):\n        return v\n"
+    for call in ("g.integrate(1)", "integrate(1)"):
+        trees = {"a.py": ast.parse("def integrate(f):\n    return f\n"),
+                 "b.py": ast.parse(f"{grid}def use(g):\n    return {call}\n"
+                                   "def run():\n    return use(Grid())\n")}
+        assert _unreached(trees) == {"integrate", "run"}
 
 
 def test_external_contracts_are_pinned():
