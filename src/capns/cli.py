@@ -228,6 +228,8 @@ def cmd_run(args, report) -> str:
         args.json = None  # the payload goes to stdout
     _writable("csv", csv_path, errors)
     _check(errors)
+    with _prefixed("solver.formulation"):
+        solver_cfg.check_formulation(params)
     with _prefixed("solver.dt"):
         solver_cfg.validate_for(initial.grid, params)
 

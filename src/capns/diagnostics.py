@@ -16,7 +16,18 @@ samples, so a diagnostics record re-validates nothing. A record builds one
 the API evaluate the same formulas. The set takes its derivatives in two
 stages of independent transforms, ``fft_stage``/``ifft_stage`` each way:
 first those of the fields the source holds, then those of the velocity it
-does not hold; on a 1-D grid that is four transform calls per record.
+does not hold.
+
+A set may hold the samples of several states of one grid, stacked on a
+leading axis. ``DiagnosticsAccumulator`` takes the recorded states in
+chunks, and the records of a chunk share one set: on a 1-D grid that is four
+transform calls per chunk, whatever its length, and each elementwise op and
+each row sum runs once for the whole chunk. Every row is bit-identical to
+the record of its state alone: row-wise transforms, elementwise ops and
+last-axis sums equal their per-state calls, and the roots a functional
+takes of a row integral are taken one row at a time on Python floats. A
+functional called on one state returns a Python float, on a stacked set an
+array with one value per state.
 """
 
 from __future__ import annotations
@@ -70,44 +81,52 @@ class _memo:
 
 
 class _Fields:
-    """Derived fields of one state, each computed on first use and kept.
+    """Derived fields of one state, or of a stack of states, each computed
+    on first use and kept.
 
-    The source is a primitive or effective state, or a bare density field
-    (params is then only read for rho_bar and the pressure law). The
-    derivatives of the fields the source holds are taken together in
+    The source is a primitive or effective state, a bare density field
+    (params is then only read for rho_bar and the pressure law), or a list
+    of states of one kind and grid. A set works on the source's samples:
+    ``scalar`` (rho or q) and ``vector`` (the components of u or v) are a
+    state's own arrays, and for a list of several states [state, ...]
+    stacks of them; ``axes`` are the grid axes every reduction runs over.
+    The derivatives of the fields the source holds are taken together in
     ``_held``; those of the velocity it does not hold (v of a primitive
     state, u of an effective one) in ``du`` or ``dv``.
 
     The fields are ``_memo`` attributes, not ``functools.cached_property``:
     before Python 3.12 the first read of a cached_property takes an RLock,
-    and a set lives for one record, so each of its fields pays that lock
-    once per record. A set is never shared between threads, so the lock
-    buys nothing.
+    and a set lives for one chunk of records, so each of its fields pays
+    that lock once per chunk. A set is never shared between threads, so the
+    lock buys nothing.
     """
 
     def __init__(self, source, params: PhysParams = None):
-        self.source = source
-        self.params = params
-        self.grid = source.grid
+        states = source if isinstance(source, list) else [source]
+        kinds, scalars, vectors = zip(*map(_samples, states))
+        self.grid, self.params, self.kind = states[0].grid, params, kinds[0]
+        if len(states) == 1:
+            self.scalar, self.vector = scalars[0], vectors[0]
+        else:
+            self.scalar = np.array(scalars)
+            self.vector = [np.array(c) for c in zip(*vectors)]
+        self.axes = tuple(range(-self.grid.dim, 0))
 
     @_memo
     def rho(self) -> np.ndarray:
         """Density samples, checked to be strictly positive."""
-        s = self.source
-        if isinstance(s, RealField):
-            r = s.values
-        elif isinstance(s, PrimitiveState):
-            r = s.rho.values
+        if self.kind is EffectiveState:
+            r = self.params.rho_bar * np.exp(self.scalar)
         else:
-            r = self.params.rho_bar * np.exp(s.q.values)
+            r = self.scalar
         m = float(r.min())
         if m <= 0:
             raise DomainError(f"density must stay positive, min = {m}")
         return r
 
     @_memo
-    def max_inv_rho(self) -> float:
-        return float((1.0 / self.rho).max())
+    def max_inv_rho(self):
+        return (1.0 / self.rho).max(axis=self.axes)
 
     @_memo
     def _held(self) -> list:
@@ -115,44 +134,42 @@ class _Fields:
         grad rho; grad sqrt(rho) followed by lap sqrt(rho); then, for a
         state, grad ln(rho) (grad q in the effective form) and the gradient
         of each velocity component it holds."""
-        g, s = self.grid, self.source
+        g = self.grid
         arrays = [self.rho, self.sqrt_rho]
-        if isinstance(s, PrimitiveState):
-            arrays += [np.log(self.rho), *(c.values for c in s.u)]
-        elif isinstance(s, EffectiveState):
-            arrays += [s.q.values, *(c.values for c in s.v)]
+        if self.kind is PrimitiveState:
+            arrays += [np.log(self.rho), *self.vector]
+        elif self.kind is EffectiveState:
+            arrays += [self.scalar, *self.vector]
         mults = [g.half_ik, (*g.half_ik, -g.half_k2)] + [g.half_ik] * (len(arrays) - 2)
         return _derivatives(g, arrays, mults)
 
     @_memo
     def u(self) -> list:
         """Fluid velocity; v - mu grad q in the effective form."""
-        s = self.source
-        if isinstance(s, PrimitiveState):
-            return [c.values for c in s.u]
+        if self.kind is PrimitiveState:
+            return self.vector
         gq = self._held[2]
-        return [s.v[i].values - self.params.mu * gq[i] for i in range(self.grid.dim)]
+        return [self.vector[i] - self.params.mu * gq[i] for i in range(self.grid.dim)]
 
     @_memo
     def v(self) -> list:
         """Drift-corrected velocity v = u + mu grad(ln rho)."""
-        s = self.source
-        if isinstance(s, EffectiveState):
-            return [c.values for c in s.v]
+        if self.kind is EffectiveState:
+            return self.vector
         gl = self._held[2]
-        return [s.u[i].values + self.params.mu * gl[i] for i in range(self.grid.dim)]
+        return [self.vector[i] + self.params.mu * gl[i] for i in range(self.grid.dim)]
 
     @_memo
     def du(self) -> list:
         """Velocity gradient, du[i][j] = d_j u_i."""
-        if isinstance(self.source, PrimitiveState):
+        if self.kind is PrimitiveState:
             return self._held[3:]
         return _derivatives(self.grid, self.u, [self.grid.half_ik] * self.grid.dim)
 
     @_memo
     def dv(self) -> list:
         """Gradient of v, dv[i][j] = d_j v_i."""
-        if isinstance(self.source, EffectiveState):
+        if self.kind is EffectiveState:
             return self._held[3:]
         return _derivatives(self.grid, self.v, [self.grid.half_ik] * self.grid.dim)
 
@@ -184,9 +201,31 @@ class _Fields:
         return sum(c ** 2 for c in self._held[1][:-1])
 
 
+def _samples(source) -> tuple:
+    """(kind, scalar, vector) of a state or a density field: its class and
+    its own sample arrays."""
+    if isinstance(source, RealField):
+        return RealField, source.values, []
+    scalar, vector = (source.rho, source.u) if isinstance(source, PrimitiveState) \
+        else (source.q, source.v)
+    return type(source), scalar.values, [c.values for c in vector]
+
+
 def _fields(source, params: PhysParams = None) -> _Fields:
     """The derived-field set of ``source``; a set passes through unchanged."""
     return source if isinstance(source, _Fields) else _Fields(source, params)
+
+
+def _each(fn, x):
+    """fn of a quadrature result: of one state's float, or of each row of a
+    stack in turn, so that a row gets the float arithmetic of its own state
+    (numpy's power loop may round a root differently from ``float.__pow__``)."""
+    return fn(x) if isinstance(x, float) else np.array([fn(v) for v in x.tolist()])
+
+
+def _rows(x) -> list:
+    """A per-state result as a list of Python floats, one per state."""
+    return np.reshape(x, -1).tolist()
 
 
 def energy(state, params: PhysParams) -> float:
@@ -214,7 +253,7 @@ def dissip_u_rate(state, params: PhysParams) -> float:
     f = _fields(state, params)
     g = f.grid
     du = f.du
-    acc = np.zeros(g.shape)
+    acc = np.zeros(f.rho.shape)
     for i in range(g.dim):
         for j in range(g.dim):
             acc += (0.5 * (du[i][j] + du[j][i])) ** 2
@@ -224,11 +263,10 @@ def dissip_u_rate(state, params: PhysParams) -> float:
 def dissip_v_rate(state, params: PhysParams) -> float:
     """int mu rho |grad v|^2 over the full gradient."""
     f = _fields(state, params)
-    g = f.grid
-    acc = np.zeros(g.shape)
+    acc = np.zeros(f.rho.shape)
     for dv_i in f.dv:
         acc += sum(c ** 2 for c in dv_i)
-    return g.integrate(params.mu * f.rho * acc)
+    return f.grid.integrate(params.mu * f.rho * acc)
 
 
 def dissip_density_rate(state, params: PhysParams) -> float:
@@ -249,8 +287,8 @@ def jungel_rate(state, params: PhysParams) -> float:
 def sqrt_h1_norm(rho: RealField, rho_bar: float) -> float:
     """L2 distance of sqrt(rho) from sqrt(rho_bar) plus the L2 gradient norm."""
     f = _fields(rho)
-    l2 = math.sqrt(f.grid.integrate((f.sqrt_rho - math.sqrt(rho_bar)) ** 2))
-    return l2 + math.sqrt(f.grid.integrate(f.grad_sqrt2))
+    l2 = _each(math.sqrt, f.grid.integrate((f.sqrt_rho - math.sqrt(rho_bar)) ** 2))
+    return l2 + _each(math.sqrt, f.grid.integrate(f.grad_sqrt2))
 
 
 def lp_gain_value(state, params: PhysParams, p: float) -> float:
@@ -258,7 +296,8 @@ def lp_gain_value(state, params: PhysParams, p: float) -> float:
     if p < 1:
         raise DomainError(f"exponent must be >= 1, got {p}")
     f = _fields(state, params)
-    return f.grid.integrate(f.rho * np.sqrt(f.v_speed2) ** p) ** (1.0 / p)
+    integral = f.grid.integrate(f.rho * np.sqrt(f.v_speed2) ** p)
+    return _each(lambda x: x ** (1.0 / p), integral)
 
 
 @dataclass
@@ -280,9 +319,12 @@ class DiagnosticsRecord:
 class DiagnosticsAccumulator:
     """Callable diagnostic recorder for solver.run.
 
-    Instantaneous functionals are evaluated per call; dissipation rates and
-    the Laplacian functional are accumulated with the trapezoid rule over
-    the call times, which must be nondecreasing.
+    A call takes a chunk of states with their times and returns their
+    records, in order; the records of a run come from calls on its chunks
+    in time order. Instantaneous functionals are evaluated on one field set
+    for the whole chunk; dissipation rates and the Laplacian functional are
+    accumulated with the trapezoid rule, record by record, over the times,
+    which must be nondecreasing across calls and within a chunk.
     """
 
     def __init__(self, params: PhysParams):
@@ -291,27 +333,34 @@ class DiagnosticsAccumulator:
         self._prev_rates = None
         self._acc = np.zeros(4)
 
-    def __call__(self, state, t: float) -> DiagnosticsRecord:
+    def __call__(self, states, times) -> list:
+        if len(states) != len(times):
+            raise DomainError(f"{len(states)} states but {len(times)} times")
+        for before, t in zip([self._prev_t, *times], times):
+            if before is not None and t - before < -1e-12:
+                raise DomainError(f"diagnostic times must be nondecreasing, got {t} after {before}")
         p = self.params
-        f = _Fields(state, p)
-        rates = np.array([dissip_u_rate(f, p), dissip_v_rate(f, p),
-                          dissip_density_rate(f, p), jungel_rate(f, p)])
-        if self._prev_t is not None:
-            dt = t - self._prev_t
-            if dt < -1e-12:
-                raise DomainError(f"diagnostic times must be nondecreasing, got {t} after {self._prev_t}")
-            self._acc += 0.5 * dt * (rates + self._prev_rates)
-        self._prev_t, self._prev_rates = t, rates
+        f = _Fields(list(states), p)
+        rates = np.reshape([dissip_u_rate(f, p), dissip_v_rate(f, p),
+                            dissip_density_rate(f, p), jungel_rate(f, p)], (4, -1)).T
+        mass, en, bd, min_rho, max_inv_rho, h1 = map(_rows, (
+            f.grid.integrate(f.rho), energy(f, p), bd_entropy(f, p),
+            f.rho.min(axis=f.axes), f.max_inv_rho, sqrt_h1_norm(f, p.rho_bar)))
+        gains = {q: _rows(lp_gain_value(f, p, q)) for q in GAIN_EXPONENTS}
 
-        return DiagnosticsRecord(
-            t=t, mass=f.grid.integrate(f.rho),
-            energy=energy(f, p), bd_entropy=bd_entropy(f, p),
-            dissip_u=float(self._acc[0]), dissip_v=float(self._acc[1]),
-            dissip_density=float(self._acc[2]), jungel=float(self._acc[3]),
-            lp_gain={q: lp_gain_value(f, p, q) for q in GAIN_EXPONENTS},
-            min_rho=float(f.rho.min()), max_inv_rho=f.max_inv_rho,
-            h1_sqrt=sqrt_h1_norm(f, p.rho_bar),
-        )
+        records = []
+        for j, t in enumerate(times):
+            if self._prev_t is not None:
+                self._acc += 0.5 * (t - self._prev_t) * (rates[j] + self._prev_rates)
+            self._prev_t, self._prev_rates = t, rates[j]
+            records.append(DiagnosticsRecord(
+                t=t, mass=mass[j], energy=en[j], bd_entropy=bd[j],
+                dissip_u=float(self._acc[0]), dissip_v=float(self._acc[1]),
+                dissip_density=float(self._acc[2]), jungel=float(self._acc[3]),
+                lp_gain={q: gains[q][j] for q in GAIN_EXPONENTS},
+                min_rho=min_rho[j], max_inv_rho=max_inv_rho[j], h1_sqrt=h1[j],
+            ))
+        return records
 
 
 def _csv_getter(column: str):
@@ -598,11 +647,11 @@ def vacuum_bound_estimate(states, times, params: PhysParams, q_exp: float,
     f0 = _Fields(states[0], params)
     for i in sel:
         f = f0 if i == 0 else _Fields(states[i], params)
-        sup_inv = max(sup_inv, f.max_inv_rho)
+        sup_inv = max(sup_inv, float(f.max_inv_rho))
         b_2q = max(b_2q, lp_gain_value(f, params, 2.0 * q_exp))
         sqrt_norm = max(sqrt_norm, g.integrate(
             np.abs(f.sqrt_rho - math.sqrt(params.rho_bar)) ** q3) ** (1.0 / q3))
-    khat0 = f0.max_inv_rho ** alpha
+    khat0 = float(f0.max_inv_rho) ** alpha
     measured = sup_inv ** alpha
     c_am = dissipation_constant(alpha, params.mu)
     gamma_dg = math.sqrt(c_am) * sup_inv ** (1.0 / (2.0 * q_exp)) * b_2q * t1 ** (1.0 / r)

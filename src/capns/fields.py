@@ -20,10 +20,10 @@ reached, so no more arrays are live than the caller holds.
 Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
 half spectrum, both validated on construction; ``transform`` is
 ``fft_array`` on a ``RealField``. Derivatives, divergences, the 2/3
-truncation and the quadrature ``Grid.integrate`` run on raw arrays only.
-A spectrum drawn without Hermitian symmetry in the full ``fftn`` ordering
-enters through ``hermitian_half``, which gives the half spectrum of the
-real part of its inverse.
+truncation and the quadrature ``Grid.integrate`` run on raw arrays only,
+stacks included. A spectrum drawn without Hermitian symmetry in the full
+``fftn`` ordering enters through ``hermitian_half``, which gives the half
+spectrum of the real part of its inverse.
 
 Nyquist rules: wavenumbers are integer mode indices scaled by
 2*pi/length; odd-order derivative multipliers (``half_ik``) zero the
@@ -135,9 +135,16 @@ class Grid:
         w[0] = w[-1] = 1.0
         return w
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Grid quadrature of raw samples over the torus; no validation."""
-        return float(values.sum()) * self.cell_volume
+    def integrate(self, values: np.ndarray):
+        """Grid quadrature of raw samples over the torus; no validation.
+
+        The samples of one field give a float. Leading axes are a stack:
+        the integral of each row comes back in an array of that leading
+        shape, bit-identical to integrating the row alone.
+        """
+        if values.ndim == self.dim:
+            return float(values.sum()) * self.cell_volume
+        return values.sum(axis=tuple(range(-self.dim, 0))) * self.cell_volume
 
 
 def _checked(values, shape, dtype, name):

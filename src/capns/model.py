@@ -70,6 +70,14 @@ class PhysParams:
         """True when kappa equals mu^2 to within 1e-12."""
         return abs(self.kappa - self.mu ** 2) <= QUANTUM_TOL
 
+    def check_effective(self):
+        """Raise ConfigurationError when kappa < mu^2 beyond 1e-12, where
+        the effective formulation does not apply."""
+        if self.kappa - self.mu ** 2 < -QUANTUM_TOL:
+            raise ConfigurationError(
+                f"effective formulation requires kappa >= mu^2, got kappa = {self.kappa}, "
+                f"mu^2 = {self.mu**2}")
+
 
 def _vector(grid, comps, name):
     comps = tuple(comps)
@@ -267,13 +275,10 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats):
     and capillary terms by one mask. Two transform stages at kappa = mu^2
     (the gradients, then the products); away from it the Hessian of q joins
     the first, and the capillary correction adds an inverse and a forward
-    stage.
+    stage. kappa < mu^2 is not checked here: the stepper's configuration
+    check rejects it before the first step.
     """
     excess = p.kappa - p.mu ** 2
-    if excess < -QUANTUM_TOL:
-        raise ConfigurationError(
-            f"effective formulation requires kappa >= mu^2, got kappa = {p.kappa}, mu^2 = {p.mu**2}"
-        )
     mask = g.half_mask
     ik = g.half_ik
     dim = g.dim
@@ -344,6 +349,7 @@ def rhs_effective(e: EffectiveState, p: PhysParams):
     vanishes identically at kappa = mu^2 and is skipped there; kappa < mu^2
     is rejected.
     """
+    p.check_effective()
     g = e.grid
     q = e.q.values
     v = [c.values for c in e.v]

@@ -48,6 +48,10 @@ from .model import (
 
 CHECKPOINT_VERSION = 1
 
+# bounds of a chunk of recorded states on a 1-D grid (see _record_chunk)
+RECORD_CHUNK = 64
+RECORD_CHUNK_SAMPLES = 1 << 16
+
 # formulation name -> state class; the name is also a checkpoint's ``kind``
 FORMULATIONS = {"primitive": PrimitiveState, "effective": EffectiveState}
 
@@ -79,7 +83,15 @@ class SolverConfig:
         """Explicit-capillarity stability ceiling c_stab*h^2/max(mu, sqrt(kappa))."""
         return self.c_stab * grid.dx ** 2 / max(params.mu, math.sqrt(params.kappa))
 
+    def check_formulation(self, params: PhysParams):
+        """Reject the effective formulation below kappa = mu^2."""
+        if self.formulation == "effective":
+            params.check_effective()
+
     def validate_for(self, grid: Grid, params: PhysParams):
+        """Reject what the scheme cannot step: the formulation at these
+        params (``check_formulation``), then a dt above the ceiling."""
+        self.check_formulation(params)
         ceiling = self.dt_ceiling(grid, params)
         if self.dt > ceiling * (1 + 1e-12):
             raise ConfigurationError(
@@ -213,13 +225,30 @@ class RunResult:
     records: list = field(default_factory=list)
 
 
+def _record_chunk(grid: Grid) -> int:
+    """Recorded states per ``diag_fn`` call of a run on ``grid``.
+
+    On a 1-D grid a record costs its calls more than its arithmetic, so up
+    to RECORD_CHUNK states share one call, fewer where n is so large that a
+    stacked field would pass RECORD_CHUNK_SAMPLES samples. On a 2-D grid a
+    chunk is one state, whose record then uses the state's own arrays.
+    """
+    if grid.dim != 1:
+        return 1
+    return max(1, min(RECORD_CHUNK, RECORD_CHUNK_SAMPLES // grid.n))
+
+
 def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
         callbacks=(), t0: float = 0.0) -> RunResult:
     """Integrate from t0 to cfg.t_end, recording diagnostics every
     cfg.diag_stride steps (plus the initial and final instants).
 
-    diag_fn(state, t) -> record; callbacks are called (step, t, state) after
-    every accepted step. The span must be a whole number of dt steps.
+    diag_fn(states, times) -> records, one record per state: the recorded
+    states are kept until a chunk of them is full (see ``_record_chunk``)
+    or the run ends, then handed over in time order, so a run's records
+    come from one call per chunk. A run that raises records nothing more.
+    callbacks are called (step, t, state) after every accepted step. The
+    span must be a whole number of dt steps.
     """
     # validates once, and rejects a state of the other formulation even
     # when no step is taken; every step reuses the scheme
@@ -234,10 +263,23 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
         )
 
     result = RunResult(final_state=initial, t_final=t0, steps=0)
+    chunk = _record_chunk(initial.grid)
+    pending = []  # (state, t) of the recorded instants not yet handed over
+
+    def flush():
+        if pending:
+            states, times = map(list, zip(*pending))
+            result.records.extend(diag_fn(states, times))
+            pending.clear()
 
     def emit(state, t):
         result.diag_times.append(t)
-        result.records.append(diag_fn(state, t) if diag_fn is not None else None)
+        if diag_fn is None:
+            result.records.append(None)
+            return
+        pending.append((state, t))
+        if len(pending) == chunk:
+            flush()
 
     emit(initial, t0)
     state = initial
@@ -248,6 +290,7 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
             cb(m + 1, t_next, state)
         if (m + 1) % cfg.diag_stride == 0 or m + 1 == n_steps:
             emit(state, t_next)
+    flush()
     result.final_state = state
     result.t_final = t0 + n_steps * cfg.dt
     result.steps = n_steps

@@ -96,6 +96,22 @@ class TestRunCommand:
         assert not csv_path.exists()
         assert "solver.dt" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_end", [0.0, 0.005])
+    def test_effective_below_quantum_rejected_before_running(self, tmp_path, capsys, t_end):
+        # kappa < mu^2 has no effective formulation: a config error naming
+        # its key, before any step and also when no step is taken
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            physics={"kappa": 0.01}, solver={"formulation": "effective", "t_end": t_end}))
+        csv_path, json_path = tmp_path / "never.csv", tmp_path / "out.json"
+        code = main(["run", "--config", cfg, "--csv", str(csv_path),
+                     "--json", str(json_path)])
+        assert code == EXIT_BAD_CONFIG
+        assert not csv_path.exists()
+        assert json.loads(json_path.read_text())["errors"] == [
+            "solver.formulation: effective formulation requires kappa >= mu^2, "
+            "got kappa = 0.01, mu^2 = 0.0225"]
+        assert "config error: solver.formulation: " in capsys.readouterr().out
+
     def test_infinite_c_stab_rejected(self, tmp_path, capsys):
         # an infinite c_stab would lift the stability ceiling altogether
         cfg = write_ini(tmp_path / "c.ini", base_sections(solver={"c_stab": "inf"}))

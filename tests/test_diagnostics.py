@@ -31,7 +31,7 @@ from capns.errors import ConfigurationError, DomainError
 from capns.fields import Grid, RealField
 from capns.model import EffectiveState, PhysParams, PrimitiveState, to_effective
 from capns.presets import Preset, build
-from capns.solver import SolverConfig, run
+from capns.solver import RECORD_CHUNK, SolverConfig, run
 
 TAU = 2.0 * math.pi
 
@@ -213,7 +213,7 @@ class TestJungel:
         p = PhysParams(mu=0.2, kappa=0.04)
         acc = DiagnosticsAccumulator(p)
         s = PrimitiveState(field(g, lambda x: np.full_like(x, 2.0)), (field(g, np.zeros_like),))
-        assert [acc(s, t).jungel for t in (0.0, 0.5, 1.0)] == [0.0, 0.0, 0.0]
+        assert [acc([s], [t])[0].jungel for t in (0.0, 0.5, 1.0)] == [0.0, 0.0, 0.0]
 
     def test_heat_profile_matches_trapezoid_of_exact_rate(self):
         # rho(t) = (1 + 0.3 e^-t cos x)^2 has Lap sqrt(rho) = -0.3 e^-t cos x,
@@ -222,9 +222,9 @@ class TestJungel:
         p = PhysParams(mu=0.2, kappa=0.04)
         ts = np.linspace(0.0, 1.0, 9)
         acc = DiagnosticsAccumulator(p)
-        records = [acc(PrimitiveState(
+        records = [acc([PrimitiveState(
             field(g, lambda x, t=t: (1.0 + 0.3 * math.exp(-t) * np.cos(x)) ** 2),
-            (field(g, np.zeros_like),)), t) for t in ts]
+            (field(g, np.zeros_like),))], [t])[0] for t in ts]
         exact_rates = 0.09 * np.exp(-2.0 * ts) * math.pi
         want = float(np.trapezoid(exact_rates, ts))
         assert abs(records[-1].jungel - want) < 1e-12 * want
@@ -234,9 +234,9 @@ class TestJungel:
         p = PhysParams(mu=0.2, kappa=0.04)
         ts = np.linspace(0.0, 1.0, 201)
         acc = DiagnosticsAccumulator(p)
-        records = [acc(PrimitiveState(
+        records = [acc([PrimitiveState(
             field(g, lambda x, t=t: (1.0 + 0.3 * math.exp(-t) * np.cos(x)) ** 2),
-            (field(g, np.zeros_like),)), t) for t in ts]
+            (field(g, np.zeros_like),))], [t])[0] for t in ts]
         want = 0.09 * math.pi * (1.0 - math.exp(-2.0)) / 2.0
         assert abs(records[-1].jungel - want) < 1e-4 * want
         # prefixes are nondecreasing
@@ -274,7 +274,7 @@ class TestAccumulator:
             s = PrimitiveState(
                 field(g, lambda x, t=t: (1.0 + 0.3 * math.exp(-t) * np.cos(x)) ** 2),
                 (field(g, np.zeros_like),))
-            recs.append(acc(s, float(t)))
+            recs.append(acc([s], [float(t)])[0])
         exact_rates = 0.09 * np.exp(-2.0 * ts) * math.pi
         want = float(np.trapezoid(exact_rates, ts))
         assert abs(recs[-1].jungel - want) < 1e-12 * want
@@ -287,7 +287,7 @@ class TestAccumulator:
         p = PhysParams(mu=0.2, kappa=0.04)
         s = PrimitiveState(field(g, lambda x: 1.0 + 0.5 * np.cos(x)),
                            (field(g, np.zeros_like),))
-        rec = DiagnosticsAccumulator(p)(s, 0.0)
+        rec = DiagnosticsAccumulator(p)([s], [0.0])[0]
         assert abs(rec.mass - TAU) < 1e-12
         assert abs(rec.min_rho - 0.5) < 1e-14
         assert abs(rec.max_inv_rho - 2.0) < 1e-13
@@ -299,9 +299,9 @@ class TestAccumulator:
         p = PhysParams(mu=0.2, kappa=0.04)
         s = PrimitiveState(field(g, np.ones_like), (field(g, np.zeros_like),))
         acc = DiagnosticsAccumulator(p)
-        acc(s, 0.5)
+        acc([s], [0.5])
         with pytest.raises(DomainError):
-            acc(s, 0.4)
+            acc([s], [0.4])
 
     @pytest.mark.parametrize("formulation,kappa", [
         pytest.param("primitive", 0.0225, id="primitive"),
@@ -318,7 +318,7 @@ class TestAccumulator:
         s = build(Preset("random_bandlimited", amplitude=0.2, seed=7), Grid(dim, n), p)
         if formulation == "effective":
             s = to_effective(s, p)
-        rec = DiagnosticsAccumulator(p)(s, 0.0)
+        rec = DiagnosticsAccumulator(p)([s], [0.0])[0]
         rho = s.rho if formulation == "primitive" else RealField(
             s.grid, p.rho_bar * np.exp(s.q.values))
         assert rec.mass == s.grid.integrate(rho.values)
@@ -330,12 +330,111 @@ class TestAccumulator:
         assert rec.h1_sqrt == sqrt_h1_norm(rho, p.rho_bar)
         # the accumulated rates are a trapezoid over the public rates
         acc = DiagnosticsAccumulator(p)
-        acc(s, 0.0)
-        last = acc(s, 0.5)
+        acc([s], [0.0])
+        last = acc([s], [0.5])[0]
         assert last.dissip_u == 0.5 * dissip_u_rate(s, p)
         assert last.dissip_v == 0.5 * dissip_v_rate(s, p)
         assert last.dissip_density == 0.5 * dissip_density_rate(s, p)
         assert last.jungel == 0.5 * jungel_rate(s, p)
+
+
+class TestChunkedRecords:
+    # a run hands its recorded states to diag_fn in chunks; every record of
+    # a chunk must equal, bit for bit, the record of its state taken alone
+    QUANTUM = PhysParams(mu=0.15, kappa=0.0225)
+    BUMP = Preset("smooth_bump", amplitude=0.1)
+
+    @staticmethod
+    def _records(state, p, cfg):
+        """The records of a run, the length of each chunk, and the records
+        of the same states and times taken one state at a time."""
+        acc, chunks, recorded = DiagnosticsAccumulator(p), [], []
+
+        def diag(states, times):
+            chunks.append(len(states))
+            recorded.extend(zip(states, times))
+            return acc(states, times)
+
+        res = run(state, p, cfg, diag_fn=diag)
+        alone = DiagnosticsAccumulator(p)
+        return res, chunks, [alone([s], [t])[0] for s, t in recorded]
+
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("p,preset,n", [
+        pytest.param(QUANTUM, BUMP, 128, id="quantum"),
+        pytest.param(PhysParams(mu=0.15, kappa=0.0225, a=0.9, gamma=1.4), BUMP, 128,
+                     id="gamma-1.4"),
+        pytest.param(PhysParams(mu=0.15, kappa=0.04), BUMP, 128, id="kappa-above-mu2"),
+        pytest.param(QUANTUM, Preset("random_bandlimited", amplitude=0.05, seed=3), 64,
+                     id="noise-64"),
+    ])
+    @pytest.mark.parametrize("steps,stride", [
+        pytest.param(0, 1, id="1-record"),
+        pytest.param(20, 1, id="21-records"),
+        pytest.param(RECORD_CHUNK - 1, 1, id="bound"),
+        pytest.param(RECORD_CHUNK, 1, id="bound+1"),
+        pytest.param(10, 3, id="stride-3"),
+    ])
+    def test_1d_chunks_equal_records_alone(self, formulation, p, preset, n, steps, stride):
+        s = build(preset, Grid(1, n), p)
+        if formulation == "effective":
+            s = to_effective(s, p)
+        cfg = SolverConfig(dt=5e-4, t_end=steps * 5e-4, formulation=formulation,
+                           diag_stride=stride)
+        res, chunks, alone = self._records(s, p, cfg)
+        want_rows = -(-steps // stride) + 1  # the final instant is always recorded
+        want_chunks = [RECORD_CHUNK] * (want_rows // RECORD_CHUNK) \
+            + [want_rows % RECORD_CHUNK] * (want_rows % RECORD_CHUNK > 0)
+        assert chunks == want_chunks
+        assert [vars(r) for r in res.records] == [vars(r) for r in alone]
+
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("p", [
+        pytest.param(QUANTUM, id="quantum"),
+        pytest.param(PhysParams(mu=0.15, kappa=0.0225, a=0.9, gamma=1.4), id="gamma-1.4"),
+        pytest.param(PhysParams(mu=0.15, kappa=0.04), id="kappa-above-mu2"),
+    ])
+    def test_2d_chunks_are_single_states(self, formulation, p):
+        s = build(Preset("smooth_bump", amplitude=0.05), Grid(2, 32), p)
+        if formulation == "effective":
+            s = to_effective(s, p)
+        cfg = SolverConfig(dt=5e-4, t_end=3e-3, formulation=formulation, diag_stride=4)
+        res, chunks, alone = self._records(s, p, cfg)
+        assert chunks == [1, 1, 1]
+        assert [vars(r) for r in res.records] == [vars(r) for r in alone]
+
+    def test_chunk_equals_calls_one_state_at_a_time(self):
+        # the accumulator itself, fed one chunk or one state per call
+        p = PhysParams(mu=0.2, kappa=0.04, a=0.9, gamma=1.4)
+        g = grid1(64)
+        ts = [0.0, 0.1, 0.1, 0.35]
+        states = [PrimitiveState(
+            field(g, lambda x, t=t: (1.0 + 0.3 * math.exp(-t) * np.cos(x)) ** 2),
+            (field(g, lambda x, t=t: 0.1 * np.sin(x + t)),)) for t in ts]
+        chunked = DiagnosticsAccumulator(p)(states, ts)
+        single = DiagnosticsAccumulator(p)
+        assert [vars(r) for r in chunked] == [vars(single([s], [t])[0])
+                                              for s, t in zip(states, ts)]
+
+    def test_backwards_time_inside_a_chunk_rejected(self):
+        g = grid1(32)
+        p = PhysParams(mu=0.2, kappa=0.04)
+        s = PrimitiveState(field(g, np.ones_like), (field(g, np.zeros_like),))
+        with pytest.raises(DomainError):
+            DiagnosticsAccumulator(p)([s, s, s], [0.0, 0.5, 0.4])
+
+    def test_stacked_functionals_return_one_value_per_state(self):
+        p = self.QUANTUM
+        g = grid1(64)
+        states = [build(Preset("random_bandlimited", amplitude=0.05, seed=k), g, p)
+                  for k in range(3)]
+        f = _Fields(states, p)
+        for fn in (energy, bd_entropy, dissip_u_rate, dissip_v_rate,
+                   dissip_density_rate, jungel_rate):
+            got = fn(f, p)
+            assert got.shape == (3,)
+            assert got.tolist() == [fn(s, p) for s in states]
+            assert all(type(fn(s, p)) is float for s in states)
 
 
 @pytest.fixture(scope="module")
@@ -470,7 +569,7 @@ class TestLpGain:
                            (field(g, lambda x: 1e20 * np.sin(x)),))
         acc = DiagnosticsAccumulator(p)
         with np.errstate(over="ignore"):
-            recs = [acc(s, 0.0), acc(s, 0.01)]
+            recs = [acc([s], [0.0])[0], acc([s], [0.01])[0]]
         assert recs[0].lp_gain[16] == math.inf
         assert lp_gain_check(recs, 16, p, dim=1).verdict is False
 
@@ -483,7 +582,7 @@ class TestLpGain:
                            (field(g, lambda x: 1e20 * np.sin(x)),))
         acc = DiagnosticsAccumulator(p)
         with np.errstate(over="ignore"):
-            recs = [acc(s, 0.0), acc(s, 0.01)]
+            recs = [acc([s], [0.0])[0], acc([s], [0.01])[0]]
         rep = lp_gain_check(recs, 4, p, dim=1)
         assert math.isfinite(rep.rhs[0]) and rep.rhs[1] == math.inf
         assert "overflows" in rep.note
@@ -670,7 +769,7 @@ class TestVacuumBound:
                            (field(g, lambda x: 0.1 * np.sin(x)),))
         cfg = SolverConfig(dt=1e-3, t_end=0.25, formulation="primitive",
                            diag_stride=25)
-        res = run(s, p, cfg, diag_fn=lambda st, t: st)
+        res = run(s, p, cfg, diag_fn=lambda states, times: states)
         rep = vacuum_bound_estimate(res.records, res.diag_times, p,
                                     q_exp=2.0, t1=0.25)
         assert rep.consistent

@@ -237,7 +237,7 @@ class TestRun:
             primitive_wave(g, 0.05, 0.02),
             PARAMS,
             SolverConfig(dt=1e-3, t_end=0.01, diag_stride=3),
-            diag_fn=lambda s, t: recorded.append(t) or t,
+            diag_fn=lambda states, times: recorded.extend(times) or times,
         )
         assert res.diag_times == pytest.approx([0.0, 0.003, 0.006, 0.009, 0.01])
         assert recorded == res.diag_times
@@ -275,6 +275,17 @@ class TestRun:
         g = Grid(1, 256)
         with pytest.raises(ConfigurationError):
             step_imex(primitive_wave(g), PARAMS, SolverConfig(dt=0.1, t_end=1.0))
+
+    @pytest.mark.parametrize("t_end", [0.0, 1e-3])
+    def test_effective_below_quantum_rejected_before_stepping(self, t_end):
+        g = Grid(1, 64)
+        p = PhysParams(mu=0.15, kappa=0.01)
+        state = to_effective(primitive_wave(g), p)
+        cfg = SolverConfig(dt=1e-4, t_end=t_end, formulation="effective")
+        with pytest.raises(ConfigurationError, match="requires kappa >= mu"):
+            run(state, p, cfg, callbacks=(pytest.fail,))
+        with pytest.raises(ConfigurationError, match="requires kappa >= mu"):
+            step_imex(state, p, cfg)
 
     def test_non_integer_span_rejected(self):
         g = Grid(1, 64)

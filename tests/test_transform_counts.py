@@ -65,7 +65,7 @@ def test_step_and_record_transform_counts(fft_calls, dim, n, formulation,
     step_imex(state, PARAMS, cfg)
     assert fft_calls[0] == step_fft
     fft_calls[0] = 0
-    DiagnosticsAccumulator(PARAMS)(state, 0.0)
+    DiagnosticsAccumulator(PARAMS)([state], [0.0])
     assert fft_calls[0] == record_fft
 
 
@@ -90,7 +90,7 @@ def test_record_validates_nothing(checked_calls, dim, n, formulation):
     # samples and builds no RealField or SpectralField
     state = _state(dim, n, formulation)
     checked_calls[0] = 0
-    DiagnosticsAccumulator(PARAMS)(state, 0.0)
+    DiagnosticsAccumulator(PARAMS)([state], [0.0])
     assert checked_calls[0] == 0
 
 
@@ -104,6 +104,54 @@ def test_steps_validate_nothing(checked_calls, dim, n, formulation):
     res = run(state, PARAMS, SolverConfig(dt=1e-4, t_end=5e-4, formulation=formulation))
     assert res.steps == 5
     assert checked_calls[0] == 0
+
+
+def _chunked_run(state, cfg, *counters):
+    """A run recorded by a DiagnosticsAccumulator; per chunk, its states
+    and how far each counter moved while the chunk was recorded."""
+    acc, chunks = DiagnosticsAccumulator(PARAMS), []
+
+    def diag(states, times):
+        before = [c[0] for c in counters]
+        out = acc(states, times)
+        chunks.append((states, [c[0] - b for c, b in zip(counters, before)]))
+        return out
+
+    return run(state, PARAMS, cfg, diag_fn=diag), chunks
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_1d_run_records_in_one_chunk(fft_calls, checked_calls, formulation):
+    # the 21 records of a 1-D run are one chunk: 4 transform calls in all,
+    # where a call per record made 84, and no validation
+    cfg = SolverConfig(dt=1e-4, t_end=2e-3, formulation=formulation)
+    res, chunks = _chunked_run(_state(1, 128, formulation), cfg, fft_calls, checked_calls)
+    assert len(res.records) == 21
+    assert [(len(states), moved) for states, moved in chunks] == [(21, [4, 0])]
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "effective"])
+def test_2d_run_records_one_state_per_chunk(monkeypatch, fft_calls, checked_calls,
+                                             formulation):
+    # a 2-D chunk is one state, whose record works on the state's own
+    # arrays, with no stacking copy: 22 transforms and no validation each
+    made = []
+
+    class Spy(diagnostics._Fields):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(diagnostics, "_Fields", Spy)
+    cfg = SolverConfig(dt=1e-4, t_end=3e-4, formulation=formulation)
+    res, chunks = _chunked_run(_state(2, 32, formulation), cfg, fft_calls, checked_calls)
+    assert [(len(states), moved) for states, moved in chunks] == [(1, [22, 0])] * 4
+    assert len(made) == 4
+    for (states, _), f in zip(chunks, made):
+        own = _unknowns(states[0])
+        assert f.scalar is own[0] and all(a is b for a, b in zip(f.vector, own[1:]))
+        if formulation == "primitive":
+            assert np.shares_memory(f.rho, states[0].rho.values)
 
 
 def _per_array(monkeypatch):
@@ -236,7 +284,7 @@ def test_no_complex_transform(monkeypatch, dim, n):
     for formulation in ("primitive", "effective"):
         state = _state(dim, n, formulation)
         step_imex(state, PARAMS, SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation))
-        DiagnosticsAccumulator(PARAMS)(state, 0.0)
+        DiagnosticsAccumulator(PARAMS)([state], [0.0])
     e = _state(dim, n, "effective")
     picard_solve(e.q, e.v, PARAMS, 0.5, PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
     f = build(Preset("random_bandlimited", amplitude=0.05), g, PARAMS).rho
