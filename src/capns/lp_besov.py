@@ -25,8 +25,10 @@ maps a stack of half spectra to a [stack, block] table. The block
 multipliers of a grid are interpolated once and cached. At p = 2 the table
 is one product of |fhat|^2 with the cached (blocks x modes) matrix of
 Parseval weight x phi_l^2; other p take one inverse transform of the whole
-stack per block. :func:`heat_block_decay_check` works in L^2 only, on
-exactly decayed spectra.
+stack per block. :func:`tilde_norm`, the time-then-block norm of the
+Picard differences, takes its series as such a stack with a leading time
+axis. :func:`heat_block_decay_check` works in L^2 only, on exactly
+decayed spectra.
 """
 
 from __future__ import annotations
@@ -248,35 +250,14 @@ def besov_norm(f: RealField, spec: BesovSpec) -> float:
     return _weighted_lr(ls, norms, spec.s, spec.r)
 
 
-def tilde_norm(series, times, sigma: float, spec: BesovSpec) -> float:
-    """Time-then-block norm: per block, L^sigma of t -> ||block(t)||_{L^p}
-    over the time grid (trapezoid; sigma = inf takes the sup), then the
-    weighted l^r across blocks. Time aggregation happens strictly before
-    the block sum, which is what distinguishes this from L^sigma of the
-    instantaneous norm. A benchmark span target: runs take spectral_tilde_norm."""
-    series = list(series)
-    times = np.asarray(times, dtype=float)
-    if len(series) == 0:
-        raise DomainError("empty time series")
-    if len(series) != times.size:
-        raise DomainError(f"{len(series)} fields vs {times.size} sample times")
-    if times.size > 1 and np.any(np.diff(times) <= 0):
-        raise DomainError("sample times must be strictly increasing")
-    if not (sigma >= 1):
-        raise ConfigurationError(f"time exponent must satisfy sigma >= 1, got {sigma}")
-    if any(f.grid != series[0].grid for f in series):
-        raise DomainError("time series mixes grids")
-    if not math.isinf(sigma) and times.size == 1:
-        raise DomainError("finite-sigma time norm needs at least two sample times")
-    g = series[0].grid
-    fhat = fft_array(g, np.stack([f.values for f in series]))
-    return spectral_tilde_norm(g, fhat, times, sigma, spec)
-
-
-def spectral_tilde_norm(grid: Grid, fhat: np.ndarray, times, sigma: float,
-                        spec: BesovSpec) -> float:
-    """:func:`tilde_norm` of a series given as a [time, half spectrum] stack,
-    for callers that already hold the spectra; the arguments are trusted."""
+def tilde_norm(grid: Grid, fhat: np.ndarray, times, sigma: float, spec: BesovSpec) -> float:
+    """Time-then-block norm of a series given as a [time, half spectrum]
+    stack: per block, L^sigma of t -> ||block(t)||_{L^p} over the time grid
+    (trapezoid; sigma = inf takes the sup), then the weighted l^r across
+    blocks. Time aggregation happens strictly before the block sum, which is
+    what distinguishes this from L^sigma of the instantaneous norm. The
+    arguments are trusted: the Picard iteration builds its own strictly
+    increasing times."""
     ls, table = block_norm_table(grid, fhat, spec.p)  # [time, block]
     if math.isinf(sigma):
         agg = np.max(table, axis=0)

@@ -2,11 +2,13 @@
 
 The system evolves density rho and velocity u with density-weighted shear
 viscosity 2*mu*rho, zero bulk viscosity, capillarity coefficient kappa/rho
-and pressure a*rho^gamma. The capillarity divergence is implemented in two
-algebraically equal forms so each can cross-check the other. The effective
-formulation evolves q = ln(rho/rho_bar) and v = u + mu*grad(ln rho); it
-requires kappa >= mu^2, and the capillary correction drops out exactly at
-kappa = mu^2.
+and pressure a*rho^gamma. The capillarity divergence div K has three
+algebraically equal forms: the step's compact kappa*div(rho*hess ln rho),
+summed into the stress of ``rhs_primitive``, and two independent groupings
+that check it, the tensor form ``div_k_form_a`` and ``div_k_gradient_form``.
+The effective formulation evolves q = ln(rho/rho_bar) and
+v = u + mu*grad(ln rho); it requires kappa >= mu^2, and the capillary
+correction drops out exactly at kappa = mu^2.
 
 All right-hand sides are evaluated pseudo-spectrally: derivatives in
 Fourier space, products on the grid, every product truncated by the 2/3
@@ -15,18 +17,14 @@ the budgets, formulation equivalence and Picard contraction are all
 checked on it. ln(rho) is taken pointwise and needs a positive density;
 the vacuum floor of a run is the stepper's guard.
 
-The stepper calls ``primitive_tendencies`` and ``effective_tendencies``,
-which take grid samples with their half spectra and return each diffusive
-unknown's tendency as a half spectrum, without the mu*Laplacian that the
-integrating factor carries; each truncated product costs one forward
-transform and a mask multiply. Their transforms are grouped into the
-sequential stages of the formulas, one ``fft_stage``/``ifft_stage`` call
-each, so a 1-D tendency makes one transform call per stage. They check
-nothing: the stepper's guard rejects a non-finite result one stage later.
-``rhs_primitive`` and ``rhs_effective`` are the grid-valued views of the
-same routines and raise ``NumericBlowup`` on a non-finite tendency; no run
-calls them, but the benchmark's tracer times them as spans and fails when a
-span target is missing.
+The stepper calls ``rhs_primitive`` and ``rhs_effective``, which take grid
+samples with their half spectra and return each diffusive unknown's
+tendency as a half spectrum, without the mu*Laplacian that the integrating
+factor carries; each truncated product costs one forward transform and a
+mask multiply. Their transforms are grouped into the sequential stages of
+the formulas, one ``fft_stage``/``ifft_stage`` call each, so a 1-D
+tendency makes one transform call per stage. They check nothing: the
+stepper's guard rejects a non-finite result one stage later.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NumericBlowup
+from .errors import ConfigurationError, DomainError
 from .fields import (Grid, RealField, dealias_values, div_array, fft_array, fft_stage,
                      grad_arrays, ifft_array, ifft_stage, lap_array)
 
@@ -129,12 +127,6 @@ def _check_density(rho):
     return rho.values
 
 
-def _finite_or_blowup(arrays, where):
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise NumericBlowup(float("nan"), where)
-
-
 # -- capillarity divergence -------------------------------------------------
 
 def _pairs(dim):
@@ -167,7 +159,7 @@ def div_k_form_a(rho: RealField, kappa1: float) -> tuple:
         - div(kap(rho) * grad(rho) (x) grad(rho))
 
     with kap(rho) = kappa1/rho. All three pieces are evaluated literally so
-    this route stays independent of :func:`div_k_form_b`.
+    this route stays independent of the step's compact form.
     """
     g = rho.grid
     r = _check_density(rho)
@@ -185,15 +177,6 @@ def div_k_form_a(rho: RealField, kappa1: float) -> tuple:
         term2 = div_array(g, [dealias_values(g, kap * gr[i] * gr[j]) for j in range(g.dim)])
         out.append(RealField(g, term1 - term2))
     return tuple(out)
-
-
-def div_k_form_b(rho: RealField, kappa1: float) -> tuple:
-    """Capillarity divergence as kappa1 * div(rho * hess(ln rho))."""
-    g = rho.grid
-    r = _check_density(rho)
-    hess = ifft_stage(g, _hessian_hats(g, fft_array(g, np.log(r))))
-    comps = _div_sym_hat(g, fft_stage(g, (r * h for h in hess)))
-    return tuple(RealField(g, kappa1 * c) for c in ifft_stage(g, comps))
 
 
 def div_k_gradient_form(rho: RealField, kappa1: float) -> tuple:
@@ -225,7 +208,7 @@ def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
 
 # -- right-hand sides --------------------------------------------------------
 
-def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats):
+def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats):
     """Tendencies of (rho, u) from density samples r, velocity samples u and
     the half spectra uhats of u.
 
@@ -233,7 +216,8 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats):
     velocity component, the half spectrum of d_t u - mu*lap(u): the part of
     the momentum equation the integrating factor leaves to the explicit
     stage. The symmetric stress r*(2 mu Du + kappa hess ln r) - P*I is
-    summed on the grid before its transforms, and advection and force are
+    summed on the grid before its transforms (its kappa part is the
+    compact div K that ``verify divk`` checks), and advection and force are
     truncated together by one mask. Five transform stages: the mass flux and
     ln r; d_t rho, Du and the Hessian; the stress; the force; the momentum.
     """
@@ -265,7 +249,7 @@ def primitive_tendencies(g: Grid, p: PhysParams, r, u, uhats):
     return drho, [mask * h + p.mu * g.half_k2 * uhats[i] for i, h in enumerate(momentum)]
 
 
-def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats):
+def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats):
     """Tendencies of (q, v) from samples q, v and their half spectra.
 
     Returns, for q and per component of v, the half spectrum of
@@ -294,7 +278,7 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats):
     drift = [p.mu * gq[j] - u[j] for j in range(dim)]
 
     terms = [sum(drift[j] * dv[i][j] for j in range(dim)) for i in range(dim)]
-    del u, drift  # as in primitive_tendencies, for the peak memory of a 2-D step
+    del u, drift  # as in rhs_primitive, for the peak memory of a 2-D step
     if p.gamma != 1.0 or not quantum:
         rho = p.rho_bar * np.exp(q)
     if p.gamma != 1.0:
@@ -314,47 +298,3 @@ def effective_tendencies(g: Grid, p: PhysParams, q, qhat, v, vhats):
     if p.gamma == 1.0:
         out = [out[i] - p.a * ik[i] * qhat for i in range(dim)]
     return nq, out
-
-
-def _grid_tendencies(g, p, nhats, hats):
-    """Grid samples of d_t w = -mu*k^2*w + n from the half spectra n and w."""
-    return [ifft_array(g, n - p.mu * g.half_k2 * w) for n, w in zip(nhats, hats)]
-
-
-def rhs_primitive(s: PrimitiveState, p: PhysParams):
-    """Time derivative of (rho, u).
-
-    Mass: d_t rho = -div(rho u). Momentum is returned in velocity form,
-    d_t u = -(u . grad)u + (div(2 mu rho Du) - grad P + div K)/rho, with
-    Du the symmetric velocity gradient and div K from form B.
-    """
-    g = s.grid
-    r = _check_density(s.rho)
-    u = [c.values for c in s.u]
-    uhats = [fft_array(g, c) for c in u]
-    drho, nhats = primitive_tendencies(g, p, r, u, uhats)
-    _finite_or_blowup([drho] + nhats, "rhs of the density-velocity form")
-    return RealField(g, drho), tuple(RealField(g, c)
-                                     for c in _grid_tendencies(g, p, nhats, uhats))
-
-
-def rhs_effective(e: EffectiveState, p: PhysParams):
-    """Time derivative of (q, v).
-
-    d_t q = mu*lap(q) - u.grad(q) - div(v)
-    d_t v = mu*lap(v) - (u.grad)v + mu*(grad q . grad)v
-            - a*gamma*rho^(gamma-1)*grad(q) + capillary correction
-
-    with u = v - mu*grad(q). The correction (kappa - mu^2)*div(rho*hess q)/rho
-    vanishes identically at kappa = mu^2 and is skipped there; kappa < mu^2
-    is rejected.
-    """
-    p.check_effective()
-    g = e.grid
-    q = e.q.values
-    v = [c.values for c in e.v]
-    hats = [fft_array(g, q)] + [fft_array(g, c) for c in v]
-    nq, nv = effective_tendencies(g, p, q, hats[0], v, hats[1:])
-    _finite_or_blowup([nq] + nv, "rhs of the log-density form")
-    dq, *dv = _grid_tendencies(g, p, [nq] + nv, hats)
-    return RealField(g, dq), tuple(RealField(g, c) for c in dv)

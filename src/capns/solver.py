@@ -6,9 +6,11 @@ integrating factor; every remaining term is explicit through a two-stage
 the velocity only (the mass equation carries no Laplacian); in the
 log-density formulation it acts on both unknowns. The explicitly treated
 capillary operator imposes a step ceiling dt <= c_stab * h^2 / max(mu,
-sqrt(kappa)) which is enforced before stepping. Every explicit product is
-truncated by the 2/3 rule, in the step and in the fixed-point iteration
-below; the truncation is part of the scheme and has no switch.
+sqrt(kappa)) which is enforced before stepping. Each Heun stage takes its
+explicit terms from one call of ``rhs_primitive`` or ``rhs_effective``.
+Every explicit product is truncated by the 2/3 rule, in the step and in
+the fixed-point iteration below; the truncation is part of the scheme and
+has no switch.
 
 Also here: the exact per-mode solution of the linearized system, and a
 fixed-point iteration that mirrors the constructive existence scheme
@@ -16,7 +18,9 @@ fixed-point iteration that mirrors the constructive existence scheme
 Duhamel quadrature, difference norms measured in time-sup Besov style).
 The iteration keeps every iterate as one stack of half spectra with a
 leading time axis (and a component axis for the velocity), so each
-transform of an iteration covers all time levels in one call.
+transform of an iteration covers all time levels in one call, and
+``tilde_norm`` measures each difference on its stack: once for q and once
+per velocity component.
 """
 
 from __future__ import annotations
@@ -37,13 +41,13 @@ from .errors import (
 )
 from .fields import (Grid, RealField, dealias_values, fft_array, fft_stage, grad_arrays,
                      ifft_array, ifft_stage)
-from .lp_besov import BesovSpec, besov_norm, spectral_tilde_norm
+from .lp_besov import BesovSpec, besov_norm, tilde_norm
 from .model import (
     EffectiveState,
     PhysParams,
     PrimitiveState,
-    effective_tendencies,
-    primitive_tendencies,
+    rhs_effective,
+    rhs_primitive,
 )
 
 CHECKPOINT_VERSION = 1
@@ -145,10 +149,9 @@ class _Scheme:
     def tendencies(self, vals, hats):
         g, params = self.grid, self.params
         if self.kind is PrimitiveState:
-            d_scalar, d_vector = primitive_tendencies(g, params, vals[0], vals[1:], hats[1:])
+            d_scalar, d_vector = rhs_primitive(g, params, vals[0], vals[1:], hats[1:])
         else:
-            d_scalar, d_vector = effective_tendencies(g, params, vals[0], hats[0],
-                                                      vals[1:], hats[1:])
+            d_scalar, d_vector = rhs_effective(g, params, vals[0], hats[0], vals[1:], hats[1:])
         return [d_scalar, *d_vector]
 
     def guard(self, vals, t):
@@ -410,8 +413,8 @@ class PicardConfig:
     n_steps: int = 64
 
     def __post_init__(self):
-        if not (self.tol > 0):
-            raise ConfigurationError(f"tolerance must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigurationError(f"tolerance must be positive and finite, got {self.tol}")
         if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (isinstance(self.n_steps, int) and self.n_steps >= 2):
@@ -529,9 +532,9 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(v_new))):
             raise NonContraction(T, data_norms, diff_norms + [float("inf")])
 
-        delta = spectral_tilde_norm(g, q_new - qs, times, math.inf, spec_q)
+        delta = tilde_norm(g, q_new - qs, times, math.inf, spec_q)
         for i in range(g.dim):
-            delta += spectral_tilde_norm(g, v_new[i] - vs[i], times, math.inf, spec_v)
+            delta += tilde_norm(g, v_new[i] - vs[i], times, math.inf, spec_v)
 
         qs, vs = q_new, v_new
         diff_norms.append(delta)

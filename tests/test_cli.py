@@ -112,6 +112,18 @@ class TestRunCommand:
             "got kappa = 0.01, mu^2 = 0.0225"]
         assert "config error: solver.formulation: " in capsys.readouterr().out
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # a negative seed used to end in a ValueError traceback from the
+        # random generator, with exit 1 and no payload
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            initial={"preset": "random_bandlimited", "amplitude": 0.05, "seed": -1}))
+        json_path = tmp_path / "out.json"
+        assert main(["run", "--config", cfg, "--json", str(json_path)]) == EXIT_BAD_CONFIG
+        payload = json.loads(json_path.read_text())
+        assert payload["cause"] == "invalid_config"
+        assert payload["errors"] == ["initial: seed must be a non-negative integer, got -1"]
+        assert "config error: initial: seed" in capsys.readouterr().out
+
     def test_infinite_c_stab_rejected(self, tmp_path, capsys):
         # an infinite c_stab would lift the stability ceiling altogether
         cfg = write_ini(tmp_path / "c.ini", base_sections(solver={"c_stab": "inf"}))
@@ -308,6 +320,16 @@ class TestPicardCommand:
         cfg = write_ini(tmp_path / "c.ini", base_sections(
             physics={"mu": 0.15, "kappa": 0.09}))
         assert main(["picard", "--config", cfg]) == EXIT_BAD_CONFIG
+
+    def test_infinite_tolerance_rejected(self, tmp_path, capsys):
+        # tol = inf would pass the first difference, whatever its size
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            grid={"dim": 2, "n": 32}, picard={"horizon": 1.0, "tol": "inf"}))
+        json_path = tmp_path / "p.json"
+        assert main(["picard", "--config", cfg, "--json", str(json_path)]) == EXIT_BAD_CONFIG
+        assert json.loads(json_path.read_text())["errors"] == [
+            "picard: tolerance must be positive and finite, got inf"]
+        assert "converged" not in capsys.readouterr().out
 
     def test_bad_horizon_string(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", base_sections(

@@ -22,9 +22,6 @@ SRC = Path(capns.__file__).parent
 
 # names no package code calls, each with the reason it stays
 UNREACHED = {
-    "rhs_primitive": "benchmark span target; its tracer fails when a target is missing",
-    "rhs_effective": "benchmark span target; its tracer fails when a target is missing",
-    "tilde_norm": "benchmark span target; runs take spectral_tilde_norm",
     "calibrate_c1": "benchmark job and span target",
     "solve_linear_system": "the exact reference the step and Picard tests compare against",
     "transform": "the one producer of the public SpectralField",

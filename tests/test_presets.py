@@ -24,6 +24,13 @@ class TestPresetValidation:
         with pytest.raises(ConfigurationError):
             Preset("smooth_bump", **kw)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        # numpy's default_rng raises a ValueError of its own at build time
+        Preset("random_bandlimited", seed=0)
+        with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+            Preset("random_bandlimited", seed=seed)
+
     @pytest.mark.parametrize("name", ["random_bandlimited", "manufactured"])
     def test_amplitude_cap(self, name):
         Preset(name, amplitude=0.99)

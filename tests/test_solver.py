@@ -5,17 +5,15 @@ import zipfile
 
 import numpy as np
 import pytest
-from conftest import full_layout
+from conftest import full_layout, grid_tendencies
 
 from capns.errors import ConfigurationError, NonContraction, NumericBlowup, VacuumBreach
-from capns.fields import Grid, RealField
+from capns.fields import Grid, RealField, fft_array
 from capns.lp_besov import BesovSpec, tilde_norm
 from capns.model import (
     EffectiveState,
     PhysParams,
     PrimitiveState,
-    rhs_effective,
-    rhs_primitive,
     to_effective,
 )
 from capns.presets import Preset, build
@@ -154,8 +152,8 @@ class TestStepImex:
 
 
 def _reference_step(state, params, cfg):
-    """Integrating-factor Heun step over the grid-valued right-hand sides,
-    with full-layout numpy.fft transforms. The primitive density stays on
+    """Integrating-factor Heun step over the grid-valued right-hand sides
+    (``grid_tendencies``), with full-layout numpy.fft transforms. The primitive density stays on
     the grid (factor 1, no linear part); every other unknown W carries
     factor exp(-mu k^2 dt) and linear part mu k^2, N = fft(rhs) + mu k^2 W,
     W* = e (W + dt N), W_new = e W + dt/2 (e N + N*)."""
@@ -167,16 +165,16 @@ def _reference_step(state, params, cfg):
 
         def rhs(vals):
             s = PrimitiveState(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
-            d, dv = rhs_primitive(s, params)
-            return [d.values] + [c.values for c in dv]
+            d, dv = grid_tendencies(s, params)
+            return [d, *dv]
     else:
         spectral = [True] * (1 + g.dim)
         vals0 = [state.q.values] + [c.values for c in state.v]
 
         def rhs(vals):
             s = EffectiveState(RealField(g, vals[0]), tuple(RealField(g, c) for c in vals[1:]))
-            d, dv = rhs_effective(s, params)
-            return [d.values] + [c.values for c in dv]
+            d, dv = grid_tendencies(s, params)
+            return [d, *dv]
 
     fwd = [np.fft.fftn if sp else (lambda x: x) for sp in spectral]
     inv = [(lambda c: np.fft.ifftn(c).real) if sp else (lambda x: x) for sp in spectral]
@@ -594,7 +592,7 @@ class TestPicard:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(tol=0.0), dict(max_iters=0), dict(n_steps=1)],
+        [dict(tol=0.0), dict(tol=math.inf), dict(max_iters=0), dict(n_steps=1)],
     )
     def test_invalid_config(self, kw):
         with pytest.raises(ConfigurationError):
@@ -617,10 +615,11 @@ class TestPicard:
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_first_difference_is_tilde_norm_of_correction(self, p):
-        # the iteration measures its differences on the spectra; the typed
-        # tilde_norm of the grid differences from the linear solution (the
-        # iterate 0) must give the same number, at p = 2 through Parseval
-        # and at p = 3 through the per-block inverse transforms
+        # the iteration measures its differences on its own spectra; the
+        # tilde_norm of the spectra of the grid differences from the linear
+        # solution (the iterate 0) must give the same number, at p = 2
+        # through Parseval and at p = 3 through the per-block inverse
+        # transforms
         g = Grid(2, 16)
         x, y = g.x
         q0 = RealField(g, 0.05 * np.sin(x) * np.cos(2 * y))
@@ -628,12 +627,13 @@ class TestPicard:
         pcfg = PicardConfig(n_steps=8, max_iters=1, tol=1e-30, p=p)
         res = picard_solve(q0, v0, PARAMS, 0.5, pcfg)
         lin = [solve_linear_system(q0, v0, PARAMS.mu, t) for t in res.times]
-        dq = [RealField(g, q.values - ql.values) for q, (ql, _) in zip(res.q_series, lin)]
-        want = tilde_norm(dq, res.times, math.inf, BesovSpec(g.dim / p, p))
+        dq = fft_array(g, np.stack([q.values - ql.values
+                                    for q, (ql, _) in zip(res.q_series, lin)]))
+        want = tilde_norm(g, dq, res.times, math.inf, BesovSpec(g.dim / p, p))
         for i in range(g.dim):
-            dv = [RealField(g, v[i].values - vl[i].values)
-                  for v, (_, vl) in zip(res.v_series, lin)]
-            want += tilde_norm(dv, res.times, math.inf, BesovSpec(g.dim / p - 1.0, p))
+            dv = fft_array(g, np.stack([v[i].values - vl[i].values
+                                        for v, (_, vl) in zip(res.v_series, lin)]))
+            want += tilde_norm(g, dv, res.times, math.inf, BesovSpec(g.dim / p - 1.0, p))
         assert want > 0
         assert res.diff_norms[0] == pytest.approx(want, rel=1e-12, abs=0.0)
 

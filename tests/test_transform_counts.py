@@ -10,7 +10,7 @@ are one call there: the counts are calls, not transformed arrays.
 import numpy as np
 import pytest
 
-from capns import diagnostics, fields, model, solver
+from capns import diagnostics, fields, lp_besov, model, solver
 from capns.diagnostics import DiagnosticsAccumulator
 from capns.fields import Grid, RealField, fft_array, ifft_array
 from capns.lp_besov import BesovSpec, block_report, bony_decompose
@@ -223,6 +223,35 @@ def test_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
     assert counts[16, 2] - counts[16, 1] == per_iter
     assert counts[32, 2] - counts[32, 1] == per_iter
     assert counts[16, 1] == counts[32, 1]
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_span_targets_are_the_code_that_runs(monkeypatch, dim, n):
+    # perfbench's model.rhs_* and lp_besov.tilde_norm spans wrap these
+    # names, and its tracer rebinds every module attribute holding them: a
+    # step calls its right-hand side once per Heun stage, and a Picard
+    # iteration measures one difference for q and one per velocity component
+    calls = {}
+    for module, name in ((model, "rhs_primitive"), (model, "rhs_effective"),
+                         (lp_besov, "tilde_norm")):
+        original = getattr(module, name)
+        assert getattr(solver, name) is original
+        calls[name] = 0
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counted)
+    for formulation in ("primitive", "effective"):
+        cfg = SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation)
+        step_imex(_state(dim, n, formulation), PARAMS, cfg)
+        assert calls.pop(f"rhs_{formulation}") == 2
+    e = _state(dim, n, "effective")
+    res = picard_solve(e.q, e.v, PARAMS, 0.5,
+                       PicardConfig(n_steps=16, max_iters=3, tol=1e-30))
+    assert res.iterations == 3
+    assert calls == {"tilde_norm": (1 + dim) * 3}
 
 
 @pytest.fixture
