@@ -4,11 +4,18 @@ This is the only module that calls ``numpy.fft``, and it uses one Fourier
 layout: the half spectrum of real grid samples, from ``numpy.fft.rfft`` in
 1-D and ``rfft2`` in 2-D. The last axis keeps modes 0..n/2 (shape
 ``Grid.half_shape``), a 2-D grid keeps every mode of its first axis, and the
-inverse carries the 1/n^dim factor. The helpers ``fft_array``,
+inverse carries the 1/n^dim factor. A narrowed spectrum, with fewer
+last-axis columns than ``half_shape``, is that layout zero beyond its
+columns: ``ifft_array`` inverts it bit-identically to the zero-padded full
+width, and in 2-D runs the first-axis transforms on its columns only. A
+multiplier that is exactly zero beyond some column (``column_extent``)
+needs only those columns of a spectrum. The helpers ``fft_array``,
 ``ifft_array``, ``grad_arrays``, ``div_array``, ``lap_array`` and
 ``dealias_values`` work on raw arrays, with the per-grid multipliers
 ``Grid.half_ik``, ``half_k2``, ``half_kmag``, ``half_mask`` and
-``half_weight`` cached on the grid. They transform the trailing
+``half_weight``, the mask's column extent ``half_mask_columns`` and the
+largest wavenumber ``kmax`` cached on the grid; ``dealias_values``
+multiplies and inverts the mask's columns only. They transform the trailing
 ``grid.dim`` axes only, so a stack with leading axes (time levels, vector
 components) goes through one transform call, slice by slice bit-identical
 to transforming each slice alone. ``fft_stage`` and ``ifft_stage`` take
@@ -32,11 +39,16 @@ mask drops it. The last axis holds each Hermitian pair once, except its
 k = 0 and Nyquist columns, so a sum of |coefficient|^2 over the full
 spectrum is the ``half_weight``-weighted sum (1 on those two columns, 2
 elsewhere). All functions are pure and never mutate their inputs.
+
+``lp_norms`` takes the plain quadrature (sum |x|^p dV)^(1/p) and falls
+back to the max-scaled form on a row where |x|^p under- or overflows, as it
+does at large p.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +57,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 TAU = 2.0 * math.pi
+_TINY = sys.float_info.min  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,16 @@ class Grid:
         return keep
 
     @cached_property
+    def half_mask_columns(self) -> int:
+        """Last-axis columns of ``half_mask`` up to its last nonzero one."""
+        return column_extent(self.half_mask)
+
+    @cached_property
+    def kmax(self) -> float:
+        """Largest |k| of the half spectrum."""
+        return float(np.max(self.half_kmag))
+
+    @cached_property
     def half_weight(self) -> np.ndarray:
         """Parseval weights: 1 on the last-axis k = 0 and Nyquist columns, 2 elsewhere."""
         w = np.full(self.n // 2 + 1, 2.0)
@@ -190,10 +213,16 @@ def fft_array(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Real grid samples from a half spectrum, with the 1/n^dim factor;
-    leading axes are a stack."""
+    leading axes are a stack.
+
+    A spectrum with fewer last-axis columns than ``grid.half_shape`` is a
+    narrowed one: zero beyond its columns. Its inverse is bit-identical to
+    that of the zero-padded full width, and in 2-D the first-axis
+    transforms run on its columns only.
+    """
     if grid.dim == 1:
-        return np.fft.irfft(coeffs)
-    return np.fft.irfft2(coeffs)
+        return np.fft.irfft(coeffs, n=grid.n)
+    return np.fft.irfft2(coeffs, s=grid.shape)
 
 
 def fft_stage(grid: Grid, arrays):
@@ -235,15 +264,27 @@ def lap_array(grid: Grid, fhat: np.ndarray) -> np.ndarray:
 
 
 def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array-level 2/3 truncation: one mask multiply on the half spectrum."""
-    return ifft_array(grid, grid.half_mask * fft_array(grid, values))
+    """Array-level 2/3 truncation: one forward transform, then the mask
+    multiply and the inverse on the mask's columns only (a narrowed
+    spectrum, see ``ifft_array``)."""
+    m = grid.half_mask_columns
+    return ifft_array(grid, grid.half_mask[..., :m] * fft_array(grid, values)[..., :m])
 
 
-def hermitian_half(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def column_extent(mult: np.ndarray) -> int:
+    """Number of leading last-axis columns of a half-spectrum multiplier
+    outside which it is exactly zero; at least 1, so that the narrowed
+    spectrum it leaves is never empty."""
+    nonzero = np.flatnonzero(np.any(mult != 0, axis=tuple(range(mult.ndim - 1))))
+    return int(nonzero[-1]) + 1 if nonzero.size else 1
+
+
+def hermitian_half(grid: Grid, coeffs: np.ndarray, width: int | None = None) -> np.ndarray:
     """Half spectrum of the real part of the inverse of a full spectrum in
-    ``fftn`` ordering: (c(k) + conj(c(-k)))/2 on the half modes."""
+    ``fftn`` ordering: (c(k) + conj(c(-k)))/2 on the half modes, or on
+    their first ``width`` last-axis columns only (a narrowed spectrum)."""
     neg = -np.arange(grid.n) % grid.n
-    half = grid.n // 2 + 1
+    half = grid.n // 2 + 1 if width is None else width
     mirror = coeffs[np.ix_(*[neg] * (grid.dim - 1), neg[:half])]
     return 0.5 * (coeffs[..., :half] + np.conj(mirror))
 
@@ -261,12 +302,33 @@ def lp_norm(f: RealField, p: float) -> float:
 
 def lp_norms(grid: Grid, samples: np.ndarray, p: float):
     """Discrete L^p norms over the last ``grid.dim`` axes of a stack of grid
-    samples; leading axes are kept. p may be math.inf."""
+    samples; leading axes are kept. p may be math.inf.
+
+    At large p, |x|^p underflows (max |x| < 1) or overflows (> 1). A row
+    whose sum of |x|^p dV is 0, subnormal or not finite, and whose peak
+    |x| is positive and finite, takes the max-scaled form
+    peak * (sum (|x|/peak)^p dV)^(1/p); every other row keeps the plain
+    form bit for bit.
+    """
     if p < 1:
         raise DomainError(f"L^p norm requires p >= 1, got {p}")
     axes = tuple(range(-grid.dim, 0))
     mags = np.abs(samples)
     if p == math.inf:
         return np.max(mags, axis=axes)
-    np.power(mags, p, out=mags)
-    return (np.sum(mags, axis=axes) * grid.cell_volume) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        np.power(mags, p, out=mags)
+        sums = np.sum(mags, axis=axes) * grid.cell_volume
+    norms = sums ** (1.0 / p)
+    redo = ~((sums >= _TINY) & (sums < math.inf))
+    if not np.any(redo):
+        return norms
+    norms = np.array(norms)
+    rows = np.abs(samples[redo])
+    peak = np.max(rows, axis=axes, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        scaled = np.sum((rows / peak) ** p, axis=axes) * grid.cell_volume
+        peak = peak.reshape(scaled.shape)
+        norms[redo] = np.where((peak > 0) & (peak < math.inf),
+                               peak * scaled ** (1.0 / p), norms[redo])
+    return norms[()]

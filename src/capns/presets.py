@@ -3,6 +3,11 @@
 All presets build a primitive state (density, velocity) on the torus; the
 caller converts to the effective formulation when needed. Every density is
 validated strictly positive by construction of PrimitiveState.
+
+``random_bandlimited`` draws a full complex spectrum per field and keeps
+its band: only the last-axis columns of the band are folded onto the half
+spectrum and inverted (a narrowed spectrum), which gives the same field,
+bit for bit, as the whole half spectrum with the rest zeroed.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .fields import Grid, RealField, hermitian_half, ifft_array
+from .fields import Grid, RealField, column_extent, hermitian_half, ifft_array
 from .model import PhysParams, PrimitiveState
 
 PRESET_NAMES = ("equilibrium", "smooth_bump", "near_vacuum",
@@ -65,13 +70,16 @@ def _velocity_profile(grid: Grid, amplitude: float):
 def _bandlimited_noise(grid: Grid, rng, band: int) -> np.ndarray:
     """Mean-free random field with modes |k_i| <= band (in units of
     2*pi/length), dealiased and scaled to a peak of 1."""
-    # the draw is not Hermitian: the field is the real part of its inverse
-    coeffs = hermitian_half(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape))
     scale = 2.0 * np.pi / grid.length
     keep = grid.half_mask.astype(bool)
     for kk in grid.half_k:
         keep &= np.abs(kk) <= band * scale
-    coeffs[~keep] = 0.0
+    # the draw is not Hermitian: the field is the real part of its inverse,
+    # and only the columns of the band are assembled and inverted
+    m = column_extent(keep)
+    coeffs = hermitian_half(grid, rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape),
+                            width=m)
+    coeffs[~keep[..., :m]] = 0.0
     coeffs[tuple([0] * grid.dim)] = 0.0
     vals = ifft_array(grid, coeffs)
     peak = np.max(np.abs(vals))

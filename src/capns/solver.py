@@ -20,7 +20,9 @@ The iteration keeps every iterate as one stack of half spectra with a
 leading time axis (and a component axis for the velocity), so each
 transform of an iteration covers all time levels in one call, and
 ``tilde_norm`` measures each difference on its stack: once for q and once
-per velocity component.
+per velocity component. The result keeps the final iterate as those
+spectra; its ``q_series`` and ``v_series`` of fields are built on first
+read (one inverse transform each), since no command reads them.
 """
 
 from __future__ import annotations
@@ -423,13 +425,30 @@ class PicardConfig:
 
 @dataclass
 class PicardResult:
+    """Outcome of :func:`picard_solve`. The final iterate is kept as its
+    [time, ...] and [component, time, ...] stacks of half spectra;
+    ``q_series`` (one field per time level) and ``v_series`` (one tuple of
+    velocity components per level) are built from them on first read, one
+    inverse transform each, and kept."""
+
     times: np.ndarray
-    q_series: list
-    v_series: list
     diff_norms: list
     iterations: int
     converged: bool
     data_norms: dict
+    _grid: Grid = field(repr=False)
+    _qhat: np.ndarray = field(repr=False)
+    _vhat: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def q_series(self) -> list:
+        return [RealField(self._grid, c) for c in ifft_array(self._grid, self._qhat)]
+
+    @functools.cached_property
+    def v_series(self) -> list:
+        v_vals = ifft_array(self._grid, self._vhat)
+        return [tuple(RealField(self._grid, c) for c in v_vals[:, m])
+                for m in range(len(self.times))]
 
 
 def _picard_sources(g, params, qhat, vhats):
@@ -461,12 +480,16 @@ def _picard_sources(g, params, qhat, vhats):
 def _duhamel(g, e_fac, h_src):
     """Trapezoid Duhamel sums of the forced heat equation with zero data,
     bar[m+1] = e (bar[m] + h[m]) + h[m+1], from the half-step-weighted
-    sources h; the time axis is the one just before the spectral axes."""
+    sources h; the time axis is the one just before the spectral axes.
+    Each level is computed in its own slot, with no temporaries."""
     bar = np.empty_like(h_src)
     b, h = (np.moveaxis(a, -1 - g.dim, 0) for a in (bar, h_src))
     b[0] = 0.0
     for m in range(len(h) - 1):
-        b[m + 1] = e_fac * (b[m] + h[m]) + h[m + 1]
+        nxt = b[m + 1]
+        np.add(b[m], h[m], out=nxt)
+        np.multiply(e_fac, nxt, out=nxt)
+        np.add(nxt, h[m + 1], out=nxt)
     return bar
 
 
@@ -548,9 +571,4 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         else:
             growth_streak = 0
 
-    q_vals, v_vals = ifft_array(g, qs), ifft_array(g, vs)
-    q_series = [RealField(g, c) for c in q_vals]
-    v_series = [tuple(RealField(g, v_vals[i, m]) for i in range(g.dim))
-                for m in range(m_steps + 1)]
-    return PicardResult(times, q_series, v_series, diff_norms, iterations,
-                        converged, data_norms)
+    return PicardResult(times, diff_norms, iterations, converged, data_norms, g, qs, vs)

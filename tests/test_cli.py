@@ -394,6 +394,19 @@ class TestBesovCommand:
             reports.append(json.loads(json_path.read_text()))
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("p", ["150", "300"])
+    def test_large_exponent_norms_positive(self, tmp_path, p):
+        # |x|^p underflows at these p for this field: every block norm of the
+        # log-density read 0.0 at p = 300 before the rows were rescaled
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            grid={"dim": 2, "n": 16}, initial={"amplitude": 0.05}))
+        json_path = tmp_path / "b.json"
+        assert main(["besov", "--config", cfg, "--p", p, "--json", str(json_path)]) == EXIT_OK
+        rep = json.loads(json_path.read_text())
+        for report in (rep["log_density"], *rep["velocity"]):
+            assert np.isfinite(report["norm"]) and report["norm"] > 0
+        assert all(b["block_norm"] > 0 for b in rep["log_density"]["blocks"])
+
     def test_requires_exactly_one_source(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", base_sections())
         assert main(["besov"]) == EXIT_BAD_CONFIG

@@ -19,9 +19,11 @@ from capns.fields import (
     ifft_array,
     lap_array,
     lp_norm,
+    lp_norms,
     transform,
 )
-from capns.model import _hessian_hats, _pairs
+from capns.model import PhysParams, _hessian_hats, _pairs
+from capns.presets import Preset, build
 
 TAU = 2.0 * math.pi
 
@@ -201,6 +203,116 @@ class TestNormsAndMismatch:
         assert lp_norm(f, math.inf) == pytest.approx(1.0, rel=1e-10)
         with pytest.raises(DomainError):
             lp_norm(f, 0.5)
+
+
+def _plain_lp(grid, values, p):
+    """The L^p norm as it reads without rescaling."""
+    axes = tuple(range(-grid.dim, 0))
+    return (np.sum(np.power(np.abs(values), p), axis=axes) * grid.cell_volume) ** (1.0 / p)
+
+
+def _scaled_lp(grid, values, p):
+    """The max-scaled form peak * (sum (|x|/peak)^p dV)^(1/p), row by row."""
+    rows = np.abs(values).reshape((-1,) + grid.shape)
+    out = [float(r.max()) * float(np.sum((r / r.max()) ** p) * grid.cell_volume) ** (1.0 / p)
+           for r in rows]
+    return np.array(out).reshape(values.shape[:values.ndim - grid.dim])
+
+
+def _preset_fields(grid):
+    params = PhysParams(mu=0.15, kappa=0.0225)
+    states = [build(Preset("smooth_bump", amplitude=0.05), grid, params),
+              build(Preset("random_bandlimited", amplitude=0.05, seed=4), grid, params)]
+    return [f.values for s in states for f in (s.rho, *s.u)]
+
+
+class TestLargeExponentNorms:
+    @pytest.mark.parametrize("p", [150, 300, 1e3])
+    @pytest.mark.parametrize("scale", [0.05, 1.0, 20.0, 1e3])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (2, 32)])
+    def test_matches_scaled_reference(self, dim, n, scale, p):
+        # |x|^p under- or overflows here unless the rows are rescaled
+        g = Grid(dim, n)
+        values = scale * (1.0 + 0.5 * random_field(g, seed=3).values)
+        stack = np.stack([values, -values[::-1], np.full(g.shape, scale)])
+        got = lp_norms(g, stack, p)
+        want = _scaled_lp(g, stack, p)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert lp_norm(RealField(g, values), p) == pytest.approx(want[0], rel=1e-12, abs=0)
+
+    def test_constant_field_at_large_p(self):
+        # the true value is 20 * (2 pi)^(1/250) = 20.147...; the plain sum overflows
+        g = Grid(1, 64)
+        assert lp_norm(RealField(g, np.full(g.shape, 20.0)), 250) \
+            == pytest.approx(20.0 * TAU ** (1.0 / 250), rel=1e-12)
+
+    def test_rescaled_rows_only(self):
+        # a row the plain sum handles keeps its plain value; zeros stay 0,
+        # and a non-finite sample keeps the plain, non-finite value
+        g = Grid(1, 32)
+        inf_row = np.ones(g.shape)
+        inf_row[3] = math.inf
+        nan_row = np.ones(g.shape)
+        nan_row[5] = math.nan
+        stack = np.stack([np.full(g.shape, 1.5), np.full(g.shape, 0.05), np.zeros(g.shape),
+                          inf_row, nan_row])
+        got = lp_norms(g, stack, 200)
+        assert got[0] == _plain_lp(g, stack[0], 200)
+        assert got[1] == pytest.approx(0.05 * TAU ** (1.0 / 200), rel=1e-12)
+        assert got[2] == 0.0
+        assert got[3] == math.inf
+        assert math.isnan(got[4])
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 10.0 / 3.0, 4])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+    def test_moderate_p_bit_identical(self, dim, n, p):
+        g = Grid(dim, n)
+        fields = _preset_fields(g)
+        for values in fields:
+            assert lp_norms(g, values, p) == _plain_lp(g, values, p)
+        stack = np.stack(fields)
+        assert lp_norms(g, stack, p).tobytes() == _plain_lp(g, stack, p).tobytes()
+
+
+NARROW_GRIDS = [(dim, n, length) for dim in (1, 2) for n in (8, 16, 32, 64, 128, 256, 512)
+                for length in (TAU, 1.0, 10.0)]
+
+
+def _full_inverse(grid, coeffs):
+    """numpy's inverse of a spectrum zero-padded to the full half width."""
+    full = np.zeros(coeffs.shape[:-1] + grid.half_shape[-1:], dtype=complex)
+    full[..., :coeffs.shape[-1]] = coeffs
+    return np.fft.irfft(full) if grid.dim == 1 else np.fft.irfft2(full)
+
+
+class TestNarrowedSpectra:
+    @pytest.mark.parametrize("dim,n,length", NARROW_GRIDS)
+    def test_mask_is_zero_beyond_its_columns(self, dim, n, length):
+        g = Grid(dim, n, length)
+        m = g.half_mask_columns
+        assert np.all(g.half_mask[..., m:] == 0)
+        assert np.any(g.half_mask[..., m - 1] != 0)
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 8), (2, 32)])
+    def test_narrowed_inverse_equals_zero_padded(self, dim, n):
+        g = Grid(dim, n)
+        rng = np.random.default_rng(7)
+        shape = (2, 3) + g.half_shape
+        coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for m in sorted({1, 2, n // 4, g.half_shape[-1]}):
+            narrowed = coeffs[..., :m]
+            for c in (narrowed, narrowed[1, 2]):
+                assert ifft_array(g, c).tobytes() == _full_inverse(g, c).tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(1, 8), (1, 64), (2, 8), (2, 32), (2, 64)])
+    def test_dealias_equals_full_width_oracle(self, dim, n):
+        g = Grid(dim, n)
+        values = np.stack([random_field(g, seed=s).values for s in (1, 2)])
+        rfft, irfft = (np.fft.rfft, np.fft.irfft) if dim == 1 else (np.fft.rfft2, np.fft.irfft2)
+        for v in (values, values[0]):
+            want = irfft(g.half_mask * rfft(v))
+            assert dealias_values(g, v).tobytes() == want.tobytes()
 
 
 def test_only_fields_module_calls_numpy_fft():

@@ -9,12 +9,15 @@ import pytest
 from conftest import full_layout
 
 from capns.errors import ConfigurationError, DomainError
-from capns.fields import Grid, RealField, fft_array, grad_arrays, lp_norm
+from capns.fields import Grid, RealField, fft_array, grad_arrays, lp_norm, lp_norms
 from capns.lp_besov import (
     ANNULUS_OUTER,
     PLATEAU,
     BesovSpec,
     BumpPair,
+    _block_multipliers,
+    _radial_blocks,
+    block_norm_table,
     block_norms,
     block_range,
     block_report,
@@ -128,6 +131,59 @@ class TestDecompose:
         assert is_boundary_block(g, d.l_min)
         assert is_boundary_block(g, d.l_max)
         assert not is_boundary_block(g, (d.l_min + d.l_max) // 2)
+
+
+NARROW_GRIDS = [(dim, n, length) for dim in (1, 2) for n in (8, 16, 32, 64, 128, 256, 512)
+                for length in (2 * math.pi, 1.0, 10.0)]
+
+
+def _full_multipliers(grid):
+    """The block multipliers over the whole half spectrum."""
+    _, table, index, _ = _radial_blocks(grid.dim, grid.n, grid.length)
+    return [row[index] for row in table]
+
+
+class TestNarrowedBlocks:
+    @pytest.mark.parametrize("dim,n,length", NARROW_GRIDS)
+    def test_multipliers_zero_beyond_their_columns(self, dim, n, length):
+        g = Grid(dim, n, length)
+        for low_pass in (False, True):
+            _, table, index, widths = _radial_blocks(dim, n, length, low_pass)
+            _, narrowed = _block_multipliers(g, low_pass)
+            for row, m, mult in zip(table, widths, narrowed):
+                full = row[index]
+                assert np.all(full[..., m:] == 0)
+                assert m == 1 or np.any(full[..., m - 1] != 0)
+                assert np.array_equal(mult, full[..., :m])
+
+    def test_column_extents_at_256(self):
+        # blocks -1..4 of a 2-D n = 256 grid reach 2, 3, 6, 11, 22 and 43 of
+        # the 129 last-axis columns
+        ls, _, _, widths = _radial_blocks(2, 256, 2 * math.pi)
+        assert dict(zip(ls, widths)) == {-1: 2, 0: 3, 1: 6, 2: 11, 3: 22, 4: 43,
+                                          5: 86, 6: 129, 7: 129}
+
+    @pytest.mark.parametrize("p", [1, 3, 10.0 / 3.0, math.inf])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (2, 64)])
+    def test_block_norm_table_equals_full_width_oracle(self, dim, n, p):
+        g = Grid(dim, n)
+        rng = np.random.default_rng(5)
+        fhat = fft_array(g, np.stack([white_noise_field(g, rng).values for _ in range(3)]))
+        irfft = np.fft.irfft if dim == 1 else np.fft.irfft2
+        want = np.stack([lp_norms(g, irfft(mult * fhat), p) for mult in _full_multipliers(g)],
+                        axis=-1)
+        assert block_norm_table(g, fhat, p)[1].tobytes() == want.tobytes()
+        assert block_norm_table(g, fhat[1], p)[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+    def test_decompose_equals_full_width_oracle(self, dim, n):
+        g = Grid(dim, n)
+        f = white_noise_field(g, np.random.default_rng(6))
+        irfft = np.fft.irfft if dim == 1 else np.fft.irfft2
+        fhat = fft_array(g, f.values)
+        blocks = decompose(f).blocks
+        for l, mult in zip(sorted(blocks), _full_multipliers(g)):
+            assert blocks[l].values.tobytes() == irfft(mult * fhat).tobytes()
 
 
 class TestBesovNorm:

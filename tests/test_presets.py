@@ -110,3 +110,35 @@ class TestBuild:
         coeffs = np.fft.fft(np.sqrt(s.rho.values))
         k_int = np.fft.fftfreq(64, d=1.0 / 64)
         assert np.max(np.abs(coeffs[np.abs(k_int) > 1])) < 1e-10
+
+
+def _full_width_noise(grid, rng, band):
+    """Band-limited noise assembled and inverted over the whole half spectrum."""
+    draw = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    neg = -np.arange(grid.n) % grid.n
+    half = grid.n // 2 + 1
+    mirror = draw[np.ix_(*[neg] * (grid.dim - 1), neg[:half])]
+    coeffs = 0.5 * (draw[..., :half] + np.conj(mirror))
+    keep = grid.half_mask.astype(bool)
+    for kk in grid.half_k:
+        keep &= np.abs(kk) <= band * 2.0 * np.pi / grid.length
+    coeffs[~keep] = 0.0
+    coeffs[(0,) * grid.dim] = 0.0
+    vals = np.fft.irfft(coeffs) if grid.dim == 1 else np.fft.irfft2(coeffs)
+    return vals / np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (1, 128), (2, 32), (2, 256)])
+def test_bandlimited_noise_equals_full_width_oracle(dim, n):
+    # the preset assembles and inverts only its band's columns, bit for bit
+    # the field of the whole half spectrum
+    g = Grid(dim=dim, n=n)
+    amp = 0.05
+    for seed in range(5):
+        s = build(Preset("random_bandlimited", amplitude=amp, seed=seed), g, PARAMS)
+        rng = np.random.default_rng(seed)
+        band = max(2, n // 6)
+        rho = PARAMS.rho_bar * (1.0 + amp * _full_width_noise(g, rng, band))
+        assert s.rho.values.tobytes() == rho.tobytes()
+        for c in s.u:
+            assert c.values.tobytes() == (amp * _full_width_noise(g, rng, band)).tobytes()

@@ -21,6 +21,7 @@ from capns.solver import (
     PicardConfig,
     PicardResult,
     SolverConfig,
+    _duhamel,
     load_checkpoint,
     picard_solve,
     run,
@@ -636,6 +637,52 @@ class TestPicard:
             want += tilde_norm(g, dv, res.times, math.inf, BesovSpec(g.dim / p - 1.0, p))
         assert want > 0
         assert res.diff_norms[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("dim,n,per_iter", [(1, 64, 9), (2, 16, 16)])
+    def test_series_built_on_first_read(self, monkeypatch, dim, n, per_iter):
+        e = to_effective(build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), PARAMS),
+                         PARAMS)
+        calls = []
+        for name in ("rfft", "irfft", "rfft2", "irfft2"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        res = picard_solve(e.q, e.v, PARAMS, 0.5,
+                           PicardConfig(n_steps=16, max_iters=2, tol=1e-30))
+        assert res.iterations == 2
+        # set-up: the data's two forward transforms and one per Besov norm
+        # of the data (p = 2 takes no inverse); then the iterations
+        assert len(calls) == (2 + 1 + dim) + 2 * per_iter
+        calls.clear()
+        q_series = res.q_series
+        assert calls == ["irfft2" if dim == 2 else "irfft"]
+        v_series = res.v_series
+        assert len(calls) == 2
+        assert res.q_series is q_series and res.v_series is v_series
+        assert len(calls) == 2
+        assert len(q_series) == len(v_series) == 17
+        assert all(len(v) == dim for v in v_series)
+
+    @pytest.mark.parametrize("dim,n,lead", [(1, 64, ()), (1, 64, (1,)), (2, 16, ()),
+                                            (2, 16, (2,))])
+    def test_duhamel_in_place_equals_expression_loop(self, dim, n, lead):
+        # the levels are updated in place with the operations, and in the
+        # order, of bar[m+1] = e (bar[m] + h[m]) + h[m+1]
+        g = Grid(dim, n)
+        rng = np.random.default_rng(2)
+        shape = lead + (9,) + g.half_shape
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        e_fac = np.exp(-PARAMS.mu * g.half_k2 * 0.01)
+        want = np.empty_like(h)
+        b, hh = np.moveaxis(want, -1 - dim, 0), np.moveaxis(h, -1 - dim, 0)
+        b[0] = 0.0
+        for m in range(len(hh) - 1):
+            b[m + 1] = e_fac * (b[m] + hh[m]) + hh[m + 1]
+        assert _duhamel(g, e_fac, h).tobytes() == want.tobytes()
 
     def test_iterate_zero_is_linear_solution(self):
         # one-iteration cap: the returned series must still contain the
