@@ -373,11 +373,12 @@ def _csv_getter(column: str):
 
 
 def write_csv(records, path):
-    """CSV series in CSV_COLUMNS order, one row per diagnostic time, %.17g floats."""
+    """CSV series in CSV_COLUMNS order, one row per diagnostic time, %.17g
+    floats; each row is one ``%`` format of all its values."""
     getters = [_csv_getter(c) for c in CSV_COLUMNS]
+    row = ",".join(["%.17g"] * len(getters))
     lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join("%.17g" % get(rec) for get in getters))
+    lines += [row % tuple([get(rec) for get in getters]) for rec in records]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -438,7 +439,9 @@ def lp_gain_check(records, p: float, params: PhysParams, dim: int,
 
     The bound holds for the linear pressure law only; otherwise the
     measured side is reported alone. A non-finite measured value fails. A
-    bound whose exponential overflows is inf, and the note says so.
+    factor of the bound that overflows (a power of a huge statistic, or the
+    exponential) is inf, so the bound is inf after t = 0, and the note says
+    so.
     """
     if p < 4:
         raise ConfigurationError(f"the bound needs p >= 4, got {p}")
@@ -456,21 +459,26 @@ def lp_gain_check(records, p: float, params: PhysParams, dim: int,
     big_t = times[-1]
     b_stat = max(rec.lp_gain[2] for rec in records)
     lp0 = records[0].lp_gain[p]
-    a2 = params.a ** 2 / 2.0
-    bracket = lp0 + b_stat ** (4.0 / (p * (p - 2))) * a2 ** (1.0 / p) * (
+    a2 = _or_inf(pow, params.a, 2) / 2.0
+    bracket = lp0 + _or_inf(pow, b_stat, 4.0 / (p * (p - 2))) * a2 ** (1.0 / p) * (
         dim ** 2 * 2 * p ** 2 / (p - 2) + 2 * p ** 2 * (p - 4)
     ) ** (1.0 / p) * big_t ** (1.0 / p)
-    growth = b_stat ** (4.0 / (p - 2)) * a2 * (dim ** 2 * (p - 4) / (p - 2) + 1.0)
-    rhs = [2.0 ** (1.0 / p) * bracket * _exp_or_inf(growth * t / p) for t in times]
+    # without pressure (a = 0) the rate is 0, however large the statistic
+    growth = 0.0 if a2 == 0 else \
+        _or_inf(pow, b_stat, 4.0 / (p - 2)) * a2 * (dim ** 2 * (p - 4) / (p - 2) + 1.0)
+    # exp(growth t) is 1 at t = 0, also when the rate overflowed to inf
+    rhs = [2.0 ** (1.0 / p) * bracket * (_or_inf(math.exp, growth * t / p) if t else 1.0)
+           for t in times]
     verdict = all(math.isfinite(l) and l <= r * (1 + tol) for l, r in zip(lhs, rhs))
     note = "" if all(map(math.isfinite, rhs)) else "the bound overflows to inf"
     return LpGainReport(p, times, lhs, rhs, verdict, note)
 
 
-def _exp_or_inf(x: float) -> float:
-    """math.exp(x), or inf where it overflows."""
+def _or_inf(op, *args) -> float:
+    """op(*args) on floats (a power, an exponential), or inf where the
+    result overflows."""
     try:
-        return math.exp(x)
+        return op(*args)
     except OverflowError:
         return math.inf
 

@@ -15,14 +15,19 @@ needs only those columns of a spectrum. The helpers ``fft_array``,
 ``Grid.half_ik``, ``half_k2``, ``half_kmag``, ``half_mask`` and
 ``half_weight``, the mask's column extent ``half_mask_columns`` and the
 largest wavenumber ``kmax`` cached on the grid; ``dealias_values``
-multiplies and inverts the mask's columns only. They transform the trailing
-``grid.dim`` axes only, so a stack with leading axes (time levels, vector
-components) goes through one transform call, slice by slice bit-identical
-to transforming each slice alone. ``fft_stage`` and ``ifft_stage`` take
-the independent arrays of one stage of a computation: on a 1-D grid, where
-a transform costs its call more than its arithmetic, they are one call on
-the row stack; on a 2-D grid they transform one array at a time, as it is
-reached, so no more arrays are live than the caller holds.
+multiplies and inverts the mask's columns only. The tendencies' index
+pairs of a symmetric tensor (``sym_pairs``, ``sym_index``) are cached too,
+and so are their products of multipliers (``half_ik_mask``,
+``half_hessian``) on a 1-D grid, where they are short vectors; a 2-D grid
+keeps none of those full half-spectrum arrays. The helpers transform the
+trailing ``grid.dim`` axes only, so a stack with leading axes (time levels,
+vector components) goes through one transform call, slice by slice
+bit-identical to transforming each slice alone. ``fft_stage`` and
+``ifft_stage`` take the independent arrays of one stage of a computation:
+on a 1-D grid, where a transform costs its call more than its arithmetic,
+they are one call on the row stack (a stack passed in is used as it is, and
+a single row as a view); on a 2-D grid they transform one array at a time,
+as it is reached, so no more arrays are live than the caller holds.
 
 Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
 half spectrum, both validated on construction; ``transform`` is
@@ -122,6 +127,41 @@ class Grid:
             ik[np.abs(kk) == np.max(np.abs(kk))] = 0.0  # Nyquist: the largest |k|
             out.append(ik)
         return tuple(out)
+
+    @cached_property
+    def sym_pairs(self) -> tuple:
+        """Index pairs (i, j), i <= j, of a symmetric tensor, in the order
+        every list of its entries uses."""
+        return tuple((i, j) for i in range(self.dim) for j in range(i, self.dim))
+
+    @cached_property
+    def sym_index(self) -> tuple:
+        """``sym_index[i][j]``: the position of entry (i, j), or (j, i), in
+        ``sym_pairs``."""
+        at = {pair: m for m, pair in enumerate(self.sym_pairs)}
+        return tuple(tuple(at[min(i, j), max(i, j)] for j in range(self.dim))
+                     for i in range(self.dim))
+
+    @cached_property
+    def half_ik_mask(self):
+        """``half_ik`` times ``half_mask`` per axis, the derivative of a
+        2/3-truncated spectrum in one multiply, kept on a 1-D grid only (see
+        ``half_hessian``); None on a 2-D grid."""
+        if self.dim == 1:
+            return tuple(ik * self.half_mask for ik in self.half_ik)
+        return None
+
+    @cached_property
+    def half_hessian(self):
+        """The Hessian multipliers (i k_i)(i k_j), one per pair of
+        ``sym_pairs``, kept on a 1-D grid only: there they are short
+        vectors, while on a 2-D grid they would fill the half spectrum and
+        stay resident with the grid, so a 2-D caller forms each per use
+        (None here)."""
+        if self.dim == 1:
+            ik = self.half_ik
+            return tuple(ik[i] * ik[j] for i, j in self.sym_pairs)
+        return None
 
     @cached_property
     def half_k2(self) -> np.ndarray:
@@ -228,13 +268,13 @@ def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 def fft_stage(grid: Grid, arrays):
     """Half spectra of the independent real arrays of one stage, in order.
 
-    On a 1-D grid: one ``rfft`` call on their row stack, each row
-    bit-identical to its own transform. On a 2-D grid: an iterator that
-    transforms each array when it is reached, so ``arrays`` may be a
-    generator and only the arrays in use are live.
+    On a 1-D grid: one ``rfft`` call on their row stack (``arrays`` itself
+    when it is one), each row bit-identical to its own transform. On a 2-D
+    grid: an iterator that transforms each array when it is reached, so
+    ``arrays`` may be a generator and only the arrays in use are live.
     """
     if grid.dim == 1:
-        return np.fft.rfft(np.array(list(arrays)))
+        return np.fft.rfft(_rows(arrays))
     return (np.fft.rfft2(a) for a in arrays)
 
 
@@ -243,8 +283,17 @@ def ifft_stage(grid: Grid, coeffs):
     one ``irfft`` call on a 1-D grid, one ``irfft2`` per spectrum as it is
     reached on a 2-D grid (see ``fft_stage``)."""
     if grid.dim == 1:
-        return np.fft.irfft(np.array(list(coeffs)))
+        return np.fft.irfft(_rows(coeffs))
     return (np.fft.irfft2(c) for c in coeffs)
+
+
+def _rows(arrays) -> np.ndarray:
+    """The row stack of 1-D arrays: ``arrays`` itself when it is one, a
+    view of the array when there is one, else a stacked copy."""
+    if isinstance(arrays, np.ndarray):
+        return arrays
+    arrays = list(arrays)
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def grad_arrays(grid: Grid, fhat: np.ndarray) -> list:

@@ -23,8 +23,13 @@ tendency as a half spectrum, without the mu*Laplacian that the integrating
 factor carries; each truncated product costs one forward transform and a
 mask multiply. Their transforms are grouped into the sequential stages of
 the formulas, one ``fft_stage``/``ifft_stage`` call each, so a 1-D
-tendency makes one transform call per stage. They check nothing: the
-stepper's guard rejects a non-finite result one stage later.
+tendency makes one transform call per stage. The multipliers they apply
+come from the grid (i k mask and the Hessian products are cached on a 1-D
+grid, formed per use on a 2-D one, see ``fields.Grid``) or from the
+stepper, which makes a*i*k, and on a 1-D grid mu*|k|^2, once per scheme;
+a 2-D stage still takes its inputs one array at a time, which is why sums
+over components are generator sums. They check nothing: the stepper's
+guard rejects a non-finite result one stage later.
 """
 
 from __future__ import annotations
@@ -129,27 +134,20 @@ def _check_density(rho):
 
 # -- capillarity divergence -------------------------------------------------
 
-def _pairs(dim):
-    """Index pairs (i, j), i <= j, of a symmetric tensor, in the order every
-    list of its entries here uses."""
-    return [(i, j) for i in range(dim) for j in range(i, dim)]
-
-
-def _hessian_hats(g, lhat):
-    """Half spectra of the Hessian entries H_ij, i <= j, of l from its half
-    spectrum, made one at a time."""
+def _hessian(g):
+    """The Hessian multipliers of ``g`` in ``sym_pairs`` order: the cached
+    ones of a 1-D grid, or each formed as it is reached on a 2-D grid."""
     ik = g.half_ik
-    return (ik[i] * ik[j] * lhat for i, j in _pairs(g.dim))
+    return g.half_hessian or (ik[i] * ik[j] for i, j in g.sym_pairs)
 
 
 def _div_sym_hat(g, hats):
     """Half spectra of div S, one per axis, for a symmetric tensor given by
-    the half spectra of its entries S_ij, i <= j; each entry is truncated by
-    one mask multiply."""
-    hats = dict(zip(_pairs(g.dim), (g.half_mask * h for h in hats)))
-    ik = g.half_ik
-    return [sum(ik[j] * hats[min(i, j), max(i, j)] for j in range(g.dim))
-            for i in range(g.dim)]
+    the half spectra of its entries S_ij in ``g.sym_pairs`` order; each
+    entry is truncated by one mask multiply."""
+    mask, ik, at = g.half_mask, g.half_ik, g.sym_index
+    hats = [mask * h for h in hats]
+    return [sum(ik[j] * hats[m] for j, m in enumerate(row)) for row in at]
 
 
 def div_k_form_a(rho: RealField, kappa1: float) -> tuple:
@@ -208,7 +206,7 @@ def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
 
 # -- right-hand sides --------------------------------------------------------
 
-def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats):
+def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats, *, lin=None):
     """Tendencies of (rho, u) from density samples r, velocity samples u and
     the half spectra uhats of u.
 
@@ -220,36 +218,38 @@ def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats):
     compact div K that ``verify divk`` checks), and advection and force are
     truncated together by one mask. Five transform stages: the mass flux and
     ln r; d_t rho, Du and the Hessian; the stress; the force; the momentum.
+    ``lin`` is mu*|k|^2 on the half spectrum, which a stepper makes once;
+    without it, each velocity component's term forms it.
     """
-    mask = g.half_mask
-    ik = g.half_ik
-    dim = g.dim
+    mask, ik, dim = g.half_mask, g.half_ik, g.dim
     # arrays no later stage reads are dropped as soon as they are used up,
     # which keeps the peak memory of a 2-D step where it was
-    *flux, lhat = fft_stage(g, [*(r * c for c in u), np.log(r)])
-    drho_hat = sum(ik[i] * mask * flux[i] for i in range(dim))
+    *flux, lhat = fft_stage(g, [*[r * c for c in u], np.log(r)])
+    ikm = g.half_ik_mask or (k * mask for k in ik)
+    drho_hat = sum(k * f for k, f in zip(ikm, flux))
     del flux
     drho, *grads = ifft_stage(g, itertools.chain(
-        [drho_hat], (k * w for w in uhats for k in ik), _hessian_hats(g, lhat)))
+        (drho_hat,), (k * w for w in uhats for k in ik), (h * lhat for h in _hessian(g))))
     del drho_hat, lhat
     drho = -drho
-    du = [grads[i * dim:(i + 1) * dim] for i in range(dim)]  # du[i][j] = d_j u_i
-    press = p.a * r ** p.gamma
+    # grads[i * dim + j] = d_j u_i, then the Hessian entries in sym_pairs order
+    press = p.a * r if p.gamma == 1.0 else p.a * r ** p.gamma  # r ** 1.0 is r
 
     def stress():
-        for (i, j), h in zip(_pairs(dim), grads[dim * dim:]):
-            s = r * (p.mu * (du[i][j] + du[j][i]) + p.kappa * h)
+        for (i, j), h in zip(g.sym_pairs, grads[dim * dim:]):
+            s = r * (p.mu * (grads[i * dim + j] + grads[j * dim + i]) + p.kappa * h)
             if i == j:
                 s -= press
             yield s
 
     forces = ifft_stage(g, _div_sym_hat(g, fft_stage(g, stress())))
-    momentum = fft_stage(g, (f / r - sum(u[j] * du[i][j] for j in range(dim))
+    momentum = fft_stage(g, (f / r - sum(u[j] * grads[i * dim + j] for j in range(dim))
                              for i, f in enumerate(forces)))
-    return drho, [mask * h + p.mu * g.half_k2 * uhats[i] for i, h in enumerate(momentum)]
+    return drho, [mask * h + (p.mu * g.half_k2 if lin is None else lin) * w
+                  for h, w in zip(momentum, uhats)]
 
 
-def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats):
+def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats, *, a_ik=None):
     """Tendencies of (q, v) from samples q, v and their half spectra.
 
     Returns, for q and per component of v, the half spectrum of
@@ -260,24 +260,24 @@ def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats):
     (the gradients, then the products); away from it the Hessian of q joins
     the first, and the capillary correction adds an inverse and a forward
     stage. kappa < mu^2 is not checked here: the stepper's configuration
-    check rejects it before the first step.
+    check rejects it before the first step. ``a_ik`` is a*i*k per axis, the
+    multiplier of the linear pressure's gradient, which a stepper computes
+    once; without it, it is computed here.
     """
     excess = p.kappa - p.mu ** 2
-    mask = g.half_mask
-    ik = g.half_ik
-    dim = g.dim
+    mask, ik, dim = g.half_mask, g.half_ik, g.dim
     quantum = p.is_quantum()
-    grads = list(ifft_stage(g, itertools.chain(
-        (k * qhat for k in ik), (k * w for w in vhats for k in ik),
-        () if quantum else _hessian_hats(g, qhat))))
+    grads = (k * w for w in (qhat, *vhats) for k in ik)
+    if not quantum:
+        grads = itertools.chain(grads, (h * qhat for h in _hessian(g)))
+    grads = list(ifft_stage(g, grads))
     gq = grads[:dim]
-    dv = [grads[(i + 1) * dim:(i + 2) * dim] for i in range(dim)]  # dv[i][j] = d_j v_i
+    dv = grads[dim:dim * (dim + 1)]  # dv[i * dim + j] = d_j v_i
 
     u = [v[j] - p.mu * gq[j] for j in range(dim)]
     transport = sum(u[j] * gq[j] for j in range(dim))
     drift = [p.mu * gq[j] - u[j] for j in range(dim)]
-
-    terms = [sum(drift[j] * dv[i][j] for j in range(dim)) for i in range(dim)]
+    terms = [sum(drift[j] * dv[i * dim + j] for j in range(dim)) for i in range(dim)]
     del u, drift  # as in rhs_primitive, for the peak memory of a 2-D step
     if p.gamma != 1.0 or not quantum:
         rho = p.rho_bar * np.exp(q)
@@ -285,16 +285,16 @@ def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats):
         w = p.a * p.gamma * rho ** (p.gamma - 1.0)
         terms = [terms[i] - w * gq[i] for i in range(dim)]
     if quantum:
-        stage = fft_stage(g, [transport, *terms])
+        out = iter(fft_stage(g, [transport, *terms]))
     else:
         transport_hat, *entries = fft_stage(
             g, [transport, *(rho * h for h in grads[dim * (dim + 1):])])
         corr = ifft_stage(g, _div_sym_hat(g, entries))
-        stage = itertools.chain([transport_hat], fft_stage(
+        out = itertools.chain([transport_hat], fft_stage(
             g, [terms[i] + excess * c / rho for i, c in enumerate(corr)]))
-    stage = iter(stage)
-    nq = -sum(ik[i] * vhats[i] for i in range(dim)) - mask * next(stage)
-    out = [mask * h for h in stage]
+    nq = -sum(k * w for k, w in zip(ik, vhats)) - mask * next(out)
+    out = [mask * h for h in out]
     if p.gamma == 1.0:
-        out = [out[i] - p.a * ik[i] * qhat for i in range(dim)]
+        a_ik = [p.a * k for k in ik] if a_ik is None else a_ik
+        out = [h - m * qhat for h, m in zip(out, a_ik)]
     return nq, out

@@ -7,7 +7,9 @@ the velocity only (the mass equation carries no Laplacian); in the
 log-density formulation it acts on both unknowns. The explicitly treated
 capillary operator imposes a step ceiling dt <= c_stab * h^2 / max(mu,
 sqrt(kappa)) which is enforced before stepping. Each Heun stage takes its
-explicit terms from one call of ``rhs_primitive`` or ``rhs_effective``.
+explicit terms from one call of ``rhs_primitive`` or ``rhs_effective``; on
+a 1-D grid the half spectra of the carried unknowns are one stack, so each
+Heun operation and each finiteness check runs once for all of them.
 Every explicit product is truncated by the 2/3 rule, in the step and in
 the fixed-point iteration below; the truncation is part of the scheme and
 has no switch.
@@ -28,7 +30,6 @@ read (one inverse transform each), since no command reads them.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import zipfile
 from dataclasses import dataclass, field, fields
@@ -41,8 +42,8 @@ from .errors import (
     NumericBlowup,
     VacuumBreach,
 )
-from .fields import (Grid, RealField, dealias_values, fft_array, fft_stage, grad_arrays,
-                     ifft_array, ifft_stage)
+from .fields import (Grid, RealField, _rows, dealias_values, fft_array, fft_stage,
+                     grad_arrays, ifft_array, ifft_stage)
 from .lp_besov import BesovSpec, besov_norm, tilde_norm
 from .model import (
     EffectiveState,
@@ -114,6 +115,19 @@ def _unchecked(cls, *values):
     return obj
 
 
+def _each(fn, *stacks):
+    """``fn`` of stacks of spectral unknowns: one call on ndarray stacks
+    (a 1-D grid), else an iterator that calls it per unknown, as reached."""
+    if isinstance(stacks[0], np.ndarray):
+        return fn(*stacks)
+    return (fn(*arrays) for arrays in zip(*stacks))
+
+
+def _held(stack):
+    """An ndarray stack as it is, the arrays of any other iterable as a list."""
+    return stack if isinstance(stack, np.ndarray) else list(stack)
+
+
 class _Scheme:
     """The integrating-factor Heun step of one formulation on raw arrays.
 
@@ -121,49 +135,56 @@ class _Scheme:
     here, and ``step`` neither validates the configuration nor rebuilds it.
     The unknowns are the scalar (rho or q) followed by the vector
     components (u or v); the first ``on_grid`` of them stay on the grid and
-    the rest are carried as half spectra, all transformed in one stage.
+    the rest, the spectral unknowns, are carried as half spectra, all
+    transformed in one stage. On a 1-D grid the spectral unknowns are one
+    stack, so every Heun operation and their finiteness check run once on
+    it; on a 2-D grid they are a list of arrays, taken one at a time.
     """
 
     def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
         self.grid, self.params, self.cfg = g, params, cfg
-        fac = np.exp(-params.mu * g.half_k2 * cfg.dt)
+        self.fac = np.exp(-params.mu * g.half_k2 * cfg.dt)
         if cfg.formulation == "primitive":
             # the mass equation has no Laplacian: the density stays on the
-            # grid with factor 1.0, which the scheme keeps exact
-            self.on_grid, self.facs = 1, [1.0] + [fac] * g.dim
+            # grid, where its factor would be 1.0 (and 1.0 * x is x)
+            self.on_grid = 1
             self.kind, self.detail = PrimitiveState, "density-velocity state"
             self.min_rho = np.ndarray.min
+            # mu*|k|^2 made once where it is short (a 1-D grid); a 2-D
+            # tendency forms it per use rather than keep a full array
+            self.consts = {"lin": params.mu * g.half_k2 if g.dim == 1 else None}
         else:
-            self.on_grid, self.facs = 0, [fac] * (1 + g.dim)
+            self.on_grid = 0
             self.kind, self.detail = EffectiveState, "log-density state"
             self.min_rho = lambda q: params.rho_bar * np.exp(q.min())
-
-    def spectra(self, vals) -> list:
-        """The carried form of every unknown from its samples."""
-        k = self.on_grid
-        return [*vals[:k], *fft_stage(self.grid, vals[k:])]
-
-    def samples(self, carried) -> list:
-        """Samples of every unknown from an iterable of their carried forms."""
-        carried = iter(carried)
-        return [*itertools.islice(carried, self.on_grid), *ifft_stage(self.grid, carried)]
+            self.consts = {"a_ik": [params.a * k for k in g.half_ik]}
 
     def tendencies(self, vals, hats):
-        g, params = self.grid, self.params
-        if self.kind is PrimitiveState:
-            d_scalar, d_vector = rhs_primitive(g, params, vals[0], vals[1:], hats[1:])
+        """The tendencies of the on-grid unknowns (a list) and of the
+        spectral ones (a stack where ``hats`` is one)."""
+        if self.on_grid:
+            d_rho, spectral = rhs_primitive(self.grid, self.params, vals[0], vals[1:], hats,
+                                            **self.consts)
+            on_grid = [d_rho]
         else:
-            d_scalar, d_vector = rhs_effective(g, params, vals[0], hats[0], vals[1:], hats[1:])
-        return [d_scalar, *d_vector]
+            d_q, d_v = rhs_effective(self.grid, self.params, vals[0], hats[0], vals[1:],
+                                     hats[1:], **self.consts)
+            on_grid, spectral = [], [d_q, *d_v]
+        return on_grid, _rows(spectral) if isinstance(hats, np.ndarray) else spectral
 
-    def guard(self, vals, t):
-        """Raise on a non-finite unknown, then on a density minimum at or
-        below the vacuum floor."""
-        if not all(np.isfinite(a).all() for a in vals):
+    def guarded_samples(self, on_grid, hats, t):
+        """Samples of every unknown from the on-grid ones and the half
+        spectra of the others; raises on a non-finite unknown, then on a
+        density minimum at or below the vacuum floor."""
+        spectral = _held(ifft_stage(self.grid, hats))
+        checked = on_grid + [spectral] if isinstance(spectral, np.ndarray) else on_grid + spectral
+        if not all(np.isfinite(a).all() for a in checked):
             raise NumericBlowup(t, self.detail)
+        vals = [*on_grid, *spectral]
         m = float(self.min_rho(vals[0]))
         if m <= self.cfg.vacuum_floor:
             raise VacuumBreach(t, m)
+        return vals
 
     def values(self, state) -> list:
         if not isinstance(state, self.kind):
@@ -178,30 +199,31 @@ class _Scheme:
         """The state of guarded samples; neither the samples nor the density
         are checked again."""
         g = self.grid
-        scalar, *vector = (_unchecked(RealField, g, a) for a in vals)
+        scalar, *vector = [_unchecked(RealField, g, a) for a in vals]
         return _unchecked(self.kind, scalar, tuple(vector))
 
     def step(self, vals, t: float) -> list:
         """Samples of every unknown at t + dt from those at t.
 
-        Each unknown w is carried by W (its half spectrum, or w itself on
-        the grid) with factor exp(-L dt); with N the tendency beyond -L W
-        the step is
-        W* = exp(-L dt) (W + dt N), W_new = exp(-L dt) W + dt/2 (exp(-L dt) N + N*).
+        Each spectral unknown W (a half spectrum) carries the factor
+        e = exp(-L dt); with N the tendency beyond -L W the step is
+        W* = e (W + dt N), W_new = e W + dt/2 (e N + N*).
+        An on-grid unknown w has no linear part (e = 1):
+        w* = w + dt n, w_new = w + dt/2 (n + n*).
         The guard after each Heun stage is the only check: a non-finite
         tendency reaches it as a non-finite unknown.
         """
-        dt, facs = self.cfg.dt, self.facs
-        hat0 = self.spectra(vals)
-        n0 = self.tendencies(vals, hat0)
-        hat_star = [f * (w + dt * n) for f, w, n in zip(facs, hat0, n0)]
-        vals_star = self.samples(hat_star)
-        self.guard(vals_star, t + dt)
-        n1 = self.tendencies(vals_star, hat_star)
-        out = self.samples(f * w + 0.5 * dt * (f * a + b)
-                           for f, w, a, b in zip(facs, hat0, n0, n1))
-        self.guard(out, t + dt)
-        return out
+        k, dt, e = self.on_grid, self.cfg.dt, self.fac
+        half_dt = 0.5 * dt
+        grid0, hat0 = vals[:k], _held(fft_stage(self.grid, vals[k:]))
+        d0, n0 = self.tendencies(vals, hat0)
+        hat_star = _held(_each(lambda w, n: e * (w + dt * n), hat0, n0))
+        vals_star = self.guarded_samples([w + dt * n for w, n in zip(grid0, d0)], hat_star,
+                                         t + dt)
+        d1, n1 = self.tendencies(vals_star, hat_star)
+        return self.guarded_samples(
+            [w + half_dt * (a + b) for w, a, b in zip(grid0, d0, d1)],
+            _each(lambda w, a, b: e * w + half_dt * (e * a + b), hat0, n0, n1), t + dt)
 
 
 @functools.lru_cache(maxsize=8)

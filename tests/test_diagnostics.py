@@ -525,6 +525,29 @@ class TestCsv:
             assert float(row[1]) == rec.mass
             assert float(row[11]) == rec.lp_gain[4]
 
+    def test_row_format_equals_per_value_join(self, quantum_run, tmp_path):
+        # one % format per row writes the bytes that one "%.17g" per value,
+        # joined by commas, wrote: for the run's records and for nan (a
+        # missing gain), +-inf, -0.0 and the smallest subnormal, as Python
+        # floats and as numpy scalars
+        _, res = quantum_run
+        odd = [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(-0.0),
+               np.float64(5e-324), np.float64(math.inf)]
+        recs = list(res.records) + [
+            record(0.5, {4: v, 16: -v}, e=v, b=-v, mass=np.float64(1.0), min_rho=v,
+                   h1_sqrt=np.float64(-0.0))
+            for v in odd]
+        path = tmp_path / "series.csv"
+        write_csv(recs, path)
+        want = [",".join(CSV_COLUMNS)]
+        for rec in recs:
+            values = [getattr(rec, c) for c in CSV_COLUMNS if not c.startswith("lp_gain_p")]
+            values += [rec.lp_gain.get(k, math.nan) for k in (4, 8, 16)]
+            want.append(",".join("%.17g" % v for v in values))
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+        assert b"nan" in path.read_bytes() and b"-inf" in path.read_bytes()
+        assert b"-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
+
     def test_deterministic_bytes(self, quantum_run, tmp_path):
         p, res = quantum_run
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -586,6 +609,33 @@ class TestLpGain:
         rep = lp_gain_check(recs, 4, p, dim=1)
         assert math.isfinite(rep.rhs[0]) and rep.rhs[1] == math.inf
         assert "overflows" in rep.note
+        assert rep.verdict is True
+
+    @pytest.mark.parametrize("a", [0.8, 1e200])
+    def test_overflowing_power_is_inf(self, a):
+        # (1e200)^(4/(p-2)) at p = 4, or a^2 for a huge a, overflows a float
+        # power: each factor is inf, not an OverflowError, the bound at t = 0
+        # is 2^(1/p) times the bracket, and after it the bound is inf
+        p = PhysParams(mu=0.2, kappa=0.04, a=a)
+        recs = [record(0.0, {2: 1e200, 4: 0.3}), record(0.5, {2: 1e200, 4: 0.31})]
+        rep = lp_gain_check(recs, 4, p, dim=1)
+        assert rep.rhs[1] == math.inf
+        assert rep.note == "the bound overflows to inf"
+        if a < 1:
+            bracket = 0.3 + 1e100 * (a * a / 2.0) ** 0.25 * 16.0 ** 0.25 * 0.5 ** 0.25
+            assert rep.rhs[0] == pytest.approx(2.0 ** 0.25 * bracket, rel=1e-14)
+            assert rep.verdict is True
+        else:
+            assert rep.rhs[0] == math.inf
+
+    def test_no_pressure_no_growth(self):
+        # a = 0: the rate is 0 however large the statistic, and the bound is
+        # 2^(1/p) times the initial value at every time
+        p = PhysParams(mu=0.2, kappa=0.04, a=0.0)
+        recs = [record(0.0, {2: 1e200, 4: 0.3}), record(0.5, {2: 1e200, 4: 0.31})]
+        rep = lp_gain_check(recs, 4, p, dim=1)
+        assert rep.rhs == [2.0 ** 0.25 * 0.3] * 2
+        assert rep.note == ""
         assert rep.verdict is True
 
     @pytest.mark.parametrize("p_exp", [4, 8, 16])

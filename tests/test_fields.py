@@ -22,7 +22,7 @@ from capns.fields import (
     lp_norms,
     transform,
 )
-from capns.model import PhysParams, _hessian_hats, _pairs
+from capns.model import PhysParams, _hessian
 from capns.presets import Preset, build
 
 TAU = 2.0 * math.pi
@@ -63,6 +63,25 @@ class TestGrid:
     def test_grid_equality_on_parameters(self):
         assert Grid(1, 16) == Grid(1, 16)
         assert Grid(1, 16) != Grid(1, 32)
+
+    @pytest.mark.parametrize("n,length", [(16, TAU), (64, 1.0)])
+    def test_cached_multipliers_are_the_products(self, n, length):
+        # a 1-D grid keeps i k mask and (i k)^2, bit for bit the products a
+        # tendency would form; a 2-D grid keeps none of these full arrays
+        g = Grid(1, n, length)
+        (ik,) = g.half_ik
+        assert len(g.half_ik_mask) == len(g.half_hessian) == 1
+        for cached, product in ((g.half_ik_mask[0], ik * g.half_mask),
+                                (g.half_hessian[0], ik * ik)):
+            assert np.array_equal(cached.view(np.int64), product.view(np.int64))
+        g2 = Grid(2, n, length)
+        assert g2.half_ik_mask is None and g2.half_hessian is None
+
+    def test_symmetric_pairs_and_index(self):
+        assert Grid(1, 8).sym_pairs == ((0, 0),) and Grid(1, 8).sym_index == ((0,),)
+        g = Grid(2, 8)
+        assert g.sym_pairs == ((0, 0), (0, 1), (1, 1))
+        assert g.sym_index == ((0, 1), (1, 2))
 
 
 class TestTransforms:
@@ -135,9 +154,9 @@ class TestDerivatives:
         sympy = pytest.importorskip("sympy")
         g = Grid(2, 32)
         x, y = g.x
-        assert _pairs(2) == [(0, 0), (0, 1), (1, 1)]
-        H = dict(zip(_pairs(2), (ifft_array(g, h) for h in
-                                 _hessian_hats(g, fft_array(g, np.sin(x) * np.cos(y))))))
+        assert g.sym_pairs == ((0, 0), (0, 1), (1, 1))
+        fhat = fft_array(g, np.sin(x) * np.cos(y))
+        H = dict(zip(g.sym_pairs, (ifft_array(g, h * fhat) for h in _hessian(g))))
         xs, ys = sympy.symbols("x y")
         expr = sympy.sin(xs) * sympy.cos(ys)
         for i, si in enumerate((xs, ys)):
