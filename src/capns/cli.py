@@ -96,9 +96,9 @@ def load_config(path) -> tuple:
     cp.optionxform = str
     errors = []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:  # missing, unreadable or not UTF-8 text
         return {}, [f"config: cannot read {path}: {ex}"]
     except configparser.Error as ex:
         return {}, [f"config: parse failure: {ex}"]

@@ -15,11 +15,10 @@ needs only those columns of a spectrum. The helpers ``fft_array``,
 ``Grid.half_ik``, ``half_k2``, ``half_kmag``, ``half_mask`` and
 ``half_weight``, the mask's column extent ``half_mask_columns`` and the
 largest wavenumber ``kmax`` cached on the grid; ``dealias_values``
-multiplies and inverts the mask's columns only. The tendencies' index
-pairs of a symmetric tensor (``sym_pairs``, ``sym_index``) are cached too,
-and so are their products of multipliers (``half_ik_mask``,
-``half_hessian``) on a 1-D grid, where they are short vectors; a 2-D grid
-keeps none of those full half-spectrum arrays. The helpers transform the
+multiplies and inverts the mask's columns only. The index pairs of a
+symmetric tensor (``sym_pairs``, ``sym_index``) are cached too, but no
+product of multipliers is: the 1-D tendencies keep theirs, short vectors,
+in ``model``, and the 2-D ones form each per use. The helpers transform the
 trailing ``grid.dim`` axes only, so a stack with leading axes (time levels,
 vector components) goes through one transform call, slice by slice
 bit-identical to transforming each slice alone. ``fft_stage`` and
@@ -141,27 +140,6 @@ class Grid:
         at = {pair: m for m, pair in enumerate(self.sym_pairs)}
         return tuple(tuple(at[min(i, j), max(i, j)] for j in range(self.dim))
                      for i in range(self.dim))
-
-    @cached_property
-    def half_ik_mask(self):
-        """``half_ik`` times ``half_mask`` per axis, the derivative of a
-        2/3-truncated spectrum in one multiply, kept on a 1-D grid only (see
-        ``half_hessian``); None on a 2-D grid."""
-        if self.dim == 1:
-            return tuple(ik * self.half_mask for ik in self.half_ik)
-        return None
-
-    @cached_property
-    def half_hessian(self):
-        """The Hessian multipliers (i k_i)(i k_j), one per pair of
-        ``sym_pairs``, kept on a 1-D grid only: there they are short
-        vectors, while on a 2-D grid they would fill the half spectrum and
-        stay resident with the grid, so a 2-D caller forms each per use
-        (None here)."""
-        if self.dim == 1:
-            ik = self.half_ik
-            return tuple(ik[i] * ik[j] for i, j in self.sym_pairs)
-        return None
 
     @cached_property
     def half_k2(self) -> np.ndarray:

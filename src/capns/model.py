@@ -22,21 +22,24 @@ samples with their half spectra and return each diffusive unknown's
 tendency as a half spectrum, without the mu*Laplacian that the integrating
 factor carries; each truncated product costs one forward transform and a
 mask multiply. Their transforms are grouped into the sequential stages of
-the formulas, one ``fft_stage``/``ifft_stage`` call each, so a 1-D
-tendency makes one transform call per stage. The multipliers they apply
-come from the grid (i k mask and the Hessian products are cached on a 1-D
-grid, formed per use on a 2-D one, see ``fields.Grid``) or from the
-stepper, which makes a*i*k, and on a 1-D grid mu*|k|^2, once per scheme;
-a 2-D stage still takes its inputs one array at a time, which is why sums
-over components are generator sums. They check nothing: the stepper's
-guard rejects a non-finite result one stage later.
+the formulas, one ``fft_stage``/``ifft_stage`` call each, and the grid's
+dimension picks the body that runs them. The 1-D body is written for one
+axis: each stage is one transform call on the array of its rows, and its
+multipliers (i k mask, (i k)^2, mu*|k|^2, a*i*k) are made once per (grid,
+params) by ``_line``. The 2-D body takes each stage's arrays one at a time,
+as they are reached, and forms its multipliers per use, so that no more
+full arrays are live than the formulas need; its sums over components are
+generator sums for that reason. They check nothing: the stepper's guard
+rejects a non-finite result one stage later.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,10 +138,10 @@ def _check_density(rho):
 # -- capillarity divergence -------------------------------------------------
 
 def _hessian(g):
-    """The Hessian multipliers of ``g`` in ``sym_pairs`` order: the cached
-    ones of a 1-D grid, or each formed as it is reached on a 2-D grid."""
+    """The Hessian multipliers of ``g`` in ``sym_pairs`` order, each formed
+    as it is reached."""
     ik = g.half_ik
-    return g.half_hessian or (ik[i] * ik[j] for i, j in g.sym_pairs)
+    return (ik[i] * ik[j] for i, j in g.sym_pairs)
 
 
 def _div_sym_hat(g, hats):
@@ -206,7 +209,27 @@ def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
 
 # -- right-hand sides --------------------------------------------------------
 
-def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats, *, lin=None):
+class _Line(NamedTuple):
+    """The multipliers of the 1-D tendencies at one (grid, params)."""
+
+    mask: np.ndarray
+    ik: np.ndarray
+    ik_mask: np.ndarray  # i k mask: the derivative of a truncated spectrum
+    hessian: np.ndarray  # (i k)^2
+    lin: np.ndarray  # mu |k|^2
+    a_ik: np.ndarray  # a i k: the gradient of the linear pressure
+
+
+@functools.lru_cache(maxsize=8)
+def _line(g: Grid, p: PhysParams) -> _Line:
+    """The 1-D multipliers at (g, p), made on first use and kept; each is a
+    short vector, bit for bit the product the 2-D bodies form per use."""
+    (ik,) = g.half_ik
+    mask = g.half_mask
+    return _Line(mask, ik, ik * mask, ik * ik, p.mu * g.half_k2, p.a * ik)
+
+
+def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats):
     """Tendencies of (rho, u) from density samples r, velocity samples u and
     the half spectra uhats of u.
 
@@ -218,15 +241,15 @@ def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats, *, lin=None):
     compact div K that ``verify divk`` checks), and advection and force are
     truncated together by one mask. Five transform stages: the mass flux and
     ln r; d_t rho, Du and the Hessian; the stress; the force; the momentum.
-    ``lin`` is mu*|k|^2 on the half spectrum, which a stepper makes once;
-    without it, each velocity component's term forms it.
+    On a 1-D grid the tendencies come back as a one-row stack.
     """
+    if g.dim == 1:
+        return _primitive_line(g, p, r, u[0], uhats)
     mask, ik, dim = g.half_mask, g.half_ik, g.dim
     # arrays no later stage reads are dropped as soon as they are used up,
     # which keeps the peak memory of a 2-D step where it was
     *flux, lhat = fft_stage(g, [*[r * c for c in u], np.log(r)])
-    ikm = g.half_ik_mask or (k * mask for k in ik)
-    drho_hat = sum(k * f for k, f in zip(ikm, flux))
+    drho_hat = sum(k * mask * f for k, f in zip(ik, flux))
     del flux
     drho, *grads = ifft_stage(g, itertools.chain(
         (drho_hat,), (k * w for w in uhats for k in ik), (h * lhat for h in _hessian(g))))
@@ -245,11 +268,25 @@ def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats, *, lin=None):
     forces = ifft_stage(g, _div_sym_hat(g, fft_stage(g, stress())))
     momentum = fft_stage(g, (f / r - sum(u[j] * grads[i * dim + j] for j in range(dim))
                              for i, f in enumerate(forces)))
-    return drho, [mask * h + (p.mu * g.half_k2 if lin is None else lin) * w
-                  for h, w in zip(momentum, uhats)]
+    return drho, [mask * h + p.mu * g.half_k2 * w for h, w in zip(momentum, uhats)]
 
 
-def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats, *, a_ik=None):
+def _primitive_line(g, p, r, u, uhats):
+    """``rhs_primitive`` on a 1-D grid for the velocity samples ``u``: the
+    same stages and products, each stage one transform call on its rows."""
+    m = _line(g, p)
+    flux, lhat = fft_stage(g, np.array([r * u, np.log(r)]))
+    drho, du, hess = ifft_stage(g, np.array([m.ik_mask * flux, m.ik * uhats[0],
+                                             m.hessian * lhat]))
+    press = p.a * r if p.gamma == 1.0 else p.a * r ** p.gamma
+    stress = r * (p.mu * (du + du) + p.kappa * hess)
+    stress -= press
+    (force,) = ifft_stage(g, m.ik * (m.mask * fft_stage(g, stress[None])))
+    momentum = fft_stage(g, (force / r - u * du)[None])
+    return -drho, m.mask * momentum + m.lin * uhats
+
+
+def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats):
     """Tendencies of (q, v) from samples q, v and their half spectra.
 
     Returns, for q and per component of v, the half spectrum of
@@ -260,10 +297,11 @@ def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats, *, a_ik=None):
     (the gradients, then the products); away from it the Hessian of q joins
     the first, and the capillary correction adds an inverse and a forward
     stage. kappa < mu^2 is not checked here: the stepper's configuration
-    check rejects it before the first step. ``a_ik`` is a*i*k per axis, the
-    multiplier of the linear pressure's gradient, which a stepper computes
-    once; without it, it is computed here.
+    check rejects it before the first step. On a 1-D grid the tendencies
+    of v come back as a one-row stack.
     """
+    if g.dim == 1:
+        return _effective_line(g, p, q, qhat, v[0], vhats[0])
     excess = p.kappa - p.mu ** 2
     mask, ik, dim = g.half_mask, g.half_ik, g.dim
     quantum = p.is_quantum()
@@ -295,6 +333,35 @@ def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats, *, a_ik=None):
     nq = -sum(k * w for k, w in zip(ik, vhats)) - mask * next(out)
     out = [mask * h for h in out]
     if p.gamma == 1.0:
-        a_ik = [p.a * k for k in ik] if a_ik is None else a_ik
-        out = [h - m * qhat for h, m in zip(out, a_ik)]
+        out = [h - p.a * k * qhat for h, k in zip(out, ik)]
     return nq, out
+
+
+def _effective_line(g, p, q, qhat, v, vhat):
+    """``rhs_effective`` on a 1-D grid for the samples ``v`` and half
+    spectrum ``vhat`` of the velocity: the same stages and products, each
+    stage one transform call on its rows."""
+    m = _line(g, p)
+    quantum = p.is_quantum()
+    if quantum:
+        gq, dv = ifft_stage(g, np.array([m.ik * qhat, m.ik * vhat]))
+    else:
+        gq, dv, hess = ifft_stage(g, np.array([m.ik * qhat, m.ik * vhat, m.hessian * qhat]))
+    u = v - p.mu * gq
+    transport = u * gq
+    term = (p.mu * gq - u) * dv
+    if p.gamma != 1.0 or not quantum:
+        rho = p.rho_bar * np.exp(q)
+    if p.gamma != 1.0:
+        term -= p.a * p.gamma * rho ** (p.gamma - 1.0) * gq
+    if quantum:
+        transport_hat, term_hat = fft_stage(g, np.array([transport, term]))
+    else:
+        transport_hat, entry = fft_stage(g, np.array([transport, rho * hess]))
+        (corr,) = ifft_stage(g, (m.ik * (m.mask * entry))[None])
+        (term_hat,) = fft_stage(g, (term + (p.kappa - p.mu ** 2) * corr / rho)[None])
+    nq = -(m.ik * vhat) - m.mask * transport_hat
+    nv = m.mask * term_hat
+    if p.gamma == 1.0:
+        nv -= m.a_ik * qhat
+    return nq, nv[None]

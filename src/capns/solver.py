@@ -7,9 +7,12 @@ the velocity only (the mass equation carries no Laplacian); in the
 log-density formulation it acts on both unknowns. The explicitly treated
 capillary operator imposes a step ceiling dt <= c_stab * h^2 / max(mu,
 sqrt(kappa)) which is enforced before stepping. Each Heun stage takes its
-explicit terms from one call of ``rhs_primitive`` or ``rhs_effective``; on
-a 1-D grid the half spectra of the carried unknowns are one stack, so each
-Heun operation and each finiteness check runs once for all of them.
+explicit terms from one call of ``rhs_primitive`` or ``rhs_effective``. The
+grid's dimension picks the step: on a 1-D grid (``_LineScheme``) the half
+spectra of the carried unknowns are one stack, so each Heun operation and
+each finiteness check runs once for all of them, and leading axes (a stack
+of members) pass through; on a 2-D grid (``_Scheme``) the unknowns are
+taken one at a time, as the 2-D tendencies take them.
 Every explicit product is truncated by the 2/3 rule, in the step and in
 the fixed-point iteration below; the truncation is part of the scheme and
 has no switch.
@@ -42,8 +45,8 @@ from .errors import (
     NumericBlowup,
     VacuumBreach,
 )
-from .fields import (Grid, RealField, _rows, dealias_values, fft_array, fft_stage,
-                     grad_arrays, ifft_array, ifft_stage)
+from .fields import (Grid, RealField, dealias_values, fft_array, fft_stage, grad_arrays,
+                     ifft_array, ifft_stage)
 from .lp_besov import BesovSpec, besov_norm, tilde_norm
 from .model import (
     EffectiveState,
@@ -115,19 +118,6 @@ def _unchecked(cls, *values):
     return obj
 
 
-def _each(fn, *stacks):
-    """``fn`` of stacks of spectral unknowns: one call on ndarray stacks
-    (a 1-D grid), else an iterator that calls it per unknown, as reached."""
-    if isinstance(stacks[0], np.ndarray):
-        return fn(*stacks)
-    return (fn(*arrays) for arrays in zip(*stacks))
-
-
-def _held(stack):
-    """An ndarray stack as it is, the arrays of any other iterable as a list."""
-    return stack if isinstance(stack, np.ndarray) else list(stack)
-
-
 class _Scheme:
     """The integrating-factor Heun step of one formulation on raw arrays.
 
@@ -135,10 +125,9 @@ class _Scheme:
     here, and ``step`` neither validates the configuration nor rebuilds it.
     The unknowns are the scalar (rho or q) followed by the vector
     components (u or v); the first ``on_grid`` of them stay on the grid and
-    the rest, the spectral unknowns, are carried as half spectra, all
-    transformed in one stage. On a 1-D grid the spectral unknowns are one
-    stack, so every Heun operation and their finiteness check run once on
-    it; on a 2-D grid they are a list of arrays, taken one at a time.
+    the rest, the spectral unknowns, are carried as half spectra. This is
+    the step of a 2-D grid: every stage takes its arrays one at a time, as
+    they are reached (``_LineScheme`` is the step of a 1-D grid).
     """
 
     def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
@@ -150,37 +139,27 @@ class _Scheme:
             self.on_grid = 1
             self.kind, self.detail = PrimitiveState, "density-velocity state"
             self.min_rho = np.ndarray.min
-            # mu*|k|^2 made once where it is short (a 1-D grid); a 2-D
-            # tendency forms it per use rather than keep a full array
-            self.consts = {"lin": params.mu * g.half_k2 if g.dim == 1 else None}
         else:
             self.on_grid = 0
             self.kind, self.detail = EffectiveState, "log-density state"
             self.min_rho = lambda q: params.rho_bar * np.exp(q.min())
-            self.consts = {"a_ik": [params.a * k for k in g.half_ik]}
 
     def tendencies(self, vals, hats):
-        """The tendencies of the on-grid unknowns (a list) and of the
-        spectral ones (a stack where ``hats`` is one)."""
+        """The tendencies of the on-grid unknowns and of the spectral ones,
+        two lists."""
         if self.on_grid:
-            d_rho, spectral = rhs_primitive(self.grid, self.params, vals[0], vals[1:], hats,
-                                            **self.consts)
-            on_grid = [d_rho]
-        else:
-            d_q, d_v = rhs_effective(self.grid, self.params, vals[0], hats[0], vals[1:],
-                                     hats[1:], **self.consts)
-            on_grid, spectral = [], [d_q, *d_v]
-        return on_grid, _rows(spectral) if isinstance(hats, np.ndarray) else spectral
+            d_rho, spectral = rhs_primitive(self.grid, self.params, vals[0], vals[1:], hats)
+            return [d_rho], spectral
+        d_q, d_v = rhs_effective(self.grid, self.params, vals[0], hats[0], vals[1:], hats[1:])
+        return [], [d_q, *d_v]
 
     def guarded_samples(self, on_grid, hats, t):
         """Samples of every unknown from the on-grid ones and the half
         spectra of the others; raises on a non-finite unknown, then on a
         density minimum at or below the vacuum floor."""
-        spectral = _held(ifft_stage(self.grid, hats))
-        checked = on_grid + [spectral] if isinstance(spectral, np.ndarray) else on_grid + spectral
-        if not all(np.isfinite(a).all() for a in checked):
+        vals = on_grid + list(ifft_stage(self.grid, hats))
+        if not all(np.isfinite(a).all() for a in vals):
             raise NumericBlowup(t, self.detail)
-        vals = [*on_grid, *spectral]
         m = float(self.min_rho(vals[0]))
         if m <= self.cfg.vacuum_floor:
             raise VacuumBreach(t, m)
@@ -215,15 +194,65 @@ class _Scheme:
         """
         k, dt, e = self.on_grid, self.cfg.dt, self.fac
         half_dt = 0.5 * dt
-        grid0, hat0 = vals[:k], _held(fft_stage(self.grid, vals[k:]))
+        grid0, hat0 = vals[:k], list(fft_stage(self.grid, vals[k:]))
         d0, n0 = self.tendencies(vals, hat0)
-        hat_star = _held(_each(lambda w, n: e * (w + dt * n), hat0, n0))
+        hat_star = [e * (w + dt * n) for w, n in zip(hat0, n0)]
         vals_star = self.guarded_samples([w + dt * n for w, n in zip(grid0, d0)], hat_star,
                                          t + dt)
         d1, n1 = self.tendencies(vals_star, hat_star)
         return self.guarded_samples(
             [w + half_dt * (a + b) for w, a, b in zip(grid0, d0, d1)],
-            _each(lambda w, a, b: e * w + half_dt * (e * a + b), hat0, n0, n1), t + dt)
+            (e * w + half_dt * (e * a + b) for w, a, b in zip(hat0, n0, n1)), t + dt)
+
+
+class _LineScheme(_Scheme):
+    """The step of ``_Scheme`` on a 1-D grid, written for one axis.
+
+    The spectral unknowns are the rows of one stack (the velocity alone, or
+    q and v), so each transform stage, each Heun operation and each
+    finiteness check is one call for all of them. Leading axes of the
+    samples (a stack of members) pass through every operation.
+    """
+
+    def guarded_rows(self, rho, hats, t):
+        """The samples of the rows of ``hats``, guarded as in
+        ``guarded_samples``; ``rho`` is the on-grid density, or None."""
+        rows = ifft_stage(self.grid, hats)
+        if not (np.isfinite(rows).all() and (rho is None or np.isfinite(rho).all())):
+            raise NumericBlowup(t, self.detail)
+        m = float(self.min_rho(rows[0] if rho is None else rho))
+        if m <= self.cfg.vacuum_floor:
+            raise VacuumBreach(t, m)
+        return rows
+
+    def step(self, vals, t: float) -> list:
+        """``_Scheme.step`` with the spectral unknowns as one stack."""
+        g, p, dt, e = self.grid, self.params, self.cfg.dt, self.fac
+        half_dt, t_next = 0.5 * dt, t + dt
+        if self.on_grid:
+            rho, u = vals
+            rows = u[None]
+            hat = fft_stage(g, rows)
+            d0, n0 = rhs_primitive(g, p, rho, rows, hat)
+            rho_star = rho + dt * d0
+            hat_star = e * (hat + dt * n0)
+            u_star = self.guarded_rows(rho_star, hat_star, t_next)
+            d1, n1 = rhs_primitive(g, p, rho_star, u_star, hat_star)
+            rho_new = rho + half_dt * (d0 + d1)
+            return [rho_new, *self.guarded_rows(rho_new, e * hat + half_dt * (e * n0 + n1),
+                                                t_next)]
+        rows = np.array(vals)
+        hat = fft_stage(g, rows)
+        n0 = self.effective_rows(rows, hat)
+        hat_star = e * (hat + dt * n0)
+        rows = self.guarded_rows(None, hat_star, t_next)
+        n1 = self.effective_rows(rows, hat_star)
+        return list(self.guarded_rows(None, e * hat + half_dt * (e * n0 + n1), t_next))
+
+    def effective_rows(self, rows, hats):
+        """The stack of the tendencies of q and v from their rows."""
+        d_q, d_v = rhs_effective(self.grid, self.params, rows[0], hats[0], rows[1:], hats[1:])
+        return np.concatenate((d_q[None], d_v))
 
 
 @functools.lru_cache(maxsize=8)
@@ -234,7 +263,7 @@ def _scheme(g: Grid, params: PhysParams, cfg: SolverConfig) -> _Scheme:
     valid, and the steps of a run reuse one factor exp(-mu k^2 dt).
     """
     cfg.validate_for(g, params)
-    return _Scheme(g, params, cfg)
+    return (_LineScheme if g.dim == 1 else _Scheme)(g, params, cfg)
 
 
 def step_imex(state, params: PhysParams, cfg: SolverConfig, t: float = 0.0):

@@ -158,6 +158,20 @@ class TestRunCommand:
         assert main(["run", "--config", str(tmp_path / "absent.ini")]) \
             == EXIT_BAD_CONFIG
 
+    @pytest.mark.parametrize("command", ["run", "lifespan", "picard", "besov"])
+    def test_config_that_is_not_utf8_text(self, tmp_path, capsys, command):
+        # bytes that do not decode are a config that cannot be read, as a
+        # missing file is: exit 2 with its payload, not a traceback
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff\xfe[grid]\nn = 64\n")
+        json_path = tmp_path / "out.json"
+        assert main([command, "--config", str(cfg), "--json", str(json_path)]) \
+            == EXIT_BAD_CONFIG
+        payload = json.loads(json_path.read_text())
+        assert payload["cause"] == "invalid_config"
+        assert payload["errors"][0].startswith(f"config: cannot read {cfg}: ")
+        assert f"config error: config: cannot read {cfg}" in capsys.readouterr().out
+
     def test_vacuum_breach_cause(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", base_sections(
             solver={"vacuum_floor": 0.9, "t_end": 0.01},

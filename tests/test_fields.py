@@ -22,7 +22,7 @@ from capns.fields import (
     lp_norms,
     transform,
 )
-from capns.model import PhysParams, _hessian
+from capns.model import PhysParams, _hessian, _line
 from capns.presets import Preset, build
 
 TAU = 2.0 * math.pi
@@ -66,16 +66,16 @@ class TestGrid:
 
     @pytest.mark.parametrize("n,length", [(16, TAU), (64, 1.0)])
     def test_cached_multipliers_are_the_products(self, n, length):
-        # a 1-D grid keeps i k mask and (i k)^2, bit for bit the products a
-        # tendency would form; a 2-D grid keeps none of these full arrays
+        # the 1-D tendencies keep i k mask, (i k)^2, mu |k|^2 and a i k per
+        # (grid, params), bit for bit the products the 2-D bodies form per use
         g = Grid(1, n, length)
+        p = PhysParams(mu=0.15, kappa=0.04, a=0.9)
         (ik,) = g.half_ik
-        assert len(g.half_ik_mask) == len(g.half_hessian) == 1
-        for cached, product in ((g.half_ik_mask[0], ik * g.half_mask),
-                                (g.half_hessian[0], ik * ik)):
+        m = _line(g, p)
+        for cached, product in ((m.ik_mask, ik * g.half_mask), (m.hessian, next(_hessian(g))),
+                                (m.lin, p.mu * g.half_k2), (m.a_ik, p.a * ik)):
             assert np.array_equal(cached.view(np.int64), product.view(np.int64))
-        g2 = Grid(2, n, length)
-        assert g2.half_ik_mask is None and g2.half_hessian is None
+        assert _line(Grid(1, n, length), PhysParams(mu=0.15, kappa=0.04, a=0.9)) is m
 
     def test_symmetric_pairs_and_index(self):
         assert Grid(1, 8).sym_pairs == ((0, 0),) and Grid(1, 8).sym_index == ((0,),)

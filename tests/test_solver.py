@@ -306,6 +306,64 @@ class TestStepMemory:
         assert peak <= arrays * 8 * g.n ** 2
 
 
+def _unknowns(state) -> list:
+    """The sample arrays of a state: the scalar, then each vector component."""
+    scalar, vector = (state.rho, state.u) if isinstance(state, PrimitiveState) \
+        else (state.q, state.v)
+    return [scalar.values] + [c.values for c in vector]
+
+
+def _profile(dim, formulation, params):
+    """rho = 1 + 0.2 cos x + 0.05 sin 3x, u = 0.1 sin 2x on n = 32: the 1-D
+    state, or the 2-D one constant along the second axis with u_2 = 0."""
+    g = Grid(dim, 32)
+    x = g.x[0]
+    rho = RealField(g, 1.0 + 0.2 * np.cos(x) + 0.05 * np.sin(3 * x))
+    u = (RealField(g, 0.1 * np.sin(2 * x)),) + (zero(g),) * (dim - 1)
+    state = PrimitiveState(rho, u)
+    return state if formulation == "primitive" else to_effective(state, params)
+
+
+class TestLineStep:
+    """The 1-D step is written apart from the 2-D one: both must step the
+    same physics, and the 1-D one must broadcast over leading axes."""
+
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("params", [
+        pytest.param(PhysParams(mu=0.15, kappa=0.0225), id="quantum"),
+        pytest.param(PhysParams(mu=0.15, kappa=0.0225, a=0.9, gamma=1.4), id="gamma-1.4"),
+        pytest.param(PhysParams(mu=0.15, kappa=0.04), id="kappa-above-mu2"),
+    ])
+    def test_plane_constant_along_second_axis_steps_as_the_line(self, formulation, params):
+        cfg = SolverConfig(dt=1e-3, t_end=1e-2, formulation=formulation)
+        line = _unknowns(run(_profile(1, formulation, params), params, cfg).final_state)
+        plane = _unknowns(run(_profile(2, formulation, params), params, cfg).final_state)
+        for a, b in zip(line, plane):
+            assert np.max(np.abs(b - a[:, None])) <= 1e-14
+        assert np.all(plane[2] == 0.0)
+
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    def test_members_step_as_their_solo_runs(self, formulation):
+        # a [member, n] stack through the scheme's step: each member is bit
+        # for bit its own run
+        from capns import solver
+
+        g, p = Grid(1, 128), PhysParams(mu=0.15, kappa=0.0225)
+        states = [build(Preset("smooth_bump", amplitude=a), g, p)
+                  for a in np.linspace(0.02, 0.16, 8)]
+        if formulation == "effective":
+            states = [to_effective(s, p) for s in states]
+        cfg = SolverConfig(dt=1e-3, t_end=5e-2, formulation=formulation)
+        scheme = solver._scheme(g, p, cfg)
+        stack = [np.stack(rows) for rows in zip(*map(scheme.values, states))]
+        for m in range(50):
+            stack = scheme.step(stack, m * cfg.dt)
+        for i, s in enumerate(states):
+            solo = _unknowns(run(s, p, cfg).final_state)
+            for a, b in zip(stack, solo):
+                assert np.array_equal(a[i].view(np.int64), b.view(np.int64))
+
+
 class TestRun:
     def test_zero_horizon_emits_initial_only(self):
         g = Grid(1, 64)
