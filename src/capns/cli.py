@@ -90,7 +90,8 @@ SCHEMA = {
 def load_config(path) -> tuple:
     """Parse and type-check an INI file. Returns (values, errors) where
     values is {section: {key: parsed}} and errors is a list of
-    'section.key: message' strings; any error means the config is unusable."""
+    'section.key: message' strings; any error means the config is unusable.
+    A file that cannot be read or parsed raises ConfigurationError alone."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     # keys stay case-sensitive: [lifespan] has both C and c
     cp.optionxform = str
@@ -99,9 +100,9 @@ def load_config(path) -> tuple:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
     except (OSError, UnicodeDecodeError) as ex:  # missing, unreadable or not UTF-8 text
-        return {}, [f"config: cannot read {path}: {ex}"]
+        raise ConfigurationError(f"config: cannot read {path}: {ex}") from ex
     except configparser.Error as ex:
-        return {}, [f"config: parse failure: {ex}"]
+        raise ConfigurationError(f"config: parse failure: {ex}") from ex
     values = {}
     for section in cp.sections():
         if section not in SCHEMA:
@@ -287,7 +288,7 @@ def cmd_lifespan(args, report) -> str:
     report.update(lifespan_report(inp), preset=preset.name)
     schedule_kw = {k: v for k, v in values.get("lifespan", {}).items() if k in SCHEDULE_KEYS}
     if "horizon" in schedule_kw:
-        with _prefixed("lifespan.horizon"):
+        with _prefixed("lifespan"):
             report["schedule"] = restart_schedule(lambda t: inp, **schedule_kw)
     return "ok"
 
@@ -401,7 +402,9 @@ def main(argv=None) -> int:
         try:
             sink = open(args.json, "w")
         except OSError as ex:
+            kept = report["errors"] if cause == "invalid_config" else []
             cause, report = _invalid([f"output.json: cannot write: {ex}"])
+            report["errors"][:0] = kept
     report.update(cause=cause, exit_code=CAUSE_CODES[cause])
     with sink or contextlib.nullcontext():  # file=None prints to stdout
         print(json.dumps(report, indent=2, sort_keys=True, default=float), file=sink)

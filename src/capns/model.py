@@ -17,20 +17,24 @@ the budgets, formulation equivalence and Picard contraction are all
 checked on it. ln(rho) is taken pointwise and needs a positive density;
 the vacuum floor of a run is the stepper's guard.
 
-The stepper calls ``rhs_primitive`` and ``rhs_effective``, which take grid
-samples with their half spectra and return each diffusive unknown's
-tendency as a half spectrum, without the mu*Laplacian that the integrating
-factor carries; each truncated product costs one forward transform and a
-mask multiply. Their transforms are grouped into the sequential stages of
-the formulas, one ``fft_stage``/``ifft_stage`` call each, and the grid's
-dimension picks the body that runs them. The 1-D body is written for one
-axis: each stage is one transform call on the array of its rows, and its
-multipliers (i k mask, (i k)^2, mu*|k|^2, a*i*k) are made once per (grid,
-params) by ``_line``. The 2-D body takes each stage's arrays one at a time,
-as they are reached, and forms its multipliers per use, so that no more
-full arrays are live than the formulas need; its sums over components are
-generator sums for that reason. They check nothing: the stepper's guard
-rejects a non-finite result one stage later.
+The stepper calls ``rhs_primitive`` and ``rhs_effective`` alike:
+``rhs_*(g, p, vals, hats) -> (on_grid, spectral)``. ``vals`` are the samples
+of the step's unknowns ([rho, *u] or [q, *v], with leading member axes on a
+1-D grid) and ``hats`` the half spectra of the spectral ones (a stack on a
+1-D grid, a list on a 2-D one). They return the on-grid tendencies
+([d_t rho] or []) and the spectral ones laid out like ``hats``, without the
+integrating factor's mu*Laplacian; each truncated product costs one forward
+transform and a mask multiply. Their transforms
+are grouped into the sequential stages of the formulas, one
+``fft_stage``/``ifft_stage`` call each, and the grid's dimension picks the
+body that runs them. The 1-D body is written for one axis: each stage is
+one transform call on the array of its rows, and its multipliers
+(i k mask, (i k)^2, mu*|k|^2, a*i*k) are made once per (grid, params) by
+``_line``. The 2-D body takes each stage's arrays one at a time, as they
+are reached, and forms its multipliers per use, so that no more full arrays
+are live than the formulas need; its sums over components are generator
+sums for that reason. They check nothing: the stepper's guard rejects a
+non-finite result one stage later.
 """
 
 from __future__ import annotations
@@ -229,22 +233,22 @@ def _line(g: Grid, p: PhysParams) -> _Line:
     return _Line(mask, ik, ik * mask, ik * ik, p.mu * g.half_k2, p.a * ik)
 
 
-def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats):
-    """Tendencies of (rho, u) from density samples r, velocity samples u and
-    the half spectra uhats of u.
+def rhs_primitive(g: Grid, p: PhysParams, vals, hats):
+    """Tendencies of (rho, u) from ``vals`` = [r, *u] and ``hats``, the
+    half spectra of u (see the module docstring).
 
-    Returns d_t rho on the grid (the density carries no diffusion) and, per
-    velocity component, the half spectrum of d_t u - mu*lap(u): the part of
-    the momentum equation the integrating factor leaves to the explicit
-    stage. The symmetric stress r*(2 mu Du + kappa hess ln r) - P*I is
-    summed on the grid before its transforms (its kappa part is the
-    compact div K that ``verify divk`` checks), and advection and force are
-    truncated together by one mask. Five transform stages: the mass flux and
-    ln r; d_t rho, Du and the Hessian; the stress; the force; the momentum.
-    On a 1-D grid the tendencies come back as a one-row stack.
+    Returns ([d_t rho], spectral): the undiffused density stays on the
+    grid; ``spectral``, laid out like ``hats``, holds per component of u the
+    half spectrum of d_t u - mu*lap(u). The symmetric stress
+    r*(2 mu Du + kappa hess ln r) - P*I is summed on the grid before its
+    transforms (its kappa part is the compact div K that ``verify divk``
+    checks), and advection and force are truncated together by one mask.
+    Five transform stages: the mass flux and ln r; d_t rho, Du and the
+    Hessian; the stress; the force; the momentum.
     """
     if g.dim == 1:
-        return _primitive_line(g, p, r, u[0], uhats)
+        return _primitive_line(g, p, vals, hats)
+    r, *u = vals
     mask, ik, dim = g.half_mask, g.half_ik, g.dim
     # arrays no later stage reads are dropped as soon as they are used up,
     # which keeps the peak memory of a 2-D step where it was
@@ -252,7 +256,7 @@ def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats):
     drho_hat = sum(k * mask * f for k, f in zip(ik, flux))
     del flux
     drho, *grads = ifft_stage(g, itertools.chain(
-        (drho_hat,), (k * w for w in uhats for k in ik), (h * lhat for h in _hessian(g))))
+        (drho_hat,), (k * w for w in hats for k in ik), (h * lhat for h in _hessian(g))))
     del drho_hat, lhat
     drho = -drho
     # grads[i * dim + j] = d_j u_i, then the Hessian entries in sym_pairs order
@@ -268,44 +272,46 @@ def rhs_primitive(g: Grid, p: PhysParams, r, u, uhats):
     forces = ifft_stage(g, _div_sym_hat(g, fft_stage(g, stress())))
     momentum = fft_stage(g, (f / r - sum(u[j] * grads[i * dim + j] for j in range(dim))
                              for i, f in enumerate(forces)))
-    return drho, [mask * h + p.mu * g.half_k2 * w for h, w in zip(momentum, uhats)]
+    return [drho], [mask * h + p.mu * g.half_k2 * w for h, w in zip(momentum, hats)]
 
 
-def _primitive_line(g, p, r, u, uhats):
-    """``rhs_primitive`` on a 1-D grid for the velocity samples ``u``: the
-    same stages and products, each stage one transform call on its rows."""
+def _primitive_line(g, p, vals, hats):
+    """``rhs_primitive`` on a 1-D grid: the same stages and products, each
+    stage one transform call on its rows."""
     m = _line(g, p)
+    r, u = vals
     flux, lhat = fft_stage(g, np.array([r * u, np.log(r)]))
-    drho, du, hess = ifft_stage(g, np.array([m.ik_mask * flux, m.ik * uhats[0],
+    drho, du, hess = ifft_stage(g, np.array([m.ik_mask * flux, m.ik * hats[0],
                                              m.hessian * lhat]))
     press = p.a * r if p.gamma == 1.0 else p.a * r ** p.gamma
     stress = r * (p.mu * (du + du) + p.kappa * hess)
     stress -= press
     (force,) = ifft_stage(g, m.ik * (m.mask * fft_stage(g, stress[None])))
     momentum = fft_stage(g, (force / r - u * du)[None])
-    return -drho, m.mask * momentum + m.lin * uhats
+    return [-drho], m.mask * momentum + m.lin * hats
 
 
-def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats):
-    """Tendencies of (q, v) from samples q, v and their half spectra.
+def rhs_effective(g: Grid, p: PhysParams, vals, hats):
+    """Tendencies of (q, v) from ``vals`` = [q, *v] and ``hats``, their
+    half spectra (see the module docstring).
 
-    Returns, for q and per component of v, the half spectrum of
-    d_t w - mu*lap(w): the mu*Laplacian belongs to the integrating factor
-    and is left out. Transport -(u.grad)v + mu*(grad q . grad)v is one
-    product (mu grad q - u).grad v, truncated together with the pressure
-    and capillary terms by one mask. Two transform stages at kappa = mu^2
-    (the gradients, then the products); away from it the Hessian of q joins
-    the first, and the capillary correction adds an inverse and a forward
-    stage. kappa < mu^2 is not checked here: the stepper's configuration
-    check rejects it before the first step. On a 1-D grid the tendencies
-    of v come back as a one-row stack.
+    Returns ([], spectral): ``spectral``, laid out like ``hats``, holds for
+    q and per component of v the half spectrum of d_t w - mu*lap(w).
+    Transport -(u.grad)v + mu*(grad q . grad)v is one product
+    (mu grad q - u).grad v, truncated together with the pressure and
+    capillary terms by one mask. Two transform stages at kappa = mu^2 (the
+    gradients, then the products); away from it the Hessian of q joins the
+    first, and the capillary correction adds an inverse and a forward stage.
+    kappa < mu^2 is not checked here: the stepper's configuration check
+    rejects it before the first step.
     """
     if g.dim == 1:
-        return _effective_line(g, p, q, qhat, v[0], vhats[0])
+        return _effective_line(g, p, vals, hats)
+    (q, *v), (qhat, *vhats) = vals, hats
     excess = p.kappa - p.mu ** 2
     mask, ik, dim = g.half_mask, g.half_ik, g.dim
     quantum = p.is_quantum()
-    grads = (k * w for w in (qhat, *vhats) for k in ik)
+    grads = (k * w for w in hats for k in ik)
     if not quantum:
         grads = itertools.chain(grads, (h * qhat for h in _hessian(g)))
     grads = list(ifft_stage(g, grads))
@@ -334,14 +340,14 @@ def rhs_effective(g: Grid, p: PhysParams, q, qhat, v, vhats):
     out = [mask * h for h in out]
     if p.gamma == 1.0:
         out = [h - p.a * k * qhat for h, k in zip(out, ik)]
-    return nq, out
+    return [], [nq, *out]
 
 
-def _effective_line(g, p, q, qhat, v, vhat):
-    """``rhs_effective`` on a 1-D grid for the samples ``v`` and half
-    spectrum ``vhat`` of the velocity: the same stages and products, each
+def _effective_line(g, p, vals, hats):
+    """``rhs_effective`` on a 1-D grid: the same stages and products, each
     stage one transform call on its rows."""
     m = _line(g, p)
+    q, v, qhat, vhat = vals[0], vals[1], hats[0], hats[1]  # cheaper than unpacking
     quantum = p.is_quantum()
     if quantum:
         gq, dv = ifft_stage(g, np.array([m.ik * qhat, m.ik * vhat]))
@@ -355,13 +361,13 @@ def _effective_line(g, p, q, qhat, v, vhat):
     if p.gamma != 1.0:
         term -= p.a * p.gamma * rho ** (p.gamma - 1.0) * gq
     if quantum:
-        transport_hat, term_hat = fft_stage(g, np.array([transport, term]))
+        out = m.mask * fft_stage(g, np.array([transport, term]))
     else:
         transport_hat, entry = fft_stage(g, np.array([transport, rho * hess]))
         (corr,) = ifft_stage(g, (m.ik * (m.mask * entry))[None])
         (term_hat,) = fft_stage(g, (term + (p.kappa - p.mu ** 2) * corr / rho)[None])
-    nq = -(m.ik * vhat) - m.mask * transport_hat
-    nv = m.mask * term_hat
+        out = m.mask * np.array([transport_hat, term_hat])
+    out[0] = -(m.ik * vhat) - out[0]  # the tendency of q
     if p.gamma == 1.0:
-        nv -= m.a_ik * qhat
-    return nq, nv[None]
+        out[1] -= m.a_ik * qhat
+    return [], out

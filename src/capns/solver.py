@@ -7,7 +7,9 @@ the velocity only (the mass equation carries no Laplacian); in the
 log-density formulation it acts on both unknowns. The explicitly treated
 capillary operator imposes a step ceiling dt <= c_stab * h^2 / max(mu,
 sqrt(kappa)) which is enforced before stepping. Each Heun stage takes its
-explicit terms from one call of ``rhs_primitive`` or ``rhs_effective``. The
+explicit terms from one call of ``rhs_primitive`` or ``rhs_effective``,
+both made alike with what the step holds (``model``'s convention
+``rhs_*(g, p, vals, hats) -> (on_grid, spectral)``). The
 grid's dimension picks the step: on a 1-D grid (``_LineScheme``) the half
 spectra of the carried unknowns are one stack, so each Heun operation and
 each finiteness check runs once for all of them, and leading axes (a stack
@@ -144,15 +146,6 @@ class _Scheme:
             self.kind, self.detail = EffectiveState, "log-density state"
             self.min_rho = lambda q: params.rho_bar * np.exp(q.min())
 
-    def tendencies(self, vals, hats):
-        """The tendencies of the on-grid unknowns and of the spectral ones,
-        two lists."""
-        if self.on_grid:
-            d_rho, spectral = rhs_primitive(self.grid, self.params, vals[0], vals[1:], hats)
-            return [d_rho], spectral
-        d_q, d_v = rhs_effective(self.grid, self.params, vals[0], hats[0], vals[1:], hats[1:])
-        return [], [d_q, *d_v]
-
     def guarded_samples(self, on_grid, hats, t):
         """Samples of every unknown from the on-grid ones and the half
         spectra of the others; raises on a non-finite unknown, then on a
@@ -192,14 +185,16 @@ class _Scheme:
         The guard after each Heun stage is the only check: a non-finite
         tendency reaches it as a non-finite unknown.
         """
-        k, dt, e = self.on_grid, self.cfg.dt, self.fac
+        g, p, k, dt, e = self.grid, self.params, self.on_grid, self.cfg.dt, self.fac
         half_dt = 0.5 * dt
-        grid0, hat0 = vals[:k], list(fft_stage(self.grid, vals[k:]))
-        d0, n0 = self.tendencies(vals, hat0)
+        # looked up per call, so a rebound module name (a traced span) runs
+        rhs = rhs_primitive if k else rhs_effective
+        grid0, hat0 = vals[:k], list(fft_stage(g, vals[k:]))
+        d0, n0 = rhs(g, p, vals, hat0)
         hat_star = [e * (w + dt * n) for w, n in zip(hat0, n0)]
         vals_star = self.guarded_samples([w + dt * n for w, n in zip(grid0, d0)], hat_star,
                                          t + dt)
-        d1, n1 = self.tendencies(vals_star, hat_star)
+        d1, n1 = rhs(g, p, vals_star, hat_star)
         return self.guarded_samples(
             [w + half_dt * (a + b) for w, a, b in zip(grid0, d0, d1)],
             (e * w + half_dt * (e * a + b) for w, a, b in zip(hat0, n0, n1)), t + dt)
@@ -231,28 +226,22 @@ class _LineScheme(_Scheme):
         half_dt, t_next = 0.5 * dt, t + dt
         if self.on_grid:
             rho, u = vals
-            rows = u[None]
-            hat = fft_stage(g, rows)
-            d0, n0 = rhs_primitive(g, p, rho, rows, hat)
+            hat = fft_stage(g, u[None])
+            (d0,), n0 = rhs_primitive(g, p, vals, hat)
             rho_star = rho + dt * d0
             hat_star = e * (hat + dt * n0)
             u_star = self.guarded_rows(rho_star, hat_star, t_next)
-            d1, n1 = rhs_primitive(g, p, rho_star, u_star, hat_star)
+            (d1,), n1 = rhs_primitive(g, p, [rho_star, u_star[0]], hat_star)
             rho_new = rho + half_dt * (d0 + d1)
-            return [rho_new, *self.guarded_rows(rho_new, e * hat + half_dt * (e * n0 + n1),
-                                                t_next)]
+            return [rho_new, self.guarded_rows(rho_new, e * hat + half_dt * (e * n0 + n1),
+                                               t_next)[0]]
         rows = np.array(vals)
         hat = fft_stage(g, rows)
-        n0 = self.effective_rows(rows, hat)
+        _, n0 = rhs_effective(g, p, rows, hat)
         hat_star = e * (hat + dt * n0)
         rows = self.guarded_rows(None, hat_star, t_next)
-        n1 = self.effective_rows(rows, hat_star)
+        _, n1 = rhs_effective(g, p, rows, hat_star)
         return list(self.guarded_rows(None, e * hat + half_dt * (e * n0 + n1), t_next))
-
-    def effective_rows(self, rows, hats):
-        """The stack of the tendencies of q and v from their rows."""
-        d_q, d_v = rhs_effective(self.grid, self.params, rows[0], hats[0], rows[1:], hats[1:])
-        return np.concatenate((d_q[None], d_v))
 
 
 @functools.lru_cache(maxsize=8)

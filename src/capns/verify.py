@@ -75,9 +75,10 @@ def _step_div_k(rho: RealField, kappa1: float) -> list:
     """The step's own capillary force div K: at u = 0 and a = 0 the momentum
     tendency of ``rhs_primitive`` is div K / rho, truncated."""
     g = rho.grid
-    zero = np.zeros(g.shape)
+    zero = np.zeros((g.dim, *g.shape))
+    hats = fft_array(g, zero)
     params = PhysParams(mu=1.0, kappa=kappa1, a=0.0)
-    _, du = rhs_primitive(g, params, rho.values, [zero] * g.dim, [fft_array(g, zero)] * g.dim)
+    _, du = rhs_primitive(g, params, [rho.values, *zero], hats if g.dim == 1 else list(hats))
     return [RealField(g, rho.values * ifft_array(g, c)) for c in du]
 
 

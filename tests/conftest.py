@@ -21,6 +21,13 @@ def full_layout(grid):
     return modes, k2, np.sqrt(k2)
 
 
+def step_hats(grid, arrays):
+    """Half spectra of ``arrays`` in the step's layout: one stack on a 1-D
+    grid, a list on a 2-D one."""
+    hats = fft_array(grid, np.array(arrays))
+    return hats if grid.dim == 1 else list(hats)
+
+
 def grid_tendencies(state, params):
     """Grid samples of d_t of each unknown of ``state`` from the package's
     right-hand side: transform, call ``rhs_primitive`` or ``rhs_effective``,
@@ -29,12 +36,10 @@ def grid_tendencies(state, params):
     g = state.grid
     lin = params.mu * g.half_k2
     if isinstance(state, PrimitiveState):
-        u = [c.values for c in state.u]
-        hats = [fft_array(g, c) for c in u]
-        d_scalar, nhats = rhs_primitive(g, params, state.rho.values, u, hats)
+        rhs, k, vals = rhs_primitive, 1, [state.rho.values, *(c.values for c in state.u)]
     else:
-        q, v = state.q.values, [c.values for c in state.v]
-        qhat, hats = fft_array(g, q), [fft_array(g, c) for c in v]
-        nq, nhats = rhs_effective(g, params, q, qhat, v, hats)
-        d_scalar = ifft_array(g, nq - lin * qhat)
-    return d_scalar, [ifft_array(g, n - lin * w) for n, w in zip(nhats, hats)]
+        rhs, k, vals = rhs_effective, 0, [state.q.values, *(c.values for c in state.v)]
+    hats = step_hats(g, vals[k:])
+    d_grid, spectral = rhs(g, params, vals, hats)
+    d = d_grid + [ifft_array(g, n - lin * w) for n, w in zip(spectral, hats)]
+    return d[0], d[1:]

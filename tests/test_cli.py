@@ -155,8 +155,16 @@ class TestRunCommand:
             assert f"solver.{key}: unknown key" in capsys.readouterr().out
 
     def test_missing_config_file(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "absent.ini")]) \
+        # a file that cannot be read is the one error: no key of the
+        # [solver] section it never supplied is reported as missing
+        cfg = tmp_path / "absent.ini"
+        json_path = tmp_path / "out.json"
+        assert main(["run", "--config", str(cfg), "--json", str(json_path)]) \
             == EXIT_BAD_CONFIG
+        with pytest.raises(OSError) as ex:
+            open(cfg)
+        assert json.loads(json_path.read_text())["errors"] \
+            == [f"config: cannot read {cfg}: {ex.value}"]
 
     @pytest.mark.parametrize("command", ["run", "lifespan", "picard", "besov"])
     def test_config_that_is_not_utf8_text(self, tmp_path, capsys, command):
@@ -169,8 +177,31 @@ class TestRunCommand:
             == EXIT_BAD_CONFIG
         payload = json.loads(json_path.read_text())
         assert payload["cause"] == "invalid_config"
-        assert payload["errors"][0].startswith(f"config: cannot read {cfg}: ")
+        with pytest.raises(UnicodeDecodeError) as ex:
+            cfg.read_text(encoding="utf-8")
+        assert payload["errors"] == [f"config: cannot read {cfg}: {ex.value}"]
         assert f"config error: config: cannot read {cfg}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "lifespan", "picard", "besov"])
+    def test_unparseable_config_is_the_one_error(self, tmp_path, command):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[grid]\nn = 64\n[[solver\n")
+        json_path = tmp_path / "out.json"
+        assert main([command, "--config", str(cfg), "--json", str(json_path)]) \
+            == EXIT_BAD_CONFIG
+        errors = json.loads(json_path.read_text())["errors"]
+        assert len(errors) == 1 and errors[0].startswith("config: parse failure: ")
+
+    def test_unreadable_config_stays_in_payload_without_json(self, tmp_path, capsys):
+        # the JSON path cannot be opened either: the payload goes to stdout
+        # and still names the config first
+        cfg = tmp_path / "absent.ini"
+        assert main(["run", "--config", str(cfg), "--json",
+                     str(tmp_path / "absent" / "o.json")]) == EXIT_BAD_CONFIG
+        out = capsys.readouterr().out
+        errors = json.loads(out[out.index("{"):])["errors"]
+        assert [e.split(":")[0] for e in errors] == ["config", "output.json"]
+        assert errors[0].startswith(f"config: cannot read {cfg}: ")
 
     def test_vacuum_breach_cause(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", base_sections(
@@ -305,6 +336,20 @@ class TestLifespanCommand:
         sched = json.loads(json_path.read_text())["schedule"]
         times = [t for t, _ in sched]
         assert times == pytest.approx([0.0, 0.125, 0.25, 0.375, 0.5])
+
+    @pytest.mark.parametrize("schedule,line", [
+        ({"horizon": 0.01, "fraction": 2}, "lifespan: fraction must lie in (0, 1], got 2.0"),
+        ({"horizon": -1}, "lifespan: horizon must be finite and >= 0, got -1.0"),
+    ], ids=["fraction", "horizon"])
+    def test_schedule_errors_carry_the_section_prefix(self, tmp_path, schedule, line):
+        # the prefix names the section, as for its other errors, not a key
+        # that may not be at fault
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            initial={"preset": "equilibrium"}, lifespan=schedule))
+        json_path = tmp_path / "l.json"
+        assert main(["lifespan", "--config", cfg, "--json", str(json_path)]) \
+            == EXIT_BAD_CONFIG
+        assert json.loads(json_path.read_text())["errors"] == [line]
 
 
 class TestPicardCommand:

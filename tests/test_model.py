@@ -4,11 +4,11 @@ variable changes, and both right-hand sides (manufactured-solution checks)."""
 import numpy as np
 import pytest
 import sympy as sp
-from conftest import full_layout, grid_tendencies
+from conftest import full_layout, grid_tendencies, step_hats
 
 from capns.diagnostics import _Fields
 from capns.errors import ConfigurationError, DomainError
-from capns.fields import Grid, RealField, fft_array, lp_norm
+from capns.fields import Grid, RealField, lp_norm
 from capns.model import (
     EffectiveState,
     PhysParams,
@@ -20,6 +20,7 @@ from capns.model import (
     to_effective,
 )
 from capns.presets import Preset, build
+from capns.solver import SolverConfig, step_imex
 from capns.verify import _step_div_k as step_div_k
 
 X, Y = sp.symbols("x y", real=True)
@@ -358,18 +359,89 @@ class TestTwoThirdsRule:
         ik = g.half_ik
 
         u = [c.values for c in s.u]
-        uhats = [fft_array(g, c) for c in u]
-        _, du = rhs_primitive(g, p, s.rho.values, u, uhats)
+        uhats = step_hats(g, u)
+        _, du = rhs_primitive(g, p, [s.rho.values, *u], uhats)
         for i in range(dim):
             nonlinear = du[i] - p.mu * g.half_k2 * uhats[i]
             assert np.all(nonlinear[outside] == 0)
 
         e = to_effective(s, p)
-        q, v = e.q.values, [c.values for c in e.v]
-        qhat, vhats = fft_array(g, q), [fft_array(g, c) for c in v]
-        nq, nv = rhs_effective(g, p, q, qhat, v, vhats)
+        vals = [e.q.values, *(c.values for c in e.v)]
+        qhat, *vhats = hats = step_hats(g, vals)
+        _, (nq, *nv) = rhs_effective(g, p, vals, hats)
         nonlinear = [nq + sum(ik[i] * vhats[i] for i in range(dim))]
         linear_v = [p.a * ik[i] * qhat if gamma == 1.0 else 0.0 for i in range(dim)]
         nonlinear += [nv[i] + linear_v[i] for i in range(dim)]
         for part in nonlinear:
             assert np.all(part[outside] == 0)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestTendencyConvention:
+    """Both right-hand sides take the step's samples ``vals`` and half
+    spectra ``hats`` and return (on_grid, spectral), with ``spectral`` laid
+    out like ``hats``: one stack on a 1-D grid, a list on a 2-D one."""
+
+    KAPPAS = [pytest.param(0.0225, id="quantum"), pytest.param(0.04, id="kappa-above-mu2")]
+
+    @staticmethod
+    def _case(g, formulation, kappa, amplitude=0.1):
+        """The params, a state and its samples [rho, *u] or [q, *v]."""
+        p = PhysParams(mu=0.15, kappa=kappa)
+        s = build(Preset("smooth_bump", amplitude=amplitude), g, p)
+        if formulation == "primitive":
+            return p, s, [s.rho.values, *(c.values for c in s.u)]
+        e = to_effective(s, p)
+        return p, e, [e.q.values, *(c.values for c in e.v)]
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
+    def test_layout_of_the_steps_calls(self, monkeypatch, dim, n, formulation, kappa):
+        from capns import solver
+
+        g = Grid(dim, n)
+        p, state, _ = self._case(g, formulation, kappa)
+        name = f"rhs_{formulation}"
+        original, calls = getattr(solver, name), []
+
+        def recorded(*args):
+            calls.append((args[3], original(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(solver, name, recorded)
+        step_imex(state, p, SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation))
+        assert len(calls) == 2
+        rows = dim + (formulation == "effective")  # u, or q and v
+        for hats, (on_grid, spectral) in calls:
+            assert isinstance(on_grid, list)
+            assert [d.shape for d in on_grid] == [g.shape] * (formulation == "primitive")
+            if dim == 1:
+                assert hats.shape == (rows, *g.half_shape)
+                assert isinstance(spectral, np.ndarray) and spectral.shape == hats.shape
+            else:
+                assert isinstance(hats, list) and len(hats) == rows
+                assert isinstance(spectral, list) and len(spectral) == len(hats)
+                assert all(s.shape == g.half_shape for s in spectral)
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    def test_members_are_their_own_calls(self, formulation, kappa):
+        # an 8-member [member, n] stack on a 1-D grid: each member of each
+        # tendency is bit for bit the tendency of the member's own call
+        g = Grid(1, 64)
+        rhs, k = (rhs_primitive, 1) if formulation == "primitive" else (rhs_effective, 0)
+        p = PhysParams(mu=0.15, kappa=kappa)
+        solo = [self._case(g, formulation, kappa, a)[2] for a in np.linspace(0.02, 0.16, 8)]
+        vals = [np.stack(rows) for rows in zip(*solo)]
+        on_grid, spectral = rhs(g, p, vals, step_hats(g, vals[k:]))
+        assert spectral.shape == (len(vals) - k, 8, *g.half_shape)
+        for m, own in enumerate(solo):
+            own_grid, own_spectral = rhs(g, p, own, step_hats(g, own[k:]))
+            assert len(on_grid) == len(own_grid) == k
+            for a, b in zip(on_grid, own_grid):
+                assert np.array_equal(_bits(a[m]), _bits(b))
+            assert np.array_equal(_bits(spectral[:, m]), _bits(own_spectral))
