@@ -287,9 +287,11 @@ def cmd_lifespan(args, report) -> str:
     inp = _lifespan_inputs(values, q0, v0, params)
     report.update(lifespan_report(inp), preset=preset.name)
     schedule_kw = {k: v for k, v in values.get("lifespan", {}).items() if k in SCHEDULE_KEYS}
+    with _prefixed("lifespan"):
+        # without a horizon the keys are still checked, and horizon 0 plans nothing
+        schedule = restart_schedule(lambda t: inp, **{"horizon": 0.0, **schedule_kw})
     if "horizon" in schedule_kw:
-        with _prefixed("lifespan"):
-            report["schedule"] = restart_schedule(lambda t: inp, **schedule_kw)
+        report["schedule"] = schedule
     return "ok"
 
 

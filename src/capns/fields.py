@@ -28,6 +28,19 @@ they are one call on the row stack (a stack passed in is used as it is, and
 a single row as a view); on a 2-D grid they transform one array at a time,
 as it is reached, so no more arrays are live than the caller holds.
 
+2-D transforms make no hidden temporary where they can avoid one. A
+forward ``rfft2`` writes both its passes into one fresh ``out=`` array, its
+result. The inverse of a spectrum built for it runs the two passes of
+``irfft2`` itself: the first-axis ``ifft`` in place in that spectrum, then
+the last-axis ``irfft``. Only ``ifft_array``, for a spectrum the caller
+reads again, keeps ``irfft2`` and its intermediate array. Every buffer is
+fresh per call and none is kept, and every result is bit-identical to
+``rfft2``/``irfft2``. The ownership rule (``_ifft_owned``): an inverse
+overwrites a spectrum only where it is a product built for that inverse
+alone, namely each multiplier times a spectrum in ``grad_arrays``,
+``div_array``, ``lap_array`` and ``dealias_values``, each spectrum handed
+to a 2-D ``ifft_stage``, and the block products of ``lp_besov``.
+
 Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
 half spectrum, both validated on construction; ``transform`` is
 ``fft_array`` on a ``RealField``. Derivatives, divergences, the 2/3
@@ -42,7 +55,8 @@ unpaired Nyquist mode of each axis, the Laplacian keeps it, and the 2/3
 mask drops it. The last axis holds each Hermitian pair once, except its
 k = 0 and Nyquist columns, so a sum of |coefficient|^2 over the full
 spectrum is the ``half_weight``-weighted sum (1 on those two columns, 2
-elsewhere). All functions are pure and never mutate their inputs.
+elsewhere). Apart from the spectra of the ownership rule, no function
+mutates its inputs.
 
 ``lp_norms`` takes the plain quadrature (sum |x|^p dV)^(1/p) and falls
 back to the max-scaled form on a row where |x|^p under- or overflows, as it
@@ -223,15 +237,18 @@ class SpectralField:
 
 def fft_array(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Unnormalized half spectrum of real grid samples over the last
-    ``grid.dim`` axes; leading axes are a stack."""
+    ``grid.dim`` axes; leading axes are a stack. In 2-D both passes of
+    ``rfft2`` write into one fresh ``out=`` array, the result."""
     if grid.dim == 1:
         return np.fft.rfft(values)
-    return np.fft.rfft2(values)
+    return np.fft.rfft2(values, out=np.empty(values.shape[:-2] + grid.half_shape, complex))
 
 
 def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Real grid samples from a half spectrum, with the 1/n^dim factor;
-    leading axes are a stack.
+    leading axes are a stack. ``coeffs`` is left as it was: this is the
+    inverse of a spectrum the caller reads again (``_ifft_owned`` is the
+    one of a spectrum built for the inverse).
 
     A spectrum with fewer last-axis columns than ``grid.half_shape`` is a
     narrowed one: zero beyond its columns. Its inverse is bit-identical to
@@ -241,6 +258,22 @@ def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     if grid.dim == 1:
         return np.fft.irfft(coeffs, n=grid.n)
     return np.fft.irfft2(coeffs, s=grid.shape)
+
+
+def _ifft_owned(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """``ifft_array`` of a spectrum built for this one inverse, which it
+    overwrites: the ownership rule of the module docstring.
+
+    On a 2-D grid the first-axis pass runs in place in ``coeffs`` and the
+    last-axis ``irfft`` reads it from there: the two calls ``irfft2`` makes,
+    bit for bit, without the intermediate array it allocates. A narrowed
+    spectrum is taken as in ``ifft_array``. On a 1-D grid it is
+    ``ifft_array``, and nothing is overwritten.
+    """
+    if grid.dim == 1:
+        return ifft_array(grid, coeffs)
+    np.fft.ifft(coeffs, axis=-2, out=coeffs)
+    return np.fft.irfft(coeffs, grid.n, axis=-1)
 
 
 def fft_stage(grid: Grid, arrays):
@@ -253,16 +286,19 @@ def fft_stage(grid: Grid, arrays):
     """
     if grid.dim == 1:
         return np.fft.rfft(_rows(arrays))
-    return (np.fft.rfft2(a) for a in arrays)
+    return (fft_array(grid, a) for a in arrays)
 
 
 def ifft_stage(grid: Grid, coeffs):
     """Real samples of the independent half spectra of one stage, in order;
-    one ``irfft`` call on a 1-D grid, one ``irfft2`` per spectrum as it is
-    reached on a 2-D grid (see ``fft_stage``)."""
+    one ``irfft`` call on a 1-D grid, which reads its stack only. On a 2-D
+    grid, one inverse per spectrum as it is reached (see ``fft_stage``),
+    which overwrites it (``_ifft_owned``): the spectra of a stage are
+    products built for it, and a spectrum the caller reads again goes
+    through ``ifft_array`` instead."""
     if grid.dim == 1:
         return np.fft.irfft(_rows(coeffs))
-    return (np.fft.irfft2(c) for c in coeffs)
+    return (_ifft_owned(grid, c) for c in coeffs)
 
 
 def _rows(arrays) -> np.ndarray:
@@ -276,18 +312,18 @@ def _rows(arrays) -> np.ndarray:
 
 def grad_arrays(grid: Grid, fhat: np.ndarray) -> list:
     """Gradient samples, one per axis, from the half spectrum ``fhat``."""
-    return [ifft_array(grid, ik * fhat) for ik in grid.half_ik]
+    return [_ifft_owned(grid, ik * fhat) for ik in grid.half_ik]
 
 
 def div_array(grid: Grid, comps) -> np.ndarray:
     """Divergence samples of a vector given as one array per axis."""
-    return ifft_array(grid, sum(ik * fft_array(grid, comp)
-                                for ik, comp in zip(grid.half_ik, comps)))
+    return _ifft_owned(grid, sum(ik * fft_array(grid, comp)
+                                 for ik, comp in zip(grid.half_ik, comps)))
 
 
 def lap_array(grid: Grid, fhat: np.ndarray) -> np.ndarray:
     """Laplacian samples from the half spectrum ``fhat``."""
-    return ifft_array(grid, -grid.half_k2 * fhat)
+    return _ifft_owned(grid, -grid.half_k2 * fhat)
 
 
 def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -295,7 +331,7 @@ def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     multiply and the inverse on the mask's columns only (a narrowed
     spectrum, see ``ifft_array``)."""
     m = grid.half_mask_columns
-    return ifft_array(grid, grid.half_mask[..., :m] * fft_array(grid, values)[..., :m])
+    return _ifft_owned(grid, grid.half_mask[..., :m] * fft_array(grid, values)[..., :m])
 
 
 def column_extent(mult: np.ndarray) -> int:

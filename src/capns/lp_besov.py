@@ -30,7 +30,10 @@ table is one product of |fhat|^2 with the cached (blocks x modes) matrix of
 Parseval weight x phi_l^2; other p take one inverse transform of the whole
 stack per block, which, like :func:`decompose` and
 :func:`bony_decompose`, multiplies and inverts only the block's columns (a
-narrowed spectrum, bit-identical to the full width). :func:`tilde_norm`, the time-then-block norm of the
+narrowed spectrum, bit-identical to the full width). Each such block
+product is built for its one inverse, which overwrites it
+(``fields._ifft_owned``), so the spectra passed in are left as they were.
+:func:`tilde_norm`, the time-then-block norm of the
 Picard differences, takes its series as such a stack with a leading time
 axis. :func:`heat_block_decay_check` works in L^2 only, on exactly
 decayed spectra.
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import Grid, RealField, column_extent, fft_array, ifft_array, lp_norms
+from .fields import Grid, RealField, _ifft_owned, column_extent, fft_array, lp_norms
 
 PLATEAU = 0.75       # chi = 1 on [0, 3/4]
 SUPPORT = 4.0 / 3.0  # chi = 0 beyond 4/3
@@ -202,7 +205,7 @@ def block_norm_table(grid: Grid, fhat: np.ndarray, p: float) -> tuple:
         return ls, scale * np.sqrt(power @ parseval.T).reshape(lead + (len(ls),))
     table = np.empty(lead + (len(ls),))
     for j, mult in enumerate(mults):
-        table[..., j] = lp_norms(grid, ifft_array(grid, mult * fhat[..., :mult.shape[-1]]), p)
+        table[..., j] = lp_norms(grid, _ifft_owned(grid, mult * fhat[..., :mult.shape[-1]]), p)
     return ls, table
 
 
@@ -211,7 +214,7 @@ def decompose(f: RealField) -> DyadicDecomposition:
     ls, mults = _block_multipliers(g)
     fhat = fft_array(g, f.values)
     mean = float(fhat.flat[0].real) / g.n ** g.dim
-    blocks = {l: RealField(g, ifft_array(g, mult * fhat[..., :mult.shape[-1]]))
+    blocks = {l: RealField(g, _ifft_owned(g, mult * fhat[..., :mult.shape[-1]]))
               for l, mult in zip(ls, mults)}
     return DyadicDecomposition(g, ls[0], ls[-1], blocks, mean)
 
@@ -287,13 +290,13 @@ def bony_decompose(u: RealField, v: RealField):
     _, lows = _block_multipliers(g, low_pass=True)
     uvhat = fft_array(g, np.stack([u.values, v.values]))
     # blocks[l] stacks block_l u and block_l v
-    blocks = {l: ifft_array(g, mult * uvhat[..., :mult.shape[-1]]) for l, mult in zip(ls, mults)}
+    blocks = {l: _ifft_owned(g, mult * uvhat[..., :mult.shape[-1]]) for l, mult in zip(ls, mults)}
 
     t_uv = np.zeros(g.shape)
     t_vu = np.zeros(g.shape)
     remainder = np.zeros(g.shape)
     for l, low in zip(ls, lows):
-        low_u, low_v = ifft_array(g, low * uvhat[..., :low.shape[-1]])
+        low_u, low_v = _ifft_owned(g, low * uvhat[..., :low.shape[-1]])
         t_uv += low_u * blocks[l][1]
         t_vu += low_v * blocks[l][0]
         for m in (l - 1, l, l + 1):

@@ -340,7 +340,9 @@ class TestLifespanCommand:
     @pytest.mark.parametrize("schedule,line", [
         ({"horizon": 0.01, "fraction": 2}, "lifespan: fraction must lie in (0, 1], got 2.0"),
         ({"horizon": -1}, "lifespan: horizon must be finite and >= 0, got -1.0"),
-    ], ids=["fraction", "horizon"])
+        # the schedule keys are checked without a horizon too
+        ({"fraction": 2}, "lifespan: fraction must lie in (0, 1], got 2.0"),
+    ], ids=["fraction", "horizon", "fraction-without-horizon"])
     def test_schedule_errors_carry_the_section_prefix(self, tmp_path, schedule, line):
         # the prefix names the section, as for its other errors, not a key
         # that may not be at fault
@@ -349,7 +351,9 @@ class TestLifespanCommand:
         json_path = tmp_path / "l.json"
         assert main(["lifespan", "--config", cfg, "--json", str(json_path)]) \
             == EXIT_BAD_CONFIG
-        assert json.loads(json_path.read_text())["errors"] == [line]
+        payload = json.loads(json_path.read_text())
+        assert payload["cause"] == "invalid_config"
+        assert payload["errors"] == [line]
 
 
 class TestPicardCommand:

@@ -12,16 +12,20 @@ from capns.fields import (
     Grid,
     RealField,
     SpectralField,
+    _ifft_owned,
     dealias_values,
     div_array,
     fft_array,
+    fft_stage,
     grad_arrays,
     ifft_array,
+    ifft_stage,
     lap_array,
     lp_norm,
     lp_norms,
     transform,
 )
+from capns.lp_besov import _block_multipliers
 from capns.model import PhysParams, _hessian, _line
 from capns.presets import Preset, build
 
@@ -332,6 +336,39 @@ class TestNarrowedSpectra:
         for v in (values, values[0]):
             want = irfft(g.half_mask * rfft(v))
             assert dealias_values(g, v).tobytes() == want.tobytes()
+
+
+def _column_extents(grid):
+    """The full half width, the 2/3 mask's column extent and that of each
+    block and low-pass multiplier of the dyadic engine."""
+    mults = [*_block_multipliers(grid)[1], *_block_multipliers(grid, low_pass=True)[1]]
+    return sorted({grid.half_shape[-1], grid.half_mask_columns, *(m.shape[-1] for m in mults)})
+
+
+class TestTwoDimensionalTransforms:
+    """2-D forwards write both passes into one ``out=`` array, and the
+    inverse of a spectrum built for it runs the passes of ``irfft2`` in
+    place in it: bit-identical to numpy's ``rfft2``/``irfft2`` on single
+    arrays and stacks, at full width and narrowed."""
+
+    @pytest.mark.parametrize("lead", [(), (33,), (2, 33)], ids=["single", "33", "2x33"])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+    def test_bit_identical_to_numpy(self, n, lead):
+        g = Grid(2, n)
+        values = np.random.default_rng(n).standard_normal(lead + g.shape)
+        fhat = fft_array(g, values)
+        assert fhat.tobytes() == np.fft.rfft2(values).tobytes()
+        (staged,) = fft_stage(g, [values])
+        assert staged.tobytes() == fhat.tobytes()
+        del values, staged
+        for m in _column_extents(g):
+            kept = fhat[..., :m].copy()
+            want = np.fft.irfft2(kept, s=g.shape).tobytes()
+            assert ifft_array(g, kept).tobytes() == want
+            assert kept.tobytes() == fhat[..., :m].tobytes()
+            assert _ifft_owned(g, kept.copy()).tobytes() == want
+            (staged,) = ifft_stage(g, [kept])
+            assert staged.tobytes() == want
 
 
 def test_only_fields_module_calls_numpy_fft():

@@ -2,6 +2,7 @@ import io
 import math
 import os
 import tracemalloc
+import warnings
 import zipfile
 
 import numpy as np
@@ -23,6 +24,7 @@ from capns.solver import (
     PicardResult,
     SolverConfig,
     _duhamel,
+    _picard_sources,
     load_checkpoint,
     picard_solve,
     run,
@@ -306,6 +308,60 @@ class TestStepMemory:
         assert peak <= arrays * 8 * g.n ** 2
 
 
+class TestSpectraReadAgain:
+    """An inverse overwrites only a spectrum built for it (the ownership
+    rule of ``capns.fields``): what a step or a Picard iteration reads
+    again after an inverse is left as it was."""
+
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 32)])
+    def test_step_keeps_w_star(self, monkeypatch, dim, n, formulation):
+        # W* = e (W + dt N) goes through the guard's inverses to stage 2;
+        # kappa > mu^2 adds the effective capillary stage
+        from capns import solver
+
+        params = PhysParams(mu=0.15, kappa=0.04)
+        state = build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), params)
+        if formulation == "effective":
+            state = to_effective(state, params)
+        cfg = SolverConfig(dt=1e-3, t_end=1e-3, formulation=formulation)
+        name = f"rhs_{formulation}"
+        original, seen = getattr(solver, name), []
+
+        def spy(g, p, vals, hats):
+            held = [h.copy() for h in hats]
+            on_grid, spectral = original(g, p, vals, hats)
+            seen.append((hats, held, spectral, [h.copy() for h in spectral]))
+            return on_grid, spectral
+
+        monkeypatch.setattr(solver, name, spy)
+        step_imex(state, params, cfg)
+        (hat0, hat0_in, n0, n0_out), (hat_star, star_in, n1, n1_out) = seen
+        fac = solver._scheme(state.grid, params, cfg).fac
+        want = [(fac * (w + cfg.dt * m)).tobytes() for w, m in zip(hat0_in, n0_out)]
+        # W* as stage 2 received it, and as it is after the step
+        assert [h.tobytes() for h in star_in] == want
+        assert [h.tobytes() for h in hat_star] == want
+        for now, then in ((hat0, hat0_in), (n0, n0_out), (n1, n1_out)):
+            assert [h.tobytes() for h in now] == [h.tobytes() for h in then]
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    def test_picard_keeps_its_iterate(self, dim, n):
+        e = to_effective(build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), PARAMS),
+                         PARAMS)
+        g = e.q.grid
+        qhat = fft_array(g, np.stack([e.q.values] * 3))
+        vhats = fft_array(g, np.stack([[c.values] * 3 for c in e.v]))
+        held = qhat.tobytes(), vhats.tobytes()
+        _picard_sources(g, PARAMS, qhat, vhats)
+        assert (qhat.tobytes(), vhats.tobytes()) == held
+        res = picard_solve(e.q, e.v, PARAMS, 0.5,
+                           PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
+        held = res._qhat.tobytes(), res._vhat.tobytes()
+        assert res.q_series and res.v_series
+        assert (res._qhat.tobytes(), res._vhat.tobytes()) == held
+
+
 def _unknowns(state) -> list:
     """The sample arrays of a state: the scalar, then each vector component."""
     scalar, vector = (state.rho, state.u) if isinstance(state, PrimitiveState) \
@@ -474,12 +530,35 @@ class TestRun:
             (RealField(g, 1e3 * np.cos(g.x[0])),),
         )
         p = PhysParams(mu=0.2, kappa=0.04, a=1.0, gamma=2.0)
-        with np.errstate(all="ignore"):
-            with pytest.raises(NumericBlowup) as exc:
-                run(state, p, SolverConfig(dt=1e-4, t_end=1e-3))
-        # the step guard reports the time of the step that blew up, which a
-        # JSON payload can hold (NaN is not valid JSON)
-        assert exc.value.t == pytest.approx(1e-4)
+        cfg = SolverConfig(dt=1e-4, t_end=1e-3)
+        # run and step_imex silence numpy's float warnings themselves: a
+        # blow-up arrives as NumericBlowup alone, with nothing on stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for advance in (run, step_imex):
+                with pytest.raises(NumericBlowup) as exc:
+                    advance(state, p, cfg)
+                # the step guard reports the time of the step that blew up,
+                # which a JSON payload can hold (NaN is not valid JSON)
+                assert exc.value.t == pytest.approx(1e-4)
+
+    def test_one_errstate_per_call(self, monkeypatch):
+        # entering np.errstate costs about 2 % of a 1-D step: a run enters
+        # one for all its steps, and a direct step_imex call one
+        entered = []
+        original = np.errstate
+
+        def counted(**kwargs):
+            entered.append(kwargs)
+            return original(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        state = primitive_wave(Grid(1, 64))
+        cfg = SolverConfig(dt=1e-3, t_end=5e-3)
+        assert run(state, PARAMS, cfg).steps == 5
+        assert len(entered) == 1
+        step_imex(state, PARAMS, cfg)
+        assert len(entered) == 2
 
     def test_determinism_bitwise(self):
         g = Grid(1, 128)

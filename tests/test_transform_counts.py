@@ -4,7 +4,9 @@ Transforms dominate the cost of a step, so these counts are the budget a
 change to the spectral layer is held to: lower is better, and a change
 that lowers a count should tighten the number here. On a 1-D grid a call
 costs more than its arithmetic, so the independent transforms of a stage
-are one call there: the counts are calls, not transformed arrays.
+are one call there: the counts are calls, not transformed arrays. A 2-D
+inverse may be two numpy calls, an in-place first pass and its ``irfft``;
+it counts as one transform (see ``_counter``).
 """
 
 import numpy as np
@@ -23,17 +25,38 @@ PARAMS = PhysParams(mu=0.15, kappa=0.0225)
 
 # every transform numpy.fft offers, complex and real
 COMPLEX_FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
-FFT_NAMES = COMPLEX_FFT_NAMES + ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+REAL_FFT_NAMES = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
 
 
-def _counter(monkeypatch, names):
-    """Counter of calls to the named numpy.fft transforms."""
-    calls = [0]
-    for name in names:
+def _counter(monkeypatch):
+    """Counters of the calls to every numpy.fft transform, checked as they
+    come: [real transforms, other complex transforms, open first pass].
+
+    A 2-D inverse of a spectrum built for it runs the two passes of
+    ``irfft2`` itself: an ``ifft`` along axis -2 in place in the spectrum
+    (``out`` is its input), then an ``irfft`` of that same buffer. The
+    pair is one transform, counted by its ``irfft``. Every ``ifft`` must be
+    such a first pass, and the next call its ``irfft``; the third entry
+    holds the buffer of a first pass until then, else None.
+    """
+    calls = [0, 0, None]
+    for name in COMPLEX_FFT_NAMES + REAL_FFT_NAMES:
         original = getattr(np.fft, name)
 
-        def counted(*args, _original=original, **kwargs):
-            calls[0] += 1
+        def counted(*args, _name=name, _original=original, **kwargs):
+            if calls[2] is not None:
+                assert _name == "irfft" and args[0] is calls[2], \
+                    f"{_name} follows an in-place first pass"
+                calls[2] = None
+            if _name == "ifft":
+                assert (len(args) == 1 and set(kwargs) == {"axis", "out"}
+                        and kwargs["axis"] == -2 and kwargs["out"] is args[0]), \
+                    "an ifft that is not an in-place first pass along axis -2"
+                calls[2] = args[0]
+            elif _name in REAL_FFT_NAMES:
+                calls[0] += 1
+            else:
+                calls[1] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -42,8 +65,11 @@ def _counter(monkeypatch, names):
 
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Counter of calls to any numpy.fft transform."""
-    return _counter(monkeypatch, FFT_NAMES)
+    """``_counter``: ``fft_calls[0]`` counts the transforms, and no complex
+    transform but the checked first passes may run."""
+    calls = _counter(monkeypatch)
+    yield calls
+    assert calls[1:] == [0, None]
 
 
 def _state(dim, n, formulation):
@@ -305,8 +331,9 @@ def test_second_picard_solve_interpolates_nothing(interp_calls):
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
 def test_no_complex_transform(monkeypatch, dim, n):
     # one Fourier layout: the package transforms real fields to half spectra
-    # only, random draws included
-    calls = _counter(monkeypatch, COMPLEX_FFT_NAMES)
+    # only, random draws included; the one complex call is the in-place
+    # first pass of a 2-D inverse, which _counter checks and leaves out
+    calls = _counter(monkeypatch)
     g = Grid(dim, n)
     for name in PRESET_NAMES:
         build(Preset(name), g, PARAMS)
@@ -318,4 +345,5 @@ def test_no_complex_transform(monkeypatch, dim, n):
     picard_solve(e.q, e.v, PARAMS, 0.5, PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
     f = build(Preset("random_bandlimited", amplitude=0.05), g, PARAMS).rho
     block_report(f, BesovSpec(2.0 / 3.0, 3.0))
-    assert calls[0] == 0
+    assert calls[0] > 0
+    assert calls[1:] == [0, None]
