@@ -10,18 +10,18 @@ columns: ``ifft_array`` inverts it bit-identically to the zero-padded full
 width, and in 2-D runs the first-axis transforms on its columns only. A
 multiplier that is exactly zero beyond some column (``column_extent``)
 needs only those columns of a spectrum. The helpers ``fft_array``,
-``ifft_array``, ``grad_arrays``, ``div_array``, ``lap_array`` and
-``dealias_values`` work on raw arrays, with the per-grid multipliers
-``Grid.half_ik``, ``half_k2``, ``half_kmag``, ``half_mask`` and
-``half_weight``, the mask's column extent ``half_mask_columns`` and the
-largest wavenumber ``kmax`` cached on the grid; ``dealias_values``
-multiplies and inverts the mask's columns only. The index pairs of a
-symmetric tensor (``sym_pairs``, ``sym_index``) are cached too, but no
-product of multipliers is: the 1-D tendencies keep theirs, short vectors,
-in ``model``, and the 2-D ones form each per use. The helpers transform the
-trailing ``grid.dim`` axes only, so a stack with leading axes (time levels,
-vector components) goes through one transform call, slice by slice
-bit-identical to transforming each slice alone. ``fft_stage`` and
+``ifft_array``, ``grad_arrays`` and ``dealias_values`` work on raw arrays,
+with the per-grid multipliers ``Grid.half_ik``, ``half_k2``, ``half_kmag``,
+``half_mask`` and ``half_weight``, the mask's column extent
+``half_mask_columns`` and the largest wavenumber ``kmax`` cached on the
+grid; ``dealias_values`` multiplies and inverts the mask's columns only.
+The index pairs of a symmetric tensor (``sym_pairs``, ``sym_index``) are
+cached too, but no product of multipliers is: the 1-D tendencies keep
+theirs, short vectors, in ``model``, and the 2-D ones form each per use.
+The helpers transform the trailing ``grid.dim`` axes only, so a stack
+with leading axes (time levels, vector components) goes through one
+transform call, slice by slice bit-identical to transforming each slice
+alone. ``fft_stage`` and
 ``ifft_stage`` take the independent arrays of one stage of a computation:
 on a 1-D grid, where a transform costs its call more than its arithmetic,
 they are one call on the row stack (a stack passed in is used as it is, and
@@ -37,9 +37,9 @@ reads again, keeps ``irfft2`` and its intermediate array. Every buffer is
 fresh per call and none is kept, and every result is bit-identical to
 ``rfft2``/``irfft2``. The ownership rule (``_ifft_owned``): an inverse
 overwrites a spectrum only where it is a product built for that inverse
-alone, namely each multiplier times a spectrum in ``grad_arrays``,
-``div_array``, ``lap_array`` and ``dealias_values``, each spectrum handed
-to a 2-D ``ifft_stage``, and the block products of ``lp_besov``.
+alone, namely each multiplier times a spectrum in ``grad_arrays`` and
+``dealias_values``, each spectrum handed to a 2-D ``ifft_stage``, and the
+block products of ``lp_besov``.
 
 Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
 half spectrum, both validated on construction; ``transform`` is
@@ -315,17 +315,6 @@ def grad_arrays(grid: Grid, fhat: np.ndarray) -> list:
     return [_ifft_owned(grid, ik * fhat) for ik in grid.half_ik]
 
 
-def div_array(grid: Grid, comps) -> np.ndarray:
-    """Divergence samples of a vector given as one array per axis."""
-    return _ifft_owned(grid, sum(ik * fft_array(grid, comp)
-                                 for ik, comp in zip(grid.half_ik, comps)))
-
-
-def lap_array(grid: Grid, fhat: np.ndarray) -> np.ndarray:
-    """Laplacian samples from the half spectrum ``fhat``."""
-    return _ifft_owned(grid, -grid.half_k2 * fhat)
-
-
 def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Array-level 2/3 truncation: one forward transform, then the mask
     multiply and the inverse on the mask's columns only (a narrowed
@@ -356,11 +345,6 @@ def transform(f: RealField) -> SpectralField:
     """Unnormalized forward FFT onto the half spectrum; the one producer of
     the public ``SpectralField``, which no solver path builds."""
     return SpectralField(f.grid, fft_array(f.grid, f.values))
-
-
-def lp_norm(f: RealField, p: float) -> float:
-    """Discrete L^p norm via grid quadrature; p may be math.inf."""
-    return float(lp_norms(f.grid, f.values, p))
 
 
 def lp_norms(grid: Grid, samples: np.ndarray, p: float):

@@ -35,8 +35,7 @@ product is built for its one inverse, which overwrites it
 (``fields._ifft_owned``), so the spectra passed in are left as they were.
 :func:`tilde_norm`, the time-then-block norm of the
 Picard differences, takes its series as such a stack with a leading time
-axis. :func:`heat_block_decay_check` works in L^2 only, on exactly
-decayed spectra.
+axis.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError
 from .fields import Grid, RealField, _ifft_owned, column_extent, fft_array, lp_norms
 
 PLATEAU = 0.75       # chi = 1 on [0, 3/4]
@@ -303,52 +302,6 @@ def bony_decompose(u: RealField, v: RealField):
             if m in blocks:
                 remainder += blocks[l][0] * blocks[m][1]
     return RealField(g, t_uv), RealField(g, t_vu), RealField(g, remainder)
-
-
-def heat_block_decay_check(u0: RealField, mu: float, times) -> dict:
-    """Evolve u0 by the exact diffusion semigroup and compare the decay of
-    each block's L^2 norm against the annulus bounds
-    exp(-mu*(8/3)^2*4^l*t) <= ratio <= exp(-mu*(3/4)^2*4^l*t). Also fits the
-    effective rate c in ratio ~ exp(-c*mu*4^l*t) for each block.
-
-    The norms are taken on the decayed spectra, so the per-mode decay is
-    exact and the bounds hold even for blocks of roundoff content."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or times[0] != 0 or np.any(np.diff(times) <= 0):
-        raise DomainError("need increasing sample times starting at 0")
-    if mu <= 0:
-        raise ConfigurationError(f"diffusion coefficient must be positive, got {mu}")
-    g = u0.grid
-    uhat0 = fft_array(g, u0.values)
-    decay = np.exp(-mu * g.half_k2 * times.reshape((-1,) + (1,) * g.dim))
-    ls, table = block_norm_table(g, decay * uhat0, 2)  # [time, block]
-
-    blocks = []
-    for j, l in enumerate(ls):
-        n0 = table[0, j]
-        if n0 == 0:
-            blocks.append({"l": l, "initial_norm": float(n0), "ratios": [],
-                           "lower_ok": True, "upper_ok": True, "c_fit": None,
-                           "negligible": True})
-            continue
-        ratios = table[1:, j] / n0
-        rate = 4.0 ** l
-        lower = np.exp(-mu * ANNULUS_OUTER ** 2 * rate * times[1:])
-        upper = np.exp(-mu * PLATEAU ** 2 * rate * times[1:])
-        tol = 1.0 + 1e-12
-        positive = ratios > 0
-        cs = -np.log(ratios[positive]) / (mu * rate * times[1:][positive])
-        blocks.append({
-            "l": l,
-            "initial_norm": float(n0),
-            "ratios": [float(x) for x in ratios],
-            "lower_ok": bool(np.all(ratios * tol >= lower)),
-            "upper_ok": bool(np.all(ratios <= upper * tol)),
-            "c_fit": float(np.mean(cs)) if cs.size else None,
-            "negligible": False,
-        })
-    return {"mu": mu, "p": 2, "times": [float(t) for t in times], "blocks": blocks,
-            "all_within": all(b["lower_ok"] and b["upper_ok"] for b in blocks)}
 
 
 def block_report(f: RealField, spec: BesovSpec) -> dict:

@@ -2,10 +2,9 @@
 
 The system evolves density rho and velocity u with density-weighted shear
 viscosity 2*mu*rho, zero bulk viscosity, capillarity coefficient kappa/rho
-and pressure a*rho^gamma. The capillarity divergence div K has three
-algebraically equal forms: the step's compact kappa*div(rho*hess ln rho),
-summed into the stress of ``rhs_primitive``, and two independent groupings
-that check it, the tensor form ``div_k_form_a`` and ``div_k_gradient_form``.
+and pressure a*rho^gamma. The capillarity divergence div K is the compact
+kappa*div(rho*hess ln rho), summed into the stress of ``rhs_primitive``;
+``verify`` holds the two algebraically equal groupings that check it.
 The effective formulation evolves q = ln(rho/rho_bar) and
 v = u + mu*grad(ln rho); it requires kappa >= mu^2, and the capillary
 correction drops out exactly at kappa = mu^2.
@@ -48,8 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import (Grid, RealField, dealias_values, div_array, fft_array, fft_stage,
-                     grad_arrays, ifft_array, ifft_stage, lap_array)
+from .fields import Grid, RealField, fft_array, fft_stage, grad_arrays, ifft_stage
 
 QUANTUM_TOL = 1e-12
 
@@ -155,49 +153,6 @@ def _div_sym_hat(g, hats):
     mask, ik, at = g.half_mask, g.half_ik, g.sym_index
     hats = [mask * h for h in hats]
     return [sum(ik[j] * hats[m] for j, m in enumerate(row)) for row in at]
-
-
-def div_k_form_a(rho: RealField, kappa1: float) -> tuple:
-    """Capillarity divergence from the general gradient/tensor form.
-
-    grad(rho*kap(rho)*lap(rho) + 0.5*(kap(rho) + rho*kap'(rho))*|grad rho|^2)
-        - div(kap(rho) * grad(rho) (x) grad(rho))
-
-    with kap(rho) = kappa1/rho. All three pieces are evaluated literally so
-    this route stays independent of the step's compact form.
-    """
-    g = rho.grid
-    r = _check_density(rho)
-    rhat = fft_array(g, r)
-    gr = grad_arrays(g, rhat)
-    lap_r = lap_array(g, rhat)
-    kap = kappa1 / r
-    dkap = -kappa1 / r ** 2
-    grad_sq = sum(c ** 2 for c in gr)
-    scalar = r * kap * lap_r + 0.5 * (kap + r * dkap) * grad_sq
-    scalar_hat = fft_array(g, dealias_values(g, scalar))
-    out = []
-    for i, ik in enumerate(g.half_ik):
-        term1 = ifft_array(g, ik * scalar_hat)
-        term2 = div_array(g, [dealias_values(g, kap * gr[i] * gr[j]) for j in range(g.dim)])
-        out.append(RealField(g, term1 - term2))
-    return tuple(out)
-
-
-def div_k_gradient_form(rho: RealField, kappa1: float) -> tuple:
-    """Equivalent gradient expression kappa1*(rho*grad(lap ln rho)
-    + (rho/2)*grad(|grad ln rho|^2)), kept for cross-checks."""
-    g = rho.grid
-    r = _check_density(rho)
-    ln_hat = fft_array(g, np.log(r))
-    lap_ln_hat = -g.half_k2 * ln_hat
-    grad_ln = grad_arrays(g, ln_hat)
-    sq_hat = fft_array(g, dealias_values(g, sum(c ** 2 for c in grad_ln)))
-    out = []
-    for ik in g.half_ik:
-        comp = r * ifft_array(g, ik * lap_ln_hat) + 0.5 * r * ifft_array(g, ik * sq_hat)
-        out.append(RealField(g, kappa1 * dealias_values(g, comp)))
-    return tuple(out)
 
 
 # -- change of variables ----------------------------------------------------

@@ -2,7 +2,10 @@
 
 Each suite runs a fixed, seeded battery of the package's mathematical
 identities and returns per-case pass/fail with the measured quantity, so a
-failure names the exact case and margin rather than a bare boolean.
+failure names the exact case and margin rather than a bare boolean. The
+module also holds the oracles its suites compare against, which no other
+module runs: the two groupings of the capillary divergence that check the
+step's compact one, and the exact heat-semigroup decay of dyadic blocks.
 """
 
 from __future__ import annotations
@@ -12,28 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .fields import Grid, RealField, fft_array, grad_arrays, hermitian_half, ifft_array, lp_norm
+from .errors import ConfigurationError, DomainError
+from .fields import (Grid, RealField, dealias_values, fft_array, grad_arrays, hermitian_half,
+                     ifft_array, lp_norms)
 from .lp_besov import (
     ANNULUS_OUTER,
+    PLATEAU,
+    block_norm_table,
     block_range,
     bony_decompose,
     build_bumps,
     decompose,
-    heat_block_decay_check,
 )
-from .model import (
-    PhysParams,
-    div_k_form_a,
-    div_k_gradient_form,
-    rhs_primitive,
-    to_effective,
-)
+from .model import PhysParams, _check_density, rhs_primitive, to_effective
 from .presets import Preset, _bandlimited_noise, build
 from .solver import SolverConfig, run
 from .diagnostics import degiorgi_recursion
-
-SUITE_NAMES = ("divk", "heat", "bony", "besov", "degiorgi", "equivalence")
 
 
 @dataclass
@@ -66,8 +63,8 @@ class SuiteReport:
 
 
 def _rel_l2(diff_fields, ref_fields) -> float:
-    num = math.sqrt(sum(lp_norm(f, 2) ** 2 for f in diff_fields))
-    den = math.sqrt(sum(lp_norm(f, 2) ** 2 for f in ref_fields))
+    num = math.sqrt(sum(lp_norms(f.grid, f.values, 2) ** 2 for f in diff_fields))
+    den = math.sqrt(sum(lp_norms(f.grid, f.values, 2) ** 2 for f in ref_fields))
     return num / den if den > 0 else num
 
 
@@ -80,6 +77,50 @@ def _step_div_k(rho: RealField, kappa1: float) -> list:
     params = PhysParams(mu=1.0, kappa=kappa1, a=0.0)
     _, du = rhs_primitive(g, params, [rho.values, *zero], hats if g.dim == 1 else list(hats))
     return [RealField(g, rho.values * ifft_array(g, c)) for c in du]
+
+
+def div_k_form_a(rho: RealField, kappa1: float) -> tuple:
+    """Capillarity divergence from the general gradient/tensor form.
+
+    grad(rho*kap(rho)*lap(rho) + 0.5*(kap(rho) + rho*kap'(rho))*|grad rho|^2)
+        - div(kap(rho) * grad(rho) (x) grad(rho))
+
+    with kap(rho) = kappa1/rho. All three pieces are evaluated literally so
+    this route stays independent of the step's compact form.
+    """
+    g = rho.grid
+    r = _check_density(rho)
+    rhat = fft_array(g, r)
+    gr = grad_arrays(g, rhat)
+    lap_r = ifft_array(g, -g.half_k2 * rhat)
+    kap = kappa1 / r
+    dkap = -kappa1 / r ** 2
+    grad_sq = sum(c ** 2 for c in gr)
+    scalar = r * kap * lap_r + 0.5 * (kap + r * dkap) * grad_sq
+    scalar_hat = fft_array(g, dealias_values(g, scalar))
+    out = []
+    for i, ik in enumerate(g.half_ik):
+        term1 = ifft_array(g, ik * scalar_hat)
+        term2 = ifft_array(g, sum(ik_j * fft_array(g, dealias_values(g, kap * gr[i] * gr[j]))
+                                  for j, ik_j in enumerate(g.half_ik)))
+        out.append(RealField(g, term1 - term2))
+    return tuple(out)
+
+
+def div_k_gradient_form(rho: RealField, kappa1: float) -> tuple:
+    """Equivalent gradient expression kappa1*(rho*grad(lap ln rho)
+    + (rho/2)*grad(|grad ln rho|^2))."""
+    g = rho.grid
+    r = _check_density(rho)
+    ln_hat = fft_array(g, np.log(r))
+    lap_ln_hat = -g.half_k2 * ln_hat
+    grad_ln = grad_arrays(g, ln_hat)
+    sq_hat = fft_array(g, dealias_values(g, sum(c ** 2 for c in grad_ln)))
+    out = []
+    for ik in g.half_ik:
+        comp = r * ifft_array(g, ik * lap_ln_hat) + 0.5 * r * ifft_array(g, ik * sq_hat)
+        out.append(RealField(g, kappa1 * dealias_values(g, comp)))
+    return tuple(out)
 
 
 def suite_divk() -> SuiteReport:
@@ -111,6 +152,52 @@ def _broadband(grid: Grid, rng) -> RealField:
     spectrum /= 1.0 + grid.half_kmag
     spectrum.flat[0] = 0.0
     return RealField(grid, ifft_array(grid, spectrum))
+
+
+def heat_block_decay_check(u0: RealField, mu: float, times) -> dict:
+    """Evolve u0 by the exact diffusion semigroup and compare the decay of
+    each block's L^2 norm against the annulus bounds
+    exp(-mu*(8/3)^2*4^l*t) <= ratio <= exp(-mu*(3/4)^2*4^l*t). Also fits the
+    effective rate c in ratio ~ exp(-c*mu*4^l*t) for each block.
+
+    The norms are taken on the decayed spectra, so the per-mode decay is
+    exact and the bounds hold even for blocks of roundoff content."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0 or times[0] != 0 or np.any(np.diff(times) <= 0):
+        raise DomainError("need increasing sample times starting at 0")
+    if mu <= 0:
+        raise ConfigurationError(f"diffusion coefficient must be positive, got {mu}")
+    g = u0.grid
+    uhat0 = fft_array(g, u0.values)
+    decay = np.exp(-mu * g.half_k2 * times.reshape((-1,) + (1,) * g.dim))
+    ls, table = block_norm_table(g, decay * uhat0, 2)  # [time, block]
+
+    blocks = []
+    for j, l in enumerate(ls):
+        n0 = table[0, j]
+        if n0 == 0:
+            blocks.append({"l": l, "initial_norm": float(n0), "ratios": [],
+                           "lower_ok": True, "upper_ok": True, "c_fit": None,
+                           "negligible": True})
+            continue
+        ratios = table[1:, j] / n0
+        rate = 4.0 ** l
+        lower = np.exp(-mu * ANNULUS_OUTER ** 2 * rate * times[1:])
+        upper = np.exp(-mu * PLATEAU ** 2 * rate * times[1:])
+        tol = 1.0 + 1e-12
+        positive = ratios > 0
+        cs = -np.log(ratios[positive]) / (mu * rate * times[1:][positive])
+        blocks.append({
+            "l": l,
+            "initial_norm": float(n0),
+            "ratios": [float(x) for x in ratios],
+            "lower_ok": bool(np.all(ratios * tol >= lower)),
+            "upper_ok": bool(np.all(ratios <= upper * tol)),
+            "c_fit": float(np.mean(cs)) if cs.size else None,
+            "negligible": False,
+        })
+    return {"mu": mu, "p": 2, "times": [float(t) for t in times], "blocks": blocks,
+            "all_within": all(b["lower_ok"] and b["upper_ok"] for b in blocks)}
 
 
 def suite_heat() -> SuiteReport:
@@ -178,11 +265,11 @@ def suite_besov() -> SuiteReport:
     worst = 0.0
     for l in dec.ls:
         blk = dec.blocks[l]
-        nb = lp_norm(blk, 2)
+        nb = lp_norms(g, blk.values, 2)
         if nb < 1e-13:
             continue
-        ng = lp_norm(RealField(g, grad_arrays(g, fft_array(g, blk.values))[0]), 2)
-        worst = max(worst, ng / (nb * ANNULUS_OUTER * 2.0 ** l))
+        ng = lp_norms(g, grad_arrays(g, fft_array(g, blk.values))[0], 2)
+        worst = max(worst, float(ng / (nb * ANNULUS_OUTER * 2.0 ** l)))
     cases.append(CaseResult("bernstein_ratio", worst <= 1.0 + 1e-12, worst,
                             1.0, detail="ratio of ||grad block|| to cap"))
     return SuiteReport("besov", cases)
@@ -246,6 +333,7 @@ SUITES = {
     "degiorgi": suite_degiorgi,
     "equivalence": suite_equivalence,
 }
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str) -> SuiteReport:

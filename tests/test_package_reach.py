@@ -6,9 +6,11 @@ it by name, it is public (``capns.__all__``), or it is on the allowlist
 below with the reason it stays. A module-level name is used as a bare name
 (the package never reaches a module's functions as attributes of the
 module) and a method as an attribute, so a method does not reach a module
-function of the same name, nor the other way round. The public names and the external
-contracts (CSV columns, exit causes) are pinned as literals, so a rename
-fails here and not only downstream.
+function of the same name, nor the other way round. A private module-level
+function that only ``verify`` uses is an oracle of its suites and is
+defined there. The public names and the external contracts (CSV columns,
+exit causes) are pinned as literals, so a rename fails here and not only
+downstream.
 """
 
 import ast
@@ -54,22 +56,41 @@ def _uses(tree):
             yield ast.Attribute, node.attr, node.lineno
 
 
-def _unreached(trees):
-    uses = [(module, kind, name, line) for module, tree in trees.items()
-            for kind, name, line in _uses(tree)]
-    unreached = set()
+def _users(trees):
+    """(module, kind, name, node, users) of every definition, where
+    ``users`` are the modules that use it outside its own definition."""
+    uses = {}
+    for module, tree in trees.items():
+        for kind, name, line in _uses(tree):
+            uses.setdefault((kind, name), []).append((module, line))
     for module, tree in trees.items():
         for kind, name, node in _definitions(tree):
             inside = range(node.lineno, node.end_lineno + 1)
-            if not any(k is kind and n == name and not (m == module and line in inside)
-                       for m, k, n, line in uses):
-                unreached.add(name)
-    return unreached
+            yield module, kind, name, node, {m for m, line in uses.get((kind, name), ())
+                                             if not (m == module and line in inside)}
+
+
+def _unreached(trees):
+    return {name for _, _, name, _, users in _users(trees) if not users}
+
+
+def _package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def test_every_package_function_is_reached():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _unreached(trees) - set(capns.__all__) == set(UNREACHED)
+    assert _unreached(_package_trees()) - set(capns.__all__) == set(UNREACHED)
+
+
+def test_no_function_outside_verify_serves_verify_alone():
+    # an oracle that only the verify suites run belongs in verify, not in a
+    # module the computations run; methods belong to their class
+    verify_only = {f"{module[:-3]}.{name}"
+                   for module, kind, name, node, users in _users(_package_trees())
+                   if kind is ast.Name and isinstance(node, ast.FunctionDef)
+                   and module not in ("verify.py", "cli.py") and users == {"verify.py"}
+                   and name not in capns.__all__}
+    assert verify_only == set()
 
 
 def test_method_and_function_of_one_name_are_told_apart():
