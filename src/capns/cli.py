@@ -18,6 +18,8 @@ import json
 import os
 from dataclasses import replace
 
+import numpy as np
+
 from .diagnostics import (
     DiagnosticsAccumulator,
     check_energy_inequality,
@@ -408,8 +410,10 @@ def main(argv=None) -> int:
             cause, report = _invalid([f"output.json: cannot write: {ex}"])
             report["errors"][:0] = kept
     report.update(cause=cause, exit_code=CAUSE_CODES[cause])
+    # a numpy scalar is written as its Python value (a numpy.bool_ as a boolean)
+    plain = lambda o: o.item() if isinstance(o, np.generic) else float(o)
     with sink or contextlib.nullcontext():  # file=None prints to stdout
-        print(json.dumps(report, indent=2, sort_keys=True, default=float), file=sink)
+        print(json.dumps(report, indent=2, sort_keys=True, default=plain), file=sink)
     if sink is not None:
         print(f"wrote {args.json}")
     return report["exit_code"]

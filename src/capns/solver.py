@@ -210,8 +210,13 @@ class _LineScheme(_Scheme):
     The spectral unknowns are the rows of one stack (the velocity alone, or
     q and v), so each transform stage, each Heun operation and each
     finiteness check is one call for all of them. Leading axes of the
-    samples (a stack of members) pass through every operation.
+    samples (a stack of members) pass through every operation. The Heun
+    products take dt and dt/2 as 0-d arrays (see ``model._Line``).
     """
+
+    def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
+        super().__init__(g, params, cfg)
+        self.dt, self.half_dt = np.array(cfg.dt, float), np.array(0.5 * cfg.dt, float)
 
     def guarded_rows(self, rho, hats, t):
         """The samples of the rows of ``hats``, guarded as in
@@ -226,8 +231,8 @@ class _LineScheme(_Scheme):
 
     def step(self, vals, t: float) -> list:
         """``_Scheme.step`` with the spectral unknowns as one stack."""
-        g, p, dt, e = self.grid, self.params, self.cfg.dt, self.fac
-        half_dt, t_next = 0.5 * dt, t + dt
+        g, p, dt, half_dt, e = self.grid, self.params, self.dt, self.half_dt, self.fac
+        t_next = t + self.cfg.dt
         if self.on_grid:
             rho, u = vals
             hat = fft_stage(g, u[None])

@@ -297,6 +297,8 @@ class TestVerifyCommand:
         payload = json.loads(json_path.read_text())
         assert payload["cause"] == "ok"
         assert payload["suites"][0]["ok"] is True
+        # its saturation cases compare numpy floats: the verdicts stay booleans
+        assert all(c["passed"] is True for c in payload["suites"][0]["cases"])
 
     def test_bony_suite(self, capsys):
         assert main(["verify", "--suite", "bony"]) == EXIT_OK
@@ -663,6 +665,23 @@ def test_every_cause_through_main(tmp_path, monkeypatch, cause):
         assert (payload["t"], payload["detail"]) == (0.5, "non-finite rho")
         assert payload["preset"] == "smooth_bump"
         assert payload["config"]["grid"] == {"dim": 1, "n": 64}
+
+
+def test_numpy_scalars_keep_their_json_type(tmp_path, monkeypatch):
+    # a payload value that is a numpy scalar is written as its Python value:
+    # a numpy.bool_ as true, not 1.0, and a numpy.int64 as an integer
+    def stub(args, report):
+        report.update(flag=np.bool_(True), count=np.int64(3), value=np.float64(0.5))
+        return "ok"
+
+    monkeypatch.setitem(capns.cli.COMMANDS, "verify", stub)
+    json_path = tmp_path / "out.json"
+    assert main(["verify", "--json", str(json_path)]) == EXIT_OK
+    text = json_path.read_text()
+    assert '"flag": true' in text and '"count": 3,' in text and '"value": 0.5' in text
+    payload = json.loads(text)
+    assert payload["flag"] is True and type(payload["count"]) is int
+    assert payload["value"] == 0.5
 
 
 def test_readme_exit_code_table():

@@ -7,6 +7,7 @@ import pytest
 from conftest import full_layout
 
 import capns
+from capns.diagnostics import DiagnosticsAccumulator
 from capns.errors import ConfigurationError, DomainError
 from capns.fields import (
     Grid,
@@ -23,8 +24,9 @@ from capns.fields import (
     transform,
 )
 from capns.lp_besov import _block_multipliers
-from capns.model import PhysParams, _hessian, _line
+from capns.model import PhysParams, _hessian, _line, to_effective
 from capns.presets import Preset, build
+from capns.solver import PicardConfig, SolverConfig, picard_solve, run
 
 TAU = 2.0 * math.pi
 
@@ -76,6 +78,9 @@ class TestGrid:
         for cached, product in ((m.ik_mask, ik * g.half_mask), (m.hessian, next(_hessian(g))),
                                 (m.lin, p.mu * g.half_k2), (m.a_ik, p.a * ik)):
             assert np.array_equal(cached.view(np.int64), product.view(np.int64))
+        # the coefficients are 0-d float64 arrays of the same values
+        for coef, value in ((m.mu, p.mu), (m.kappa, p.kappa), (m.a, p.a)):
+            assert coef.shape == () and coef.dtype == np.float64 and coef == value
         assert _line(Grid(1, n, length), PhysParams(mu=0.15, kappa=0.04, a=0.9)) is m
 
     def test_symmetric_pairs_and_index(self):
@@ -369,6 +374,65 @@ class TestTwoDimensionalTransforms:
             assert _ifft_owned(g, kept.copy()).tobytes() == want
             (staged,) = ifft_stage(g, [kept])
             assert staged.tobytes() == want
+
+
+class TestLineTransforms:
+    """Every 1-D ``rfft``/``irfft`` writes into an ``out=`` array of its
+    result's shape, without numpy's own ``empty_like``: bit-identical to
+    ``rfft``/``irfft(c, n)`` on single rows and stacks, at full width and
+    narrowed."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (3,), (8, 2)], ids=["single", "1", "3", "8x2"])
+    @pytest.mark.parametrize("n", [8, 64, 128, 1024])
+    def test_bit_identical_to_numpy(self, n, lead):
+        g = Grid(1, n)
+        values = np.random.default_rng(n).standard_normal(lead + g.shape)
+        fhat = fft_array(g, values)
+        assert fhat.tobytes() == np.fft.rfft(values).tobytes()
+        assert fft_stage(g, values).tobytes() == fhat.tobytes()
+        if not lead:
+            (staged,) = fft_stage(g, [values])
+            assert staged.tobytes() == fhat.tobytes()
+        for m in _column_extents(g):
+            kept = fhat[..., :m].copy()
+            want = np.fft.irfft(kept, n).tobytes()
+            for inverse in (ifft_array, _ifft_owned, ifft_stage):
+                assert inverse(g, kept).tobytes() == want
+                assert kept.tobytes() == fhat[..., :m].tobytes()
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        """Every ``np.fft.rfft``/``irfft`` call: its ``out=`` and its result."""
+        calls = []
+
+        def spy(real):
+            def call(*args, **kwargs):
+                result = real(*args, **kwargs)
+                calls.append((real.__name__, kwargs.get("out"), result))
+                return result
+            return call
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, spy(getattr(np.fft, name)))
+        return calls
+
+    def test_every_call_writes_into_out(self, fft_calls):
+        g = Grid(1, 64)
+        p = PhysParams(mu=0.15, kappa=0.0225)
+        state = build(Preset("smooth_bump", amplitude=0.1), g, p)
+        for form in ("primitive", "effective"):
+            initial = state if form == "primitive" else to_effective(state, p)
+            run(initial, p, SolverConfig(dt=1e-3, t_end=2e-3, formulation=form),
+                diag_fn=DiagnosticsAccumulator(p) if form == "primitive" else None)
+        eff = to_effective(state, p)
+        picard_solve(eff.q, eff.v, p, 0.5, PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
+        f = random_field(g, seed=1)
+        ifft_array(g, fft_array(g, f.values))
+        grad_arrays(g, transform(f).coeffs)
+        dealias_values(g, f.values)
+        assert {name for name, _, _ in fft_calls} == {"rfft", "irfft"}
+        for name, out, result in fft_calls:
+            assert out is result and out.shape == result.shape, name
 
 
 def test_only_fields_module_calls_numpy_fft():
