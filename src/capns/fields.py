@@ -29,18 +29,30 @@ they transform one array at a time, as it is reached, so no more arrays
 are live than the caller holds.
 
 Transforms make no hidden temporary where they can avoid one. Every 1-D
-call, ``rfft`` or ``irfft``, writes into a fresh ``out=`` array, its result:
-without one, numpy's wrapper works out the dtype and calls ``empty_like``,
-about 1 µs of a 5 µs ``rfft`` at n = 128. A forward ``rfft2`` writes both
-its passes into one such array. The 2-D inverse of a spectrum built for it
-runs the two passes of ``irfft2`` itself: the first-axis ``ifft`` in place
-in that spectrum, then the last-axis ``irfft``. Only ``ifft_array``, for a
-spectrum the caller reads again, keeps ``irfft2`` and its intermediate
-array. No buffer is kept, and every result is bit-identical to numpy's. The
-ownership rule (``_ifft_owned``): an inverse overwrites a spectrum only
-where it is a product built for that inverse alone: each multiplier times a
-spectrum in ``grad_arrays`` and ``dealias_values``, each spectrum of a 2-D
+call, ``rfft`` or ``irfft``, writes into a fresh ``out=`` array, its result.
+A forward ``rfft2`` writes both its passes into one such array. The 2-D
+inverse of a spectrum built for it runs the two passes of ``irfft2``
+itself: the first-axis ``ifft`` in place in that spectrum, then the
+last-axis ``irfft``. Only ``ifft_array``, for a spectrum the caller reads
+again, keeps the intermediate array of ``irfft2``. No buffer is kept, and
+every result is bit-identical to numpy's. The ownership rule
+(``_ifft_owned``): an inverse overwrites a spectrum only where it is a
+product built for that inverse alone: each multiplier times a spectrum in
+``grad_arrays`` and ``dealias_values``, each spectrum of a 2-D
 ``ifft_stage``, and the block products of ``lp_besov``.
+
+The seam: a transform calls the pocketfft gufuncs of
+``numpy.fft._pocketfft_umath`` (``_pfu``) with the arguments numpy.fft's
+own functions pass them, pass by pass in the order ``rfft2``/``irfft2``
+run theirs, and so returns the same bytes. It skips numpy.fft's Python
+wrapper, whose dispatch, dtype resolution and axis normalisation cost
+about 2-3 µs of a 5-6 µs 1-D call at n = 128, while a 1-D step is bound
+by its calls. The rebinding rule: numpy.fft's public functions stay the
+one place where a caller can observe or replace a transform. A call site
+takes the gufuncs only while every ``numpy.fft`` function it stands for is
+still numpy's own (``numpy.fft._pocketfft.<name>``); otherwise it calls
+the functions bound there, as it would without the seam, so a tracer or a
+test that wraps them sees every transform.
 
 Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
 half spectrum, both validated on construction; ``transform`` is
@@ -72,11 +84,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.fft import _pocketfft
+from numpy.fft import _pocketfft_umath as _pfu
 
 from .errors import ConfigurationError, DomainError
 
 TAU = 2.0 * math.pi
 _TINY = sys.float_info.min  # smallest normal double
+_FIRST_AXIS = [(-2,), (), (-2,)]  # gufunc axes of a 2-D pass along axis -2
 
 
 @dataclass(frozen=True)
@@ -240,9 +255,15 @@ def fft_array(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Unnormalized half spectrum of real grid samples over the last
     ``grid.dim`` axes; leading axes are a stack. ``rfft``, or both passes
     of ``rfft2``, write into one fresh ``out=`` array, the result."""
+    out = np.empty(values.shape[:-grid.dim] + grid.half_shape, complex)
     if grid.dim == 1:
-        return np.fft.rfft(values, out=np.empty(values.shape[:-1] + grid.half_shape, complex))
-    return np.fft.rfft2(values, out=np.empty(values.shape[:-2] + grid.half_shape, complex))
+        if np.fft.rfft is _pocketfft.rfft:
+            return _pfu.rfft_n_even(values, 1.0, out=out)
+        return np.fft.rfft(values, out=out)
+    if np.fft.rfft2 is _pocketfft.rfft2:
+        _pfu.rfft_n_even(values, 1.0, out=out)
+        return _pfu.fft(out, 1.0, axes=_FIRST_AXIS, out=out)
+    return np.fft.rfft2(values, out=out)
 
 
 def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -257,7 +278,13 @@ def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     transforms run on its columns only.
     """
     if grid.dim == 1:
-        return np.fft.irfft(coeffs, grid.n, out=np.empty(coeffs.shape[:-1] + grid.shape))
+        out = np.empty(coeffs.shape[:-1] + grid.shape)
+        if np.fft.irfft is _pocketfft.irfft:
+            return _pfu.irfft(coeffs, 1.0 / grid.n, out=out)
+        return np.fft.irfft(coeffs, grid.n, out=out)
+    if np.fft.irfft2 is _pocketfft.irfft2:
+        return _irfft_last(grid, _pfu.ifft(coeffs, 1.0 / grid.n, axes=_FIRST_AXIS,
+                                           out=np.empty_like(coeffs, dtype=complex)))
     return np.fft.irfft2(coeffs, s=grid.shape)
 
 
@@ -273,8 +300,17 @@ def _ifft_owned(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """
     if grid.dim == 1:
         return ifft_array(grid, coeffs)
+    if np.fft.ifft is _pocketfft.ifft and np.fft.irfft is _pocketfft.irfft:
+        return _irfft_last(grid, _pfu.ifft(coeffs, 1.0 / grid.n, axes=_FIRST_AXIS, out=coeffs))
     np.fft.ifft(coeffs, axis=-2, out=coeffs)
     return np.fft.irfft(coeffs, grid.n, axis=-1)
+
+
+def _irfft_last(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """The last-axis pass of a 2-D inverse, into the array numpy's
+    ``irfft`` would allocate (``empty_like``, so its memory order too)."""
+    out = np.empty_like(coeffs, shape=coeffs.shape[:-1] + (grid.n,), dtype=float)
+    return _pfu.irfft(coeffs, 1.0 / grid.n, out=out)
 
 
 def fft_stage(grid: Grid, arrays):

@@ -318,8 +318,9 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
     come from one call per chunk. A run that raises records nothing more.
     callbacks are called (step, t, state) after every accepted step. The
     span must be a whole number of dt steps. Float errors print nothing:
-    the loop runs in one ``np.errstate``, which its steps share, and a
-    blow-up arrives as the step guard's NumericBlowup.
+    the loop runs in one ``np.errstate``, which its steps and every
+    ``diag_fn`` call share, and a blow-up arrives as the step guard's
+    NumericBlowup (a record's overflow as the non-finite values it holds).
     """
     # validates once, and rejects a state of the other formulation even
     # when no step is taken; every step reuses the scheme
@@ -352,11 +353,11 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
         if len(pending) == chunk:
             flush()
 
-    emit(initial, t0)
     state = initial
     quiet = _QUIET.set(True)
     try:
         with np.errstate(all="ignore"):
+            emit(initial, t0)
             for m in range(n_steps):
                 t_next = t0 + (m + 1) * cfg.dt
                 state = step_imex(state, params, cfg, t=t0 + m * cfg.dt)
@@ -364,9 +365,9 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
                     cb(m + 1, t_next, state)
                 if (m + 1) % cfg.diag_stride == 0 or m + 1 == n_steps:
                     emit(state, t_next)
+            flush()
     finally:
         _QUIET.reset(quiet)
-    flush()
     result.final_state = state
     result.t_final = t0 + n_steps * cfg.dt
     result.steps = n_steps
@@ -553,9 +554,10 @@ def _duhamel(g, e_fac, h_src):
     bar[m+1] = e (bar[m] + h[m]) + h[m+1], from the half-step-weighted
     sources h; the time axis is the one just before the spectral axes.
     Each level is computed in its own slot, with no temporaries."""
+    lead = h_src.ndim - 1 - g.dim
     bar = np.empty_like(h_src)
-    b, h = (np.moveaxis(a, -1 - g.dim, 0) for a in (bar, h_src))
-    b[0] = 0.0
+    b, h = (list(a.swapaxes(0, lead)) for a in (bar, h_src))
+    b[0].fill(0.0)
     for m in range(len(h) - 1):
         nxt = b[m + 1]
         np.add(b[m], h[m], out=nxt)

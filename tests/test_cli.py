@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,25 @@ class TestRunCommand:
         assert summary["mass_drift"] < 1e-10
         assert summary["lp_gain"]["4"]["verdict"] is True
         assert summary["steps"] == 20
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    def test_overflowing_records_warn_nothing(self, tmp_path, capsys, dim, n):
+        # at rho_bar = 1e300 the records' squares overflow: the run ends on
+        # the non-finite statistic, and numpy warns nothing, since the first
+        # and the last records run inside the run's errstate too
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            grid={"dim": dim, "n": n}, physics={"rho_bar": 1e300},
+            solver={"dt": 1e-3, "t_end": 2e-3, "diag_stride": 1}))
+        json_path = tmp_path / "o.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", cfg, "--csv", str(tmp_path / "s.csv"),
+                         "--json", str(json_path)])
+        summary = json.loads(json_path.read_text())
+        assert code == CAUSE_CODES["check_failed"]
+        assert summary["cause"] == "check_failed"
+        assert summary["energy_check"]["detail"] == "non-finite statistic at t=0.001"
+        assert capsys.readouterr().err == ""
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", base_sections(

@@ -7,10 +7,18 @@ costs more than its arithmetic, so the independent transforms of a stage
 are one call there: the counts are calls, not transformed arrays. A 2-D
 inverse may be two numpy calls, an in-place first pass and its ``irfft``;
 it counts as one transform (see ``_counter``).
+
+``fields`` runs its transforms on numpy's pocketfft gufuncs while
+numpy.fft binds numpy's own functions, and through numpy.fft otherwise:
+``_gufunc_counter`` counts the first path and ``_counter`` the second, and
+each budget holds on both.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.fft import _pocketfft
 
 from capns import diagnostics, fields, lp_besov, model, solver
 from capns.diagnostics import DiagnosticsAccumulator
@@ -72,27 +80,106 @@ def fft_calls(monkeypatch):
     assert calls[1:] == [0, None]
 
 
+GUFUNC_NAMES = ("rfft_n_even", "irfft", "fft", "ifft")
+FIRST_AXIS = [(-2,), (), (-2,)]
+
+
+def _gufunc_counter(monkeypatch):
+    """Counters of the calls ``fields`` makes to numpy's pocketfft gufuncs,
+    checked as they come: [transforms, last forward, open first pass].
+
+    ``rfft_n_even`` and ``irfft`` count one transform each. A complex pass
+    is the other half of a 2-D transform: an ``fft`` is the second pass of
+    a forward, along axis -2 in place in the output of the ``rfft_n_even``
+    just before it (the second entry), and an ``ifft`` is the first pass
+    of an inverse, along axis -2, whose output the next call, an
+    ``irfft``, reads (the third entry until then, else None).
+    """
+    calls = [0, None, None]
+
+    def counted(name):
+        gufunc = getattr(fields._pfu, name)
+
+        def call(*args, **kwargs):
+            if calls[2] is not None:
+                assert name == "irfft" and args[0] is calls[2], \
+                    f"{name} follows a first pass"
+                calls[2] = None
+            if name == "fft":
+                assert (args[0] is calls[1] and kwargs["out"] is calls[1]
+                        and kwargs["axes"] == FIRST_AXIS), \
+                    "an fft that is not the in-place second pass of a forward"
+            result = gufunc(*args, **kwargs)
+            if name == "ifft":
+                assert kwargs["axes"] == FIRST_AXIS, "an ifft that is not a first pass"
+                calls[2] = result
+            elif name != "fft":
+                calls[0] += 1
+            calls[1] = result if name == "rfft_n_even" else None
+            return result
+        return call
+
+    monkeypatch.setattr(fields, "_pfu", SimpleNamespace(**{n: counted(n) for n in GUFUNC_NAMES}))
+    return calls
+
+
+@pytest.fixture
+def gufunc_calls(monkeypatch):
+    """``_gufunc_counter`` with numpy.fft left as it is: ``gufunc_calls[0]``
+    counts the transforms, every 2-D first pass is read, and a spy on the
+    one function every public numpy.fft transform runs (``_raw_fft``)
+    sees no call."""
+    calls = _gufunc_counter(monkeypatch)
+    public = []
+    raw = _pocketfft._raw_fft
+
+    def spy(*args, **kwargs):
+        public.append(args[0].shape)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(_pocketfft, "_raw_fft", spy)
+    yield calls
+    assert calls[2] is None
+    assert public == []
+
+
 def _state(dim, n, formulation):
     s = build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), PARAMS)
     return s if formulation == "primitive" else to_effective(s, PARAMS)
 
 
-@pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", [
+STEP_AND_RECORD = [
     pytest.param(1, 128, "primitive", 13, 4, id="1-128-primitive"),
     pytest.param(1, 128, "effective", 7, 4, id="1-128-effective"),
     pytest.param(2, 64, "primitive", 42, 22, id="2-64-primitive"),
     pytest.param(2, 64, "effective", 27, 22, id="2-64-effective"),
-])
-def test_step_and_record_transform_counts(fft_calls, dim, n, formulation,
-                                          step_fft, record_fft):
+]
+
+
+def _step_and_record(calls, dim, n, formulation):
+    """The transforms ``calls[0]`` counts in one step and in one record."""
     state = _state(dim, n, formulation)
     cfg = SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation)
-    fft_calls[0] = 0
+    calls[0] = 0
     step_imex(state, PARAMS, cfg)
-    assert fft_calls[0] == step_fft
-    fft_calls[0] = 0
+    step = calls[0]
+    calls[0] = 0
     DiagnosticsAccumulator(PARAMS)([state], [0.0])
-    assert fft_calls[0] == record_fft
+    return step, calls[0]
+
+
+@pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", STEP_AND_RECORD)
+def test_step_and_record_transform_counts(fft_calls, dim, n, formulation,
+                                          step_fft, record_fft):
+    assert _step_and_record(fft_calls, dim, n, formulation) == (step_fft, record_fft)
+
+
+@pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", STEP_AND_RECORD)
+def test_gufunc_step_and_record_counts(gufunc_calls, dim, n, formulation,
+                                       step_fft, record_fft):
+    # the budgets of the public path hold on the gufuncs, where a 2-D
+    # forward's two passes and each inverse pair are one transform
+    assert _step_and_record(gufunc_calls, dim, n, formulation) == (step_fft, record_fft)
 
 
 @pytest.fixture
@@ -230,25 +317,80 @@ def test_block_report_one_transform_per_block(fft_calls):
     assert fft_calls[0] == 1 + len(rep["blocks"])
 
 
-@pytest.mark.parametrize("dim,n,per_iter", [
-    pytest.param(1, 64, 9, id="1-64"),
-    pytest.param(2, 16, 16, id="2-16"),
-])
-def test_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
-    # every transform of an iteration covers all time levels at once, and
-    # the differences are measured on the spectra, so the count of an
-    # iteration does not grow with the number of time steps
+PICARD = [pytest.param(1, 64, 9, id="1-64"), pytest.param(2, 16, 16, id="2-16")]
+
+
+def _picard_per_iteration(calls, dim, n):
+    """The transforms ``calls[0]`` counts per Picard iteration.
+
+    Every transform of an iteration covers all time levels at once, and
+    the differences are measured on the spectra, so neither an iteration's
+    count nor the set-up's grows with the number of time steps.
+    """
     e = _state(dim, n, "effective")
     counts = {}
     for n_steps in (16, 32):
         for iters in (1, 2):
-            fft_calls[0] = 0
+            calls[0] = 0
             picard_solve(e.q, e.v, PARAMS, 0.5,
                          PicardConfig(n_steps=n_steps, max_iters=iters, tol=1e-30))
-            counts[n_steps, iters] = fft_calls[0]
-    assert counts[16, 2] - counts[16, 1] == per_iter
-    assert counts[32, 2] - counts[32, 1] == per_iter
+            counts[n_steps, iters] = calls[0]
     assert counts[16, 1] == counts[32, 1]
+    assert counts[16, 2] - counts[16, 1] == counts[32, 2] - counts[32, 1]
+    return counts[16, 2] - counts[16, 1]
+
+
+@pytest.mark.parametrize("dim,n,per_iter", PICARD)
+def test_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
+    assert _picard_per_iteration(fft_calls, dim, n) == per_iter
+
+
+@pytest.mark.parametrize("dim,n,per_iter", PICARD)
+def test_gufunc_picard_transforms_per_iteration(gufunc_calls, dim, n, per_iter):
+    assert _picard_per_iteration(gufunc_calls, dim, n) == per_iter
+
+
+def _transform_outputs():
+    """The bytes of what every transforming path returns, on a 1-D and a
+    2-D grid: presets, steps and records in both formulations, a Picard
+    solve, a block report, and a Bony decomposition."""
+    out = []
+    for dim, n in ((1, 64), (2, 32)):
+        g = Grid(dim, n)
+        for name in PRESET_NAMES:
+            out += [a.tobytes() for a in _unknowns(build(Preset(name), g, PARAMS))]
+        for formulation in ("primitive", "effective"):
+            cfg = SolverConfig(dt=1e-4, t_end=3e-4, formulation=formulation)
+            res = run(_state(dim, n, formulation), PARAMS, cfg,
+                      diag_fn=DiagnosticsAccumulator(PARAMS))
+            out += [a.tobytes() for a in _unknowns(res.final_state)]
+            out.append(repr([vars(r) for r in res.records]))
+        e = _state(dim, n, "effective")
+        res = picard_solve(e.q, e.v, PARAMS, 0.5,
+                           PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
+        out.append(repr(res.diff_norms))
+        out += [f.values.tobytes() for f in res.q_series]
+        out += [c.values.tobytes() for v in res.v_series for c in v]
+        f = build(Preset("random_bandlimited", amplitude=0.05), g, PARAMS).rho
+        out.append(repr(block_report(f, BesovSpec(2.0 / 3.0, 3.0))))
+    out += [f.values.tobytes() for f in bony_decompose(*_bony_factors())]
+    return out
+
+
+def test_rebound_numpy_fft_sees_every_transform(monkeypatch):
+    # numpy.fft stays the one place to observe or replace a transform: with
+    # its functions rebound to pass-through spies, no call reaches the
+    # gufuncs directly, the spies count every transform the gufuncs did,
+    # and each output is the unpatched one, byte for byte
+    want = _transform_outputs()
+    direct = _gufunc_counter(monkeypatch)
+    assert _transform_outputs() == want
+    assert direct[0] > 0 and direct[2] is None
+    monkeypatch.setattr(fields, "_pfu", None)
+    public = _counter(monkeypatch)
+    assert _transform_outputs() == want
+    assert public[0] == direct[0]
+    assert public[1:] == [0, None]
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
