@@ -6,7 +6,8 @@ One outcome path: a command fills the report ``main`` hands it and returns a
 cause. Only ``main`` catches: ``FAILURES`` gives each failure's cause and
 payload keys, and config errors, collected ones raised together, are
 ``invalid_config``. ``main`` takes the exit code from ``CAUSE_CODES`` and
-writes the payload once, to ``--json`` or else to stdout."""
+writes the payload once, to ``--json`` or else to stdout, as strict JSON:
+a non-finite number is written null."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import configparser
 import contextlib
 import functools
 import json
+import math
 import os
 from dataclasses import replace
 
@@ -390,6 +392,19 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _strict(o):
+    """``o`` as strict JSON (RFC 8259) can hold it: a numpy scalar as its
+    Python value (a numpy.bool_ as a boolean), and a non-finite float as
+    None, written null, since JSON has no NaN or infinity."""
+    if isinstance(o, dict):
+        return {k: _strict(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_strict(v) for v in o]
+    if isinstance(o, np.generic):
+        o = o.item()
+    return None if isinstance(o, float) and not math.isfinite(o) else o
+
+
 def main(argv=None) -> int:
     """Run one command and write its payload; returns the payload's exit code."""
     args = make_parser().parse_args(argv)
@@ -410,10 +425,8 @@ def main(argv=None) -> int:
             cause, report = _invalid([f"output.json: cannot write: {ex}"])
             report["errors"][:0] = kept
     report.update(cause=cause, exit_code=CAUSE_CODES[cause])
-    # a numpy scalar is written as its Python value (a numpy.bool_ as a boolean)
-    plain = lambda o: o.item() if isinstance(o, np.generic) else float(o)
     with sink or contextlib.nullcontext():  # file=None prints to stdout
-        print(json.dumps(report, indent=2, sort_keys=True, default=plain), file=sink)
+        print(json.dumps(_strict(report), indent=2, sort_keys=True, allow_nan=False), file=sink)
     if sink is not None:
         print(f"wrote {args.json}")
     return report["exit_code"]

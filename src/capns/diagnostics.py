@@ -324,7 +324,8 @@ class DiagnosticsAccumulator:
     in time order. Instantaneous functionals are evaluated on one field set
     for the whole chunk; dissipation rates and the Laplacian functional are
     accumulated with the trapezoid rule, record by record, over the times,
-    which must be nondecreasing across calls and within a chunk.
+    which must be nondecreasing across calls and within a chunk. An empty
+    chunk has no records and leaves the integrals as they were.
     """
 
     def __init__(self, params: PhysParams):
@@ -339,6 +340,8 @@ class DiagnosticsAccumulator:
         for before, t in zip([self._prev_t, *times], times):
             if before is not None and t - before < -1e-12:
                 raise DomainError(f"diagnostic times must be nondecreasing, got {t} after {before}")
+        if not states:
+            return []
         p = self.params
         f = _Fields(list(states), p)
         rates = np.reshape([dissip_u_rate(f, p), dissip_v_rate(f, p),

@@ -22,11 +22,13 @@ The helpers transform the trailing ``grid.dim`` axes only, so a stack
 with leading axes (time levels, vector components) goes through one
 transform call, slice by slice bit-identical to transforming each slice
 alone. ``fft_stage`` and ``ifft_stage`` take the independent arrays of
-one stage of a computation: on a 1-D grid, where a transform costs its
-call more than its arithmetic, they are one call on the row stack (a stack
-passed in is used as it is, and a single row as a view); on a 2-D grid
-they transform one array at a time, as it is reached, so no more arrays
-are live than the caller holds.
+one stage of a computation as a sequence, for code written for both grids
+(a record's derivative stages, the 2-D bodies); a 1-D body builds its
+stacks and calls ``fft_array``/``ifft_array``. On a 1-D grid, where a
+transform costs its call more than its arithmetic, they are one call on
+the row stack (a single row as a view); on a 2-D grid they transform one
+array at a time, as it is reached, so no more arrays are live than the
+caller holds.
 
 Transforms make no hidden temporary where they can avoid one. Every 1-D
 call, ``rfft`` or ``irfft``, writes into a fresh ``out=`` array, its result.
@@ -316,10 +318,10 @@ def _irfft_last(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 def fft_stage(grid: Grid, arrays):
     """Half spectra of the independent real arrays of one stage, in order.
 
-    On a 1-D grid: one ``rfft`` call on their row stack (``arrays`` itself
-    when it is one), each row bit-identical to its own transform. On a 2-D
-    grid: an iterator that transforms each array when it is reached, so
-    ``arrays`` may be a generator and only the arrays in use are live.
+    On a 1-D grid: one ``rfft`` call on their row stack, each row
+    bit-identical to its own transform. On a 2-D grid: an iterator that
+    transforms each array when it is reached, so ``arrays`` may be a
+    generator and only the arrays in use are live.
     """
     if grid.dim == 1:
         return fft_array(grid, _rows(arrays))
@@ -338,10 +340,8 @@ def ifft_stage(grid: Grid, coeffs):
 
 
 def _rows(arrays) -> np.ndarray:
-    """The row stack of 1-D arrays: ``arrays`` itself when it is one, a
-    view of the array when there is one, else a stacked copy."""
-    if isinstance(arrays, np.ndarray):
-        return arrays
+    """The row stack of 1-D arrays: a view of the array when there is one,
+    else a stacked copy."""
     arrays = list(arrays)
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 

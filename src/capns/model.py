@@ -20,16 +20,16 @@ The stepper calls ``rhs_primitive`` and ``rhs_effective`` alike:
 ``rhs_*(g, p, vals, hats) -> (on_grid, spectral)``. ``vals`` are the samples
 of the step's unknowns ([rho, *u] or [q, *v], with leading member axes on a
 1-D grid) and ``hats`` the half spectra of the spectral ones (a stack on a
-1-D grid, a list on a 2-D one). They return the on-grid tendencies
+1-D grid, any sequence on a 2-D one). They return the on-grid tendencies
 ([d_t rho] or []) and the spectral ones laid out like ``hats``, without the
 integrating factor's mu*Laplacian; each truncated product costs one forward
-transform and a mask multiply. Their transforms
-are grouped into the sequential stages of the formulas, one
-``fft_stage``/``ifft_stage`` call each, and the grid's dimension picks the
-body that runs them. The 1-D body is written for one axis: each stage is
-one transform call on the array of its rows, and its multipliers
-(i k mask, (i k)^2, mu*|k|^2, a*i*k) are made once per (grid, params) by
-``_line``. The 2-D body takes each stage's arrays one at a time, as they
+transform and a mask multiply. Their transforms are grouped into the
+sequential stages of the formulas, and the grid's dimension picks the body
+that runs them. The 1-D body is written for one axis: each stage is one
+``fft_array``/``ifft_array`` call on the stack of its rows, and its
+multipliers (i k mask, (i k)^2, mu*|k|^2, a*i*k) are made once per (grid,
+params) by ``_line``. The 2-D body runs each stage through
+``fft_stage``/``ifft_stage``, which take its arrays one at a time, as they
 are reached, and forms its multipliers per use, so that no more full arrays
 are live than the formulas need; its sums over components are generator
 sums for that reason. They check nothing: the stepper's guard rejects a
@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import Grid, RealField, fft_array, fft_stage, grad_arrays, ifft_stage
+from .fields import Grid, RealField, fft_array, fft_stage, grad_arrays, ifft_array, ifft_stage
 
 QUANTUM_TOL = 1e-12
 
@@ -238,17 +238,17 @@ def rhs_primitive(g: Grid, p: PhysParams, vals, hats):
 
 def _primitive_line(g, p, vals, hats):
     """``rhs_primitive`` on a 1-D grid: the same stages and products, each
-    stage one transform call on its rows."""
+    stage one transform call on the stack of its rows."""
     m = _line(g, p)
     r, u = vals
-    flux, lhat = fft_stage(g, np.array([r * u, np.log(r)]))
-    drho, du, hess = ifft_stage(g, np.array([m.ik_mask * flux, m.ik * hats[0],
+    flux, lhat = fft_array(g, np.array([r * u, np.log(r)]))
+    drho, du, hess = ifft_array(g, np.array([m.ik_mask * flux, m.ik * hats[0],
                                              m.hessian * lhat]))
     press = m.a * r if p.gamma == 1.0 else m.a * r ** p.gamma
     stress = r * (m.mu * (du + du) + m.kappa * hess)
     stress -= press
-    (force,) = ifft_stage(g, m.ik * (m.mask * fft_stage(g, stress[None])))
-    momentum = fft_stage(g, (force / r - u * du)[None])
+    force = ifft_array(g, m.ik * (m.mask * fft_array(g, stress)))
+    momentum = fft_array(g, force / r - u * du)
     return [-drho], m.mask * momentum + m.lin * hats
 
 
@@ -306,14 +306,14 @@ def rhs_effective(g: Grid, p: PhysParams, vals, hats):
 
 def _effective_line(g, p, vals, hats):
     """``rhs_effective`` on a 1-D grid: the same stages and products, each
-    stage one transform call on its rows."""
+    stage one transform call on the stack of its rows."""
     m = _line(g, p)
     q, v, qhat, vhat = vals[0], vals[1], hats[0], hats[1]  # cheaper than unpacking
     quantum = p.is_quantum()
     if quantum:
-        gq, dv = ifft_stage(g, np.array([m.ik * qhat, m.ik * vhat]))
+        gq, dv = ifft_array(g, np.array([m.ik * qhat, m.ik * vhat]))
     else:
-        gq, dv, hess = ifft_stage(g, np.array([m.ik * qhat, m.ik * vhat, m.hessian * qhat]))
+        gq, dv, hess = ifft_array(g, np.array([m.ik * qhat, m.ik * vhat, m.hessian * qhat]))
     u = v - m.mu * gq
     transport = u * gq
     term = (m.mu * gq - u) * dv
@@ -322,11 +322,11 @@ def _effective_line(g, p, vals, hats):
     if p.gamma != 1.0:
         term -= p.a * p.gamma * rho ** (p.gamma - 1.0) * gq
     if quantum:
-        out = m.mask * fft_stage(g, np.array([transport, term]))
+        out = m.mask * fft_array(g, np.array([transport, term]))
     else:
-        transport_hat, entry = fft_stage(g, np.array([transport, rho * hess]))
-        (corr,) = ifft_stage(g, (m.ik * (m.mask * entry))[None])
-        (term_hat,) = fft_stage(g, (term + (p.kappa - p.mu ** 2) * corr / rho)[None])
+        transport_hat, entry = fft_array(g, np.array([transport, rho * hess]))
+        corr = ifft_array(g, m.ik * (m.mask * entry))
+        term_hat = fft_array(g, term + (p.kappa - p.mu ** 2) * corr / rho)
         out = m.mask * np.array([transport_hat, term_hat])
     out[0] = -(m.ik * vhat) - out[0]  # the tendency of q
     if p.gamma == 1.0:

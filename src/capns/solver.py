@@ -9,12 +9,13 @@ capillary operator imposes a step ceiling dt <= c_stab * h^2 / max(mu,
 sqrt(kappa)) which is enforced before stepping. Each Heun stage takes its
 explicit terms from one call of ``rhs_primitive`` or ``rhs_effective``,
 both made alike with what the step holds (``model``'s convention
-``rhs_*(g, p, vals, hats) -> (on_grid, spectral)``). The
-grid's dimension picks the step: on a 1-D grid (``_LineScheme``) the half
-spectra of the carried unknowns are one stack, so each Heun operation and
-each finiteness check runs once for all of them, and leading axes (a stack
-of members) pass through; on a 2-D grid (``_Scheme``) the unknowns are
-taken one at a time, as the 2-D tendencies take them.
+``rhs_*(g, p, vals, hats) -> (on_grid, spectral)``): the formulations
+differ only in how many unknowns stay on the grid. Each grid has one Heun
+body and one guard (``_Scheme.guarded_samples``): on a 1-D grid
+(``_LineScheme``) the half spectra of the carried unknowns are one stack,
+so each Heun operation and each transform runs once for all of them, and
+leading axes (a stack of members) pass through; on a 2-D grid (``_Scheme``)
+the unknowns are taken one at a time, as the 2-D tendencies take them.
 Every explicit product is truncated by the 2/3 rule, in the step and in
 the fixed-point iteration below; the truncation is part of the scheme and
 has no switch.
@@ -136,6 +137,8 @@ class _Scheme:
     def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
         self.grid, self.params, self.cfg = g, params, cfg
         self.fac = np.exp(-params.mu * g.half_k2 * cfg.dt)
+        # the Heun products take dt and dt/2 as 0-d arrays (see model._Line)
+        self.dt, self.half_dt = np.array(cfg.dt, float), np.array(0.5 * cfg.dt, float)
         if cfg.formulation == "primitive":
             # the mass equation has no Laplacian: the density stays on the
             # grid, where its factor would be 1.0 (and 1.0 * x is x)
@@ -186,8 +189,8 @@ class _Scheme:
         The guard after each Heun stage is the only check: a non-finite
         tendency reaches it as a non-finite unknown.
         """
-        g, p, k, dt, e = self.grid, self.params, self.on_grid, self.cfg.dt, self.fac
-        half_dt = 0.5 * dt
+        g, p, k, e = self.grid, self.params, self.on_grid, self.fac
+        dt, half_dt, t_next = self.dt, self.half_dt, t + self.cfg.dt
         # looked up per call, so a rebound module name (a traced span) runs
         rhs = rhs_primitive if k else rhs_effective
         grid0, hat0 = vals[:k], list(fft_stage(g, vals[k:]))
@@ -196,62 +199,37 @@ class _Scheme:
         # stage 2 reads W* again, so its inverses leave it as it is; the
         # final spectra are built for theirs, which may overwrite them
         vals_star = self.guarded_samples([w + dt * n for w, n in zip(grid0, d0)],
-                                         (ifft_array(g, w) for w in hat_star), t + dt)
+                                         (ifft_array(g, w) for w in hat_star), t_next)
         d1, n1 = rhs(g, p, vals_star, hat_star)
         return self.guarded_samples(
             [w + half_dt * (a + b) for w, a, b in zip(grid0, d0, d1)],
             ifft_stage(g, (e * w + half_dt * (e * a + b) for w, a, b in zip(hat0, n0, n1))),
-            t + dt)
+            t_next)
 
 
 class _LineScheme(_Scheme):
     """The step of ``_Scheme`` on a 1-D grid, written for one axis.
 
     The spectral unknowns are the rows of one stack (the velocity alone, or
-    q and v), so each transform stage, each Heun operation and each
-    finiteness check is one call for all of them. Leading axes of the
-    samples (a stack of members) pass through every operation. The Heun
-    products take dt and dt/2 as 0-d arrays (see ``model._Line``).
+    q and v), so each transform and each Heun operation is one call for
+    all of them; the guard takes the rows of the inverse as the samples of
+    those unknowns. Leading axes of the samples (a stack of members) pass
+    through every operation.
     """
-
-    def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
-        super().__init__(g, params, cfg)
-        self.dt, self.half_dt = np.array(cfg.dt, float), np.array(0.5 * cfg.dt, float)
-
-    def guarded_rows(self, rho, hats, t):
-        """The samples of the rows of ``hats``, guarded as in
-        ``guarded_samples``; ``rho`` is the on-grid density, or None."""
-        rows = ifft_stage(self.grid, hats)
-        if not (np.isfinite(rows).all() and (rho is None or np.isfinite(rho).all())):
-            raise NumericBlowup(t, self.detail)
-        m = float(self.min_rho(rows[0] if rho is None else rho))
-        if m <= self.cfg.vacuum_floor:
-            raise VacuumBreach(t, m)
-        return rows
 
     def step(self, vals, t: float) -> list:
         """``_Scheme.step`` with the spectral unknowns as one stack."""
-        g, p, dt, half_dt, e = self.grid, self.params, self.dt, self.half_dt, self.fac
-        t_next = t + self.cfg.dt
-        if self.on_grid:
-            rho, u = vals
-            hat = fft_stage(g, u[None])
-            (d0,), n0 = rhs_primitive(g, p, vals, hat)
-            rho_star = rho + dt * d0
-            hat_star = e * (hat + dt * n0)
-            u_star = self.guarded_rows(rho_star, hat_star, t_next)
-            (d1,), n1 = rhs_primitive(g, p, [rho_star, u_star[0]], hat_star)
-            rho_new = rho + half_dt * (d0 + d1)
-            return [rho_new, self.guarded_rows(rho_new, e * hat + half_dt * (e * n0 + n1),
-                                               t_next)[0]]
-        rows = np.array(vals)
-        hat = fft_stage(g, rows)
-        _, n0 = rhs_effective(g, p, rows, hat)
+        g, p, k, e = self.grid, self.params, self.on_grid, self.fac
+        dt, half_dt, t_next = self.dt, self.half_dt, t + self.cfg.dt
+        rhs = rhs_primitive if k else rhs_effective
+        grid0, hat = vals[:k], fft_stage(g, vals[k:])
+        d0, n0 = rhs(g, p, vals, hat)
         hat_star = e * (hat + dt * n0)
-        rows = self.guarded_rows(None, hat_star, t_next)
-        _, n1 = rhs_effective(g, p, rows, hat_star)
-        rows = self.guarded_rows(None, e * hat + half_dt * (e * n0 + n1), t_next)
-        return [rows[0], rows[1]]
+        vals_star = self.guarded_samples([w + dt * n for w, n in zip(grid0, d0)],
+                                         ifft_array(g, hat_star), t_next)
+        d1, n1 = rhs(g, p, vals_star, hat_star)
+        return self.guarded_samples([w + half_dt * (a + b) for w, a, b in zip(grid0, d0, d1)],
+                                    ifft_array(g, e * hat + half_dt * (e * n0 + n1)), t_next)
 
 
 @functools.lru_cache(maxsize=8)
@@ -377,7 +355,9 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
 # -- checkpointing ------------------------------------------------------------
 
 def save_checkpoint(path, state, params: PhysParams, t: float):
-    """Versioned NPZ dump of grid, physical parameters, state, and time.
+    """Versioned NPZ dump of grid, physical parameters, state, and time,
+    written at ``path`` as given (``np.savez`` would append ``.npz`` to a
+    path without that suffix).
 
     Members, in order: version, dim, n, length, t, the fields of PhysParams,
     kind (the formulation name), then the state's two fields by name, the
@@ -399,7 +379,8 @@ def save_checkpoint(path, state, params: PhysParams, t: float):
         scalar: getattr(state, scalar).values,
         **{f"{vector}{i}": c.values for i, c in enumerate(getattr(state, vector))},
     }
-    np.savez(path, **payload)
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def _read_archive(path) -> dict:

@@ -75,7 +75,7 @@ def _step_div_k(rho: RealField, kappa1: float) -> list:
     zero = np.zeros((g.dim, *g.shape))
     hats = fft_array(g, zero)
     params = PhysParams(mu=1.0, kappa=kappa1, a=0.0)
-    _, du = rhs_primitive(g, params, [rho.values, *zero], hats if g.dim == 1 else list(hats))
+    _, du = rhs_primitive(g, params, [rho.values, *zero], hats)
     return [RealField(g, rho.values * ifft_array(g, c)) for c in du]
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -702,6 +703,43 @@ def test_numpy_scalars_keep_their_json_type(tmp_path, monkeypatch):
     payload = json.loads(text)
     assert payload["flag"] is True and type(payload["count"]) is int
     assert payload["value"] == 0.5
+
+
+def _strict_load(text):
+    """The payload, parsed as RFC 8259 JSON: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_non_finite_numbers_are_written_null(tmp_path, monkeypatch):
+    # Python and numpy floats alike, at any depth of the payload
+    def stub(args, report):
+        report.update(big=math.inf, odd=np.float64("nan"), pair=[1.0, -math.inf],
+                      nested={"t": (np.float64(0.5), np.float64(-np.inf))})
+        return "ok"
+
+    monkeypatch.setitem(capns.cli.COMMANDS, "verify", stub)
+    json_path = tmp_path / "out.json"
+    assert main(["verify", "--json", str(json_path)]) == EXIT_OK
+    payload = _strict_load(json_path.read_text())
+    assert payload["big"] is None and payload["odd"] is None
+    assert payload["pair"] == [1.0, None]
+    assert payload["nested"] == {"t": [0.5, None]}
+
+
+def test_lifespan_of_a_minimal_config_is_strict_json(tmp_path):
+    # the default preset, equilibrium, has zero data: the three branches
+    # that divide by its size are infinite, and the window branch is active
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[grid]\nn = 32\n")
+    json_path = tmp_path / "l.json"
+    assert main(["lifespan", "--config", str(cfg), "--json", str(json_path)]) == EXIT_OK
+    rep = _strict_load(json_path.read_text())
+    assert rep["branches"] == {"data_size": None, "iteration_window": 0.25,
+                               "q_regularity": None, "v_regularity": None}
+    assert rep["lower_bound"] == 0.25
 
 
 def test_readme_exit_code_table():

@@ -416,6 +416,22 @@ class TestChunkedRecords:
         assert [vars(r) for r in chunked] == [vars(single([s], [t])[0])
                                               for s, t in zip(states, ts)]
 
+    def test_empty_chunk_records_nothing(self):
+        # an empty call between two chunks has no records and leaves the
+        # running integrals where they were
+        p = PhysParams(mu=0.2, kappa=0.04, a=0.9, gamma=1.4)
+        g = grid1(64)
+        ts = [0.0, 0.1, 0.25, 0.35]
+        states = [PrimitiveState(
+            field(g, lambda x, t=t: 1.0 + 0.3 * math.exp(-t) * np.cos(x)),
+            (field(g, lambda x, t=t: 0.1 * np.sin(x + t)),)) for t in ts]
+        plain, gapped = DiagnosticsAccumulator(p), DiagnosticsAccumulator(p)
+        want = plain(states[:2], ts[:2]) + plain(states[2:], ts[2:])
+        got = gapped(states[:2], ts[:2])
+        assert gapped([], []) == []
+        got += gapped(states[2:], ts[2:])
+        assert [vars(r) for r in got] == [vars(r) for r in want]
+
     def test_backwards_time_inside_a_chunk_rejected(self):
         g = grid1(32)
         p = PhysParams(mu=0.2, kappa=0.04)

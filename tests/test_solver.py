@@ -10,12 +10,14 @@ import pytest
 from conftest import full_layout
 
 from capns.errors import ConfigurationError, NonContraction, NumericBlowup, VacuumBreach
-from capns.fields import Grid, RealField, fft_array
+from capns.fields import Grid, RealField, fft_array, ifft_array
 from capns.lp_besov import BesovSpec, tilde_norm
 from capns.model import (
     EffectiveState,
     PhysParams,
     PrimitiveState,
+    rhs_effective,
+    rhs_primitive,
     to_effective,
 )
 from capns.presets import Preset, build
@@ -39,9 +41,10 @@ def zero(grid):
 
 
 def primitive_wave(grid, amp_rho=0.15, amp_u=0.1):
+    """A wave along the first axis; on a 2-D grid u_2 = 0."""
     rho = RealField(grid, 1.0 + amp_rho * np.sin(grid.x[0]))
     u = (RealField(grid, amp_u * np.cos(grid.x[0]) + 0.5 * amp_u * np.sin(2 * grid.x[0])),)
-    return PrimitiveState(rho, u)
+    return PrimitiveState(rho, u + (zero(grid),) * (grid.dim - 1))
 
 
 PARAMS = PhysParams(mu=0.2, kappa=0.04, a=0.8, gamma=1.0)
@@ -420,6 +423,32 @@ class TestLineStep:
                 assert np.array_equal(a[i].view(np.int64), b.view(np.int64))
 
 
+# the step guard on both grids and in both formulations
+GUARD_CASES = pytest.mark.parametrize("dim,n,formulation", [
+    pytest.param(dim, n, form, id=f"{dim}d-{n}-{form}")
+    for dim, n in ((1, 64), (2, 16)) for form in ("primitive", "effective")])
+
+
+def _guard_wave(dim, n, formulation, amp_u):
+    """``primitive_wave`` with rho = 1 + 0.2 sin x, in the formulation."""
+    state = primitive_wave(Grid(dim, n), 0.2, amp_u)
+    return state if formulation == "primitive" else to_effective(state, PARAMS)
+
+
+def _stage_one_min_rho(state, p, cfg):
+    """The density minimum after the first Heun stage, w* = w + dt n on the
+    grid and W* = e (W + dt N) in spectral space, from the tendencies."""
+    g = state.grid
+    vals = _unknowns(state)
+    k = 1 if cfg.formulation == "primitive" else 0
+    hats = np.array([fft_array(g, a) for a in vals[k:]])
+    on_grid, spectral = (rhs_primitive if k else rhs_effective)(g, p, vals, hats)
+    if k:
+        return np.min(vals[0] + cfg.dt * on_grid[0])
+    fac = np.exp(-p.mu * g.half_k2 * cfg.dt)
+    return p.rho_bar * np.exp(np.min(ifft_array(g, fac * (hats[0] + cfg.dt * spectral[0]))))
+
+
 class TestRun:
     def test_zero_horizon_emits_initial_only(self):
         g = Grid(1, 64)
@@ -514,33 +543,35 @@ class TestRun:
         m1 = g.integrate(res.final_state.rho.values)
         assert abs(m1 - m0) / abs(m0) < 1e-10
 
-    def test_vacuum_breach_carries_time_and_min(self):
-        g = Grid(1, 64)
-        state = primitive_wave(g, 0.2, 0.0)
-        cfg = SolverConfig(dt=1e-3, t_end=0.1, vacuum_floor=0.9)
+    @GUARD_CASES
+    def test_vacuum_breach_carries_time_and_min(self, dim, n, formulation):
+        # the guard after stage 1 finds the breach: its time is that of the
+        # step, a Python float, and its minimum that of the stage-1 density
+        state = _guard_wave(dim, n, formulation, 0.1)
+        cfg = SolverConfig(dt=1e-3, t_end=0.1, vacuum_floor=0.9, formulation=formulation)
         with pytest.raises(VacuumBreach) as exc:
             run(state, PARAMS, cfg)
-        assert exc.value.t == pytest.approx(1e-3)
-        assert exc.value.min_rho < 0.9
+        assert exc.value.t == cfg.dt and type(exc.value.t) is float
+        assert exc.value.min_rho == _stage_one_min_rho(state, PARAMS, cfg) < 0.9
 
-    def test_numeric_blowup_propagates(self):
-        g = Grid(1, 64)
-        state = PrimitiveState(
-            RealField(g, np.full(g.shape, 1e280)),
-            (RealField(g, 1e3 * np.cos(g.x[0])),),
-        )
-        p = PhysParams(mu=0.2, kappa=0.04, a=1.0, gamma=2.0)
-        cfg = SolverConfig(dt=1e-4, t_end=1e-3)
+    @GUARD_CASES
+    def test_numeric_blowup_propagates(self, capsys, dim, n, formulation):
+        # a velocity of 1e200 overflows its advection product in stage 1
+        state = _guard_wave(dim, n, formulation, 1e200)
+        cfg = SolverConfig(dt=1e-4, t_end=1e-3, formulation=formulation)
+        detail = {"primitive": "density-velocity state", "effective": "log-density state"}
         # run and step_imex silence numpy's float warnings themselves: a
         # blow-up arrives as NumericBlowup alone, with nothing on stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for advance in (run, step_imex):
                 with pytest.raises(NumericBlowup) as exc:
-                    advance(state, p, cfg)
+                    advance(state, PARAMS, cfg)
                 # the step guard reports the time of the step that blew up,
                 # which a JSON payload can hold (NaN is not valid JSON)
-                assert exc.value.t == pytest.approx(1e-4)
+                assert exc.value.t == cfg.dt
+                assert exc.value.detail == detail[formulation]
+        assert capsys.readouterr().err == ""
 
     def test_one_errstate_per_call(self, monkeypatch):
         # entering np.errstate costs about 2 % of a 1-D step: a run enters
@@ -596,6 +627,17 @@ class TestCheckpoint:
         assert isinstance(loaded, EffectiveState)
         assert np.array_equal(loaded.q.values, state.q.values)
         assert np.array_equal(loaded.v[1].values, state.v[1].values)
+
+    def test_written_at_the_path_given(self, tmp_path):
+        # np.savez appends .npz to a path without that suffix, so a load of
+        # the path given would find no file
+        state = primitive_wave(Grid(1, 32))
+        path = tmp_path / "state.chk"
+        save_checkpoint(path, state, PARAMS, 0.5)
+        assert [p.name for p in tmp_path.iterdir()] == ["state.chk"]
+        loaded, params, t = load_checkpoint(path)
+        assert (params, t) == (PARAMS, 0.5)
+        assert np.array_equal(loaded.rho.values, state.rho.values)
 
     @pytest.mark.parametrize("content", [b"", b"plain text\n", b"PK\x03\x04 cut short"],
                              ids=["empty", "text", "cut-zip"])

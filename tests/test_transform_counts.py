@@ -268,16 +268,32 @@ def test_2d_run_records_one_state_per_chunk(monkeypatch, fft_calls, checked_call
 
 
 def _per_array(monkeypatch):
-    """Make every stage transform its arrays one call each."""
+    """Make every stage transform its arrays one call each, and every stack
+    the 1-D bodies transform themselves one row at a time; returns the row
+    counts of the stacks the latter saw."""
+    stacks = []
+
     def fft_stage(grid, arrays):
         return [fft_array(grid, a) for a in arrays]
 
     def ifft_stage(grid, coeffs):
         return [ifft_array(grid, c) for c in coeffs]
 
+    def row_by_row(transform):
+        def call(grid, x):
+            lead = x.shape[:x.ndim - grid.dim]
+            rows = [transform(grid, r) for r in x.reshape((-1,) + x.shape[len(lead):])]
+            stacks.append(len(rows))
+            return np.array(rows).reshape(lead + rows[0].shape)
+        return call
+
     for module in (model, solver, diagnostics):
         monkeypatch.setattr(module, "fft_stage", fft_stage)
         monkeypatch.setattr(module, "ifft_stage", ifft_stage)
+    for module in (model, solver):
+        monkeypatch.setattr(module, "fft_array", row_by_row(fft_array))
+        monkeypatch.setattr(module, "ifft_array", row_by_row(ifft_array))
+    return stacks
 
 
 def _unknowns(state):
@@ -303,8 +319,9 @@ def test_stacked_stages_equal_per_array_transforms(monkeypatch, formulation, par
         return _unknowns(res.final_state), [vars(r) for r in res.records]
 
     stacked = outputs()
-    _per_array(monkeypatch)
+    stacks = _per_array(monkeypatch)
     alone = outputs()
+    assert max(stacks) > 1  # the 1-D bodies' own stacks went row by row
     assert all(np.array_equal(a, b) for a, b in zip(stacked[0], alone[0]))
     assert stacked[1] == alone[1]
 
