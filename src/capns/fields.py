@@ -43,18 +43,18 @@ product built for that inverse alone: each multiplier times a spectrum in
 ``grad_arrays`` and ``dealias_values``, each spectrum of a 2-D
 ``ifft_stage``, and the block products of ``lp_besov``.
 
-The seam: a transform calls the pocketfft gufuncs of
-``numpy.fft._pocketfft_umath`` (``_pfu``) with the arguments numpy.fft's
-own functions pass them, pass by pass in the order ``rfft2``/``irfft2``
-run theirs, and so returns the same bytes. It skips numpy.fft's Python
-wrapper, whose dispatch, dtype resolution and axis normalisation cost
-about 2-3 µs of a 5-6 µs 1-D call at n = 128, while a 1-D step is bound
-by its calls. The rebinding rule: numpy.fft's public functions stay the
-one place where a caller can observe or replace a transform. A call site
-takes the gufuncs only while every ``numpy.fft`` function it stands for is
-still numpy's own (``numpy.fft._pocketfft.<name>``); otherwise it calls
-the functions bound there, as it would without the seam, so a tracer or a
-test that wraps them sees every transform.
+The seam, ``_pfu``, is chosen once, at import. When numpy.fft binds
+numpy's own ``rfft``, ``irfft``, ``fft`` and ``ifft`` and a probe on an
+8x8 array gives ``rfft2``/``irfft2``'s bytes, it is the pocketfft gufuncs
+of ``numpy.fft._pocketfft_umath``: a transform calls them with the
+arguments numpy.fft's own functions pass them, pass by pass in the order
+``rfft2``/``irfft2`` run theirs, and so returns the same bytes. That skips
+numpy.fft's Python wrapper, whose dispatch, dtype resolution and axis
+normalisation cost about 2-3 µs of a 5-6 µs 1-D call at n = 128, while a
+1-D step is bound by its calls. Otherwise ``_pfu`` is ``_PUBLIC_FFT``,
+which makes the same four calls through the numpy.fft functions bound at
+call time, one call per pass: a program that wraps numpy.fft before it
+imports capns (a tracer) sees every pass.
 
 Typed boundary: ``RealField`` holds grid samples and ``SpectralField`` a
 half spectrum, both validated on construction; ``transform`` is
@@ -84,16 +84,50 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
-from numpy.fft import _pocketfft
-from numpy.fft import _pocketfft_umath as _pfu
+from numpy.fft import _pocketfft, _pocketfft_umath
 
 from .errors import ConfigurationError, DomainError
 
 TAU = 2.0 * math.pi
 _TINY = sys.float_info.min  # smallest normal double
 _FIRST_AXIS = [(-2,), (), (-2,)]  # gufunc axes of a 2-D pass along axis -2
+
+
+# The seam's twin: the four gufunc calls of this module through numpy.fft's
+# public functions, looked up on every call. fct is numpy's own
+# normalisation, the only one passed here, and irfft's length is out's.
+_PUBLIC_FFT = SimpleNamespace(
+    rfft_n_even=lambda x, fct, out: np.fft.rfft(x, out=out),
+    irfft=lambda x, fct, out: np.fft.irfft(x, out.shape[-1], out=out),
+    fft=lambda x, fct, axes, out: np.fft.fft(x, axis=axes[0][0], out=out),
+    ifft=lambda x, fct, axes, out: np.fft.ifft(x, axis=axes[0][0], out=out))
+
+
+def _seam():
+    """``_pocketfft_umath`` while numpy.fft binds numpy's own transforms and
+    the gufuncs, called as below, give ``rfft2``/``irfft2``'s bytes on an
+    8x8 array; ``_PUBLIC_FFT`` otherwise (a wrapped or another numpy.fft)."""
+    if any(getattr(np.fft, f) is not getattr(_pocketfft, f)
+           for f in ("rfft", "irfft", "fft", "ifft")):
+        return _PUBLIC_FFT
+    pfu, x = _pocketfft_umath, np.sin(np.arange(64.0)).reshape(8, 8)
+    spec = np.empty((8, 5), complex)
+    try:
+        pfu.rfft_n_even(x, 1.0, out=spec)
+        pfu.fft(spec, 1.0, axes=_FIRST_AXIS, out=spec)
+        back = pfu.irfft(pfu.ifft(spec, 0.125, axes=_FIRST_AXIS, out=np.empty_like(spec)),
+                         0.125, out=np.empty((8, 8)))
+    except (TypeError, ValueError):  # not the signatures this module calls
+        return _PUBLIC_FFT
+    same = (spec.tobytes() == np.fft.rfft2(x).tobytes()
+            and back.tobytes() == np.fft.irfft2(spec).tobytes())
+    return pfu if same else _PUBLIC_FFT
+
+
+_pfu = _seam()
 
 
 @dataclass(frozen=True)
@@ -105,12 +139,13 @@ class Grid:
     length: float = TAU
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        # type(...) is int: a bool or a float of integral value is refused
+        if not (type(self.dim) is int and self.dim in (1, 2)):
             raise ConfigurationError(f"dim must be 1 or 2, got {self.dim}")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
+        if not (type(self.n) is int and self.n >= 8 and (self.n & (self.n - 1)) == 0):
             raise ConfigurationError(f"n must be a power of two >= 8, got {self.n}")
-        if not (isinstance(self.length, (int, float)) and math.isfinite(self.length)
-                and self.length > 0):
+        if not (isinstance(self.length, (int, float)) and not isinstance(self.length, bool)
+                and math.isfinite(self.length) and self.length > 0):
             raise ConfigurationError(f"length must be positive and finite, got {self.length}")
 
     @cached_property
@@ -258,14 +293,8 @@ def fft_array(grid: Grid, values: np.ndarray) -> np.ndarray:
     ``grid.dim`` axes; leading axes are a stack. ``rfft``, or both passes
     of ``rfft2``, write into one fresh ``out=`` array, the result."""
     out = np.empty(values.shape[:-grid.dim] + grid.half_shape, complex)
-    if grid.dim == 1:
-        if np.fft.rfft is _pocketfft.rfft:
-            return _pfu.rfft_n_even(values, 1.0, out=out)
-        return np.fft.rfft(values, out=out)
-    if np.fft.rfft2 is _pocketfft.rfft2:
-        _pfu.rfft_n_even(values, 1.0, out=out)
-        return _pfu.fft(out, 1.0, axes=_FIRST_AXIS, out=out)
-    return np.fft.rfft2(values, out=out)
+    _pfu.rfft_n_even(values, 1.0, out=out)
+    return out if grid.dim == 1 else _pfu.fft(out, 1.0, axes=_FIRST_AXIS, out=out)
 
 
 def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -280,14 +309,9 @@ def ifft_array(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     transforms run on its columns only.
     """
     if grid.dim == 1:
-        out = np.empty(coeffs.shape[:-1] + grid.shape)
-        if np.fft.irfft is _pocketfft.irfft:
-            return _pfu.irfft(coeffs, 1.0 / grid.n, out=out)
-        return np.fft.irfft(coeffs, grid.n, out=out)
-    if np.fft.irfft2 is _pocketfft.irfft2:
-        return _irfft_last(grid, _pfu.ifft(coeffs, 1.0 / grid.n, axes=_FIRST_AXIS,
-                                           out=np.empty_like(coeffs, dtype=complex)))
-    return np.fft.irfft2(coeffs, s=grid.shape)
+        return _pfu.irfft(coeffs, 1.0 / grid.n, out=np.empty(coeffs.shape[:-1] + grid.shape))
+    return _irfft_last(grid, _pfu.ifft(coeffs, 1.0 / grid.n, axes=_FIRST_AXIS,
+                                       out=np.empty_like(coeffs, dtype=complex)))
 
 
 def _ifft_owned(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -302,10 +326,7 @@ def _ifft_owned(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """
     if grid.dim == 1:
         return ifft_array(grid, coeffs)
-    if np.fft.ifft is _pocketfft.ifft and np.fft.irfft is _pocketfft.irfft:
-        return _irfft_last(grid, _pfu.ifft(coeffs, 1.0 / grid.n, axes=_FIRST_AXIS, out=coeffs))
-    np.fft.ifft(coeffs, axis=-2, out=coeffs)
-    return np.fft.irfft(coeffs, grid.n, axis=-1)
+    return _irfft_last(grid, _pfu.ifft(coeffs, 1.0 / grid.n, axes=_FIRST_AXIS, out=coeffs))
 
 
 def _irfft_last(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

@@ -151,11 +151,13 @@ class _Scheme:
             self.min_rho = lambda q: params.rho_bar * np.exp(q.min())
 
     def guarded_samples(self, on_grid, samples, t):
-        """Samples of every unknown: the on-grid ones, then ``samples``, an
-        iterable of those of the others; raises on a non-finite unknown,
-        then on a density minimum at or below the vacuum floor."""
+        """Samples of every unknown: the on-grid ones, then ``samples``, those
+        of the others, as the rows of one stack (1-D) or an iterable of
+        arrays (2-D); raises on a non-finite unknown, then on a density
+        minimum at or below the vacuum floor. A stack takes one check."""
         vals = on_grid + list(samples)
-        if not all(np.isfinite(a).all() for a in vals):
+        checked = on_grid + [samples] if isinstance(samples, np.ndarray) else vals
+        if not all(np.isfinite(a).all() for a in checked):
             raise NumericBlowup(t, self.detail)
         m = float(self.min_rho(vals[0]))
         if m <= self.cfg.vacuum_floor:
@@ -212,9 +214,9 @@ class _LineScheme(_Scheme):
 
     The spectral unknowns are the rows of one stack (the velocity alone, or
     q and v), so each transform and each Heun operation is one call for
-    all of them; the guard takes the rows of the inverse as the samples of
-    those unknowns. Leading axes of the samples (a stack of members) pass
-    through every operation.
+    all of them, the guard's finiteness check included: it takes the
+    inverse's stack, whose rows are the samples of those unknowns. Leading
+    axes of the samples (a stack of members) pass through every operation.
     """
 
     def step(self, vals, t: float) -> list:

@@ -1,9 +1,14 @@
 """Helpers shared by the test modules."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
+from capns import fields
 from capns.fields import fft_array, ifft_array
 from capns.model import PrimitiveState, rhs_effective, rhs_primitive
+
+FIRST_AXIS = [(-2,), (), (-2,)]  # the gufunc axes of a pass along axis -2
 
 
 def full_layout(grid):
@@ -19,6 +24,45 @@ def full_layout(grid):
     modes = np.meshgrid(*[axis] * grid.dim, indexing="ij")
     k2 = sum((m * (2 * np.pi / grid.length)) ** 2 for m in modes)
     return modes, k2, np.sqrt(k2)
+
+
+def seam_counter(monkeypatch):
+    """Rebind the transform seam ``fields._pfu`` to one that makes its calls
+    and counts and checks them as they come: [transforms, last forward,
+    open first pass].
+
+    Every call writes into its ``out=`` array, which it returns.
+    ``rfft_n_even`` and ``irfft`` count one transform each. A complex pass
+    is the other half of a 2-D transform: an ``fft`` is the second pass of
+    a forward, along axis -2 in place in the output of the ``rfft_n_even``
+    just before it (the second entry), and an ``ifft`` is the first pass
+    of an inverse, along axis -2, whose output the next call, an
+    ``irfft``, reads (the third entry until then, else None).
+    """
+    seam, calls = fields._pfu, [0, None, None]
+
+    def counted(name):
+        def call(*args, **kwargs):
+            result = getattr(seam, name)(*args, **kwargs)
+            assert kwargs["out"] is result, f"{name} returns its out= array"
+            if calls[2] is not None:
+                assert name == "irfft" and args[0] is calls[2], f"{name} follows a first pass"
+                calls[2] = None
+            if name == "fft":
+                assert args[0] is calls[1] is result and kwargs["axes"] == FIRST_AXIS, \
+                    "an fft that is not the in-place second pass of a forward"
+            if name == "ifft":
+                assert kwargs["axes"] == FIRST_AXIS, "an ifft that is not a first pass"
+                calls[2] = result
+            elif name != "fft":
+                calls[0] += 1
+            calls[1] = result if name == "rfft_n_even" else None
+            return result
+        return call
+
+    names = ("rfft_n_even", "irfft", "fft", "ifft")
+    monkeypatch.setattr(fields, "_pfu", SimpleNamespace(**{n: counted(n) for n in names}))
+    return calls
 
 
 def step_hats(grid, arrays):

@@ -7,7 +7,7 @@ import zipfile
 
 import numpy as np
 import pytest
-from conftest import full_layout
+from conftest import full_layout, seam_counter
 
 from capns.errors import ConfigurationError, NonContraction, NumericBlowup, VacuumBreach
 from capns.fields import Grid, RealField, fft_array, ifft_array
@@ -573,6 +573,18 @@ class TestRun:
                 assert exc.value.detail == detail[formulation]
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("formulation,checked", [
+        pytest.param("primitive", [(64,), (1, 64)] * 2, id="primitive"),
+        pytest.param("effective", [(2, 64)] * 2, id="effective")])
+    def test_1d_guard_checks_a_stack_once(self, monkeypatch, formulation, checked):
+        # each stage's guard checks the on-grid density, if any, and then
+        # the inverse's whole stack in one call
+        state = _guard_wave(1, 64, formulation, 0.1)
+        seen, isfinite = [], np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda a: seen.append(a.shape) or isfinite(a))
+        step_imex(state, PARAMS, SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation))
+        assert seen == checked
+
     def test_one_errstate_per_call(self, monkeypatch):
         # entering np.errstate costs about 2 % of a 1-D step: a run enters
         # one for all its steps, and a direct step_imex call one
@@ -907,28 +919,20 @@ class TestPicard:
     def test_series_built_on_first_read(self, monkeypatch, dim, n, per_iter):
         e = to_effective(build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), PARAMS),
                          PARAMS)
-        calls = []
-        for name in ("rfft", "irfft", "rfft2", "irfft2"):
-            original = getattr(np.fft, name)
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+        calls = seam_counter(monkeypatch)
         res = picard_solve(e.q, e.v, PARAMS, 0.5,
                            PicardConfig(n_steps=16, max_iters=2, tol=1e-30))
         assert res.iterations == 2
         # set-up: the data's two forward transforms and one per Besov norm
         # of the data (p = 2 takes no inverse); then the iterations
-        assert len(calls) == (2 + 1 + dim) + 2 * per_iter
-        calls.clear()
+        assert calls[0] == (2 + 1 + dim) + 2 * per_iter
+        calls[0] = 0
         q_series = res.q_series
-        assert calls == ["irfft2" if dim == 2 else "irfft"]
+        assert calls[0] == 1
         v_series = res.v_series
-        assert len(calls) == 2
+        assert calls[0] == 2
         assert res.q_series is q_series and res.v_series is v_series
-        assert len(calls) == 2
+        assert calls[0] == 2
         assert len(q_series) == len(v_series) == 17
         assert all(len(v) == dim for v in v_series)
 

@@ -4,22 +4,28 @@ Transforms dominate the cost of a step, so these counts are the budget a
 change to the spectral layer is held to: lower is better, and a change
 that lowers a count should tighten the number here. On a 1-D grid a call
 costs more than its arithmetic, so the independent transforms of a stage
-are one call there: the counts are calls, not transformed arrays. A 2-D
-inverse may be two numpy calls, an in-place first pass and its ``irfft``;
-it counts as one transform (see ``_counter``).
+are one call there: the counts are calls, not transformed arrays.
 
-``fields`` runs its transforms on numpy's pocketfft gufuncs while
-numpy.fft binds numpy's own functions, and through numpy.fft otherwise:
-``_gufunc_counter`` counts the first path and ``_counter`` the second, and
-each budget holds on both.
+Every transform goes through one seam, ``fields._pfu``, chosen at import:
+numpy's pocketfft gufuncs, or ``fields._PUBLIC_FFT``, which makes the same
+calls through numpy.fft. ``conftest.seam_counter`` wraps the seam, so each
+budget is counted as the code runs it; a 2-D transform is two seam calls,
+a real one and its complex pass. The step, record and Picard budgets are
+pinned on both seams: ``fft_calls`` counts the gufuncs, ``twin_calls``
+the twin forced in.
 """
 
-from types import SimpleNamespace
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.fft import _pocketfft
+from conftest import seam_counter
+from numpy.fft import _pocketfft, _pocketfft_umath
 
+import capns
 from capns import diagnostics, fields, lp_besov, model, solver
 from capns.diagnostics import DiagnosticsAccumulator
 from capns.fields import Grid, RealField, fft_array, ifft_array
@@ -31,105 +37,9 @@ from capns.solver import PicardConfig, SolverConfig, picard_solve, run, step_ime
 PARAMS = PhysParams(mu=0.15, kappa=0.0225)
 
 
-# every transform numpy.fft offers, complex and real
-COMPLEX_FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn")
-REAL_FFT_NAMES = ("rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
-
-
-def _counter(monkeypatch):
-    """Counters of the calls to every numpy.fft transform, checked as they
-    come: [real transforms, other complex transforms, open first pass].
-
-    A 2-D inverse of a spectrum built for it runs the two passes of
-    ``irfft2`` itself: an ``ifft`` along axis -2 in place in the spectrum
-    (``out`` is its input), then an ``irfft`` of that same buffer. The
-    pair is one transform, counted by its ``irfft``. Every ``ifft`` must be
-    such a first pass, and the next call its ``irfft``; the third entry
-    holds the buffer of a first pass until then, else None.
-    """
-    calls = [0, 0, None]
-    for name in COMPLEX_FFT_NAMES + REAL_FFT_NAMES:
-        original = getattr(np.fft, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            if calls[2] is not None:
-                assert _name == "irfft" and args[0] is calls[2], \
-                    f"{_name} follows an in-place first pass"
-                calls[2] = None
-            if _name == "ifft":
-                assert (len(args) == 1 and set(kwargs) == {"axis", "out"}
-                        and kwargs["axis"] == -2 and kwargs["out"] is args[0]), \
-                    "an ifft that is not an in-place first pass along axis -2"
-                calls[2] = args[0]
-            elif _name in REAL_FFT_NAMES:
-                calls[0] += 1
-            else:
-                calls[1] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
-
-
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """``_counter``: ``fft_calls[0]`` counts the transforms, and no complex
-    transform but the checked first passes may run."""
-    calls = _counter(monkeypatch)
-    yield calls
-    assert calls[1:] == [0, None]
-
-
-GUFUNC_NAMES = ("rfft_n_even", "irfft", "fft", "ifft")
-FIRST_AXIS = [(-2,), (), (-2,)]
-
-
-def _gufunc_counter(monkeypatch):
-    """Counters of the calls ``fields`` makes to numpy's pocketfft gufuncs,
-    checked as they come: [transforms, last forward, open first pass].
-
-    ``rfft_n_even`` and ``irfft`` count one transform each. A complex pass
-    is the other half of a 2-D transform: an ``fft`` is the second pass of
-    a forward, along axis -2 in place in the output of the ``rfft_n_even``
-    just before it (the second entry), and an ``ifft`` is the first pass
-    of an inverse, along axis -2, whose output the next call, an
-    ``irfft``, reads (the third entry until then, else None).
-    """
-    calls = [0, None, None]
-
-    def counted(name):
-        gufunc = getattr(fields._pfu, name)
-
-        def call(*args, **kwargs):
-            if calls[2] is not None:
-                assert name == "irfft" and args[0] is calls[2], \
-                    f"{name} follows a first pass"
-                calls[2] = None
-            if name == "fft":
-                assert (args[0] is calls[1] and kwargs["out"] is calls[1]
-                        and kwargs["axes"] == FIRST_AXIS), \
-                    "an fft that is not the in-place second pass of a forward"
-            result = gufunc(*args, **kwargs)
-            if name == "ifft":
-                assert kwargs["axes"] == FIRST_AXIS, "an ifft that is not a first pass"
-                calls[2] = result
-            elif name != "fft":
-                calls[0] += 1
-            calls[1] = result if name == "rfft_n_even" else None
-            return result
-        return call
-
-    monkeypatch.setattr(fields, "_pfu", SimpleNamespace(**{n: counted(n) for n in GUFUNC_NAMES}))
-    return calls
-
-
-@pytest.fixture
-def gufunc_calls(monkeypatch):
-    """``_gufunc_counter`` with numpy.fft left as it is: ``gufunc_calls[0]``
-    counts the transforms, every 2-D first pass is read, and a spy on the
-    one function every public numpy.fft transform runs (``_raw_fft``)
-    sees no call."""
-    calls = _gufunc_counter(monkeypatch)
+def _public_calls(monkeypatch):
+    """The shapes of the calls into numpy.fft's public transforms, seen at
+    ``_raw_fft``, the one function all of them run."""
     public = []
     raw = _pocketfft._raw_fft
 
@@ -138,9 +48,31 @@ def gufunc_calls(monkeypatch):
         return raw(*args, **kwargs)
 
     monkeypatch.setattr(_pocketfft, "_raw_fft", spy)
+    return public
+
+
+def _seam_calls(monkeypatch, twin):
+    """``seam_counter`` on the gufuncs, or on the public twin
+    ``fields._PUBLIC_FFT`` forced in: ``calls[0]`` counts the transforms,
+    every 2-D first pass is read, and numpy.fft's public functions see
+    calls on the twin only, so no transform bypasses the seam."""
+    if twin:
+        monkeypatch.setattr(fields, "_pfu", fields._PUBLIC_FFT)
+    public = _public_calls(monkeypatch)
+    calls = seam_counter(monkeypatch)
     yield calls
     assert calls[2] is None
-    assert public == []
+    assert bool(public) is twin
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    yield from _seam_calls(monkeypatch, twin=False)
+
+
+@pytest.fixture
+def twin_calls(monkeypatch):
+    yield from _seam_calls(monkeypatch, twin=True)
 
 
 def _state(dim, n, formulation):
@@ -169,17 +101,18 @@ def _step_and_record(calls, dim, n, formulation):
 
 
 @pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", STEP_AND_RECORD)
-def test_step_and_record_transform_counts(fft_calls, dim, n, formulation,
+def test_step_and_record_transform_counts(twin_calls, dim, n, formulation,
                                           step_fft, record_fft):
-    assert _step_and_record(fft_calls, dim, n, formulation) == (step_fft, record_fft)
+    # the budgets hold on the public twin, which a tracer's process runs
+    assert _step_and_record(twin_calls, dim, n, formulation) == (step_fft, record_fft)
 
 
 @pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", STEP_AND_RECORD)
-def test_gufunc_step_and_record_counts(gufunc_calls, dim, n, formulation,
+def test_gufunc_step_and_record_counts(fft_calls, dim, n, formulation,
                                        step_fft, record_fft):
-    # the budgets of the public path hold on the gufuncs, where a 2-D
+    # and on the gufuncs (fft_calls sees no public call), where a 2-D
     # forward's two passes and each inverse pair are one transform
-    assert _step_and_record(gufunc_calls, dim, n, formulation) == (step_fft, record_fft)
+    assert _step_and_record(fft_calls, dim, n, formulation) == (step_fft, record_fft)
 
 
 @pytest.fixture
@@ -358,13 +291,13 @@ def _picard_per_iteration(calls, dim, n):
 
 
 @pytest.mark.parametrize("dim,n,per_iter", PICARD)
-def test_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
-    assert _picard_per_iteration(fft_calls, dim, n) == per_iter
+def test_picard_transforms_per_iteration(twin_calls, dim, n, per_iter):
+    assert _picard_per_iteration(twin_calls, dim, n) == per_iter
 
 
 @pytest.mark.parametrize("dim,n,per_iter", PICARD)
-def test_gufunc_picard_transforms_per_iteration(gufunc_calls, dim, n, per_iter):
-    assert _picard_per_iteration(gufunc_calls, dim, n) == per_iter
+def test_gufunc_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
+    assert _picard_per_iteration(fft_calls, dim, n) == per_iter
 
 
 def _transform_outputs():
@@ -394,20 +327,51 @@ def _transform_outputs():
     return out
 
 
-def test_rebound_numpy_fft_sees_every_transform(monkeypatch):
-    # numpy.fft stays the one place to observe or replace a transform: with
-    # its functions rebound to pass-through spies, no call reaches the
-    # gufuncs directly, the spies count every transform the gufuncs did,
-    # and each output is the unpatched one, byte for byte
+def test_seam_is_numpy_gufuncs():
+    # numpy.fft binds numpy's own transforms in this process, and the
+    # import-time probe found the gufuncs give numpy's bytes
+    assert fields._pfu is _pocketfft_umath
+
+
+def test_public_twin_gives_the_same_bytes(monkeypatch):
+    # the twin makes the seam's calls through numpy.fft's public functions:
+    # forced in, it counts the same transforms and gives every output of
+    # the gufuncs byte for byte
     want = _transform_outputs()
-    direct = _gufunc_counter(monkeypatch)
+    direct = seam_counter(monkeypatch)
     assert _transform_outputs() == want
-    assert direct[0] > 0 and direct[2] is None
-    monkeypatch.setattr(fields, "_pfu", None)
-    public = _counter(monkeypatch)
+    monkeypatch.setattr(fields, "_pfu", fields._PUBLIC_FFT)
+    public = _public_calls(monkeypatch)
+    twin = seam_counter(monkeypatch)
     assert _transform_outputs() == want
-    assert public[0] == direct[0]
-    assert public[1:] == [0, None]
+    assert twin[0] == direct[0] > 0 and twin[2] is None
+    assert len(public) > twin[0]  # 2-D transforms are two public calls
+
+
+WRAPPED_BEFORE_IMPORT = """
+import numpy as np
+calls = []
+for name in ("rfft", "irfft", "fft", "ifft"):
+    fn = getattr(np.fft, name)
+    setattr(np.fft, name, lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+from capns import fields, model, presets, solver
+p = model.PhysParams(mu=0.15, kappa=0.0225)
+for dim, n in ((1, 128), (2, 64)):
+    state = presets.build(presets.Preset("smooth_bump", amplitude=0.1), fields.Grid(dim, n), p)
+    calls.clear()
+    solver.step_imex(state, p, solver.SolverConfig(dt=1e-4, t_end=1e-4))
+    print(fields._pfu is fields._PUBLIC_FFT, len(calls))
+"""
+
+
+def test_numpy_fft_wrapped_before_import_sees_every_call():
+    # a program (the benchmark's tracer) that wraps numpy.fft before it
+    # imports capns gets the public twin, and its wrappers see every call:
+    # 13 in a 1-D primitive step, and one per pass of the 42 2-D transforms
+    env = {**os.environ, "PYTHONPATH": str(Path(capns.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", WRAPPED_BEFORE_IMPORT], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert out.split() == ["True", "13", "True", str(2 * 42)]
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
@@ -488,11 +452,10 @@ def test_second_picard_solve_interpolates_nothing(interp_calls):
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
-def test_no_complex_transform(monkeypatch, dim, n):
+def test_no_complex_transform(fft_calls, dim, n):
     # one Fourier layout: the package transforms real fields to half spectra
-    # only, random draws included; the one complex call is the in-place
-    # first pass of a 2-D inverse, which _counter checks and leaves out
-    calls = _counter(monkeypatch)
+    # only, random draws included; the complex calls are the passes of 2-D
+    # transforms, which seam_counter checks and leaves out
     g = Grid(dim, n)
     for name in PRESET_NAMES:
         build(Preset(name), g, PARAMS)
@@ -504,5 +467,4 @@ def test_no_complex_transform(monkeypatch, dim, n):
     picard_solve(e.q, e.v, PARAMS, 0.5, PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
     f = build(Preset("random_bandlimited", amplitude=0.05), g, PARAMS).rho
     block_report(f, BesovSpec(2.0 / 3.0, 3.0))
-    assert calls[0] > 0
-    assert calls[1:] == [0, None]
+    assert fft_calls[0] > 0
