@@ -229,6 +229,8 @@ def cmd_run(args, report) -> str:
     solver_cfg = None if missing else _build(SolverConfig, "solver", values, errors)
     csv_path = args.csv or out.get("csv", "series.csv")
     # both outputs are checked with the config, before the run writes either
+    if args.json and os.path.abspath(args.json) == os.path.abspath(csv_path):
+        errors.append(f"output: csv and json name one file: {csv_path}")
     if args.json and not _writable("json", args.json, errors):
         args.json = None  # the payload goes to stdout
     _writable("csv", csv_path, errors)

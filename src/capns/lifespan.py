@@ -193,9 +193,12 @@ def calibrate_c1(mu: float = 0.15, n_steps: int = 64) -> float:
     data family: amplitude 1e-3 single modes on a 1-D n = 64 grid, quantum
     coupling, linear pressure.
 
-    The contraction edge is bracketed by doubling and then bisected to a
-    relative width of 5 %; the returned C1 uses the still-contracting
-    endpoint, so the predicted window errs on the safe side. No command
+    The contraction edge is bracketed in one loop of at most 24 probes
+    from T = 0.25: T doubles while the iteration contracts and halves while
+    it does not, up to the first change of verdict. The bracket is then
+    bisected to a relative width of 5 %; the returned C1 uses the
+    still-contracting endpoint, so the predicted window errs on the safe
+    side. If every probe contracts, C1 is 4 T at the last one. No command
     calls it; the benchmark runs and traces it as a job of its own.
     """
     from .solver import PicardConfig, picard_solve
@@ -212,23 +215,15 @@ def calibrate_c1(mu: float = 0.15, n_steps: int = 64) -> float:
         except NonContraction:
             return False
 
-    lo, hi = None, None
+    lo = hi = None
     t = 0.25
     for _ in range(24):
         if contracts(t):
-            lo = t
-            t *= 2.0
+            lo, t = t, 2.0 * t
         else:
-            hi = t
+            hi, t = t, 0.5 * t
+        if lo is not None and hi is not None:
             break
-    if lo is None:
-        t = 0.125
-        for _ in range(24):
-            if contracts(t):
-                lo = t
-                break
-            hi = t
-            t *= 0.5
     if lo is None:
         raise ConfigurationError("reference family never contracts; cannot calibrate")
     if hi is None:

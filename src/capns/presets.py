@@ -42,7 +42,7 @@ class Preset:
         if self.name in ("random_bandlimited", "manufactured") and self.amplitude >= 1.0:
             raise ConfigurationError(
                 f"{self.name} needs amplitude < 1 for positivity, got {self.amplitude}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
+        if not (type(self.seed) is int and self.seed >= 0):
             raise ConfigurationError(
                 f"seed must be a non-negative integer, got {self.seed}")
         if not (0.0 < self.delta < 1.0):

@@ -16,9 +16,10 @@ body and one guard (``_Scheme.guarded_samples``): on a 1-D grid
 so each Heun operation and each transform runs once for all of them, and
 leading axes (a stack of members) pass through; on a 2-D grid (``_Scheme``)
 the unknowns are taken one at a time, as the 2-D tendencies take them.
-Every explicit product is truncated by the 2/3 rule, in the step and in
-the fixed-point iteration below; the truncation is part of the scheme and
-has no switch.
+``run`` alone sets the float-error policy: one ``np.errstate`` for its
+whole loop, and a step enters none of its own. Every explicit product is
+truncated by the 2/3 rule, in the step and in the fixed-point iteration
+below; the truncation is part of the scheme and has no switch.
 
 Also here: the exact per-mode solution of the linearized system, and a
 fixed-point iteration that mirrors the constructive existence scheme
@@ -35,7 +36,6 @@ read (one inverse transform each), since no command reads them.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 import zipfile
@@ -88,7 +88,7 @@ class SolverConfig:
             raise ConfigurationError(f"unknown formulation {self.formulation!r}")
         if not (self.vacuum_floor > 0 and math.isfinite(self.vacuum_floor)):
             raise ConfigurationError(f"vacuum_floor must be positive and finite, got {self.vacuum_floor}")
-        if not (isinstance(self.diag_stride, int) and self.diag_stride >= 1):
+        if not (type(self.diag_stride) is int and self.diag_stride >= 1):
             raise ConfigurationError(f"diag_stride must be a positive integer, got {self.diag_stride}")
         if not (self.c_stab > 0 and math.isfinite(self.c_stab)):
             raise ConfigurationError(f"c_stab must be positive and finite, got {self.c_stab}")
@@ -245,24 +245,14 @@ def _scheme(g: Grid, params: PhysParams, cfg: SolverConfig) -> _Scheme:
     return (_LineScheme if g.dim == 1 else _Scheme)(g, params, cfg)
 
 
-# True while ``run`` holds its one np.errstate. Its steps go through
-# step_imex, which the benchmark traces, and an errstate per step cost
-# 2.5-3.5 µs, about 2 % of a 1-D step, so they enter none of their own.
-_QUIET = contextvars.ContextVar("capns_solver_quiet", default=False)
-
-
 def step_imex(state, params: PhysParams, cfg: SolverConfig, t: float = 0.0):
     """One integrating-factor Heun step; returns the state at t + dt.
 
-    Float errors print nothing: the call enters one ``np.errstate`` (none
-    inside ``run``, which holds one for all its steps), and the step's
-    guard reports a non-finite result as NumericBlowup.
+    The step's guard reports a non-finite result as NumericBlowup. ``run``
+    alone sets the float-error policy; a direct call keeps the caller's.
     """
     scheme = _scheme(state.grid, params, cfg)
-    if _QUIET.get():
-        return scheme.state(scheme.step(scheme.values(state), t))
-    with np.errstate(all="ignore"):
-        return scheme.state(scheme.step(scheme.values(state), t))
+    return scheme.state(scheme.step(scheme.values(state), t))
 
 
 @dataclass
@@ -297,10 +287,11 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
     or the run ends, then handed over in time order, so a run's records
     come from one call per chunk. A run that raises records nothing more.
     callbacks are called (step, t, state) after every accepted step. The
-    span must be a whole number of dt steps. Float errors print nothing:
-    the loop runs in one ``np.errstate``, which its steps and every
-    ``diag_fn`` call share, and a blow-up arrives as the step guard's
-    NumericBlowup (a record's overflow as the non-finite values it holds).
+    span must be a whole number of dt steps. ``run`` alone sets the
+    float-error policy: the loop runs in one ``np.errstate``, which its
+    steps and every ``diag_fn`` call share, so float errors print nothing,
+    and a blow-up arrives as the step guard's NumericBlowup (a record's
+    overflow as the non-finite values it holds).
     """
     # validates once, and rejects a state of the other formulation even
     # when no step is taken; every step reuses the scheme
@@ -334,20 +325,16 @@ def run(initial, params: PhysParams, cfg: SolverConfig, diag_fn=None,
             flush()
 
     state = initial
-    quiet = _QUIET.set(True)
-    try:
-        with np.errstate(all="ignore"):
-            emit(initial, t0)
-            for m in range(n_steps):
-                t_next = t0 + (m + 1) * cfg.dt
-                state = step_imex(state, params, cfg, t=t0 + m * cfg.dt)
-                for cb in callbacks:
-                    cb(m + 1, t_next, state)
-                if (m + 1) % cfg.diag_stride == 0 or m + 1 == n_steps:
-                    emit(state, t_next)
-            flush()
-    finally:
-        _QUIET.reset(quiet)
+    with np.errstate(all="ignore"):
+        emit(initial, t0)
+        for m in range(n_steps):
+            t_next = t0 + (m + 1) * cfg.dt
+            state = step_imex(state, params, cfg, t=t0 + m * cfg.dt)
+            for cb in callbacks:
+                cb(m + 1, t_next, state)
+            if (m + 1) % cfg.diag_stride == 0 or m + 1 == n_steps:
+                emit(state, t_next)
+        flush()
     result.final_state = state
     result.t_final = t0 + n_steps * cfg.dt
     result.steps = n_steps
@@ -472,9 +459,9 @@ class PicardConfig:
     def __post_init__(self):
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigurationError(f"tolerance must be positive and finite, got {self.tol}")
-        if not (isinstance(self.max_iters, int) and self.max_iters >= 1):
+        if not (type(self.max_iters) is int and self.max_iters >= 1):
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 2):
+        if not (type(self.n_steps) is int and self.n_steps >= 2):
             raise ConfigurationError(f"n_steps must be >= 2, got {self.n_steps}")
 
 

@@ -234,3 +234,32 @@ class TestCalibration:
         ds = res.diff_norms
         ratios = [ds[i + 1] / ds[i] for i in range(len(ds) - 1) if ds[i] > 0]
         assert sum(1 for r in ratios[:8] if r < 1.0) >= 5
+
+    @pytest.mark.parametrize("edge,probes,c1", [
+        pytest.param(2.8, [0.25, 0.5, 1, 2, 4, 3, 2.5, 2.75, 2.875], 11.0, id="doubling"),
+        pytest.param(0.05, [0.25, 0.125, 0.0625, 0.03125, 0.046875, 0.0546875,
+                            0.05078125, 0.048828125], 0.1953125, id="halving"),
+        pytest.param(math.inf, [0.25 * 2.0 ** k for k in range(24)], 8388608.0, id="cap"),
+        pytest.param(0.0, [0.25 * 0.5 ** k for k in range(24)], None, id="never"),
+    ])
+    def test_bracketing(self, monkeypatch, edge, probes, c1):
+        # one loop doubles T from 0.25 while the iteration contracts and
+        # halves it while it does not, up to the first change of verdict,
+        # then bisects; a stub iteration contracts below a given edge
+        from types import SimpleNamespace
+
+        from capns import solver
+
+        seen = []
+
+        def stub(q0, v0, params, T, pcfg):
+            seen.append(T)
+            return SimpleNamespace(converged=T < edge)
+
+        monkeypatch.setattr(solver, "picard_solve", stub)
+        if c1 is None:
+            with pytest.raises(ConfigurationError, match="never contracts"):
+                calibrate_c1()
+        else:
+            assert calibrate_c1() == c1
+        assert seen == probes

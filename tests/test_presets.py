@@ -24,7 +24,7 @@ class TestPresetValidation:
         with pytest.raises(ConfigurationError):
             Preset("smooth_bump", **kw)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_seed_must_be_non_negative_integer(self, seed):
         # numpy's default_rng raises a ValueError of its own at build time
         Preset("random_bandlimited", seed=0)

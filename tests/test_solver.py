@@ -65,6 +65,7 @@ class TestSolverConfig:
             dict(dt=1e-3, t_end=1.0, c_stab=0.0),
             dict(dt=1e-3, t_end=1.0, c_stab=float("inf")),
             dict(dt=1e-3, t_end=1.0, vacuum_floor=float("inf")),
+            dict(dt=1e-3, t_end=1.0, diag_stride=True),
         ],
     )
     def test_invalid(self, kw):
@@ -560,17 +561,21 @@ class TestRun:
         state = _guard_wave(dim, n, formulation, 1e200)
         cfg = SolverConfig(dt=1e-4, t_end=1e-3, formulation=formulation)
         detail = {"primitive": "density-velocity state", "effective": "log-density state"}
-        # run and step_imex silence numpy's float warnings themselves: a
-        # blow-up arrives as NumericBlowup alone, with nothing on stderr
+        # run alone sets the float-error policy: its blow-up arrives as
+        # NumericBlowup alone, with nothing on stderr, even with warnings as
+        # errors; a bare step keeps its caller's policy, and its guard
+        # reports the same blow-up under a silencing errstate
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for advance in (run, step_imex):
-                with pytest.raises(NumericBlowup) as exc:
-                    advance(state, PARAMS, cfg)
-                # the step guard reports the time of the step that blew up,
-                # which a JSON payload can hold (NaN is not valid JSON)
-                assert exc.value.t == cfg.dt
-                assert exc.value.detail == detail[formulation]
+            with pytest.raises(NumericBlowup) as ran:
+                run(state, PARAMS, cfg)
+        with np.errstate(all="ignore"), pytest.raises(NumericBlowup) as stepped:
+            step_imex(state, PARAMS, cfg)
+        for exc in (ran, stepped):
+            # the step guard reports the time of the step that blew up,
+            # which a JSON payload can hold (NaN is not valid JSON)
+            assert exc.value.t == cfg.dt
+            assert exc.value.detail == detail[formulation]
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("formulation,checked", [
@@ -586,8 +591,8 @@ class TestRun:
         assert seen == checked
 
     def test_one_errstate_per_call(self, monkeypatch):
-        # entering np.errstate costs about 2 % of a 1-D step: a run enters
-        # one for all its steps, and a direct step_imex call one
+        # run alone sets the float-error policy: it enters one np.errstate
+        # for all its steps, and a bare step_imex call enters none
         entered = []
         original = np.errstate
 
@@ -601,7 +606,7 @@ class TestRun:
         assert run(state, PARAMS, cfg).steps == 5
         assert len(entered) == 1
         step_imex(state, PARAMS, cfg)
-        assert len(entered) == 2
+        assert len(entered) == 1
 
     def test_determinism_bitwise(self):
         g = Grid(1, 128)
@@ -870,7 +875,8 @@ class TestPicard:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(tol=0.0), dict(tol=math.inf), dict(max_iters=0), dict(n_steps=1)],
+        [dict(tol=0.0), dict(tol=math.inf), dict(max_iters=0), dict(n_steps=1),
+         dict(max_iters=True)],
     )
     def test_invalid_config(self, kw):
         with pytest.raises(ConfigurationError):

@@ -10,9 +10,9 @@ Every transform goes through one seam, ``fields._pfu``, chosen at import:
 numpy's pocketfft gufuncs, or ``fields._PUBLIC_FFT``, which makes the same
 calls through numpy.fft. ``conftest.seam_counter`` wraps the seam, so each
 budget is counted as the code runs it; a 2-D transform is two seam calls,
-a real one and its complex pass. The step, record and Picard budgets are
-pinned on both seams: ``fft_calls`` counts the gufuncs, ``twin_calls``
-the twin forced in.
+a real one and its complex pass. Each budget is pinned once, on the
+gufunc seam (``fft_calls``); the twin is held to the gufuncs' bytes and
+counts by ``test_public_twin_gives_the_same_bytes``.
 """
 
 import os
@@ -51,28 +51,16 @@ def _public_calls(monkeypatch):
     return public
 
 
-def _seam_calls(monkeypatch, twin):
-    """``seam_counter`` on the gufuncs, or on the public twin
-    ``fields._PUBLIC_FFT`` forced in: ``calls[0]`` counts the transforms,
-    every 2-D first pass is read, and numpy.fft's public functions see
-    calls on the twin only, so no transform bypasses the seam."""
-    if twin:
-        monkeypatch.setattr(fields, "_pfu", fields._PUBLIC_FFT)
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """``seam_counter`` on the seam: ``calls[0]`` counts the transforms,
+    every 2-D first pass is read, and numpy.fft's public functions see no
+    call, so no transform bypasses the seam."""
     public = _public_calls(monkeypatch)
     calls = seam_counter(monkeypatch)
     yield calls
     assert calls[2] is None
-    assert bool(public) is twin
-
-
-@pytest.fixture
-def fft_calls(monkeypatch):
-    yield from _seam_calls(monkeypatch, twin=False)
-
-
-@pytest.fixture
-def twin_calls(monkeypatch):
-    yield from _seam_calls(monkeypatch, twin=True)
+    assert not public
 
 
 def _state(dim, n, formulation):
@@ -80,39 +68,23 @@ def _state(dim, n, formulation):
     return s if formulation == "primitive" else to_effective(s, PARAMS)
 
 
-STEP_AND_RECORD = [
+@pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", [
     pytest.param(1, 128, "primitive", 13, 4, id="1-128-primitive"),
     pytest.param(1, 128, "effective", 7, 4, id="1-128-effective"),
     pytest.param(2, 64, "primitive", 42, 22, id="2-64-primitive"),
     pytest.param(2, 64, "effective", 27, 22, id="2-64-effective"),
-]
-
-
-def _step_and_record(calls, dim, n, formulation):
-    """The transforms ``calls[0]`` counts in one step and in one record."""
-    state = _state(dim, n, formulation)
-    cfg = SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation)
-    calls[0] = 0
-    step_imex(state, PARAMS, cfg)
-    step = calls[0]
-    calls[0] = 0
-    DiagnosticsAccumulator(PARAMS)([state], [0.0])
-    return step, calls[0]
-
-
-@pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", STEP_AND_RECORD)
-def test_step_and_record_transform_counts(twin_calls, dim, n, formulation,
-                                          step_fft, record_fft):
-    # the budgets hold on the public twin, which a tracer's process runs
-    assert _step_and_record(twin_calls, dim, n, formulation) == (step_fft, record_fft)
-
-
-@pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", STEP_AND_RECORD)
+])
 def test_gufunc_step_and_record_counts(fft_calls, dim, n, formulation,
                                        step_fft, record_fft):
-    # and on the gufuncs (fft_calls sees no public call), where a 2-D
-    # forward's two passes and each inverse pair are one transform
-    assert _step_and_record(fft_calls, dim, n, formulation) == (step_fft, record_fft)
+    # a 2-D forward's two passes and each inverse pair are one transform
+    state = _state(dim, n, formulation)
+    cfg = SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation)
+    fft_calls[0] = 0
+    step_imex(state, PARAMS, cfg)
+    assert fft_calls[0] == step_fft
+    fft_calls[0] = 0
+    DiagnosticsAccumulator(PARAMS)([state], [0.0])
+    assert fft_calls[0] == record_fft
 
 
 @pytest.fixture
@@ -267,37 +239,22 @@ def test_block_report_one_transform_per_block(fft_calls):
     assert fft_calls[0] == 1 + len(rep["blocks"])
 
 
-PICARD = [pytest.param(1, 64, 9, id="1-64"), pytest.param(2, 16, 16, id="2-16")]
-
-
-def _picard_per_iteration(calls, dim, n):
-    """The transforms ``calls[0]`` counts per Picard iteration.
-
-    Every transform of an iteration covers all time levels at once, and
-    the differences are measured on the spectra, so neither an iteration's
-    count nor the set-up's grows with the number of time steps.
-    """
+@pytest.mark.parametrize("dim,n,per_iter", [pytest.param(1, 64, 9, id="1-64"),
+                                             pytest.param(2, 16, 16, id="2-16")])
+def test_gufunc_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
+    # every transform of an iteration covers all time levels at once, and
+    # the differences are measured on the spectra, so neither an
+    # iteration's count nor the set-up's grows with the number of steps
     e = _state(dim, n, "effective")
     counts = {}
     for n_steps in (16, 32):
         for iters in (1, 2):
-            calls[0] = 0
+            fft_calls[0] = 0
             picard_solve(e.q, e.v, PARAMS, 0.5,
                          PicardConfig(n_steps=n_steps, max_iters=iters, tol=1e-30))
-            counts[n_steps, iters] = calls[0]
+            counts[n_steps, iters] = fft_calls[0]
     assert counts[16, 1] == counts[32, 1]
-    assert counts[16, 2] - counts[16, 1] == counts[32, 2] - counts[32, 1]
-    return counts[16, 2] - counts[16, 1]
-
-
-@pytest.mark.parametrize("dim,n,per_iter", PICARD)
-def test_picard_transforms_per_iteration(twin_calls, dim, n, per_iter):
-    assert _picard_per_iteration(twin_calls, dim, n) == per_iter
-
-
-@pytest.mark.parametrize("dim,n,per_iter", PICARD)
-def test_gufunc_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
-    assert _picard_per_iteration(fft_calls, dim, n) == per_iter
+    assert counts[16, 2] - counts[16, 1] == counts[32, 2] - counts[32, 1] == per_iter
 
 
 def _transform_outputs():
