@@ -228,8 +228,10 @@ def cmd_run(args, report) -> str:
     errors += [f"solver.{k}: required for this command" for k in missing]
     solver_cfg = None if missing else _build(SolverConfig, "solver", values, errors)
     csv_path = args.csv or out.get("csv", "series.csv")
-    # both outputs are checked with the config, before the run writes either
-    if args.json and os.path.abspath(args.json) == os.path.abspath(csv_path):
+    # both outputs are checked with the config, before the run writes either;
+    # both paths are resolved through symbolic links, whether or not the
+    # files they name exist yet
+    if args.json and os.path.realpath(args.json) == os.path.realpath(csv_path):
         errors.append(f"output: csv and json name one file: {csv_path}")
     if args.json and not _writable("json", args.json, errors):
         args.json = None  # the payload goes to stdout

@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types, and the number check of configuration fields, shared
+across the package."""
+
+import math
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite number; a bool (an int to Python) is not."""
+    return not isinstance(value, bool) and math.isfinite(value)
 
 
 class ConfigurationError(ValueError):

@@ -33,9 +33,8 @@ stack per block, which, like :func:`decompose` and
 narrowed spectrum, bit-identical to the full width). Each such block
 product is built for its one inverse, which overwrites it
 (``fields._ifft_owned``), so the spectra passed in are left as they were.
-:func:`tilde_norm`, the time-then-block norm of the
-Picard differences, takes its series as such a stack with a leading time
-axis.
+:func:`tilde_norm`, the time-sup norm of the Picard differences, takes
+its series as such a stack with a leading time axis.
 """
 
 from __future__ import annotations
@@ -258,20 +257,14 @@ def besov_norm(f: RealField, spec: BesovSpec) -> float:
     return _weighted_lr(ls, norms, spec.s, spec.r)
 
 
-def tilde_norm(grid: Grid, fhat: np.ndarray, times, sigma: float, spec: BesovSpec) -> float:
-    """Time-then-block norm of a series given as a [time, half spectrum]
-    stack: per block, L^sigma of t -> ||block(t)||_{L^p} over the time grid
-    (trapezoid; sigma = inf takes the sup), then the weighted l^r across
-    blocks. Time aggregation happens strictly before the block sum, which is
-    what distinguishes this from L^sigma of the instantaneous norm. The
-    arguments are trusted: the Picard iteration builds its own strictly
-    increasing times."""
+def tilde_norm(grid: Grid, fhat: np.ndarray, spec: BesovSpec) -> float:
+    """Time-sup Besov norm of a series given as a [time, half spectrum]
+    stack: per block, the sup over the time levels of ||block(t)||_{L^p},
+    then the weighted l^r across blocks. The sup is taken before the block
+    sum, which is what distinguishes this from the sup of the instantaneous
+    norm; it is the norm the Picard iteration measures its differences in."""
     ls, table = block_norm_table(grid, fhat, spec.p)  # [time, block]
-    if math.isinf(sigma):
-        agg = np.max(table, axis=0)
-    else:
-        agg = np.trapezoid(table ** sigma, times, axis=0) ** (1.0 / sigma)
-    return _weighted_lr(ls, agg, spec.s, spec.r)
+    return _weighted_lr(ls, np.max(table, axis=0), spec.s, spec.r)
 
 
 def bony_decompose(u: RealField, v: RealField):

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, finite_number
 from .fields import Grid, RealField, fft_array, fft_stage, grad_arrays, ifft_array, ifft_stage
 
 QUANTUM_TOL = 1e-12
@@ -71,7 +70,7 @@ class PhysParams:
             ("rho_bar", self.rho_bar, self.rho_bar > 0),
         ]
         for name, value, ok in checks:
-            if not (ok and math.isfinite(value)):
+            if not (ok and finite_number(value)):
                 raise ConfigurationError(f"invalid {name} = {value}")
 
     def is_quantum(self) -> bool:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, finite_number
 from .fields import Grid, RealField, column_extent, hermitian_half, ifft_array
 from .model import PhysParams, PrimitiveState
 
@@ -35,7 +35,7 @@ class Preset:
         if self.name not in PRESET_NAMES:
             raise ConfigurationError(
                 f"unknown preset {self.name!r}; choose from {PRESET_NAMES}")
-        if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
+        if not (finite_number(self.amplitude) and self.amplitude >= 0):
             raise ConfigurationError(
                 f"amplitude must be finite and >= 0, got {self.amplitude}")
         # these densities reach zero or below somewhere at amplitude >= 1

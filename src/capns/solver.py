@@ -30,8 +30,7 @@ leading time axis (and a component axis for the velocity), so each
 transform of an iteration covers all time levels in one call, and
 ``tilde_norm`` measures each difference on its stack: once for q and once
 per velocity component. The result keeps the final iterate as those
-spectra; its ``q_series`` and ``v_series`` of fields are built on first
-read (one inverse transform each), since no command reads them.
+spectra, without inverting them: no command reads the iterate's samples.
 """
 
 from __future__ import annotations
@@ -48,6 +47,7 @@ from .errors import (
     NonContraction,
     NumericBlowup,
     VacuumBreach,
+    finite_number,
 )
 from .fields import (Grid, RealField, dealias_values, fft_array, fft_stage, grad_arrays,
                      ifft_array, ifft_stage)
@@ -80,17 +80,17 @@ class SolverConfig:
     c_stab: float = 1.0
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
+        if not (finite_number(self.dt) and self.dt > 0):
             raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if not (self.t_end >= 0 and math.isfinite(self.t_end)):
+        if not (finite_number(self.t_end) and self.t_end >= 0):
             raise ConfigurationError(f"t_end must be nonnegative, got {self.t_end}")
         if self.formulation not in FORMULATIONS:
             raise ConfigurationError(f"unknown formulation {self.formulation!r}")
-        if not (self.vacuum_floor > 0 and math.isfinite(self.vacuum_floor)):
+        if not (finite_number(self.vacuum_floor) and self.vacuum_floor > 0):
             raise ConfigurationError(f"vacuum_floor must be positive and finite, got {self.vacuum_floor}")
         if not (type(self.diag_stride) is int and self.diag_stride >= 1):
             raise ConfigurationError(f"diag_stride must be a positive integer, got {self.diag_stride}")
-        if not (self.c_stab > 0 and math.isfinite(self.c_stab)):
+        if not (finite_number(self.c_stab) and self.c_stab > 0):
             raise ConfigurationError(f"c_stab must be positive and finite, got {self.c_stab}")
 
     def dt_ceiling(self, grid: Grid, params: PhysParams) -> float:
@@ -457,7 +457,7 @@ class PicardConfig:
     n_steps: int = 64
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
+        if not (finite_number(self.tol) and self.tol > 0):
             raise ConfigurationError(f"tolerance must be positive and finite, got {self.tol}")
         if not (type(self.max_iters) is int and self.max_iters >= 1):
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
@@ -468,29 +468,17 @@ class PicardConfig:
 @dataclass
 class PicardResult:
     """Outcome of :func:`picard_solve`. The final iterate is kept as its
-    [time, ...] and [component, time, ...] stacks of half spectra;
-    ``q_series`` (one field per time level) and ``v_series`` (one tuple of
-    velocity components per level) are built from them on first read, one
-    inverse transform each, and kept."""
+    [time, ...] (log-density) and [component, time, ...] (velocity) stacks
+    of half spectra, on the grid of the data; ``ifft_array`` of a stack
+    gives its samples at every time level."""
 
     times: np.ndarray
     diff_norms: list
     iterations: int
     converged: bool
     data_norms: dict
-    _grid: Grid = field(repr=False)
     _qhat: np.ndarray = field(repr=False)
     _vhat: np.ndarray = field(repr=False)
-
-    @functools.cached_property
-    def q_series(self) -> list:
-        return [RealField(self._grid, c) for c in ifft_array(self._grid, self._qhat)]
-
-    @functools.cached_property
-    def v_series(self) -> list:
-        v_vals = ifft_array(self._grid, self._vhat)
-        return [tuple(RealField(self._grid, c) for c in v_vals[:, m])
-                for m in range(len(self.times))]
 
 
 def _picard_sources(g, params, qhat, vhats):
@@ -598,9 +586,9 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(v_new))):
             raise NonContraction(T, data_norms, diff_norms + [float("inf")])
 
-        delta = tilde_norm(g, q_new - qs, times, math.inf, spec_q)
+        delta = tilde_norm(g, q_new - qs, spec_q)
         for i in range(g.dim):
-            delta += tilde_norm(g, v_new[i] - vs[i], times, math.inf, spec_v)
+            delta += tilde_norm(g, v_new[i] - vs[i], spec_v)
 
         qs, vs = q_new, v_new
         diff_norms.append(delta)
@@ -614,4 +602,4 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
         else:
             growth_streak = 0
 
-    return PicardResult(times, diff_norms, iterations, converged, data_norms, g, qs, vs)
+    return PicardResult(times, diff_norms, iterations, converged, data_norms, qs, vs)

@@ -282,21 +282,27 @@ class TestRunCommand:
                                      for line in out.splitlines()
                                      if line.startswith("config error: ")]
 
-    @pytest.mark.parametrize("source", ["flag", "ini"])
+    @pytest.mark.parametrize("source", ["flag", "ini", "link"])
     def test_one_file_for_both_outputs(self, tmp_path, monkeypatch, capsys, source):
-        # the paths are compared as absolute ones, so same.out and
-        # ./same.out are one file; the run never starts, and that file
-        # holds the invalid_config payload instead of a CSV overwritten
+        # the paths are compared as resolved ones, so same.out, ./same.out
+        # and link.out -> same.out are one file; the run never starts, and
+        # that file holds the invalid_config payload instead of a CSV
+        # overwritten
         monkeypatch.chdir(tmp_path)
+        csv_path = "same.out"
+        if source == "link":
+            csv_path = "link.out"
+            (tmp_path / "same.out").write_text("old\n")
+            (tmp_path / "link.out").symlink_to("same.out")
         sections = base_sections()
-        argv = ["--csv", "same.out", "--json", "./same.out"]
+        argv = ["--csv", csv_path, "--json", "./same.out"]
         if source == "ini":
-            sections["output"], argv = {"csv": "same.out", "json": "./same.out"}, []
+            sections["output"], argv = {"csv": csv_path, "json": "./same.out"}, []
         assert main(["run", "--config", write_ini(tmp_path / "c.ini", sections),
                      *argv]) == EXIT_BAD_CONFIG
-        assert "wrote same.out (" not in capsys.readouterr().out
+        assert f"wrote {csv_path} (" not in capsys.readouterr().out
         payload = json.loads((tmp_path / "same.out").read_text())
-        assert payload["errors"] == ["output: csv and json name one file: same.out"]
+        assert payload["errors"] == [f"output: csv and json name one file: {csv_path}"]
 
     def test_all_output_and_config_errors_reported_at_once(self, tmp_path, capsys):
         absent = tmp_path / "absent"

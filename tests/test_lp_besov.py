@@ -284,36 +284,18 @@ class TestTildeNorm:
     def test_time_constant_single_block(self):
         g = Grid(1, 64)
         f = RealField(g, 0.7 * np.sin(6 * g.x[0]))
-        times = np.linspace(0.0, 0.8, 9)
         spec = BesovSpec(1.1, 2, 1)
-        got = tilde_norm(g, fft_array(g, np.stack([f.values] * 9)), times, 2.0, spec)
-        want = 0.8 ** 0.5 * 2.0 ** 2.2 * 0.7 * math.sqrt(math.pi)
+        got = tilde_norm(g, fft_array(g, np.stack([f.values] * 9)), spec)
+        want = 2.0 ** 2.2 * 0.7 * math.sqrt(math.pi)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_sup_in_time(self):
         g = Grid(1, 64)
         base = 0.7 * np.sin(6 * g.x[0])
         series = fft_array(g, np.stack([c * base for c in (1.0, 0.5, 2.0)]))
-        got = tilde_norm(g, series, [0.0, 0.1, 0.2], math.inf, BesovSpec(1.1, 2, 1))
+        got = tilde_norm(g, series, BesovSpec(1.1, 2, 1))
         want = 2.0 * 2.0 ** 2.2 * 0.7 * math.sqrt(math.pi)
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_minkowski_ordering(self):
-        rng = np.random.default_rng(11)
-        g = Grid(1, 128)
-        times = np.linspace(0.0, 1.0, 6)
-        series = [white_noise_field(g, rng) for _ in times]
-        fhat = fft_array(g, np.stack([f.values for f in series]))
-        spec_r3 = BesovSpec(0.8, 2, 3)
-        lhs = tilde_norm(g, fhat, times, 2.0, spec_r3)
-        inst = np.array([besov_norm(f, spec_r3) for f in series])
-        rhs = np.trapezoid(inst ** 2, times) ** 0.5
-        assert lhs <= rhs * (1 + 1e-12)
-
-        spec_r1 = BesovSpec(0.8, 2, 1)
-        lhs1 = tilde_norm(g, fhat, times, 1.0, spec_r1)
-        rhs1 = np.trapezoid([besov_norm(f, spec_r1) for f in series], times)
-        assert lhs1 == pytest.approx(rhs1, rel=1e-12)
 
 
 class TestBony:

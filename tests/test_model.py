@@ -60,6 +60,7 @@ class TestPhysParams:
             dict(mu=0.2, kappa=0.1, gamma=0.9),
             dict(mu=0.2, kappa=0.1, rho_bar=0.0),
             dict(mu=float("nan"), kappa=0.1),
+            dict(mu=True, kappa=True),
         ],
     )
     def test_invalid_rejected(self, kwargs):

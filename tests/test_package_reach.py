@@ -25,8 +25,6 @@ SRC = Path(capns.__file__).parent
 # names no package code calls, each with the reason it stays
 UNREACHED = {
     "calibrate_c1": "benchmark job and span target",
-    "q_series": "PicardResult's series of q, built on first read; no command reads it",
-    "v_series": "PicardResult's series of v, built on first read; no command reads it",
     "solve_linear_system": "the exact reference the step and Picard tests compare against",
     "transform": "the one producer of the public SpectralField",
     "vacuum_bound_estimate": "kept for the vacuum-bound report no command emits yet",

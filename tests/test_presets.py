@@ -18,7 +18,7 @@ class TestPresetValidation:
 
     @pytest.mark.parametrize("kw", [
         dict(amplitude=-0.1), dict(amplitude=math.inf),
-        dict(delta=0.0), dict(delta=1.0),
+        dict(delta=0.0), dict(delta=1.0), dict(amplitude=False),
     ])
     def test_invalid_numbers(self, kw):
         with pytest.raises(ConfigurationError):
