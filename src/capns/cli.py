@@ -194,15 +194,17 @@ def _invalid(errors):
 
 def _writable(key, path, errors) -> bool:
     """Whether ``path`` opens for writing; if not, an 'output.<key>: cannot
-    write: ...' line goes to errors. A file the probe creates is removed."""
-    existed = os.path.exists(path)
+    write: ...' line goes to errors. A file the probe creates is removed:
+    for a dangling symbolic link that is the link's target, and the link
+    stays."""
+    existed = os.path.exists(path)  # False for a dangling link, as for no file
     try:
         open(path, "a").close()
     except OSError as ex:
         errors.append(f"output.{key}: cannot write: {ex}")
         return False
     if not existed:
-        os.remove(path)
+        os.remove(os.path.realpath(path))
     return True
 
 

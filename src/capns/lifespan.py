@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NonContraction, ScheduleStall
+from .errors import ConfigurationError, NonContraction, ScheduleStall, finite_number
 from .fields import Grid, RealField
 from .lp_besov import BesovSpec, _weighted_lr, block_norms
 from .model import PhysParams
@@ -48,13 +48,13 @@ class LifespanInputs:
     def __post_init__(self):
         for name in ("norm_q0_crit", "norm_v0_crit", "norm_q0_sur", "norm_v0_sur"):
             val = getattr(self, name)
-            if not (np.isfinite(val) and val >= 0):
+            if not (finite_number(val) and val >= 0):
                 raise ConfigurationError(f"{name} must be finite and >= 0, got {val}")
         for name in ("C", "C1", "c", "mu", "eps"):
             val = getattr(self, name)
-            if not (np.isfinite(val) and val > 0):
+            if not (finite_number(val) and val > 0):
                 raise ConfigurationError(f"{name} must be finite and > 0, got {val}")
-        if not (0.0 < self.eps_prime <= 1.0):
+        if not (finite_number(self.eps_prime) and 0.0 < self.eps_prime <= 1.0):
             raise ConfigurationError(
                 f"eps_prime must lie in (0, 1], got {self.eps_prime}")
         if self.p is not None and self.dim is not None:

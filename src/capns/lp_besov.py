@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, finite_number
 from .fields import Grid, RealField, _ifft_owned, column_extent, fft_array, lp_norms
 
 PLATEAU = 0.75       # chi = 1 on [0, 3/4]
@@ -226,9 +226,9 @@ class BesovSpec:
     r: float = 1.0
 
     def __post_init__(self):
-        if not (self.p >= 1 and self.r >= 1):
+        if bool in (type(self.p), type(self.r)) or not (self.p >= 1 and self.r >= 1):
             raise ConfigurationError(f"exponents must satisfy p, r >= 1, got p={self.p}, r={self.r}")
-        if not math.isfinite(self.s):
+        if not finite_number(self.s):
             raise ConfigurationError(f"regularity index must be finite, got {self.s}")
 
 

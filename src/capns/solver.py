@@ -29,7 +29,9 @@ The iteration keeps every iterate as one stack of half spectra with a
 leading time axis (and a component axis for the velocity), so each
 transform of an iteration covers all time levels in one call, and
 ``tilde_norm`` measures each difference on its stack: once for q and once
-per velocity component. The result keeps the final iterate as those
+per velocity component. Its sources have one body per grid, as the
+tendencies do (4 transform calls per iteration in 1-D, 16 transforms in
+2-D). The result keeps the final iterate as those
 spectra, without inverting them: no command reads the iterate's samples.
 """
 
@@ -463,6 +465,8 @@ class PicardConfig:
             raise ConfigurationError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (type(self.n_steps) is int and self.n_steps >= 2):
             raise ConfigurationError(f"n_steps must be >= 2, got {self.n_steps}")
+        if not (finite_number(self.p) and self.p >= 1):
+            raise ConfigurationError(f"p must be finite and >= 1, got {self.p}")
 
 
 @dataclass
@@ -487,10 +491,15 @@ def _picard_sources(g, params, qhat, vhats):
     ``qhat`` is a [time, ...] stack of half spectra and ``vhats`` a
     [component, time, ...] one; returns the source spectra in the same
     layouts. Each level sees the same operations as when sources were built
-    one level at a time, so the stacks are bit-identical to that; the
-    intermediates are updated in place and dropped per component to bound
-    the memory of the stacks.
+    one level at a time, so the stacks are bit-identical to that. The
+    grid's dimension picks the body, as in ``model``: on a 1-D grid
+    (``_picard_line``) each stage transforms the stack of its arrays, 4
+    calls per iteration; on a 2-D grid the arrays are taken one at a time,
+    16 transforms per iteration, and the intermediates are updated in place
+    and dropped per component to bound the memory of the stacks.
     """
+    if g.dim == 1:
+        return _picard_line(g, params, qhat, vhats)
     gq = grad_arrays(g, qhat)
     u = ifft_array(g, vhats)  # v for now
     f_hat = fft_array(g, dealias_values(g, -sum(u[i] * gq[i] for i in range(g.dim))
@@ -505,6 +514,23 @@ def _picard_sources(g, params, qhat, vhats):
         del dv_i
         g_hat[i] = fft_array(g, dealias_values(g, -adv + params.mu * qdv) - params.a * gq[i])
     return f_hat, g_hat
+
+
+def _picard_line(g, params, qhat, vhats):
+    """``_picard_sources`` on a 1-D grid: the same products in three
+    stages, each on the stack of its rows: the gradients of q and v with v
+    (one inverse call); the two products, truncated together (a forward
+    and an inverse call); their spectra (one forward call). The products
+    keep the 0 + that the 2-D body's sums start from, so a -0.0 comes out
+    as it does there."""
+    (ik,) = g.half_ik
+    gq, dv, v = ifft_array(g, np.array([ik * qhat, ik * vhats[0], vhats[0]]))
+    u = v - params.mu * gq
+    src = dealias_values(g, np.array([-(0 + v * gq) + params.mu * (0 + gq ** 2),
+                                      -(0 + u * dv) + params.mu * (0 + gq * dv)]))
+    src[1] -= params.a * gq
+    hats = fft_array(g, src)
+    return hats[0], hats[1:]
 
 
 def _duhamel(g, e_fac, h_src):
@@ -550,7 +576,8 @@ def picard_solve(q0: RealField, v0, params: PhysParams, T: float,
     m_steps = pcfg.n_steps
     dt = T / m_steps
     times = np.arange(m_steps + 1) * dt
-    e_fac = np.exp(-params.mu * g.half_k2 * dt)
+    # complex, so the Duhamel sums' products cast nothing: the same bytes
+    e_fac = np.exp(-params.mu * g.half_k2 * dt).astype(complex)
 
     # iterate 0: the exact linear solution, per mode, as [time, ...] stacks
     q_lin, v_lin = _linear_modes(g, params.mu, fft_array(g, q0.values),

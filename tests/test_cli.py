@@ -330,6 +330,27 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--csv", str(csv_path)]) == EXIT_BAD_CONFIG
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("target", ["csv", "json"])
+    def test_dangling_link_output_stays_a_link(self, tmp_path, target):
+        # the probe of a link to a missing file removes the file it made,
+        # the link's target, and a run writes through the link
+        link, missing = tmp_path / f"link.{target}", tmp_path / f"missing.{target}"
+        link.symlink_to(missing.name)
+        paths = {"csv": tmp_path / "s.csv", "json": tmp_path / "o.json", target: link}
+        argv = ["--csv", str(paths["csv"]), "--json", str(paths["json"])]
+        bad = write_ini(tmp_path / "bad.ini", base_sections(physics={"mu": -1}))
+        assert main(["run", "--config", bad, *argv]) == EXIT_BAD_CONFIG
+        # only the invalid_config payload is written
+        assert link.is_symlink() and missing.exists() == (target == "json")
+        cfg = write_ini(tmp_path / "c.ini", base_sections())
+        assert main(["run", "--config", cfg, *argv]) == EXIT_OK
+        assert link.is_symlink() and link.readlink() == Path(missing.name)
+        text = missing.read_text()
+        if target == "csv":
+            assert next(csv.reader([text.splitlines()[0]])) == list(CSV_COLUMNS)
+        else:
+            assert json.loads(text)["cause"] == "ok"
+
 
 class TestVerifyCommand:
     def test_single_suite(self, tmp_path, capsys):

@@ -94,6 +94,8 @@ class TestLowerBound:
         dict(eps=0.0),
         dict(eps_prime=0.0),
         dict(eps_prime=1.2),
+        dict(C=True),
+        dict(eps_prime=True),
     ])
     def test_invalid_inputs(self, bad):
         kw = dict(norm_q0_crit=1.0, norm_v0_crit=1.0, norm_q0_sur=1.0,

@@ -207,6 +207,9 @@ class TestBesovNorm:
             BesovSpec(1.0, 2, 0.0)
         with pytest.raises(ConfigurationError):
             BesovSpec(math.inf, 2, 1)
+        for bools in ((True, 2, 1), (1.0, True, True)):  # a bool is not a number here
+            with pytest.raises(ConfigurationError):
+                BesovSpec(*bools)
 
     def test_embedding_with_counted_constant(self, bumps):
         # sup-norm of a block is at most sqrt(modes/volume) times its L2 norm,

@@ -872,7 +872,8 @@ class TestPicard:
     @pytest.mark.parametrize(
         "kw",
         [dict(tol=0.0), dict(tol=math.inf), dict(max_iters=0), dict(n_steps=1),
-         dict(max_iters=True), dict(tol=True)],
+         dict(max_iters=True), dict(tol=True), dict(p=True), dict(p=0.5),
+         dict(p=math.inf)],
     )
     def test_invalid_config(self, kw):
         with pytest.raises(ConfigurationError):
