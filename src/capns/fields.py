@@ -14,8 +14,7 @@ needs only those columns of a spectrum. The helpers ``fft_array``,
 with the per-grid multipliers ``Grid.half_ik``, ``half_k2``, ``half_kmag``,
 ``half_mask`` and ``half_weight``, the mask's column extent
 ``half_mask_columns`` and the largest wavenumber ``kmax`` cached on the
-grid; ``dealias_values`` multiplies and inverts the mask's columns only,
-and in 2-D runs its forward's first-axis pass on them only too.
+grid; ``dealias_values`` multiplies and inverts the mask's columns only.
 The index pairs of a symmetric tensor (``sym_pairs``, ``sym_index``) are
 cached too, but no product of multipliers is: the 1-D tendencies keep
 theirs, short vectors, in ``model``, and the 2-D ones form each per use.
@@ -33,8 +32,7 @@ caller holds.
 
 Transforms make no hidden temporary where they can avoid one. Every 1-D
 call, ``rfft`` or ``irfft``, writes into a fresh ``out=`` array, its result.
-A forward ``rfft2`` writes both its passes into one such array; the
-truncation's forward runs its second pass on the mask's columns only. The 2-D
+A forward ``rfft2`` writes both its passes into one such array. The 2-D
 inverse of a spectrum built for it runs the two passes of ``irfft2``
 itself: the first-axis ``ifft`` in place in that spectrum, then the
 last-axis ``irfft``. Only ``ifft_array``, for a spectrum the caller reads
@@ -375,18 +373,13 @@ def grad_arrays(grid: Grid, fhat: np.ndarray) -> list:
 
 
 def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Array-level 2/3 truncation: one forward transform, then the mask
-    multiply and the inverse on the mask's columns only (a narrowed
-    spectrum, see ``ifft_array``). In 2-D the forward's first-axis pass
-    also runs on those columns only, in place in the ``rfft`` output: each
-    column is transformed alone, so the kept ones are ``fft_array``'s
-    bit for bit."""
+    """Array-level 2/3 truncation on the grid: one forward transform, then
+    the mask multiply and the inverse on the mask's columns only (a
+    narrowed spectrum, see ``ifft_array``). For a product whose spectrum is
+    wanted, ``half_mask`` times its ``fft_array`` is the same truncation
+    without the round trip (the 2-D tendencies and Picard sources)."""
     m = grid.half_mask_columns
-    out = np.empty(values.shape[:-grid.dim] + grid.half_shape, complex)
-    head = _pfu.rfft_n_even(values, 1.0, out=out)[..., :m]
-    if grid.dim == 2:
-        _pfu.fft(head, 1.0, axes=_FIRST_AXIS, out=head)
-    return _ifft_owned(grid, grid.half_mask[..., :m] * head)
+    return _ifft_owned(grid, grid.half_mask[..., :m] * fft_array(grid, values)[..., :m])
 
 
 def column_extent(mult: np.ndarray) -> int:

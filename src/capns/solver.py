@@ -30,8 +30,9 @@ leading time axis (and a component axis for the velocity), so each
 transform of an iteration covers all time levels in one call, and
 ``tilde_norm`` measures each difference on its stack: once for q and once
 per velocity component. Its sources have one body per grid, as the
-tendencies do (4 transform calls per iteration in 1-D, 16 transforms in
-2-D). The result keeps the final iterate as those
+tendencies do (4 transform calls per iteration in 1-D, 10 transforms in
+2-D, where each source is truncated by the mask on its spectrum, as the
+2-D tendencies are). The result keeps the final iterate as those
 spectra, without inverting them: no command reads the iterate's samples.
 """
 
@@ -495,15 +496,24 @@ def _picard_sources(g, params, qhat, vhats):
     grid's dimension picks the body, as in ``model``: on a 1-D grid
     (``_picard_line``) each stage transforms the stack of its arrays, 4
     calls per iteration; on a 2-D grid the arrays are taken one at a time,
-    16 transforms per iteration, and the intermediates are updated in place
+    10 transforms per iteration, and the intermediates are updated in place
     and dropped per component to bound the memory of the stacks.
+
+    In 2-D each product is truncated as ``model``'s 2-D tendencies truncate
+    theirs: the mask multiplies its spectrum, with no round trip through
+    the grid, and the pressure term -a grad q enters each velocity source
+    as the spectrum -a i k q-hat, which the mask leaves alone. So f-hat is
+    exactly 0 on the modes the mask drops, and g-hat_i is -a i k_i q-hat
+    there; the spectra agree with a round trip's to roundoff.
     """
     if g.dim == 1:
         return _picard_line(g, params, qhat, vhats)
+    mask, ik = g.half_mask, g.half_ik
     gq = grad_arrays(g, qhat)
     u = ifft_array(g, vhats)  # v for now
-    f_hat = fft_array(g, dealias_values(g, -sum(u[i] * gq[i] for i in range(g.dim))
-                                       + params.mu * sum(c ** 2 for c in gq)))
+    f_hat = fft_array(g, -sum(u[i] * gq[i] for i in range(g.dim))
+                      + params.mu * sum(c ** 2 for c in gq))
+    f_hat *= mask
     for i in range(g.dim):
         u[i] -= params.mu * gq[i]  # u = v - mu grad q
     g_hat = np.empty_like(vhats)
@@ -512,7 +522,8 @@ def _picard_sources(g, params, qhat, vhats):
         adv = sum(u[j] * dv_i[j] for j in range(g.dim))
         qdv = sum(gq[j] * dv_i[j] for j in range(g.dim))
         del dv_i
-        g_hat[i] = fft_array(g, dealias_values(g, -adv + params.mu * qdv) - params.a * gq[i])
+        np.multiply(mask, fft_array(g, -adv + params.mu * qdv), out=g_hat[i])
+        g_hat[i] -= params.a * ik[i] * qhat
     return f_hat, g_hat
 
 
@@ -522,7 +533,11 @@ def _picard_line(g, params, qhat, vhats):
     (one inverse call); the two products, truncated together (a forward
     and an inverse call); their spectra (one forward call). The products
     keep the 0 + that the 2-D body's sums start from, so a -0.0 comes out
-    as it does there."""
+    as it does there. The truncation keeps its round trip through the grid
+    (``dealias_values``): ``lifespan.calibrate_c1`` runs this body on data
+    where the iteration amplifies roundoff, and sources assembled on the
+    spectra, as in the 2-D body, converge at horizons 3.0-3.875 where the
+    round trip ends in NonContraction, which moves C1 from 11.0 to 15.5."""
     (ik,) = g.half_ik
     gq, dv, v = ifft_array(g, np.array([ik * qhat, ik * vhats[0], vhats[0]]))
     u = v - params.mu * gq

@@ -10,7 +10,7 @@ import pytest
 from conftest import full_layout
 
 from capns.errors import ConfigurationError, NonContraction, NumericBlowup, VacuumBreach
-from capns.fields import Grid, RealField, fft_array, ifft_array
+from capns.fields import Grid, RealField, dealias_values, fft_array, ifft_array
 from capns.lp_besov import BesovSpec, tilde_norm
 from capns.model import (
     EffectiveState,
@@ -818,6 +818,23 @@ class TestLinearSolution:
         _ = rng  # deterministic fields above; rng kept for symmetry with other tests
 
 
+def _round_trip_sources(g, params, qhat, vhats):
+    """The Picard sources of a 2-D iterate with each product truncated on
+    the grid (``dealias_values``) and transformed again, the pressure term
+    -a grad q included: (f-hat, [g-hat_i])."""
+    gq = [ifft_array(g, ik * qhat) for ik in g.half_ik]
+    v = ifft_array(g, vhats)
+    u = [v[i] - params.mu * gq[i] for i in range(2)]
+    f_hat = fft_array(g, dealias_values(g, -sum(v[i] * gq[i] for i in range(2))
+                                        + params.mu * sum(c ** 2 for c in gq)))
+    g_hat = []
+    for i in range(2):
+        dv = [ifft_array(g, ik * vhats[i]) for ik in g.half_ik]
+        drift = sum((params.mu * gq[j] - u[j]) * dv[j] for j in range(2))
+        g_hat.append(fft_array(g, dealias_values(g, drift) - params.a * gq[i]))
+    return f_hat, np.array(g_hat)
+
+
 class TestPicard:
     def test_zero_data_converges_immediately(self):
         g = Grid(1, 128)
@@ -933,6 +950,27 @@ class TestPicard:
         for m in range(len(hh) - 1):
             b[m + 1] = e_fac * (b[m] + hh[m]) + hh[m + 1]
         assert _duhamel(g, e_fac, h).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_2d_sources_are_truncated_on_their_spectra(self, n):
+        # the mask multiplies each product's spectrum: f-hat is exactly 0 on
+        # every mode it drops, and g-hat_i exactly -a i k_i q-hat there (the
+        # pressure term, taken on its spectrum); both agree with the
+        # fft -> mask -> ifft -> fft round trip of each product to roundoff
+        g = Grid(2, n)
+        e = to_effective(build(Preset("random_bandlimited", amplitude=0.1, seed=3), g,
+                               PARAMS), PARAMS)
+        res = picard_solve(e.q, e.v, PARAMS, 0.5,
+                           PicardConfig(n_steps=8, max_iters=2, tol=1e-30))
+        qhat, vhats = res._qhat, res._vhat
+        f_hat, g_hat = _picard_sources(g, PARAMS, qhat, vhats)
+        dropped = g.half_mask == 0
+        assert np.all(f_hat[..., dropped] == 0)
+        for i, ik in enumerate(g.half_ik):
+            pressure = -(PARAMS.a * ik * qhat)
+            assert np.all(g_hat[i][..., dropped] == pressure[..., dropped])
+        for got, want in zip((f_hat, g_hat), _round_trip_sources(g, PARAMS, qhat, vhats)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_iterate_zero_is_linear_solution(self):
         # one-iteration cap: the returned series must still contain the

@@ -262,7 +262,7 @@ def test_block_report_one_transform_per_block(fft_calls):
 
 
 @pytest.mark.parametrize("dim,n,per_iter", [pytest.param(1, 64, 4, id="1-64"),
-                                             pytest.param(2, 16, 16, id="2-16")])
+                                             pytest.param(2, 16, 10, id="2-16")])
 def test_gufunc_picard_transforms_per_iteration(fft_calls, dim, n, per_iter):
     # every transform of an iteration covers all time levels at once, and
     # the differences are measured on the spectra, so neither an
