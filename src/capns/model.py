@@ -2,9 +2,10 @@
 
 The system evolves density rho and velocity u with density-weighted shear
 viscosity 2*mu*rho, zero bulk viscosity, capillarity coefficient kappa/rho
-and pressure a*rho^gamma. The capillarity divergence div K is the compact
-kappa*div(rho*hess ln rho), summed into the stress of ``rhs_primitive``;
-``verify`` holds the two algebraically equal groupings that check it.
+and pressure a*rho^gamma. The capillarity divergence div K is
+kappa*div(rho*hess ln rho); ``rhs_primitive`` takes div K/rho in gradient
+form, kappa*grad(lap ln rho + |grad ln rho|^2/2), and ``verify`` holds the
+compact grouping as the reference, with two more that it checks.
 The effective formulation evolves q = ln(rho/rho_bar) and
 v = u + mu*grad(ln rho); it requires kappa >= mu^2, and the capillary
 correction drops out exactly at kappa = mu^2.
@@ -27,12 +28,12 @@ transform and a mask multiply. Their transforms are grouped into the
 sequential stages of the formulas, and the grid's dimension picks the body
 that runs them. The 1-D body is written for one axis: each stage is one
 ``fft_array``/``ifft_array`` call on the stack of its rows, and its
-multipliers (i k mask, (i k)^2, mu*|k|^2, a*i*k) are made once per (grid,
-params) by ``_line``. The 2-D body runs each stage through
-``fft_stage``/``ifft_stage``, which take its arrays one at a time, as they
-are reached, and forms its multipliers per use, so that no more full arrays
-are live than the formulas need; its sums over components are generator
-sums for that reason. They check nothing: the stepper's guard rejects a
+multipliers (i k mask, (i k)^2, a*i*k and the primitive momentum's folded
+linear terms) are made once per (grid, params) by ``_line``. The 2-D body
+runs each stage through ``fft_stage``/``ifft_stage``, which take its
+arrays one at a time, as they are reached, and forms its multipliers per
+use, so that no more full arrays are live than the formulas need; its sums
+over components are generator sums for that reason. They check nothing: the stepper's guard rejects a
 non-finite result one stage later.
 """
 
@@ -168,29 +169,38 @@ def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
 # -- right-hand sides --------------------------------------------------------
 
 class _Line(NamedTuple):
-    """The multipliers of the 1-D tendencies at one (grid, params), and its
-    coefficients as 0-d float64 arrays: a Python float operand costs a ufunc
-    call about 0.5 µs more, for the same product bit for bit."""
+    """The multipliers of the 1-D tendencies at one (grid, params), all
+    complex, and its coefficients as 0-d float64 arrays: a Python float
+    operand costs a ufunc call about 0.5 µs more, and a real multiplier of
+    a spectrum about 0.4 µs more (numpy casts it to complex first), each
+    for the same product bit for bit."""
 
     mask: np.ndarray
     ik: np.ndarray
     ik_mask: np.ndarray  # i k mask: the derivative of a truncated spectrum
     hessian: np.ndarray  # (i k)^2
-    lin: np.ndarray  # mu |k|^2
     a_ik: np.ndarray  # a i k: the gradient of the linear pressure
+    visc: np.ndarray  # mu |k|^2 (1 - 2 mask): mu d_x div u inside the mask
+    cap: np.ndarray  # mask (kappa i k (i k)^2 - a i k): kappa d_x lap ln r - a d_x ln r
+    sq_ik: np.ndarray  # kappa/2 i k mask: the gradient of kappa/2 |d_x ln r|^2
+    two_mu: np.ndarray
     mu: np.ndarray
-    kappa: np.ndarray
-    a: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
 def _line(g: Grid, p: PhysParams) -> _Line:
     """The 1-D multipliers at (g, p), made on first use and kept; each is a
-    short vector, bit for bit the product the 2-D bodies form per use."""
+    short vector. ``cap`` holds the linear pressure at gamma = 1 only: away
+    from it the pressure force is a grid product."""
     (ik,) = g.half_ik
     mask = g.half_mask
-    return _Line(mask, ik, ik * mask, ik * ik, p.mu * g.half_k2, p.a * ik,
-                 *(np.array(c, float) for c in (p.mu, p.kappa, p.a)))
+    ik_mask = ik * mask
+    a_ik = p.a * ik
+    cap = p.kappa * ik * ik * ik - (a_ik if p.gamma == 1.0 else 0.0)
+    visc = p.mu * g.half_k2 * (1.0 - 2.0 * mask)
+    return _Line(mask.astype(complex), ik, ik_mask, ik * ik, a_ik, visc.astype(complex),
+                 mask * cap, 0.5 * p.kappa * ik_mask,
+                 *(np.array(c, float) for c in (2.0 * p.mu, p.mu)))
 
 
 def rhs_primitive(g: Grid, p: PhysParams, vals, hats):
@@ -199,12 +209,21 @@ def rhs_primitive(g: Grid, p: PhysParams, vals, hats):
 
     Returns ([d_t rho], spectral): the undiffused density stays on the
     grid; ``spectral``, laid out like ``hats``, holds per component of u the
-    half spectrum of d_t u - mu*lap(u). The symmetric stress
-    r*(2 mu Du + kappa hess ln r) - P*I is summed on the grid before its
-    transforms (its kappa part is the compact div K that ``verify divk``
-    checks), and advection and force are truncated together by one mask.
-    Five transform stages: the mass flux and ln r; d_t rho, Du and the
-    Hessian; the stress; the force; the momentum.
+    half spectrum of d_t u - mu*lap(u). The momentum equation is taken in
+    gradient form, with l = ln r and w = a gamma r^(gamma - 1):
+
+        d_t u = mu lap u + mu grad div u + 2 mu Du.grad l - (u.grad)u
+                + kappa grad(lap l + |grad l|^2/2) - w grad l,
+
+    from (1/r) div(2 mu r Du) = mu lap u + mu grad div u + 2 mu Du.grad l
+    and (1/r) div K = kappa grad(lap l + |grad l|^2/2). Three transform
+    stages: forward r u and l; inverse d_t rho, grad u and grad l; forward
+    the grid products, 2 mu Du.grad l - (u.grad)u per component (less
+    w grad l away from gamma = 1), and |grad l|^2. mu grad div u,
+    kappa grad lap l and, at gamma = 1 (w = a), a grad l are multiplies on
+    the spectra of u and l. The result is mask * (the spectrum of d_t u)
+    + mu |k|^2 u-hat, so a mode the 2/3 rule drops has a zero net
+    tendency; inside the mask mu lap u cancels and is not formed.
     """
     if g.dim == 1:
         return _primitive_line(g, p, vals, hats)
@@ -216,39 +235,63 @@ def rhs_primitive(g: Grid, p: PhysParams, vals, hats):
     drho_hat = sum(k * mask * f for k, f in zip(ik, flux))
     del flux
     drho, *grads = ifft_stage(g, itertools.chain(
-        (drho_hat,), (k * w for w in hats for k in ik), (h * lhat for h in _hessian(g))))
-    del drho_hat, lhat
+        (drho_hat,), (k * w for w in hats for k in ik), (k * lhat for k in ik)))
+    del drho_hat
     drho = -drho
-    # grads[i * dim + j] = d_j u_i, then the Hessian entries in sym_pairs order
-    press = p.a * r if p.gamma == 1.0 else p.a * r ** p.gamma  # r ** 1.0 is r
+    # grads[i * dim + j] = d_j u_i, then gl[j] = d_j l
+    gl = grads[dim * dim:]
+    mgl = [p.mu * c for c in gl]
+    drift = [m - c for m, c in zip(mgl, u)]  # mu grad l - u
+    w = p.a * p.gamma * r ** (p.gamma - 1.0) if p.gamma != 1.0 else None
 
-    def stress():
-        for (i, j), h in zip(g.sym_pairs, grads[dim * dim:]):
-            s = r * (p.mu * (grads[i * dim + j] + grads[j * dim + i]) + p.kappa * h)
-            if i == j:
-                s -= press
-            yield s
+    def products():
+        for i in range(dim):
+            f = sum(drift[j] * grads[i * dim + j] + mgl[j] * grads[j * dim + i]
+                    for j in range(dim))
+            if w is not None:
+                f -= w * gl[i]
+            yield f
+        yield sum(c * c for c in gl)
 
-    forces = ifft_stage(g, _div_sym_hat(g, fft_stage(g, stress())))
-    momentum = fft_stage(g, (f / r - sum(u[j] * grads[i * dim + j] for j in range(dim))
-                             for i, f in enumerate(forces)))
-    return [drho], [mask * h + p.mu * g.half_k2 * w for h, w in zip(momentum, hats)]
+    *force, sq_hat = fft_stage(g, products())
+    del grads, gl, mgl, drift, w
+    # the potential of the gradient terms: kappa (|grad l|^2/2 + lap l),
+    # mu div u and, at gamma = 1, -a l
+    pot = 0.5 * p.kappa * sq_hat + p.mu * sum(k * h for k, h in zip(ik, hats))
+    pot -= (p.kappa * g.half_k2 + (p.a if p.gamma == 1.0 else 0.0)) * lhat
+    outside = (1.0 - mask) * (p.mu * g.half_k2)
+    return [drho], [mask * (f + k * pot) + outside * h for f, k, h in zip(force, ik, hats)]
 
 
 def _primitive_line(g, p, vals, hats):
     """``rhs_primitive`` on a 1-D grid: the same stages and products, each
-    stage one transform call on the stack of its rows."""
+    stage one transform call on the stack of its rows, and the spectral
+    terms folded into ``_line``'s multipliers."""
     m = _line(g, p)
     r, u = vals
-    flux, lhat = fft_array(g, np.array([r * u, np.log(r)]))
-    drho, du, hess = ifft_array(g, np.array([m.ik_mask * flux, m.ik * hats[0],
-                                             m.hessian * lhat]))
-    press = m.a * r if p.gamma == 1.0 else m.a * r ** p.gamma
-    stress = r * (m.mu * (du + du) + m.kappa * hess)
-    stress -= press
-    force = ifft_array(g, m.ik * (m.mask * fft_array(g, stress)))
-    momentum = fft_array(g, force / r - u * du)
-    return [-drho], m.mask * momentum + m.lin * hats
+    # each stage's rows are written into its stack (np.array would copy
+    # them there); the grid stack of stage 1 is reused by stage 3
+    rows = np.empty((2, *r.shape))
+    np.multiply(r, u, out=rows[0])
+    np.log(r, out=rows[1])
+    flux, lhat = fft_array(g, rows)
+    spectra = np.empty((3, *flux.shape), complex)
+    np.multiply(m.ik_mask, flux, out=spectra[0])
+    np.multiply(m.ik, hats[0], out=spectra[1])
+    np.multiply(m.ik, lhat, out=spectra[2])
+    drho, du, dl = ifft_array(g, spectra)
+    force = np.multiply(m.two_mu, dl, out=rows[0])  # (2 mu d_x l - u) d_x u
+    force -= u
+    force *= du
+    if p.gamma != 1.0:
+        force -= p.a * p.gamma * r ** (p.gamma - 1.0) * dl
+    np.multiply(dl, dl, out=rows[1])
+    force_hat, sq_hat = fft_array(g, rows)
+    out = m.visc * hats
+    out += m.mask * force_hat
+    out += m.sq_ik * sq_hat
+    out += m.cap * lhat
+    return [-drho], out
 
 
 def rhs_effective(g: Grid, p: PhysParams, vals, hats):

@@ -70,19 +70,34 @@ class TestGrid:
 
     @pytest.mark.parametrize("n,length", [(16, TAU), (64, 1.0)])
     def test_cached_multipliers_are_the_products(self, n, length):
-        # the 1-D tendencies keep i k mask, (i k)^2, mu |k|^2 and a i k per
-        # (grid, params), bit for bit the products the 2-D bodies form per use
+        # the 1-D tendencies keep the mask, i k mask, (i k)^2 and a i k per
+        # (grid, params), bit for bit the products the 2-D bodies form per
+        # use, and the primitive momentum's folded multipliers: mu d_x div u,
+        # then kappa d_x lap ln r - a d_x ln r (away from gamma = 1 the
+        # pressure is a grid product) and the gradient of kappa/2 |d_x ln r|^2,
+        # each truncated, with -mu |k|^2 inside the mask; all are complex, so
+        # that no product with a spectrum casts
         g = Grid(1, n, length)
-        p = PhysParams(mu=0.15, kappa=0.04, a=0.9)
         (ik,) = g.half_ik
-        m = _line(g, p)
-        for cached, product in ((m.ik_mask, ik * g.half_mask), (m.hessian, next(_hessian(g))),
-                                (m.lin, p.mu * g.half_k2), (m.a_ik, p.a * ik)):
-            assert np.array_equal(cached.view(np.int64), product.view(np.int64))
-        # the coefficients are 0-d float64 arrays of the same values
-        for coef, value in ((m.mu, p.mu), (m.kappa, p.kappa), (m.a, p.a)):
-            assert coef.shape == () and coef.dtype == np.float64 and coef == value
-        assert _line(Grid(1, n, length), PhysParams(mu=0.15, kappa=0.04, a=0.9)) is m
+        mask, k2 = g.half_mask, g.half_k2
+        for gamma in (1.0, 1.4):
+            p = PhysParams(mu=0.15, kappa=0.04, a=0.9, gamma=gamma)
+            m = _line(g, p)
+            linear_pressure = p.a * ik if gamma == 1.0 else 0.0
+            visc = np.where(mask == 1.0, -p.mu * k2, p.mu * k2)
+            for cached, product in (
+                    (m.mask, mask.astype(complex)), (m.ik_mask, ik * mask),
+                    (m.hessian, next(_hessian(g))), (m.a_ik, p.a * ik),
+                    (m.visc, visc.astype(complex)),
+                    (m.cap, mask * (p.kappa * ik * ik * ik - linear_pressure)),
+                    (m.sq_ik, 0.5 * p.kappa * (ik * mask))):
+                assert cached.dtype == np.complex128
+                assert np.array_equal(cached.view(np.int64), product.view(np.int64))
+            # the coefficients are 0-d float64 arrays of the same values
+            for coef, value in ((m.mu, p.mu), (m.two_mu, 2.0 * p.mu)):
+                assert coef.shape == () and coef.dtype == np.float64 and coef == value
+            assert _line(Grid(1, n, length), PhysParams(mu=0.15, kappa=0.04, a=0.9,
+                                                        gamma=gamma)) is m
 
     def test_symmetric_pairs_and_index(self):
         assert Grid(1, 8).sym_pairs == ((0, 0),) and Grid(1, 8).sym_index == ((0,),)

@@ -8,7 +8,7 @@ from conftest import full_layout, grid_tendencies, step_hats
 
 from capns.diagnostics import _Fields
 from capns.errors import ConfigurationError, DomainError
-from capns.fields import Grid, RealField, lp_norms
+from capns.fields import Grid, RealField, ifft_array, lp_norms
 from capns.model import (
     EffectiveState,
     PhysParams,
@@ -19,7 +19,7 @@ from capns.model import (
 )
 from capns.presets import Preset, build
 from capns.solver import SolverConfig, step_imex
-from capns.verify import _step_div_k as step_div_k, div_k_form_a, div_k_gradient_form
+from capns.verify import div_k_compact, div_k_form_a, div_k_gradient_form
 
 X, Y = sp.symbols("x y", real=True)
 
@@ -36,6 +36,16 @@ def rel_err(got, want):
     scale = float(np.max(np.abs(want)))
     diff = float(np.max(np.abs(got - want)))
     return diff if scale == 0 else diff / scale
+
+
+def step_div_k(rho, kappa1):
+    """The step's own capillary force div K: at u = 0 and a = 0 the momentum
+    tendency of ``rhs_primitive`` is div K / rho, truncated."""
+    g = rho.grid
+    zero = np.zeros((g.dim, *g.shape))
+    params = PhysParams(mu=1.0, kappa=kappa1, a=0.0)
+    _, du = rhs_primitive(g, params, [rho.values, *zero], step_hats(g, zero))
+    return [RealField(g, rho.values * ifft_array(g, c)) for c in du]
 
 
 def random_band_field(grid, rng, amplitude, bandlimit):
@@ -101,8 +111,9 @@ class TestStates:
 
 
 class TestDivK:
-    """Form b, the compact kappa1*div(rho*hess ln rho), is the step's own
-    capillary term, read off rhs_primitive at u = 0 and a = 0."""
+    """Form b, the compact kappa1*div(rho*hess ln rho), is the reference
+    (``verify.div_k_compact``); the step's own capillary force, read off
+    rhs_primitive at u = 0 and a = 0, is its gradient grouping."""
 
     @pytest.mark.parametrize("form", [div_k_form_a, div_k_gradient_form])
     @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
@@ -137,8 +148,9 @@ class TestDivK:
         g = Grid(1, 256)
         rho = field_from_expr(g, rho_expr)
         want = field_from_expr(g, oracle)
-        (got,) = step_div_k(rho, k1)
-        assert rel_err(got.values, want.values) < 1e-8
+        for form in (div_k_compact, step_div_k):
+            (got,) = form(rho, k1)
+            assert rel_err(got.values, want.values) < 1e-8
 
     def test_form_b_symbolic_2d(self):
         k1 = 0.15
@@ -146,29 +158,29 @@ class TestDivK:
         ln = sp.log(rho_expr)
         g = Grid(2, 64)
         rho = field_from_expr(g, rho_expr)
-        got = step_div_k(rho, k1)
-        for i, xi in enumerate((X, Y)):
-            oracle = k1 * sum(
-                sp.diff(rho_expr * sp.diff(ln, xi, xj), xj) for xj in (X, Y)
-            )
-            want = field_from_expr(g, oracle)
-            assert rel_err(got[i].values, want.values) < 1e-8
+        for form in (div_k_compact, step_div_k):
+            got = form(rho, k1)
+            for i, xi in enumerate((X, Y)):
+                oracle = k1 * sum(
+                    sp.diff(rho_expr * sp.diff(ln, xi, xj), xj) for xj in (X, Y)
+                )
+                want = field_from_expr(g, oracle)
+                assert rel_err(got[i].values, want.values) < 1e-8
 
     @pytest.mark.parametrize("dim,n", [(1, 128), (2, 128)])
     def test_forms_agree(self, dim, n):
         rng = np.random.default_rng(7 + dim)
         g = Grid(dim, n)
         # low bandlimit keeps the analytic tails of 1/rho and ln(rho)
-        # resolved, so the three groupings agree below 1e-8
+        # resolved, so every grouping agrees with the compact one below 1e-8
         bump = random_band_field(g, rng, 0.12, 4)
         rho = RealField(g, 1.0 + bump.values)
-        a_form = div_k_form_a(rho, 0.125)
-        b_form = step_div_k(rho, 0.125)
-        c_form = div_k_gradient_form(rho, 0.125)
-        for i in range(dim):
-            scale = lp_norms(g, b_form[i].values, 2)
-            assert lp_norms(g, a_form[i].values - b_form[i].values, 2) / scale < 1e-8
-            assert lp_norms(g, c_form[i].values - b_form[i].values, 2) / scale < 1e-8
+        b_form = div_k_compact(rho, 0.125)
+        for form in (div_k_form_a, div_k_gradient_form, step_div_k):
+            got = form(rho, 0.125)
+            for i in range(dim):
+                scale = lp_norms(g, b_form[i].values, 2)
+                assert lp_norms(g, got[i].values - b_form[i].values, 2) / scale < 1e-8
 
     def test_vacuum_rejected(self):
         g = Grid(1, 64)
@@ -280,6 +292,40 @@ class TestRhsPrimitive:
                 shift[j] * np.fft.ifftn(ik[j] * u_hat).real for j in range(2)
             )
             assert rel_err(du1[i] - du0[i], -transport_u) < 1e-10
+
+
+class TestEnergyIdentity:
+    """The paper's energy law on the semi-discrete flow of rhs_primitive:
+    dE/dt = -D_u on a resolved state, for E = int rho|u|^2/2 + Pi(rho)
+    + 2 kappa |grad sqrt(rho)|^2 at kappa(rho) = kappa/rho and gamma = 1."""
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    def test_energy_rate_is_minus_the_dissipation(self, dim, n):
+        # dE/dt = int dE/drho d_t rho + rho u . d_t u, with
+        # dE/drho = |u|^2/2 + a ln(rho/rho_bar) - 2 kappa lap(sqrt rho)/sqrt rho,
+        # and D_u = int 2 mu rho |Du|^2; derivatives in numpy's full layout
+        g = Grid(dim, n)
+        p = PhysParams(mu=0.15, kappa=0.15 ** 2, a=1.0)
+        s = build(Preset("smooth_bump", amplitude=0.1), g, p)
+        modes, k2, _ = full_layout(g)
+        ik = [1j * np.where(np.abs(m) == n // 2, 0, m) for m in modes]  # length 2 pi
+
+        def d(f, j):
+            return np.fft.ifftn(ik[j] * np.fft.fftn(f)).real
+
+        def lap(f):
+            return np.fft.ifftn(-k2 * np.fft.fftn(f)).real
+
+        rho, u = s.rho.values, [c.values for c in s.u]
+        d_rho, d_u = grid_tendencies(s, p)
+        root = np.sqrt(rho)
+        de_drho = 0.5 * sum(c * c for c in u) + p.a * np.log(rho / p.rho_bar) \
+            - 2.0 * p.kappa * lap(root) / root
+        rate = g.integrate(de_drho * d_rho + rho * sum(a * b for a, b in zip(u, d_u)))
+        strain = [[0.5 * (d(u[i], j) + d(u[j], i)) for j in range(dim)] for i in range(dim)]
+        dissipation = g.integrate(2.0 * p.mu * rho * sum(e * e for row in strain for e in row))
+        assert dissipation > 0
+        assert abs(rate + dissipation) <= 1e-12 * dissipation
 
 
 class TestRhsEffective:

@@ -185,9 +185,12 @@ def _reference_tendencies(g, params, formulation, vals, spectra):
     unknown (u, or q and v), and the grid tendency of rho, written out from
     the equations with every product truncated once, as the scheme does.
 
-    Primitive: d_t rho = -div T(rho u); d_t u = T(div T(S) / rho - (u.grad)u)
-    with S = rho (mu (Du + Du^T) + kappa hess ln rho) - a rho^gamma I, whose
-    viscous part carries mu*lap u, so mu |k|^2 u-hat is added back.
+    Primitive, in gradient form with l = ln rho: d_t rho = -div T(rho u);
+    d_t u = T(mu lap u + mu grad div u + 2 mu Du.grad l - (u.grad)u
+    + kappa grad(lap l + |grad l|^2 / 2) - grad P / rho), with
+    grad P / rho = a grad l at gamma = 1 and a gamma rho^(gamma - 1) grad l
+    away from it; the spectrum carries mu*lap u, so mu |k|^2 u-hat is added
+    back.
     Effective: d_t q - mu lap q = -div v - T(u.grad q) and
     d_t v_i - mu lap v_i = T((mu grad q - u).grad v_i - w d_i q
     + (kappa - mu^2) div T(rho hess q)_i / rho) - a d_i q, with u = v - mu grad q,
@@ -198,15 +201,20 @@ def _reference_tendencies(g, params, formulation, vals, spectra):
     dim, p = g.dim, params
     if formulation == "primitive":
         r, u = vals[0], vals[1:]
+        ln = np.log(r)
+
+        def lap(f):
+            return np.fft.ifftn(-k2 * np.fft.fftn(f)).real
+
         du = [[d(u[i], j) for j in range(dim)] for i in range(dim)]
-        ln_hat = np.fft.fftn(np.log(r))
-        stress = [[r * (p.mu * (du[i][j] + du[j][i])
-                        + p.kappa * np.fft.ifftn(ik[i] * ik[j] * ln_hat).real)
-                   - (p.a * r ** p.gamma if i == j else 0.0)
-                   for j in range(dim)] for i in range(dim)]
-        force = [sum(d(trunc(stress[i][j]), j) for j in range(dim)) for i in range(dim)]
+        gl = [d(ln, j) for j in range(dim)]
+        div_u = sum(du[j][j] for j in range(dim))
+        potential = p.mu * div_u + p.kappa * (lap(ln) + 0.5 * sum(c ** 2 for c in gl))
+        pressure = p.a * p.gamma * r ** (p.gamma - 1.0)  # a at gamma = 1
         d_rho = -sum(d(trunc(r * u[i]), i) for i in range(dim))
-        d_u = [trunc(force[i] / r - sum(u[j] * du[i][j] for j in range(dim)))
+        d_u = [trunc(p.mu * lap(u[i]) + d(potential, i) - pressure * gl[i]
+                     + sum(p.mu * (du[i][j] + du[j][i]) * gl[j] - u[j] * du[i][j]
+                           for j in range(dim)))
                for i in range(dim)]
         return d_rho, [np.fft.fftn(c) + p.mu * k2 * w for c, w in zip(d_u, spectra)]
     q, v = vals[0], vals[1:]
@@ -287,9 +295,10 @@ class TestStepOracle:
 class TestStepMemory:
     # the traced peak of one 2-D n = 128 step, in grid arrays of 128 KiB,
     # is pinned at its level while 2-D stages take one array at a time:
-    # 29.2 (primitive), 27.3 (effective) and 36.4 (effective away from
-    # kappa = mu^2); a step that holds more arrays at once fails here (a
-    # component sum over a list in the capillary divergence reads 37.4)
+    # 28.2 (primitive; 29.2 in stress form), 27.3 (effective) and 36.4
+    # (effective away from kappa = mu^2); a step that holds more arrays at
+    # once fails here (a component sum over a list in the capillary
+    # divergence reads 37.4)
     @pytest.mark.parametrize("formulation,kappa,arrays", [
         ("primitive", 0.0225, 29.5),
         ("effective", 0.0225, 27.5),

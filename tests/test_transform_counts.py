@@ -69,9 +69,9 @@ def _state(dim, n, formulation):
 
 
 @pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", [
-    pytest.param(1, 128, "primitive", 13, 4, id="1-128-primitive"),
+    pytest.param(1, 128, "primitive", 9, 4, id="1-128-primitive"),
     pytest.param(1, 128, "effective", 7, 4, id="1-128-effective"),
-    pytest.param(2, 64, "primitive", 42, 22, id="2-64-primitive"),
+    pytest.param(2, 64, "primitive", 32, 22, id="2-64-primitive"),
     pytest.param(2, 64, "effective", 27, 22, id="2-64-effective"),
 ])
 def test_gufunc_step_and_record_counts(fft_calls, dim, n, formulation,
@@ -347,11 +347,11 @@ for dim, n in ((1, 128), (2, 64)):
 def test_numpy_fft_wrapped_before_import_sees_every_call():
     # a program (the benchmark's tracer) that wraps numpy.fft before it
     # imports capns gets the public twin, and its wrappers see every call:
-    # 13 in a 1-D primitive step, and one per pass of the 42 2-D transforms
+    # 9 in a 1-D primitive step, and one per pass of the 32 2-D transforms
     env = {**os.environ, "PYTHONPATH": str(Path(capns.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", WRAPPED_BEFORE_IMPORT], check=True,
                          capture_output=True, text=True, env=env).stdout
-    assert out.split() == ["True", "13", "True", str(2 * 42)]
+    assert out.split() == ["True", "9", "True", str(2 * 32)]
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
