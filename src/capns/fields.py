@@ -15,8 +15,7 @@ with the per-grid multipliers ``Grid.half_ik``, ``half_k2``, ``half_kmag``,
 ``half_mask`` and ``half_weight``, the mask's column extent
 ``half_mask_columns`` and the largest wavenumber ``kmax`` cached on the
 grid; ``dealias_values`` multiplies and inverts the mask's columns only.
-The index pairs of a symmetric tensor (``sym_pairs``, ``sym_index``) are
-cached too, but no product of multipliers is: the 1-D tendencies keep
+No product of multipliers is cached here: the 1-D tendencies keep
 theirs, short vectors, in ``model``, and the 2-D ones form each per use.
 The helpers transform the trailing ``grid.dim`` axes only, so a stack
 with leading axes (time levels, vector components) goes through one
@@ -193,20 +192,6 @@ class Grid:
             ik[np.abs(kk) == np.max(np.abs(kk))] = 0.0  # Nyquist: the largest |k|
             out.append(ik)
         return tuple(out)
-
-    @cached_property
-    def sym_pairs(self) -> tuple:
-        """Index pairs (i, j), i <= j, of a symmetric tensor, in the order
-        every list of its entries uses."""
-        return tuple((i, j) for i in range(self.dim) for j in range(i, self.dim))
-
-    @cached_property
-    def sym_index(self) -> tuple:
-        """``sym_index[i][j]``: the position of entry (i, j), or (j, i), in
-        ``sym_pairs``."""
-        at = {pair: m for m, pair in enumerate(self.sym_pairs)}
-        return tuple(tuple(at[min(i, j), max(i, j)] for j in range(self.dim))
-                     for i in range(self.dim))
 
     @cached_property
     def half_k2(self) -> np.ndarray:

@@ -7,8 +7,10 @@ kappa*div(rho*hess ln rho); ``rhs_primitive`` takes div K/rho in gradient
 form, kappa*grad(lap ln rho + |grad ln rho|^2/2), and ``verify`` holds the
 compact grouping as the reference, with two more that it checks.
 The effective formulation evolves q = ln(rho/rho_bar) and
-v = u + mu*grad(ln rho); it requires kappa >= mu^2, and the capillary
-correction drops out exactly at kappa = mu^2.
+v = u + mu*grad(ln rho); it requires kappa >= mu^2. Its capillary
+correction (kappa - mu^2) div(rho hess q)/rho is taken in the same gradient
+form, (kappa - mu^2) grad(lap q + |grad q|^2/2), and drops out exactly at
+kappa = mu^2.
 
 All right-hand sides are evaluated pseudo-spectrally: derivatives in
 Fourier space, products on the grid, every product truncated by the 2/3
@@ -28,7 +30,7 @@ transform and a mask multiply. Their transforms are grouped into the
 sequential stages of the formulas, and the grid's dimension picks the body
 that runs them. The 1-D body is written for one axis: each stage is one
 ``fft_array``/``ifft_array`` call on the stack of its rows, and its
-multipliers (i k mask, (i k)^2, a*i*k and the primitive momentum's folded
+multipliers (i k mask, a*i*k and the primitive momentum's folded
 linear terms) are made once per (grid, params) by ``_line``. The 2-D body
 runs each stage through ``fft_stage``/``ifft_stage``, which take its
 arrays one at a time, as they are reached, and forms its multipliers per
@@ -137,24 +139,6 @@ def _check_density(rho):
     return rho.values
 
 
-# -- capillarity divergence -------------------------------------------------
-
-def _hessian(g):
-    """The Hessian multipliers of ``g`` in ``sym_pairs`` order, each formed
-    as it is reached."""
-    ik = g.half_ik
-    return (ik[i] * ik[j] for i, j in g.sym_pairs)
-
-
-def _div_sym_hat(g, hats):
-    """Half spectra of div S, one per axis, for a symmetric tensor given by
-    the half spectra of its entries S_ij in ``g.sym_pairs`` order; each
-    entry is truncated by one mask multiply."""
-    mask, ik, at = g.half_mask, g.half_ik, g.sym_index
-    hats = [mask * h for h in hats]
-    return [sum(ik[j] * hats[m] for j, m in enumerate(row)) for row in at]
-
-
 # -- change of variables ----------------------------------------------------
 
 def to_effective(s: PrimitiveState, p: PhysParams) -> EffectiveState:
@@ -178,7 +162,6 @@ class _Line(NamedTuple):
     mask: np.ndarray
     ik: np.ndarray
     ik_mask: np.ndarray  # i k mask: the derivative of a truncated spectrum
-    hessian: np.ndarray  # (i k)^2
     a_ik: np.ndarray  # a i k: the gradient of the linear pressure
     visc: np.ndarray  # mu |k|^2 (1 - 2 mask): mu d_x div u inside the mask
     cap: np.ndarray  # mask (kappa i k (i k)^2 - a i k): kappa d_x lap ln r - a d_x ln r
@@ -198,7 +181,7 @@ def _line(g: Grid, p: PhysParams) -> _Line:
     a_ik = p.a * ik
     cap = p.kappa * ik * ik * ik - (a_ik if p.gamma == 1.0 else 0.0)
     visc = p.mu * g.half_k2 * (1.0 - 2.0 * mask)
-    return _Line(mask.astype(complex), ik, ik_mask, ik * ik, a_ik, visc.astype(complex),
+    return _Line(mask.astype(complex), ik, ik_mask, a_ik, visc.astype(complex),
                  mask * cap, 0.5 * p.kappa * ik_mask,
                  *(np.array(c, float) for c in (2.0 * p.mu, p.mu)))
 
@@ -302,45 +285,41 @@ def rhs_effective(g: Grid, p: PhysParams, vals, hats):
     q and per component of v the half spectrum of d_t w - mu*lap(w).
     Transport -(u.grad)v + mu*(grad q . grad)v is one product
     (mu grad q - u).grad v, truncated together with the pressure and
-    capillary terms by one mask. Two transform stages at kappa = mu^2 (the
-    gradients, then the products); away from it the Hessian of q joins the
-    first, and the capillary correction adds an inverse and a forward stage.
+    capillary terms by one mask. Two transform stages: the gradients, then
+    the products. Away from kappa = mu^2, |grad q|^2 joins the products,
+    and the capillary correction (kappa - mu^2) grad(lap q + |grad q|^2/2)
+    is a multiply on its spectrum and on q-hat, added before the mask.
     kappa < mu^2 is not checked here: the stepper's configuration check
     rejects it before the first step.
     """
     if g.dim == 1:
         return _effective_line(g, p, vals, hats)
     (q, *v), (qhat, *vhats) = vals, hats
-    excess = p.kappa - p.mu ** 2
     mask, ik, dim = g.half_mask, g.half_ik, g.dim
     quantum = p.is_quantum()
-    grads = (k * w for w in hats for k in ik)
-    if not quantum:
-        grads = itertools.chain(grads, (h * qhat for h in _hessian(g)))
-    grads = list(ifft_stage(g, grads))
+    grads = list(ifft_stage(g, (k * w for w in hats for k in ik)))
     gq = grads[:dim]
-    dv = grads[dim:dim * (dim + 1)]  # dv[i * dim + j] = d_j v_i
+    dv = grads[dim:]  # dv[i * dim + j] = d_j v_i
 
     u = [v[j] - p.mu * gq[j] for j in range(dim)]
     transport = sum(u[j] * gq[j] for j in range(dim))
     drift = [p.mu * gq[j] - u[j] for j in range(dim)]
     terms = [sum(drift[j] * dv[i * dim + j] for j in range(dim)) for i in range(dim)]
     del u, drift  # as in rhs_primitive, for the peak memory of a 2-D step
-    if p.gamma != 1.0 or not quantum:
-        rho = p.rho_bar * np.exp(q)
     if p.gamma != 1.0:
+        rho = p.rho_bar * np.exp(q)
         w = p.a * p.gamma * rho ** (p.gamma - 1.0)
         terms = [terms[i] - w * gq[i] for i in range(dim)]
-    if quantum:
-        out = iter(fft_stage(g, [transport, *terms]))
-    else:
-        transport_hat, *entries = fft_stage(
-            g, [transport, *(rho * h for h in grads[dim * (dim + 1):])])
-        corr = ifft_stage(g, _div_sym_hat(g, entries))
-        out = itertools.chain([transport_hat], fft_stage(
-            g, [terms[i] + excess * c / rho for i, c in enumerate(corr)]))
+    # |grad q|^2 is transformed before the terms, so that each term's
+    # spectrum takes the correction as it is reached
+    products = [transport, *terms] if quantum else [transport, sum(c * c for c in gq), *terms]
+    out = iter(fft_stage(g, products))
     nq = -sum(k * w for k, w in zip(ik, vhats)) - mask * next(out)
-    out = [mask * h for h in out]
+    if quantum:
+        out = [mask * h for h in out]
+    else:
+        pot = (p.kappa - p.mu ** 2) * (0.5 * next(out) - g.half_k2 * qhat)
+        out = [mask * (h + k * pot) for h, k in zip(out, ik)]
     if p.gamma == 1.0:
         out = [h - p.a * k * qhat for h, k in zip(out, ik)]
     return [], [nq, *out]
@@ -351,25 +330,19 @@ def _effective_line(g, p, vals, hats):
     stage one transform call on the stack of its rows."""
     m = _line(g, p)
     q, v, qhat, vhat = vals[0], vals[1], hats[0], hats[1]  # cheaper than unpacking
-    quantum = p.is_quantum()
-    if quantum:
-        gq, dv = ifft_array(g, np.array([m.ik * qhat, m.ik * vhat]))
-    else:
-        gq, dv, hess = ifft_array(g, np.array([m.ik * qhat, m.ik * vhat, m.hessian * qhat]))
+    gq, dv = ifft_array(g, np.array([m.ik * qhat, m.ik * vhat]))
     u = v - m.mu * gq
     transport = u * gq
     term = (m.mu * gq - u) * dv
-    if p.gamma != 1.0 or not quantum:
-        rho = p.rho_bar * np.exp(q)
     if p.gamma != 1.0:
+        rho = p.rho_bar * np.exp(q)
         term -= p.a * p.gamma * rho ** (p.gamma - 1.0) * gq
-    if quantum:
-        out = m.mask * fft_array(g, np.array([transport, term]))
+    if p.is_quantum():
+        out = fft_array(g, np.array([transport, term]))
     else:
-        transport_hat, entry = fft_array(g, np.array([transport, rho * hess]))
-        corr = ifft_array(g, m.ik * (m.mask * entry))
-        term_hat = fft_array(g, term + (p.kappa - p.mu ** 2) * corr / rho)
-        out = m.mask * np.array([transport_hat, term_hat])
+        out = fft_array(g, np.array([transport, term, gq * gq]))
+        out[1] += (p.kappa - p.mu ** 2) * m.ik * (0.5 * out[2] - g.half_k2 * qhat)
+    out = m.mask * out[:2]
     out[0] = -(m.ik * vhat) - out[0]  # the tendency of q
     if p.gamma == 1.0:
         out[1] -= m.a_ik * qhat

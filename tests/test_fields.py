@@ -24,7 +24,7 @@ from capns.fields import (
     transform,
 )
 from capns.lp_besov import _block_multipliers
-from capns.model import PhysParams, _hessian, _line, to_effective
+from capns.model import PhysParams, _line, to_effective
 from capns.presets import Preset, build
 from capns.solver import PicardConfig, SolverConfig, picard_solve, run
 
@@ -70,7 +70,7 @@ class TestGrid:
 
     @pytest.mark.parametrize("n,length", [(16, TAU), (64, 1.0)])
     def test_cached_multipliers_are_the_products(self, n, length):
-        # the 1-D tendencies keep the mask, i k mask, (i k)^2 and a i k per
+        # the 1-D tendencies keep the mask, i k mask and a i k per
         # (grid, params), bit for bit the products the 2-D bodies form per
         # use, and the primitive momentum's folded multipliers: mu d_x div u,
         # then kappa d_x lap ln r - a d_x ln r (away from gamma = 1 the
@@ -87,8 +87,7 @@ class TestGrid:
             visc = np.where(mask == 1.0, -p.mu * k2, p.mu * k2)
             for cached, product in (
                     (m.mask, mask.astype(complex)), (m.ik_mask, ik * mask),
-                    (m.hessian, next(_hessian(g))), (m.a_ik, p.a * ik),
-                    (m.visc, visc.astype(complex)),
+                    (m.a_ik, p.a * ik), (m.visc, visc.astype(complex)),
                     (m.cap, mask * (p.kappa * ik * ik * ik - linear_pressure)),
                     (m.sq_ik, 0.5 * p.kappa * (ik * mask))):
                 assert cached.dtype == np.complex128
@@ -98,12 +97,6 @@ class TestGrid:
                 assert coef.shape == () and coef.dtype == np.float64 and coef == value
             assert _line(Grid(1, n, length), PhysParams(mu=0.15, kappa=0.04, a=0.9,
                                                         gamma=gamma)) is m
-
-    def test_symmetric_pairs_and_index(self):
-        assert Grid(1, 8).sym_pairs == ((0, 0),) and Grid(1, 8).sym_index == ((0,),)
-        g = Grid(2, 8)
-        assert g.sym_pairs == ((0, 0), (0, 1), (1, 1))
-        assert g.sym_index == ((0, 1), (1, 2))
 
 
 class TestTransforms:
@@ -172,23 +165,6 @@ class TestDerivatives:
         rhs = ifft_array(g, -g.half_k2 * fhat)
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
-
-    def test_hessian_symmetric_and_matches_symbolic(self):
-        # the step's Hessian: entries i <= j, each matching both orders of
-        # the symbolic mixed derivative
-        sympy = pytest.importorskip("sympy")
-        g = Grid(2, 32)
-        x, y = g.x
-        assert g.sym_pairs == ((0, 0), (0, 1), (1, 1))
-        fhat = fft_array(g, np.sin(x) * np.cos(y))
-        H = dict(zip(g.sym_pairs, (ifft_array(g, h * fhat) for h in _hessian(g))))
-        xs, ys = sympy.symbols("x y")
-        expr = sympy.sin(xs) * sympy.cos(ys)
-        for i, si in enumerate((xs, ys)):
-            for j, sj in enumerate((xs, ys)):
-                oracle = sympy.lambdify((xs, ys), sympy.diff(expr, si, sj), "numpy")(x, y)
-                oracle = np.broadcast_to(oracle, g.shape)
-                assert np.max(np.abs(H[min(i, j), max(i, j)] - oracle)) < 1e-12
 
     def test_laplacian_of_analytic_nonpolynomial(self):
         sympy = pytest.importorskip("sympy")

@@ -294,30 +294,35 @@ class TestRhsPrimitive:
             assert rel_err(du1[i] - du0[i], -transport_u) < 1e-10
 
 
-class TestEnergyIdentity:
-    """The paper's energy law on the semi-discrete flow of rhs_primitive:
-    dE/dt = -D_u on a resolved state, for E = int rho|u|^2/2 + Pi(rho)
-    + 2 kappa |grad sqrt(rho)|^2 at kappa(rho) = kappa/rho and gamma = 1."""
+def _full_derivatives(g):
+    """d_j and lap on numpy's full layout, for a grid of length 2 pi, with
+    the unpaired Nyquist mode of d_j zeroed."""
+    modes, k2, _ = full_layout(g)
+    ik = [1j * np.where(np.abs(m) == g.n // 2, 0, m) for m in modes]
 
-    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
-    def test_energy_rate_is_minus_the_dissipation(self, dim, n):
+    def d(f, j):
+        return np.fft.ifftn(ik[j] * np.fft.fftn(f)).real
+
+    def lap(f):
+        return np.fft.ifftn(-k2 * np.fft.fftn(f)).real
+
+    return d, lap
+
+
+class TestEnergyIdentity:
+    """The paper's energy law on the semi-discrete flow of rhs_primitive and
+    rhs_effective: dE/dt = -D_u on a resolved state, for E = int
+    rho|u|^2/2 + Pi(rho) + 2 kappa |grad sqrt(rho)|^2 at kappa(rho) =
+    kappa/rho and gamma = 1."""
+
+    @staticmethod
+    def _rate_and_dissipation(s, p, d_rho, d_u):
         # dE/dt = int dE/drho d_t rho + rho u . d_t u, with
         # dE/drho = |u|^2/2 + a ln(rho/rho_bar) - 2 kappa lap(sqrt rho)/sqrt rho,
         # and D_u = int 2 mu rho |Du|^2; derivatives in numpy's full layout
-        g = Grid(dim, n)
-        p = PhysParams(mu=0.15, kappa=0.15 ** 2, a=1.0)
-        s = build(Preset("smooth_bump", amplitude=0.1), g, p)
-        modes, k2, _ = full_layout(g)
-        ik = [1j * np.where(np.abs(m) == n // 2, 0, m) for m in modes]  # length 2 pi
-
-        def d(f, j):
-            return np.fft.ifftn(ik[j] * np.fft.fftn(f)).real
-
-        def lap(f):
-            return np.fft.ifftn(-k2 * np.fft.fftn(f)).real
-
+        g, dim = s.grid, s.grid.dim
+        d, lap = _full_derivatives(g)
         rho, u = s.rho.values, [c.values for c in s.u]
-        d_rho, d_u = grid_tendencies(s, p)
         root = np.sqrt(rho)
         de_drho = 0.5 * sum(c * c for c in u) + p.a * np.log(rho / p.rho_bar) \
             - 2.0 * p.kappa * lap(root) / root
@@ -325,6 +330,26 @@ class TestEnergyIdentity:
         strain = [[0.5 * (d(u[i], j) + d(u[j], i)) for j in range(dim)] for i in range(dim)]
         dissipation = g.integrate(2.0 * p.mu * rho * sum(e * e for row in strain for e in row))
         assert dissipation > 0
+        return rate, dissipation
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    def test_energy_rate_is_minus_the_dissipation(self, dim, n):
+        p = PhysParams(mu=0.15, kappa=0.15 ** 2, a=1.0)
+        s = build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), p)
+        rate, dissipation = self._rate_and_dissipation(s, p, *grid_tendencies(s, p))
+        assert abs(rate + dissipation) <= 1e-12 * dissipation
+
+    @pytest.mark.parametrize("kappa", [0.15 ** 2, 0.04])
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    def test_effective_energy_rate_is_minus_the_dissipation(self, dim, n, kappa):
+        # the effective tendencies in primitive variables, with q = ln(rho/rho_bar)
+        # and v = u + mu grad q: d_t rho = rho d_t q, d_t u = d_t v - mu grad d_t q
+        p = PhysParams(mu=0.15, kappa=kappa, a=1.0)
+        s = build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), p)
+        d, _ = _full_derivatives(s.grid)
+        d_q, d_v = grid_tendencies(to_effective(s, p), p)
+        d_u = [c - p.mu * d(d_q, i) for i, c in enumerate(d_v)]
+        rate, dissipation = self._rate_and_dissipation(s, p, s.rho.values * d_q, d_u)
         assert abs(rate + dissipation) <= 1e-12 * dissipation
 
 

@@ -63,27 +63,31 @@ def fft_calls(monkeypatch):
     assert not public
 
 
-def _state(dim, n, formulation):
-    s = build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), PARAMS)
-    return s if formulation == "primitive" else to_effective(s, PARAMS)
+def _state(dim, n, formulation, params=PARAMS):
+    s = build(Preset("smooth_bump", amplitude=0.1), Grid(dim, n), params)
+    return s if formulation == "primitive" else to_effective(s, params)
 
 
-@pytest.mark.parametrize("dim,n,formulation,step_fft,record_fft", [
-    pytest.param(1, 128, "primitive", 9, 4, id="1-128-primitive"),
-    pytest.param(1, 128, "effective", 7, 4, id="1-128-effective"),
-    pytest.param(2, 64, "primitive", 32, 22, id="2-64-primitive"),
-    pytest.param(2, 64, "effective", 27, 22, id="2-64-effective"),
+@pytest.mark.parametrize("dim,n,formulation,kappa,step_fft,record_fft", [
+    pytest.param(1, 128, "primitive", 0.0225, 9, 4, id="1-128-primitive"),
+    pytest.param(1, 128, "effective", 0.0225, 7, 4, id="1-128-effective"),
+    pytest.param(1, 128, "effective", 0.04, 7, 4, id="1-128-effective-kappa-above"),
+    pytest.param(2, 64, "primitive", 0.0225, 32, 22, id="2-64-primitive"),
+    pytest.param(2, 64, "effective", 0.0225, 27, 22, id="2-64-effective"),
+    pytest.param(2, 64, "effective", 0.04, 29, 22, id="2-64-effective-kappa-above"),
 ])
-def test_gufunc_step_and_record_counts(fft_calls, dim, n, formulation,
+def test_gufunc_step_and_record_counts(fft_calls, dim, n, formulation, kappa,
                                        step_fft, record_fft):
-    # a 2-D forward's two passes and each inverse pair are one transform
-    state = _state(dim, n, formulation)
+    # a 2-D forward's two passes and each inverse pair are one transform;
+    # away from kappa = mu^2, |grad q|^2 adds one 2-D forward per tendency
+    params = PhysParams(mu=0.15, kappa=kappa)
+    state = _state(dim, n, formulation, params)
     cfg = SolverConfig(dt=1e-4, t_end=1e-4, formulation=formulation)
     fft_calls[0] = 0
-    step_imex(state, PARAMS, cfg)
+    step_imex(state, params, cfg)
     assert fft_calls[0] == step_fft
     fft_calls[0] = 0
-    DiagnosticsAccumulator(PARAMS)([state], [0.0])
+    DiagnosticsAccumulator(params)([state], [0.0])
     assert fft_calls[0] == record_fft
 
 
