@@ -23,11 +23,10 @@ leading axis. ``DiagnosticsAccumulator`` takes the recorded states in
 chunks, and the records of a chunk share one set: on a 1-D grid that is four
 transform calls per chunk, whatever its length, and each elementwise op and
 each row sum runs once for the whole chunk. Every row is bit-identical to
-the record of its state alone: row-wise transforms, elementwise ops and
-last-axis sums equal their per-state calls, and the roots a functional
-takes of a row integral are taken one row at a time on Python floats. A
-functional called on one state returns a Python float, on a stacked set an
-array with one value per state.
+the record of its state alone: row-wise transforms, elementwise ops,
+last-axis sums and numpy's roots equal their per-state calls. A functional
+called on one state returns a float (a numpy float64 where it takes a
+root), on a stacked set an array with one value per state.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,11 +51,6 @@ CSV_COLUMNS = (
 )
 
 
-def _grad_sq(grid, fhat) -> np.ndarray:
-    """|grad f|^2 from the coefficients of f."""
-    return sum(c ** 2 for c in grad_arrays(grid, fhat))
-
-
 def _derivatives(grid, arrays, mults) -> list:
     """Samples of m * f-hat for each array f and each multiplier m of its
     list in ``mults``, one list per array: one forward and one inverse
@@ -63,21 +58,6 @@ def _derivatives(grid, arrays, mults) -> list:
     flat = iter(ifft_stage(grid, (m * h for h, ms in zip(fft_stage(grid, arrays), mults)
                                   for m in ms)))
     return [[next(flat) for _ in ms] for ms in mults]
-
-
-class _memo:
-    """A lazy attribute without a lock: the first read computes it and
-    stores it in the instance dict, which then shadows this descriptor."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.name = fn.__name__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 class _Fields:
@@ -93,12 +73,6 @@ class _Fields:
     The derivatives of the fields the source holds are taken together in
     ``_held``; those of the velocity it does not hold (v of a primitive
     state, u of an effective one) in ``du`` or ``dv``.
-
-    The fields are ``_memo`` attributes, not ``functools.cached_property``:
-    before Python 3.12 the first read of a cached_property takes an RLock,
-    and a set lives for one chunk of records, so each of its fields pays
-    that lock once per chunk. A set is never shared between threads, so the
-    lock buys nothing.
     """
 
     def __init__(self, source, params: PhysParams = None):
@@ -112,7 +86,7 @@ class _Fields:
             self.vector = [np.array(c) for c in zip(*vectors)]
         self.axes = tuple(range(-self.grid.dim, 0))
 
-    @_memo
+    @cached_property
     def rho(self) -> np.ndarray:
         """Density samples, checked to be strictly positive."""
         if self.kind is EffectiveState:
@@ -124,11 +98,11 @@ class _Fields:
             raise DomainError(f"density must stay positive, min = {m}")
         return r
 
-    @_memo
+    @cached_property
     def max_inv_rho(self):
         return (1.0 / self.rho).max(axis=self.axes)
 
-    @_memo
+    @cached_property
     def _held(self) -> list:
         """Derivatives of the fields the source holds, per field a list:
         grad rho; grad sqrt(rho) followed by lap sqrt(rho); then, for a
@@ -143,7 +117,7 @@ class _Fields:
         mults = [g.half_ik, (*g.half_ik, -g.half_k2)] + [g.half_ik] * (len(arrays) - 2)
         return _derivatives(g, arrays, mults)
 
-    @_memo
+    @cached_property
     def u(self) -> list:
         """Fluid velocity; v - mu grad q in the effective form."""
         if self.kind is PrimitiveState:
@@ -151,7 +125,7 @@ class _Fields:
         gq = self._held[2]
         return [self.vector[i] - self.params.mu * gq[i] for i in range(self.grid.dim)]
 
-    @_memo
+    @cached_property
     def v(self) -> list:
         """Drift-corrected velocity v = u + mu grad(ln rho)."""
         if self.kind is EffectiveState:
@@ -159,25 +133,25 @@ class _Fields:
         gl = self._held[2]
         return [self.vector[i] + self.params.mu * gl[i] for i in range(self.grid.dim)]
 
-    @_memo
+    @cached_property
     def du(self) -> list:
         """Velocity gradient, du[i][j] = d_j u_i."""
         if self.kind is PrimitiveState:
             return self._held[3:]
         return _derivatives(self.grid, self.u, [self.grid.half_ik] * self.grid.dim)
 
-    @_memo
+    @cached_property
     def dv(self) -> list:
         """Gradient of v, dv[i][j] = d_j v_i."""
         if self.kind is EffectiveState:
             return self._held[3:]
         return _derivatives(self.grid, self.v, [self.grid.half_ik] * self.grid.dim)
 
-    @_memo
+    @cached_property
     def v_speed2(self) -> np.ndarray:
         return sum(c ** 2 for c in self.v)
 
-    @_memo
+    @cached_property
     def pi(self) -> np.ndarray:
         """Pressure potential, normalized to vanish to second order at rho_bar.
 
@@ -191,11 +165,11 @@ class _Fields:
             return a * (r * np.log(r / rb) + rb - r)
         return (a / (g - 1.0)) * (r ** g - rb ** g - g * rb ** (g - 1.0) * (r - rb))
 
-    @_memo
+    @cached_property
     def sqrt_rho(self) -> np.ndarray:
         return np.sqrt(self.rho)
 
-    @_memo
+    @cached_property
     def grad_sqrt2(self) -> np.ndarray:
         """|grad sqrt(rho)|^2."""
         return sum(c ** 2 for c in self._held[1][:-1])
@@ -214,13 +188,6 @@ def _samples(source) -> tuple:
 def _fields(source, params: PhysParams = None) -> _Fields:
     """The derived-field set of ``source``; a set passes through unchanged."""
     return source if isinstance(source, _Fields) else _Fields(source, params)
-
-
-def _each(fn, x):
-    """fn of a quadrature result: of one state's float, or of each row of a
-    stack in turn, so that a row gets the float arithmetic of its own state
-    (numpy's power loop may round a root differently from ``float.__pow__``)."""
-    return fn(x) if isinstance(x, float) else np.array([fn(v) for v in x.tolist()])
 
 
 def _rows(x) -> list:
@@ -287,8 +254,8 @@ def jungel_rate(state, params: PhysParams) -> float:
 def sqrt_h1_norm(rho: RealField, rho_bar: float) -> float:
     """L2 distance of sqrt(rho) from sqrt(rho_bar) plus the L2 gradient norm."""
     f = _fields(rho)
-    l2 = _each(math.sqrt, f.grid.integrate((f.sqrt_rho - math.sqrt(rho_bar)) ** 2))
-    return l2 + _each(math.sqrt, f.grid.integrate(f.grad_sqrt2))
+    l2 = np.sqrt(f.grid.integrate((f.sqrt_rho - math.sqrt(rho_bar)) ** 2))
+    return l2 + np.sqrt(f.grid.integrate(f.grad_sqrt2))
 
 
 def lp_gain_value(state, params: PhysParams, p: float) -> float:
@@ -296,8 +263,7 @@ def lp_gain_value(state, params: PhysParams, p: float) -> float:
     if p < 1:
         raise DomainError(f"exponent must be >= 1, got {p}")
     f = _fields(state, params)
-    integral = f.grid.integrate(f.rho * np.sqrt(f.v_speed2) ** p)
-    return _each(lambda x: x ** (1.0 / p), integral)
+    return np.power(f.grid.integrate(f.rho * np.sqrt(f.v_speed2) ** p), 1.0 / p)
 
 
 @dataclass
@@ -542,7 +508,7 @@ def level_set_report(states, times, params: PhysParams, alpha: float, k: float,
         trunc = np.maximum(inv - k, 0.0)
         measures[i] = g.cell_volume * int(np.count_nonzero(inv >= k))
         sup_l2 = max(sup_l2, math.sqrt(g.integrate(trunc ** 2)))
-        grad_sq[i] = g.integrate(_grad_sq(g, fft_array(g, trunc)))
+        grad_sq[i] = g.integrate(sum(c ** 2 for c in grad_arrays(g, fft_array(g, trunc))))
     mu_k = float(np.trapezoid(measures ** (r1 / q1), times)) if len(times) > 1 else 0.0
     q_norm = sup_l2 + math.sqrt(float(np.trapezoid(grad_sq, times))) if len(times) > 1 else sup_l2
     return LevelSetReport(
@@ -659,7 +625,7 @@ def vacuum_bound_estimate(states, times, params: PhysParams, q_exp: float,
     for i in sel:
         f = f0 if i == 0 else _Fields(states[i], params)
         sup_inv = max(sup_inv, float(f.max_inv_rho))
-        b_2q = max(b_2q, lp_gain_value(f, params, 2.0 * q_exp))
+        b_2q = max(b_2q, float(lp_gain_value(f, params, 2.0 * q_exp)))
         sqrt_norm = max(sqrt_norm, g.integrate(
             np.abs(f.sqrt_rho - math.sqrt(params.rho_bar)) ** q3) ** (1.0 / q3))
     khat0 = float(f0.max_inv_rho) ** alpha

@@ -10,7 +10,7 @@ to 1 and calibrate_c1 offers an operational fit against the iteration solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -112,11 +112,8 @@ def lifespan_report(inp: LifespanInputs) -> dict:
     """JSON-ready summary: inputs, per-branch values, active branch, bound."""
     values = branch_values(inp)
     t, active = lifespan_lower_bound(inp)
-    inputs = {k: getattr(inp, k) for k in (
-        "norm_q0_crit", "norm_v0_crit", "norm_q0_sur", "norm_v0_sur",
-        "C", "C1", "c", "mu", "eps", "eps_prime", "p", "dim")}
     return {
-        "inputs": inputs,
+        "inputs": asdict(inp),
         "branches": values,
         "active_branch": active,
         "lower_bound": t,

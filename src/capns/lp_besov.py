@@ -20,6 +20,10 @@ RESOLUTION points per unit radius by :func:`build_bumps`: the Besov norms
 of the paper are defined on one dyadic partition, and another partition
 would only give an equivalent norm. No function here takes a partition.
 
+The low-pass S_{l-1} = chi(2^{1-l}|k|) is the mean plus the blocks below
+l - 1 (the annuli telescope, and chi(2^{-l_min}|k|) is 0 at every nonzero
+wavenumber), so :func:`bony_decompose` sums its low-passes from its blocks.
+
 Every block norm goes through one kernel, :func:`block_norm_table`, which
 maps a stack of half spectra to a [stack, block] table. The block
 multipliers of a grid are interpolated once and cached, with each block's
@@ -144,35 +148,29 @@ class DyadicDecomposition:
 
 
 @functools.lru_cache(maxsize=16)
-def _radial_blocks(dim: int, n: int, length: float, low_pass: bool = False) -> tuple:
+def _radial_blocks(dim: int, n: int, length: float) -> tuple:
     """Block indices, phi(r / 2^l) on each distinct radius r = |k| of the
-    half spectrum as a [block, radius] table, and each mode's radius index;
-    with ``low_pass``, the table holds the low-passes chi(r / 2^(l-1)) of
-    the blocks instead.
+    half spectrum as a [block, radius] table, and each mode's radius index.
 
-    One interpolation per grid and table; modes of equal |k| share
+    One interpolation per grid; modes of equal |k| share
     their multiplier bit for bit. The key holds plain numbers, so the cache
     keeps no grid (and none of its cached arrays) alive.
     """
     grid = Grid(dim, n, length)
     l_min, l_max = block_range(grid)
     ls = list(range(l_min, l_max + 1))
-    bumps = build_bumps()
     radii, index = np.unique(grid.half_kmag, return_inverse=True)
-    if low_pass:
-        table = bumps.chi(radii / np.array([2.0 ** (l - 1) for l in ls])[:, None])
-    else:
-        table = bumps.phi(radii / np.array([2.0 ** l for l in ls])[:, None])
+    table = build_bumps().phi(radii / np.array([2.0 ** l for l in ls])[:, None])
     index = index.reshape(grid.half_kmag.shape)
     return ls, table, index, [column_extent(row[index]) for row in table]
 
 
-def _block_multipliers(grid: Grid, low_pass: bool = False) -> tuple:
-    """Block indices and the multipliers phi(|k| / 2^l) (with ``low_pass``,
-    chi(|k| / 2^(l-1))) narrowed to their column extents, built one block
-    at a time from the cached radial table. A multiplier's last-axis
-    length is the number of spectrum columns it takes."""
-    ls, table, index, widths = _radial_blocks(grid.dim, grid.n, grid.length, low_pass)
+def _block_multipliers(grid: Grid) -> tuple:
+    """Block indices and the multipliers phi(|k| / 2^l) narrowed to their
+    column extents, built one block at a time from the cached radial table.
+    A multiplier's last-axis length is the number of spectrum columns it
+    takes."""
+    ls, table, index, widths = _radial_blocks(grid.dim, grid.n, grid.length)
     return ls, (row[index[..., :m]] for row, m in zip(table, widths))
 
 
@@ -271,26 +269,30 @@ def bony_decompose(u: RealField, v: RealField):
     """Paraproduct split of the pointwise product.
 
     Returns (Tuv, Tvu, R) with Tuv = sum_l S_{l-1}u * block_l v, where
-    S_m is the chi(2^{-m}|k|) low-pass (mean included), and R the sum of
-    block products with indices differing by at most 1. The identity
-    u*v = Tuv + Tvu + R + mean(u)*mean(v) holds pointwise on the grid.
+    the low-pass S_{l-1}u = mean(u) + sum_{m <= l-2} block_m u is the
+    chi(2^{1-l}|k|) multiplier of u written as a partial sum of its blocks,
+    and R the sum of block products with indices differing by at most 1.
+    The identity u*v = Tuv + Tvu + R + mean(u)*mean(v) holds pointwise on
+    the grid. One forward transform, then one inverse per block.
     """
     if u.grid != v.grid:
         raise ConfigurationError("paraproduct factors live on different grids")
     g = u.grid
     ls, mults = _block_multipliers(g)
-    _, lows = _block_multipliers(g, low_pass=True)
     uvhat = fft_array(g, np.stack([u.values, v.values]))
-    # blocks[l] stacks block_l u and block_l v
+    # blocks[l] stacks block_l u and block_l v, and low S_{l-1}u and S_{l-1}v
     blocks = {l: _ifft_owned(g, mult * uvhat[..., :mult.shape[-1]]) for l, mult in zip(ls, mults)}
+    means = uvhat.reshape(2, -1)[:, 0].real / g.n ** g.dim
+    low = np.stack([np.full(g.shape, m) for m in means])
 
     t_uv = np.zeros(g.shape)
     t_vu = np.zeros(g.shape)
     remainder = np.zeros(g.shape)
-    for l, low in zip(ls, lows):
-        low_u, low_v = _ifft_owned(g, low * uvhat[..., :low.shape[-1]])
-        t_uv += low_u * blocks[l][1]
-        t_vu += low_v * blocks[l][0]
+    for l in ls:
+        if l - 2 in blocks:
+            low += blocks[l - 2]
+        t_uv += low[0] * blocks[l][1]
+        t_vu += low[1] * blocks[l][0]
         for m in (l - 1, l, l + 1):
             if m in blocks:
                 remainder += blocks[l][0] * blocks[m][1]

@@ -140,6 +140,10 @@ class _Scheme:
     def __init__(self, g: Grid, params: PhysParams, cfg: SolverConfig):
         self.grid, self.params, self.cfg = g, params, cfg
         self.fac = np.exp(-params.mu * g.half_k2 * cfg.dt)
+        # complex in 1-D, as model._Line's multipliers: numpy would cast a real
+        # factor on each product, for the same bits (2-D: ROADMAP item 1)
+        if g.dim == 1:
+            self.fac = self.fac.astype(complex)
         # the Heun products take dt and dt/2 as 0-d arrays (see model._Line)
         self.dt, self.half_dt = np.array(cfg.dt, float), np.array(0.5 * cfg.dt, float)
         if cfg.formulation == "primitive":
@@ -377,14 +381,16 @@ def save_checkpoint(path, state, params: PhysParams, t: float):
 
 def _read_archive(path) -> dict:
     """Every array of an NPZ file; a file that is not one, or that was cut
-    short or corrupted, raises ConfigurationError."""
-    try:
-        data = np.load(path, allow_pickle=False)
-        if isinstance(data, np.lib.npyio.NpzFile):
-            with data:
-                return {name: data[name] for name in data.files}
-    except (ValueError, EOFError, zipfile.BadZipFile) as ex:
-        raise ConfigurationError(f"{path} is not a readable checkpoint: {ex}") from ex
+    short or corrupted, raises ConfigurationError; numpy gets an open file,
+    which is closed also when it fails to read it."""
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+            if isinstance(data, np.lib.npyio.NpzFile):
+                with data:
+                    return {name: data[name] for name in data.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as ex:
+            raise ConfigurationError(f"{path} is not a readable checkpoint: {ex}") from ex
     raise ConfigurationError(f"{path} holds a single array, not a checkpoint archive")
 
 

@@ -14,6 +14,7 @@ from capns.fields import (
     RealField,
     SpectralField,
     _ifft_owned,
+    column_extent,
     dealias_values,
     fft_array,
     fft_stage,
@@ -23,7 +24,7 @@ from capns.fields import (
     lp_norms,
     transform,
 )
-from capns.lp_besov import _block_multipliers
+from capns.lp_besov import _block_multipliers, build_bumps
 from capns.model import PhysParams, _line, to_effective
 from capns.presets import Preset, build
 from capns.solver import PicardConfig, SolverConfig, picard_solve, run
@@ -337,9 +338,12 @@ class TestNarrowedSpectra:
 
 def _column_extents(grid):
     """The full half width, the 2/3 mask's column extent and that of each
-    block and low-pass multiplier of the dyadic engine."""
-    mults = [*_block_multipliers(grid)[1], *_block_multipliers(grid, low_pass=True)[1]]
-    return sorted({grid.half_shape[-1], grid.half_mask_columns, *(m.shape[-1] for m in mults)})
+    block multiplier of the dyadic engine, and of each low-pass
+    chi(|k| / 2^(l-1)), whose extents add widths the blocks do not have."""
+    ls, mults = _block_multipliers(grid)
+    lows = [build_bumps().chi(grid.half_kmag / 2.0 ** (l - 1)) for l in ls]
+    return sorted({grid.half_shape[-1], grid.half_mask_columns,
+                   *(m.shape[-1] for m in mults), *map(column_extent, lows)})
 
 
 class TestTwoDimensionalTransforms:

@@ -147,14 +147,13 @@ class TestNarrowedBlocks:
     @pytest.mark.parametrize("dim,n,length", NARROW_GRIDS)
     def test_multipliers_zero_beyond_their_columns(self, dim, n, length):
         g = Grid(dim, n, length)
-        for low_pass in (False, True):
-            _, table, index, widths = _radial_blocks(dim, n, length, low_pass)
-            _, narrowed = _block_multipliers(g, low_pass)
-            for row, m, mult in zip(table, widths, narrowed):
-                full = row[index]
-                assert np.all(full[..., m:] == 0)
-                assert m == 1 or np.any(full[..., m - 1] != 0)
-                assert np.array_equal(mult, full[..., :m])
+        _, table, index, widths = _radial_blocks(dim, n, length)
+        _, narrowed = _block_multipliers(g)
+        for row, m, mult in zip(table, widths, narrowed):
+            full = row[index]
+            assert np.all(full[..., m:] == 0)
+            assert m == 1 or np.any(full[..., m - 1] != 0)
+            assert np.array_equal(mult, full[..., :m])
 
     def test_column_extents_at_256(self):
         # blocks -1..4 of a 2-D n = 256 grid reach 2, 3, 6, 11, 22 and 43 of
@@ -337,6 +336,22 @@ class TestBony:
         assert np.max(np.abs(t_uv.values)) < 1e-12
         assert np.max(np.abs(t_vu.values)) < 1e-12
         assert np.max(np.abs(rem.values - u.values ** 2)) < 1e-12
+
+    @pytest.mark.parametrize("dim,n", [(1, 64), (1, 256), (2, 32), (2, 64)])
+    @pytest.mark.parametrize("length", [2 * math.pi, 1.0, 10.0])
+    def test_low_pass_is_mean_plus_lower_blocks(self, bumps, dim, n, length):
+        # S_{l-1} f, the chi(|k| / 2^(l-1)) multiplier at full width, equals
+        # the mean plus the blocks up to l - 2, the sum bony_decompose takes
+        g = Grid(dim, n, length)
+        f = white_noise_field(g, np.random.default_rng(n + dim))
+        fhat = fft_array(g, f.values)
+        irfft = np.fft.irfft if dim == 1 else np.fft.irfft2
+        d = decompose(f)
+        for l in d.ls:
+            want = irfft(bumps.chi(g.half_kmag / 2.0 ** (l - 1)) * fhat)
+            got = d.mean + sum((d.blocks[m].values for m in d.ls if m <= l - 2),
+                               np.zeros(g.shape))
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(f.values))
 
     def test_grid_mismatch(self):
         u = RealField(Grid(1, 64), np.zeros(64))

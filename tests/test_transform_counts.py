@@ -409,15 +409,15 @@ def _bony_factors():
 
 def test_bony_transforms_each_factor_once(fft_calls):
     # one stacked forward transform of u and v, then per block one stacked
-    # inverse of the blocks and one of the low-passes
+    # inverse; the low-passes are sums of the inverted blocks
     u, v = _bony_factors()
     fft_calls[0] = 0
     bony_decompose(u, v)
-    assert fft_calls[0] == 1 + 2 * 7  # 7 blocks at n = 64
+    assert fft_calls[0] == 1 + 7  # 7 blocks at n = 64
 
 
 def test_second_bony_decompose_interpolates_nothing(interp_calls):
-    # the phi and chi multipliers of a grid are interpolated once
+    # the block multipliers of a grid are interpolated once
     u, v = _bony_factors()
     bony_decompose(u, v)
     interp_calls[0] = 0
