@@ -11,16 +11,20 @@ for this capillarity (see notes in check_energy_inequality).
 
 Validation stays at the state boundary: a state's fields were checked when
 it was built, and every quadrature here runs ``Grid.integrate`` on raw
-samples, so a diagnostics record re-validates nothing. A record builds one
-``_Fields`` set and calls the public functionals on it, so the record and
-the API evaluate the same formulas. The set takes its derivatives in two
-stages of independent transforms, ``fft_stage``/``ifft_stage`` each way:
-first those of the fields the source holds, then those of the velocity it
-does not hold.
+samples or raw spectra, so a diagnostics record re-validates nothing. A
+record builds one ``_Fields`` set and calls the public functionals on it,
+so the record and the API evaluate the same formulas. The set takes its
+derivatives in one stage of independent transforms each way,
+``fft_stage`` then ``ifft_stage``, of the fields the source holds (16
+transforms per 2-D record). Integrals of |grad f|^2 and |lap f|^2 are
+Parseval sums over the half spectrum of f (``_spectral_integral``), so
+sqrt(rho) takes no inverse, and the gradient of the velocity the source
+does not hold is that of the held one shifted by mu times the Hessian of
+ln(rho) (of q), itself part of the inverse stage.
 
 A set may hold the samples of several states of one grid, stacked on a
 leading axis. ``DiagnosticsAccumulator`` takes the recorded states in
-chunks, and the records of a chunk share one set: on a 1-D grid that is four
+chunks, and the records of a chunk share one set: on a 1-D grid that is two
 transform calls per chunk, whatever its length, and each elementwise op and
 each row sum runs once for the whole chunk. Every row is bit-identical to
 the record of its state alone: row-wise transforms, elementwise ops,
@@ -39,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .fields import RealField, fft_array, fft_stage, grad_arrays, ifft_stage
+from .fields import RealField, fft_array, fft_stage, ifft_stage
 from .model import EffectiveState, PhysParams, PrimitiveState
 
 GAIN_EXPONENTS = (2, 4, 8, 16)
@@ -51,13 +55,20 @@ CSV_COLUMNS = (
 )
 
 
-def _derivatives(grid, arrays, mults) -> list:
-    """Samples of m * f-hat for each array f and each multiplier m of its
-    list in ``mults``, one list per array: one forward and one inverse
-    transform stage."""
-    flat = iter(ifft_stage(grid, (m * h for h, ms in zip(fft_stage(grid, arrays), mults)
-                                  for m in ms)))
-    return [[next(flat) for _ in ms] for ms in mults]
+def _spectral_integral(grid, fhat, mult2):
+    """Grid quadrature of |g|^2, where g has the half spectrum m * fhat and
+    mult2 = |m|^2, by Parseval: a ``half_weight``-weighted sum over the half
+    spectrum, with no inverse transform. Like ``Grid.integrate``, a float
+    for one field and one value per row for a stack."""
+    power = fhat.real ** 2 + fhat.imag ** 2
+    return grid.integrate(mult2 * grid.half_weight * power) / grid.n ** grid.dim
+
+
+def _grad_integral(grid, fhat):
+    """int |grad f|^2 from the half spectrum of f: the weight is
+    sum_i |half_ik_i|^2, |k|^2 with the Nyquist mode of each axis zeroed in
+    its own term."""
+    return _spectral_integral(grid, fhat, sum(ik.imag ** 2 for ik in grid.half_ik))
 
 
 class _Fields:
@@ -70,9 +81,11 @@ class _Fields:
     ``scalar`` (rho or q) and ``vector`` (the components of u or v) are a
     state's own arrays, and for a list of several states [state, ...]
     stacks of them; ``axes`` are the grid axes every reduction runs over.
-    The derivatives of the fields the source holds are taken together in
-    ``_held``; those of the velocity it does not hold (v of a primitive
-    state, u of an effective one) in ``du`` or ``dv``.
+    Every derivative a record reads is taken in ``_held``, in one forward
+    and one inverse stage: the functionals of sqrt(rho) are Parseval sums
+    on its half spectrum, and the gradient of the velocity the source does
+    not hold (v of a primitive state, u of an effective one) is that of the
+    held one plus or minus mu times the Hessian of ln(rho) (of q).
     """
 
     def __init__(self, source, params: PhysParams = None):
@@ -104,18 +117,34 @@ class _Fields:
 
     @cached_property
     def _held(self) -> list:
-        """Derivatives of the fields the source holds, per field a list:
-        grad rho; grad sqrt(rho) followed by lap sqrt(rho); then, for a
-        state, grad ln(rho) (grad q in the effective form) and the gradient
-        of each velocity component it holds."""
+        """The half spectrum of sqrt(rho), then per field a list of
+        derivatives: grad rho; for a state, grad ln(rho) (grad q in the
+        effective form) followed by its Hessian entries d_i d_j, i <= j,
+        and the gradient of each velocity component it holds. A Hessian
+        multiplier is the product of two ``half_ik``, so it zeroes each
+        Nyquist mode as two first derivatives do."""
         g = self.grid
-        arrays = [self.rho, self.sqrt_rho]
-        if self.kind is PrimitiveState:
-            arrays += [np.log(self.rho), *self.vector]
-        elif self.kind is EffectiveState:
-            arrays += [self.scalar, *self.vector]
-        mults = [g.half_ik, (*g.half_ik, -g.half_k2)] + [g.half_ik] * (len(arrays) - 2)
-        return _derivatives(g, arrays, mults)
+        ik = g.half_ik
+        arrays, mults = [self.sqrt_rho, self.rho], [ik]
+        if self.kind is not RealField:
+            log = np.log(self.rho) if self.kind is PrimitiveState else self.scalar
+            hess = [ik[i] * ik[j] for i in range(g.dim) for j in range(i, g.dim)]
+            arrays += [log, *self.vector]
+            mults += [(*ik, *hess)] + [ik] * g.dim
+        hats = iter(fft_stage(g, arrays))
+        sqrt_hat = next(hats)
+        flat = iter(ifft_stage(g, (m * h for h, ms in zip(hats, mults) for m in ms)))
+        return [sqrt_hat] + [[next(flat) for _ in ms] for ms in mults]
+
+    def _shifted(self, grads, c) -> list:
+        """grads[i][j] + c * d_i d_j ln(rho) (d_i d_j q in the effective
+        form): the gradient of the velocity shifted by c grad ln(rho)."""
+        dim = self.grid.dim
+        hess, entries = {}, iter(self._held[2][dim:])
+        for i in range(dim):
+            for j in range(i, dim):
+                hess[i, j] = hess[j, i] = next(entries)
+        return [[d + c * hess[i, j] for j, d in enumerate(row)] for i, row in enumerate(grads)]
 
     @cached_property
     def u(self) -> list:
@@ -135,17 +164,19 @@ class _Fields:
 
     @cached_property
     def du(self) -> list:
-        """Velocity gradient, du[i][j] = d_j u_i."""
+        """Velocity gradient, du[i][j] = d_j u_i; dv - mu Hess(q) in the
+        effective form."""
         if self.kind is PrimitiveState:
             return self._held[3:]
-        return _derivatives(self.grid, self.u, [self.grid.half_ik] * self.grid.dim)
+        return self._shifted(self._held[3:], -self.params.mu)
 
     @cached_property
     def dv(self) -> list:
-        """Gradient of v, dv[i][j] = d_j v_i."""
+        """Gradient of v, dv[i][j] = d_j v_i; du + mu Hess(ln rho) in the
+        primitive form."""
         if self.kind is EffectiveState:
             return self._held[3:]
-        return _derivatives(self.grid, self.v, [self.grid.half_ik] * self.grid.dim)
+        return self._shifted(self._held[3:], self.params.mu)
 
     @cached_property
     def v_speed2(self) -> np.ndarray:
@@ -170,9 +201,9 @@ class _Fields:
         return np.sqrt(self.rho)
 
     @cached_property
-    def grad_sqrt2(self) -> np.ndarray:
-        """|grad sqrt(rho)|^2."""
-        return sum(c ** 2 for c in self._held[1][:-1])
+    def grad_sqrt2_integral(self):
+        """int |grad sqrt(rho)|^2, from the half spectrum of sqrt(rho)."""
+        return _grad_integral(self.grid, self._held[0])
 
 
 def _samples(source) -> tuple:
@@ -205,8 +236,8 @@ def energy(state, params: PhysParams) -> float:
     """
     f = _fields(state, params)
     speed2 = sum(c ** 2 for c in f.u)
-    return f.grid.integrate(0.5 * f.rho * speed2 + f.pi
-                            + 2.0 * params.kappa * f.grad_sqrt2)
+    return f.grid.integrate(0.5 * f.rho * speed2 + f.pi) \
+        + 2.0 * params.kappa * f.grad_sqrt2_integral
 
 
 def bd_entropy(state, params: PhysParams) -> float:
@@ -240,22 +271,22 @@ def dissip_density_rate(state, params: PhysParams) -> float:
     """int mu P'(rho)/rho |grad rho|^2; a*mu/rho |grad rho|^2 when gamma=1."""
     f = _fields(state, params)
     r = f.rho
-    grad2 = sum(c ** 2 for c in f._held[0])
+    grad2 = sum(c ** 2 for c in f._held[1])
     weight = params.a * params.gamma * params.mu * r ** (params.gamma - 2.0)
     return f.grid.integrate(weight * grad2)
 
 
 def jungel_rate(state, params: PhysParams) -> float:
-    """Squared L2 norm of the Laplacian of sqrt(rho)."""
+    """Squared L2 norm of the Laplacian of sqrt(rho), by Parseval."""
     f = _fields(state, params)
-    return f.grid.integrate(f._held[1][-1] ** 2)
+    return _spectral_integral(f.grid, f._held[0], f.grid.half_k2 ** 2)
 
 
 def sqrt_h1_norm(rho: RealField, rho_bar: float) -> float:
     """L2 distance of sqrt(rho) from sqrt(rho_bar) plus the L2 gradient norm."""
     f = _fields(rho)
     l2 = np.sqrt(f.grid.integrate((f.sqrt_rho - math.sqrt(rho_bar)) ** 2))
-    return l2 + np.sqrt(f.grid.integrate(f.grad_sqrt2))
+    return l2 + np.sqrt(f.grad_sqrt2_integral)
 
 
 def lp_gain_value(state, params: PhysParams, p: float) -> float:
@@ -508,7 +539,7 @@ def level_set_report(states, times, params: PhysParams, alpha: float, k: float,
         trunc = np.maximum(inv - k, 0.0)
         measures[i] = g.cell_volume * int(np.count_nonzero(inv >= k))
         sup_l2 = max(sup_l2, math.sqrt(g.integrate(trunc ** 2)))
-        grad_sq[i] = g.integrate(sum(c ** 2 for c in grad_arrays(g, fft_array(g, trunc))))
+        grad_sq[i] = _grad_integral(g, fft_array(g, trunc))
     mu_k = float(np.trapezoid(measures ** (r1 / q1), times)) if len(times) > 1 else 0.0
     q_norm = sup_l2 + math.sqrt(float(np.trapezoid(grad_sq, times))) if len(times) > 1 else sup_l2
     return LevelSetReport(

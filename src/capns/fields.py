@@ -22,7 +22,7 @@ with leading axes (time levels, vector components) goes through one
 transform call, slice by slice bit-identical to transforming each slice
 alone. ``fft_stage`` and ``ifft_stage`` take the independent arrays of
 one stage of a computation as a sequence, for code written for both grids
-(a record's derivative stages, the 2-D bodies); a 1-D body builds its
+(a record's derivatives, the 2-D bodies); a 1-D body builds its
 stacks and calls ``fft_array``/``ifft_array``. On a 1-D grid, where a
 transform costs its call more than its arithmetic, they are one call on
 the row stack (a single row as a view); on a 2-D grid they transform one

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from test_model import _full_derivatives
 
 from capns.diagnostics import (
     CSV_COLUMNS,
@@ -261,6 +262,87 @@ class TestSqrtH1:
         g = grid1(32)
         with pytest.raises(DomainError):
             sqrt_h1_norm(field(g, np.sin), 1.0)
+
+
+class TestRecordOracle:
+    """The record's derivative functionals against quadratures of
+    derivatives taken with numpy.fft in the full layout: d_j with the
+    unpaired Nyquist mode zeroed, the Laplacian with it kept. A record
+    takes the functionals of sqrt(rho) as sums over its half spectrum and
+    the gradient of the velocity the state does not hold from the Hessian
+    of ln(rho) (of q)."""
+
+    P = PhysParams(mu=0.15, kappa=0.05, a=0.9, rho_bar=1.3)
+
+    @classmethod
+    def _state(cls, dim, data, formulation):
+        p, g = cls.P, Grid(dim, 32 if dim == 2 else 64)
+        if data == "bandlimited":
+            s = build(Preset("random_bandlimited", amplitude=0.2, seed=4), g, p)
+        else:
+            # an explicit Nyquist mode of the first axis in rho and in u
+            x = g.x
+            nyq = np.cos(g.n // 2 * x[0]) * (1.0 + 0.5 * np.cos(x[-1]))
+            rho = p.rho_bar + 0.2 * np.sin(x[0] + 2.0 * x[-1]) + 0.05 * nyq
+            u = [0.3 * np.cos(x[i] - x[0]) + 0.02 * nyq for i in range(dim)]
+            s = PrimitiveState(RealField(g, rho), tuple(RealField(g, c) for c in u))
+        return s if formulation == "primitive" else to_effective(s, p)
+
+    @pytest.mark.parametrize("data", ["bandlimited", "nyquist"])
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_record_matches_full_layout_quadratures(self, dim, formulation, data):
+        p, s = self.P, self._state(dim, data, formulation)
+        g = s.grid
+        d, lap = _full_derivatives(g)
+        if formulation == "primitive":
+            rho, u = s.rho.values, [c.values for c in s.u]
+            log = np.log(rho)
+            v = [c + p.mu * d(log, i) for i, c in enumerate(u)]
+        else:
+            q, v = s.q.values, [c.values for c in s.v]
+            rho = p.rho_bar * np.exp(q)
+            u = [c - p.mu * d(q, i) for i, c in enumerate(v)]
+        root = np.sqrt(rho)
+        grad_root2 = sum(d(root, j) ** 2 for j in range(dim))
+        pot = p.a * (rho * np.log(rho / p.rho_bar) + p.rho_bar - rho)
+        strain2 = sum((0.5 * (d(u[i], j) + d(u[j], i))) ** 2
+                      for i in range(dim) for j in range(dim))
+        want = {
+            "energy": g.integrate(0.5 * rho * sum(c * c for c in u) + pot
+                                  + 2.0 * p.kappa * grad_root2),
+            "dissip_u": g.integrate(2.0 * p.mu * rho * strain2),
+            "dissip_v": g.integrate(p.mu * rho * sum(d(c, j) ** 2 for c in v
+                                                     for j in range(dim))),
+            "jungel": g.integrate(lap(root) ** 2),
+            "h1_sqrt": math.sqrt(g.integrate((root - math.sqrt(p.rho_bar)) ** 2))
+            + math.sqrt(g.integrate(grad_root2)),
+        }
+        # two records of one state a unit apart: each accumulated rate is
+        # the rate itself
+        acc = DiagnosticsAccumulator(p)
+        acc([s], [0.0])
+        rec = acc([s], [1.0])[0]
+        for name, value in want.items():
+            assert value > 0
+            assert abs(getattr(rec, name) - value) <= 1e-13 * value, name
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_level_set_gradient_matches_full_layout_quadrature(self, dim):
+        # the truncation max(1/rho - k, 0) has kinks, so its spectrum
+        # reaches the Nyquist modes
+        p, g = PhysParams(mu=0.15, kappa=0.05, rho_bar=1.0), Grid(dim, 32 if dim == 2 else 64)
+        d, _ = _full_derivatives(g)
+        states = [build(Preset("random_bandlimited", amplitude=0.4, seed=k), g, p)
+                  for k in range(3)]
+        ts, k = [0.0, 0.4, 1.0], 1.0
+        rep = level_set_report(states, ts, p, 1.0, k, r=4.0, q=3.0)
+        truncs = [np.maximum(1.0 / s.rho.values - k, 0.0) for s in states]
+        grad_sq = [g.integrate(sum(d(t, j) ** 2 for j in range(dim))) for t in truncs]
+        sup_l2 = max(math.sqrt(g.integrate(t ** 2)) for t in truncs)
+        want = sup_l2 + math.sqrt(float(np.trapezoid(grad_sq, ts)))
+        assert min(grad_sq) > 0
+        assert abs(rep.q_norm - want) <= 1e-13 * want
 
 
 class TestAccumulator:

@@ -69,12 +69,12 @@ def _state(dim, n, formulation, params=PARAMS):
 
 
 @pytest.mark.parametrize("dim,n,formulation,kappa,step_fft,record_fft", [
-    pytest.param(1, 128, "primitive", 0.0225, 9, 4, id="1-128-primitive"),
-    pytest.param(1, 128, "effective", 0.0225, 7, 4, id="1-128-effective"),
-    pytest.param(1, 128, "effective", 0.04, 7, 4, id="1-128-effective-kappa-above"),
-    pytest.param(2, 64, "primitive", 0.0225, 32, 22, id="2-64-primitive"),
-    pytest.param(2, 64, "effective", 0.0225, 27, 22, id="2-64-effective"),
-    pytest.param(2, 64, "effective", 0.04, 29, 22, id="2-64-effective-kappa-above"),
+    pytest.param(1, 128, "primitive", 0.0225, 9, 2, id="1-128-primitive"),
+    pytest.param(1, 128, "effective", 0.0225, 7, 2, id="1-128-effective"),
+    pytest.param(1, 128, "effective", 0.04, 7, 2, id="1-128-effective-kappa-above"),
+    pytest.param(2, 64, "primitive", 0.0225, 32, 16, id="2-64-primitive"),
+    pytest.param(2, 64, "effective", 0.0225, 27, 16, id="2-64-effective"),
+    pytest.param(2, 64, "effective", 0.04, 29, 16, id="2-64-effective-kappa-above"),
 ])
 def test_gufunc_step_and_record_counts(fft_calls, dim, n, formulation, kappa,
                                        step_fft, record_fft):
@@ -144,19 +144,19 @@ def _chunked_run(state, cfg, *counters):
 
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_1d_run_records_in_one_chunk(fft_calls, checked_calls, formulation):
-    # the 21 records of a 1-D run are one chunk: 4 transform calls in all,
-    # where a call per record made 84, and no validation
+    # the 21 records of a 1-D run are one chunk: 2 transform calls in all,
+    # where a call per record made 42, and no validation
     cfg = SolverConfig(dt=1e-4, t_end=2e-3, formulation=formulation)
     res, chunks = _chunked_run(_state(1, 128, formulation), cfg, fft_calls, checked_calls)
     assert len(res.records) == 21
-    assert [(len(states), moved) for states, moved in chunks] == [(21, [4, 0])]
+    assert [(len(states), moved) for states, moved in chunks] == [(21, [2, 0])]
 
 
 @pytest.mark.parametrize("formulation", ["primitive", "effective"])
 def test_2d_run_records_one_state_per_chunk(monkeypatch, fft_calls, checked_calls,
                                              formulation):
     # a 2-D chunk is one state, whose record works on the state's own
-    # arrays, with no stacking copy: 22 transforms and no validation each
+    # arrays, with no stacking copy: 16 transforms and no validation each
     made = []
 
     class Spy(diagnostics._Fields):
@@ -167,7 +167,7 @@ def test_2d_run_records_one_state_per_chunk(monkeypatch, fft_calls, checked_call
     monkeypatch.setattr(diagnostics, "_Fields", Spy)
     cfg = SolverConfig(dt=1e-4, t_end=3e-4, formulation=formulation)
     res, chunks = _chunked_run(_state(2, 32, formulation), cfg, fft_calls, checked_calls)
-    assert [(len(states), moved) for states, moved in chunks] == [(1, [22, 0])] * 4
+    assert [(len(states), moved) for states, moved in chunks] == [(1, [16, 0])] * 4
     assert len(made) == 4
     for (states, _), f in zip(chunks, made):
         own = _unknowns(states[0])
