@@ -15,12 +15,14 @@ samples or raw spectra, so a diagnostics record re-validates nothing. A
 record builds one ``_Fields`` set and calls the public functionals on it,
 so the record and the API evaluate the same formulas. The set takes its
 derivatives in one stage of independent transforms each way,
-``fft_stage`` then ``ifft_stage``, of the fields the source holds (16
-transforms per 2-D record). Integrals of |grad f|^2 and |lap f|^2 are
-Parseval sums over the half spectrum of f (``_spectral_integral``), so
-sqrt(rho) takes no inverse, and the gradient of the velocity the source
-does not hold is that of the held one shifted by mu times the Hessian of
-ln(rho) (of q), itself part of the inverse stage.
+``fft_stage`` then ``ifft_stage``, of sqrt(rho), ln(rho) (q) and the held
+velocity (13 transforms per 2-D record). Integrals of |grad f|^2 and
+|lap f|^2 are Parseval sums over the power spectrum of f
+(``_spectral_integral``), so sqrt(rho) takes no inverse; the gradient of
+the velocity the source does not hold is that of the held one shifted by
+mu times the Hessian of ln(rho) (of q), itself part of the inverse stage;
+and the density dissipation is written with grad ln(rho), the gradient
+that builds v, so rho itself is not transformed.
 
 A set may hold the samples of several states of one grid, stacked on a
 leading axis. ``DiagnosticsAccumulator`` takes the recorded states in
@@ -55,20 +57,25 @@ CSV_COLUMNS = (
 )
 
 
-def _spectral_integral(grid, fhat, mult2):
-    """Grid quadrature of |g|^2, where g has the half spectrum m * fhat and
-    mult2 = |m|^2, by Parseval: a ``half_weight``-weighted sum over the half
-    spectrum, with no inverse transform. Like ``Grid.integrate``, a float
-    for one field and one value per row for a stack."""
-    power = fhat.real ** 2 + fhat.imag ** 2
+def _power(fhat) -> np.ndarray:
+    """|fhat|^2 on the half spectrum."""
+    return fhat.real ** 2 + fhat.imag ** 2
+
+
+def _spectral_integral(grid, power, mult2):
+    """Grid quadrature of |g|^2, where g has the half spectrum m * fhat,
+    power = |fhat|^2 and mult2 = |m|^2, by Parseval: a ``half_weight``-weighted
+    sum over the half spectrum, with no inverse transform. Like
+    ``Grid.integrate``, a float for one field and one value per row for a
+    stack."""
     return grid.integrate(mult2 * grid.half_weight * power) / grid.n ** grid.dim
 
 
-def _grad_integral(grid, fhat):
-    """int |grad f|^2 from the half spectrum of f: the weight is
+def _grad_integral(grid, power):
+    """int |grad f|^2 from the power spectrum of f: the weight is
     sum_i |half_ik_i|^2, |k|^2 with the Nyquist mode of each axis zeroed in
     its own term."""
-    return _spectral_integral(grid, fhat, sum(ik.imag ** 2 for ik in grid.half_ik))
+    return _spectral_integral(grid, power, sum(ik.imag ** 2 for ik in grid.half_ik))
 
 
 class _Fields:
@@ -83,9 +90,11 @@ class _Fields:
     stacks of them; ``axes`` are the grid axes every reduction runs over.
     Every derivative a record reads is taken in ``_held``, in one forward
     and one inverse stage: the functionals of sqrt(rho) are Parseval sums
-    on its half spectrum, and the gradient of the velocity the source does
+    on its power spectrum; the gradient of the velocity the source does
     not hold (v of a primitive state, u of an effective one) is that of the
-    held one plus or minus mu times the Hessian of ln(rho) (of q).
+    held one plus or minus mu times the Hessian of ln(rho) (of q); and the
+    density dissipation reads grad ln(rho) (grad q), so a density field
+    takes one forward transform, that of sqrt(rho), and nothing else.
     """
 
     def __init__(self, source, params: PhysParams = None):
@@ -112,35 +121,40 @@ class _Fields:
         return r
 
     @cached_property
+    def min_rho(self):
+        return self.rho.min(axis=self.axes)
+
+    @cached_property
     def max_inv_rho(self):
-        return (1.0 / self.rho).max(axis=self.axes)
+        """max 1/rho per state, as 1/min rho: correctly rounded division is
+        monotone, so the two are the same bits."""
+        return 1.0 / self.min_rho
 
     @cached_property
     def _held(self) -> list:
-        """The half spectrum of sqrt(rho), then per field a list of
-        derivatives: grad rho; for a state, grad ln(rho) (grad q in the
-        effective form) followed by its Hessian entries d_i d_j, i <= j,
-        and the gradient of each velocity component it holds. A Hessian
-        multiplier is the product of two ``half_ik``, so it zeroes each
-        Nyquist mode as two first derivatives do."""
+        """The power spectrum of sqrt(rho) on the half spectrum; for a
+        state, then per field a list of derivatives: grad ln(rho) (grad q
+        in the effective form) followed by its Hessian entries d_i d_j,
+        i <= j, and the gradient of each velocity component it holds. A
+        Hessian multiplier is the product of two ``half_ik``, so it zeroes
+        each Nyquist mode as two first derivatives do."""
         g = self.grid
+        if self.kind is RealField:
+            return [_power(fft_array(g, self.sqrt_rho))]
         ik = g.half_ik
-        arrays, mults = [self.sqrt_rho, self.rho], [ik]
-        if self.kind is not RealField:
-            log = np.log(self.rho) if self.kind is PrimitiveState else self.scalar
-            hess = [ik[i] * ik[j] for i in range(g.dim) for j in range(i, g.dim)]
-            arrays += [log, *self.vector]
-            mults += [(*ik, *hess)] + [ik] * g.dim
-        hats = iter(fft_stage(g, arrays))
-        sqrt_hat = next(hats)
+        log = np.log(self.rho) if self.kind is PrimitiveState else self.scalar
+        hess = [ik[i] * ik[j] for i in range(g.dim) for j in range(i, g.dim)]
+        mults = [(*ik, *hess)] + [ik] * g.dim
+        hats = iter(fft_stage(g, [self.sqrt_rho, log, *self.vector]))
+        power = _power(next(hats))
         flat = iter(ifft_stage(g, (m * h for h, ms in zip(hats, mults) for m in ms)))
-        return [sqrt_hat] + [[next(flat) for _ in ms] for ms in mults]
+        return [power] + [[next(flat) for _ in ms] for ms in mults]
 
     def _shifted(self, grads, c) -> list:
         """grads[i][j] + c * d_i d_j ln(rho) (d_i d_j q in the effective
         form): the gradient of the velocity shifted by c grad ln(rho)."""
         dim = self.grid.dim
-        hess, entries = {}, iter(self._held[2][dim:])
+        hess, entries = {}, iter(self._held[1][dim:])
         for i in range(dim):
             for j in range(i, dim):
                 hess[i, j] = hess[j, i] = next(entries)
@@ -151,7 +165,7 @@ class _Fields:
         """Fluid velocity; v - mu grad q in the effective form."""
         if self.kind is PrimitiveState:
             return self.vector
-        gq = self._held[2]
+        gq = self._held[1]
         return [self.vector[i] - self.params.mu * gq[i] for i in range(self.grid.dim)]
 
     @cached_property
@@ -159,7 +173,7 @@ class _Fields:
         """Drift-corrected velocity v = u + mu grad(ln rho)."""
         if self.kind is EffectiveState:
             return self.vector
-        gl = self._held[2]
+        gl = self._held[1]
         return [self.vector[i] + self.params.mu * gl[i] for i in range(self.grid.dim)]
 
     @cached_property
@@ -167,20 +181,24 @@ class _Fields:
         """Velocity gradient, du[i][j] = d_j u_i; dv - mu Hess(q) in the
         effective form."""
         if self.kind is PrimitiveState:
-            return self._held[3:]
-        return self._shifted(self._held[3:], -self.params.mu)
+            return self._held[2:]
+        return self._shifted(self._held[2:], -self.params.mu)
 
     @cached_property
     def dv(self) -> list:
         """Gradient of v, dv[i][j] = d_j v_i; du + mu Hess(ln rho) in the
         primitive form."""
         if self.kind is EffectiveState:
-            return self._held[3:]
-        return self._shifted(self._held[3:], self.params.mu)
+            return self._held[2:]
+        return self._shifted(self._held[2:], self.params.mu)
 
     @cached_property
     def v_speed2(self) -> np.ndarray:
         return sum(c ** 2 for c in self.v)
+
+    @cached_property
+    def v_speed(self) -> np.ndarray:
+        return np.sqrt(self.v_speed2)
 
     @cached_property
     def pi(self) -> np.ndarray:
@@ -202,7 +220,7 @@ class _Fields:
 
     @cached_property
     def grad_sqrt2_integral(self):
-        """int |grad sqrt(rho)|^2, from the half spectrum of sqrt(rho)."""
+        """int |grad sqrt(rho)|^2, from the power spectrum of sqrt(rho)."""
         return _grad_integral(self.grid, self._held[0])
 
 
@@ -247,15 +265,16 @@ def bd_entropy(state, params: PhysParams) -> float:
 
 
 def dissip_u_rate(state, params: PhysParams) -> float:
-    """int 2 mu rho |Du|^2 with Du the symmetric velocity gradient."""
+    """int 2 mu rho |Du|^2 with Du the symmetric velocity gradient; |Du|^2
+    sums the entries i <= j, each off-diagonal one twice."""
     f = _fields(state, params)
-    g = f.grid
     du = f.du
     acc = np.zeros(f.rho.shape)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            acc += (0.5 * (du[i][j] + du[j][i])) ** 2
-    return g.integrate(2.0 * params.mu * f.rho * acc)
+    for i in range(f.grid.dim):
+        acc += du[i][i] ** 2
+        for j in range(i + 1, f.grid.dim):
+            acc += 0.5 * (du[i][j] + du[j][i]) ** 2
+    return f.grid.integrate(2.0 * params.mu * f.rho * acc)
 
 
 def dissip_v_rate(state, params: PhysParams) -> float:
@@ -268,12 +287,15 @@ def dissip_v_rate(state, params: PhysParams) -> float:
 
 
 def dissip_density_rate(state, params: PhysParams) -> float:
-    """int mu P'(rho)/rho |grad rho|^2; a*mu/rho |grad rho|^2 when gamma=1."""
+    """int mu P'(rho)/rho |grad rho|^2, written as
+    int a gamma mu rho^gamma |grad ln(rho)|^2 (a mu rho |grad ln(rho)|^2 when
+    gamma = 1): grad ln(rho), grad q in the effective form, is the gradient
+    the set already holds for v, and the squares stay finite where those of
+    grad rho would overflow."""
     f = _fields(state, params)
-    r = f.rho
-    grad2 = sum(c ** 2 for c in f._held[1])
-    weight = params.a * params.gamma * params.mu * r ** (params.gamma - 2.0)
-    return f.grid.integrate(weight * grad2)
+    grad2 = sum(c ** 2 for c in f._held[1][:f.grid.dim])
+    r = f.rho if params.gamma == 1.0 else f.rho ** params.gamma
+    return f.grid.integrate(params.a * params.gamma * params.mu * r * grad2)
 
 
 def jungel_rate(state, params: PhysParams) -> float:
@@ -294,7 +316,7 @@ def lp_gain_value(state, params: PhysParams, p: float) -> float:
     if p < 1:
         raise DomainError(f"exponent must be >= 1, got {p}")
     f = _fields(state, params)
-    return np.power(f.grid.integrate(f.rho * np.sqrt(f.v_speed2) ** p), 1.0 / p)
+    return np.power(f.grid.integrate(f.rho * f.v_speed ** p), 1.0 / p)
 
 
 @dataclass
@@ -345,7 +367,7 @@ class DiagnosticsAccumulator:
                             dissip_density_rate(f, p), jungel_rate(f, p)], (4, -1)).T
         mass, en, bd, min_rho, max_inv_rho, h1 = map(_rows, (
             f.grid.integrate(f.rho), energy(f, p), bd_entropy(f, p),
-            f.rho.min(axis=f.axes), f.max_inv_rho, sqrt_h1_norm(f, p.rho_bar)))
+            f.min_rho, f.max_inv_rho, sqrt_h1_norm(f, p.rho_bar)))
         gains = {q: _rows(lp_gain_value(f, p, q)) for q in GAIN_EXPONENTS}
 
         records = []
@@ -539,7 +561,7 @@ def level_set_report(states, times, params: PhysParams, alpha: float, k: float,
         trunc = np.maximum(inv - k, 0.0)
         measures[i] = g.cell_volume * int(np.count_nonzero(inv >= k))
         sup_l2 = max(sup_l2, math.sqrt(g.integrate(trunc ** 2)))
-        grad_sq[i] = _grad_integral(g, fft_array(g, trunc))
+        grad_sq[i] = _grad_integral(g, _power(fft_array(g, trunc)))
     mu_k = float(np.trapezoid(measures ** (r1 / q1), times)) if len(times) > 1 else 0.0
     q_norm = sup_l2 + math.sqrt(float(np.trapezoid(grad_sq, times))) if len(times) > 1 else sup_l2
     return LevelSetReport(

@@ -81,11 +81,12 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
     def test_overflowing_records_warn_nothing(self, tmp_path, capsys, dim, n):
-        # at rho_bar = 1e300 the records' squares overflow: the run ends on
-        # the non-finite statistic, and numpy warns nothing, since the first
-        # and the last records run inside the run's errstate too
+        # at rho_bar = 1e306 the records' integrals overflow: the run ends
+        # on the non-finite statistic of its first record, and numpy warns
+        # nothing, since the first and the last records run inside the
+        # run's errstate too
         cfg = write_ini(tmp_path / "c.ini", base_sections(
-            grid={"dim": dim, "n": n}, physics={"rho_bar": 1e300},
+            grid={"dim": dim, "n": n}, physics={"rho_bar": 1e306},
             solver={"dt": 1e-3, "t_end": 2e-3, "diag_stride": 1}))
         json_path = tmp_path / "o.json"
         with warnings.catch_warnings():
@@ -95,8 +96,29 @@ class TestRunCommand:
         summary = json.loads(json_path.read_text())
         assert code == CAUSE_CODES["check_failed"]
         assert summary["cause"] == "check_failed"
-        assert summary["energy_check"]["detail"] == "non-finite statistic at t=0.001"
+        assert summary["energy_check"]["detail"] == "non-finite statistic at t=0.0"
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+    def test_huge_reference_density_records_finite(self, tmp_path, dim, n):
+        # at rho_bar = 1e300 every recorded quantity is finite: the density
+        # dissipation weighs |grad ln rho|^2, whose square does not overflow
+        # as |grad rho|^2 (about rho_bar^2) does
+        cfg = write_ini(tmp_path / "c.ini", base_sections(
+            grid={"dim": dim, "n": n}, physics={"rho_bar": 1e300},
+            solver={"dt": 1e-3, "t_end": 2e-3, "diag_stride": 1}))
+        csv_path, json_path = tmp_path / "s.csv", tmp_path / "o.json"
+        code = main(["run", "--config", cfg, "--csv", str(csv_path),
+                     "--json", str(json_path)])
+        summary = json.loads(json_path.read_text())
+        assert code == EXIT_OK
+        assert summary["cause"] == "ok"
+        assert summary["energy_check"]["ok"] is True
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row["dissip_density"])) for row in rows)
+        assert float(rows[-1]["dissip_density"]) > 0
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", base_sections(

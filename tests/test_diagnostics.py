@@ -268,9 +268,9 @@ class TestRecordOracle:
     """The record's derivative functionals against quadratures of
     derivatives taken with numpy.fft in the full layout: d_j with the
     unpaired Nyquist mode zeroed, the Laplacian with it kept. A record
-    takes the functionals of sqrt(rho) as sums over its half spectrum and
-    the gradient of the velocity the state does not hold from the Hessian
-    of ln(rho) (of q)."""
+    takes the functionals of sqrt(rho) as sums over its half spectrum, the
+    gradient of the velocity the state does not hold from the Hessian of
+    ln(rho) (of q), and the density dissipation from grad ln(rho)."""
 
     P = PhysParams(mu=0.15, kappa=0.05, a=0.9, rho_bar=1.3)
 
@@ -300,9 +300,9 @@ class TestRecordOracle:
             log = np.log(rho)
             v = [c + p.mu * d(log, i) for i, c in enumerate(u)]
         else:
-            q, v = s.q.values, [c.values for c in s.v]
-            rho = p.rho_bar * np.exp(q)
-            u = [c - p.mu * d(q, i) for i, c in enumerate(v)]
+            log, v = s.q.values, [c.values for c in s.v]
+            rho = p.rho_bar * np.exp(log)
+            u = [c - p.mu * d(log, i) for i, c in enumerate(v)]
         root = np.sqrt(rho)
         grad_root2 = sum(d(root, j) ** 2 for j in range(dim))
         pot = p.a * (rho * np.log(rho / p.rho_bar) + p.rho_bar - rho)
@@ -314,6 +314,8 @@ class TestRecordOracle:
             "dissip_u": g.integrate(2.0 * p.mu * rho * strain2),
             "dissip_v": g.integrate(p.mu * rho * sum(d(c, j) ** 2 for c in v
                                                      for j in range(dim))),
+            "dissip_density": g.integrate(p.a * p.gamma * p.mu * rho ** p.gamma
+                                          * sum(d(log, j) ** 2 for j in range(dim))),
             "jungel": g.integrate(lap(root) ** 2),
             "h1_sqrt": math.sqrt(g.integrate((root - math.sqrt(p.rho_bar)) ** 2))
             + math.sqrt(g.integrate(grad_root2)),
@@ -326,6 +328,26 @@ class TestRecordOracle:
         for name, value in want.items():
             assert value > 0
             assert abs(getattr(rec, name) - value) <= 1e-13 * value, name
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.4])
+    @pytest.mark.parametrize("formulation", ["primitive", "effective"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_density_dissipation_groupings_agree(self, dim, formulation, gamma):
+        # mu int P'(rho)/rho |grad rho|^2 = a gamma mu int rho^gamma |grad ln rho|^2
+        # in exact arithmetic; on a resolved state the two groupings of the
+        # discrete derivatives, and the record's rate, agree to roundoff
+        p = dataclasses.replace(self.P, gamma=gamma)
+        g = Grid(dim, 64 if dim == 2 else 128)
+        s = build(Preset("smooth_bump", amplitude=0.1), g, p)
+        d, _ = _full_derivatives(g)
+        rho, c = s.rho.values, p.a * p.gamma * p.mu
+        by_rho = g.integrate(c * rho ** (gamma - 2.0) * sum(d(rho, j) ** 2 for j in range(dim)))
+        by_log = g.integrate(c * rho ** gamma * sum(d(np.log(rho), j) ** 2 for j in range(dim)))
+        if formulation == "effective":
+            s = to_effective(s, p)
+        assert by_rho > 0
+        assert abs(by_log - by_rho) <= 1e-12 * by_rho
+        assert abs(dissip_density_rate(s, p) - by_rho) <= 1e-12 * by_rho
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_level_set_gradient_matches_full_layout_quadrature(self, dim):

@@ -72,9 +72,9 @@ def _state(dim, n, formulation, params=PARAMS):
     pytest.param(1, 128, "primitive", 0.0225, 9, 2, id="1-128-primitive"),
     pytest.param(1, 128, "effective", 0.0225, 7, 2, id="1-128-effective"),
     pytest.param(1, 128, "effective", 0.04, 7, 2, id="1-128-effective-kappa-above"),
-    pytest.param(2, 64, "primitive", 0.0225, 32, 16, id="2-64-primitive"),
-    pytest.param(2, 64, "effective", 0.0225, 27, 16, id="2-64-effective"),
-    pytest.param(2, 64, "effective", 0.04, 29, 16, id="2-64-effective-kappa-above"),
+    pytest.param(2, 64, "primitive", 0.0225, 32, 13, id="2-64-primitive"),
+    pytest.param(2, 64, "effective", 0.0225, 27, 13, id="2-64-effective"),
+    pytest.param(2, 64, "effective", 0.04, 29, 13, id="2-64-effective-kappa-above"),
 ])
 def test_gufunc_step_and_record_counts(fft_calls, dim, n, formulation, kappa,
                                        step_fft, record_fft):
@@ -89,6 +89,15 @@ def test_gufunc_step_and_record_counts(fft_calls, dim, n, formulation, kappa,
     fft_calls[0] = 0
     DiagnosticsAccumulator(params)([state], [0.0])
     assert fft_calls[0] == record_fft
+
+
+@pytest.mark.parametrize("dim,n", [(1, 128), (2, 64)])
+def test_sqrt_h1_norm_of_a_field_transforms_sqrt_rho_once(fft_calls, dim, n):
+    # a bare density field needs the half spectrum of sqrt(rho) only
+    rho = _state(dim, n, "primitive").rho
+    fft_calls[0] = 0
+    diagnostics.sqrt_h1_norm(rho, PARAMS.rho_bar)
+    assert fft_calls[0] == 1
 
 
 @pytest.fixture
@@ -156,7 +165,7 @@ def test_1d_run_records_in_one_chunk(fft_calls, checked_calls, formulation):
 def test_2d_run_records_one_state_per_chunk(monkeypatch, fft_calls, checked_calls,
                                              formulation):
     # a 2-D chunk is one state, whose record works on the state's own
-    # arrays, with no stacking copy: 16 transforms and no validation each
+    # arrays, with no stacking copy: 13 transforms and no validation each
     made = []
 
     class Spy(diagnostics._Fields):
@@ -167,7 +176,7 @@ def test_2d_run_records_one_state_per_chunk(monkeypatch, fft_calls, checked_call
     monkeypatch.setattr(diagnostics, "_Fields", Spy)
     cfg = SolverConfig(dt=1e-4, t_end=3e-4, formulation=formulation)
     res, chunks = _chunked_run(_state(2, 32, formulation), cfg, fft_calls, checked_calls)
-    assert [(len(states), moved) for states, moved in chunks] == [(1, [16, 0])] * 4
+    assert [(len(states), moved) for states, moved in chunks] == [(1, [13, 0])] * 4
     assert len(made) == 4
     for (states, _), f in zip(chunks, made):
         own = _unknowns(states[0])
