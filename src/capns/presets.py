@@ -4,6 +4,11 @@ All presets build a primitive state (density, velocity) on the torus; the
 caller converts to the effective formulation when needed. Every density is
 validated strictly positive by construction of PrimitiveState.
 
+The trigonometric presets are functions of the phase 2*pi*x/L, which is
+2*pi*k/n at grid point k on a torus of any length L: they give the same
+samples, periodic, on every length, and those of ``Grid.x`` at L = 2*pi.
+Each factor is evaluated on one n-vector per axis, broadcast over the grid.
+
 ``random_bandlimited`` draws a full complex spectrum per field and keeps
 its band: only the last-axis columns of the band are folded onto the half
 spectrum and inverted (a narrowed spectrum), which gives the same field,
@@ -17,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, finite_number
-from .fields import Grid, RealField, column_extent, hermitian_half, ifft_array
+from .fields import TAU, Grid, RealField, column_extent, hermitian_half, ifft_array
 from .model import PhysParams, PrimitiveState
 
 PRESET_NAMES = ("equilibrium", "smooth_bump", "near_vacuum",
@@ -50,19 +55,25 @@ class Preset:
                 f"delta must lie in (0, 1), got {self.delta}")
 
 
+def _phases(grid: Grid) -> tuple:
+    """The phase 2*pi*k/n of each axis, shaped to broadcast over the grid."""
+    theta = np.arange(grid.n) * (TAU / grid.n)
+    return (theta,) if grid.dim == 1 else (theta[:, None], theta[None, :])
+
+
 def _mean_zero_bump(grid: Grid) -> np.ndarray:
     # smooth, sign-definite before centering; grid mean removed exactly
-    profile = np.exp(sum(np.cos(grid.x[i]) for i in range(grid.dim)) - grid.dim)
+    profile = np.exp(sum(np.cos(th) for th in _phases(grid)) - grid.dim)
     return profile - profile.mean()
 
 
 def _velocity_profile(grid: Grid, amplitude: float):
+    phases = _phases(grid)
     comps = []
     for i in range(grid.dim):
-        other = grid.x[(i + 1) % grid.dim]
-        vals = amplitude * np.sin(grid.x[i])
+        vals = amplitude * np.sin(phases[i])
         if grid.dim > 1:
-            vals = vals * np.cos(other)
+            vals = vals * np.cos(phases[(i + 1) % grid.dim])
         comps.append(RealField(grid, vals))
     return tuple(comps)
 
@@ -109,10 +120,10 @@ def build(preset: Preset, grid: Grid, params: PhysParams) -> PrimitiveState:
         return PrimitiveState(RealField(grid, rho), _velocity_profile(grid, amp))
 
     if preset.name == "near_vacuum":
-        # min over the grid is exactly rho_bar * delta (cos hits -1 at x = pi)
-        shape = np.ones(grid.shape)
-        for i in range(grid.dim):
-            shape = shape * (1.0 + np.cos(grid.x[i])) / 2.0
+        # min over the grid is exactly rho_bar * delta (cos hits -1 at phase pi)
+        shape = 1.0
+        for th in _phases(grid):
+            shape = shape * (1.0 + np.cos(th)) / 2.0
         rho = rb * (preset.delta + (1.0 - preset.delta) * shape)
         return PrimitiveState(RealField(grid, rho), _velocity_profile(grid, amp))
 
@@ -126,5 +137,6 @@ def build(preset: Preset, grid: Grid, params: PhysParams) -> PrimitiveState:
         return PrimitiveState(RealField(grid, rho), u)
 
     # manufactured: squared profile so sqrt(rho) is a single mode
-    rho = rb * (1.0 + amp * np.cos(grid.x[0])) ** 2
+    rho = rb * (1.0 + amp * np.cos(_phases(grid)[0])) ** 2
+    rho = np.broadcast_to(rho, grid.shape).copy()
     return PrimitiveState(RealField(grid, rho), _velocity_profile(grid, amp))

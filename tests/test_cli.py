@@ -120,6 +120,23 @@ class TestRunCommand:
         assert all(math.isfinite(float(row["dissip_density"])) for row in rows)
         assert float(rows[-1]["dissip_density"]) > 0
 
+    def test_length_key_rescales_the_first_record(self, tmp_path):
+        # the presets are functions of the phase 2 pi x / L: on length pi
+        # the run starts from the samples of length 2 pi, so its t = 0 row
+        # reads a quarter of the mass (the cell area) and the same min_rho
+        rows = []
+        for length in (2.0 * math.pi, math.pi):
+            cfg = write_ini(tmp_path / "c.ini", base_sections(
+                grid={"dim": 2, "n": 32, "length": repr(length)},
+                solver={"dt": 1e-3, "t_end": 2e-3, "diag_stride": 1}))
+            csv_path = tmp_path / "s.csv"
+            assert main(["run", "--config", cfg, "--csv", str(csv_path)]) == EXIT_OK
+            with open(csv_path, newline="") as fh:
+                rows.append(next(csv.DictReader(fh)))
+        big, small = rows
+        assert float(small["mass"]) == float(big["mass"]) / 4
+        assert small["min_rho"] == big["min_rho"]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_ini(tmp_path / "c.ini", base_sections(
             solver={"diag_stride": 1},

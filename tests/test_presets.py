@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,57 @@ class TestBuild:
         coeffs = np.fft.fft(np.sqrt(s.rho.values))
         k_int = np.fft.fftfreq(64, d=1.0 / 64)
         assert np.max(np.abs(coeffs[np.abs(k_int) > 1])) < 1e-10
+
+
+TRIG_PRESETS = ("smooth_bump", "near_vacuum", "manufactured")
+
+
+class TestTorusLength:
+    """The trigonometric presets are functions of the phase 2 pi x / L, so
+    every torus length gets the samples of L = 2 pi and periodic data; taken
+    on the coordinates x, a length other than 2 pi cut them at the wrap."""
+
+    @pytest.mark.parametrize("length", [math.pi, 1.0])
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    @pytest.mark.parametrize("name", TRIG_PRESETS)
+    def test_samples_of_two_pi_on_every_length(self, name, dim, n, length):
+        preset = Preset(name, amplitude=0.3, delta=0.05)
+        want = build(preset, Grid(dim, n), PARAMS)
+        got = build(preset, Grid(dim, n, length), PARAMS)
+        assert got.rho.values.tobytes() == want.rho.values.tobytes()
+        assert len(got.u) == dim
+        for a, b in zip(got.u, want.u):
+            assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32)])
+    def test_near_vacuum_floor_exact_on_unit_length(self, dim, n):
+        # the phase pi is a grid point on every length, where cos is -1
+        s = build(Preset("near_vacuum", delta=0.05), Grid(dim, n, 1.0), PARAMS)
+        assert np.min(s.rho.values) == PARAMS.rho_bar * 0.05
+
+
+class TestBuildWork:
+    """A 2-D preset takes its sines and cosines on one phase vector per
+    axis: the grid's coordinate meshgrid is never built."""
+
+    @pytest.mark.parametrize("name", TRIG_PRESETS)
+    def test_2d_build_leaves_no_meshgrid(self, name):
+        g = Grid(2, 32)
+        build(Preset(name, amplitude=0.3), g, PARAMS)
+        assert "x" not in g.__dict__
+
+    def test_2d_build_peak(self):
+        # the traced peak of a 2-D n = 128 smooth_bump build, in grid arrays
+        # of 128 KiB: 5.04; 8.01 when the factors were taken on the meshgrid
+        g = Grid(2, 128)
+        tracemalloc.start()
+        try:
+            s = build(Preset("smooth_bump", amplitude=0.3), g, PARAMS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.min(s.rho.values) > 0
+        assert peak <= 5.5 * 8 * g.n ** 2
 
 
 def _full_width_noise(grid, rng, band):
